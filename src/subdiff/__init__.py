@@ -34,7 +34,14 @@ from .inverse import (
     synthesize_data,
     validate_theorem43,
 )
-from .mlf import MlfParams, eval_mlf, kernel, kernel_mass, relaxation
+from .mlf import (
+    MlfParams,
+    eval_mlf,
+    kernel,
+    kernel_mass,
+    relaxation,
+    relaxation_curve,
+)
 from .mode_solver import ModeProblem, ModeSolution, solve_mode
 from .oracle import FdWorkspace, solve_fd
 from .profiles import (
@@ -49,6 +56,7 @@ from .profiles import (
 from .spectral import (
     ModeSet,
     SpaceGrid,
+    basis,
     eigenvalue,
     eigenvalues,
     flux_at_left,

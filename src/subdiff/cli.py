@@ -38,8 +38,8 @@ from .frackernel import TimeGrid, build_weights, caputo_l1, convolve
 from .inverse import InverseSpec, recover_q, synthesize_data
 from .mlf import MlfParams, eval_mlf, kernel, relaxation
 from .oracle import solve_fd
-from .profiles import Profile, named_profile
-from .spectral import SpaceGrid
+from .profiles import _KINDS, Profile, named_profile
+from .spectral import SpaceGrid, basis
 
 _SENTINEL = object()
 
@@ -120,10 +120,12 @@ def _is_float(s: str) -> bool:
         return False
 
 
+_PROFILE_KEYS = frozenset({"kind", "path"}.union(
+    *(names for _, names in _KINDS.values())))
+
+
 def _profile(cfg, tgrid: TimeGrid, where: str, base: Path) -> Profile:
-    _check_keys(cfg, {"kind", "value", "intercept", "slope", "offset",
-                      "amplitude", "frequency", "coefficient", "exponent",
-                      "path"}, where, required={"kind"})
+    _check_keys(cfg, _PROFILE_KEYS, where, required={"kind"})
     kind = cfg["kind"]
     if kind == "csv-samples":
         _check_keys(cfg, {"kind", "path"}, where, required={"path"})
@@ -134,13 +136,6 @@ def _profile(cfg, tgrid: TimeGrid, where: str, base: Path) -> Profile:
         return named_profile(tgrid, kind, **params)
     except DomainError as e:
         raise ConfigError(f"{where}: {e}") from e
-
-
-def _mode_shape(sgrid: SpaceGrid, k: int) -> np.ndarray:
-    sh = (math.sqrt(2.0 / sgrid.length)
-          * np.sin(k * math.pi * sgrid.nodes / sgrid.length))
-    sh[0] = sh[-1] = 0.0
-    return sh
 
 
 def _terms(cfg, where, K):
@@ -173,13 +168,13 @@ def _build_spec(cfg, need_q: bool, base: Path) -> ProblemSpec:
     sigma = _profile(cfg["sigma"], tgrid, "sigma", base)
     q = _profile(cfg["q"], tgrid, "q", base) if need_q else None
 
+    shapes = basis(sgrid, K)
     phi = np.zeros(sgrid.n_cells + 1)
     for i, term in enumerate(_terms(cfg["phi"], "phi", K)):
         _check_keys(term, {"mode", "amplitude"}, f"phi.terms[{i}]",
                     required={"mode", "amplitude"})
-        phi += (_num(term, "amplitude", f"phi.terms[{i}]")
-                * _mode_shape(sgrid, _num(term, "mode", f"phi.terms[{i}]",
-                                          integer=True)))
+        k = _num(term, "mode", f"phi.terms[{i}]", integer=True)
+        phi += _num(term, "amplitude", f"phi.terms[{i}]") * shapes[k - 1]
 
     f = np.zeros((tgrid.n_steps + 1, sgrid.n_cells + 1))
     for i, term in enumerate(_terms(cfg["f"], "f", K)):
@@ -187,7 +182,7 @@ def _build_spec(cfg, need_q: bool, base: Path) -> ProblemSpec:
                     required={"mode", "time"})
         prof = _profile(term["time"], tgrid, f"f.terms[{i}].time", base)
         k = _num(term, "mode", f"f.terms[{i}]", integer=True)
-        f += prof.values[:, None] * _mode_shape(sgrid, k)[None, :]
+        f += prof.values[:, None] * shapes[k - 1][None, :]
 
     return ProblemSpec(sgrid=sgrid, tgrid=tgrid, rho=rho, sigma=sigma, q=q,
                        f=f, phi=phi, K=K)
@@ -225,20 +220,17 @@ def _resolved_config(command, cfg, spec, solver, extra=None):
 
 # --------------------------------------------------------------- outputs ---
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _jnum(x):
     x = float(x)
     return x if math.isfinite(x) else None
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, table: np.ndarray) -> None:
+    """Header line, then one line per table row at round-trip precision."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())
 
 
 def _write_json(path: Path, obj) -> None:
@@ -260,8 +252,7 @@ def _run_forward(cfg, out: Path, threads, base: Path) -> int:
 
     _write_csv(out / "solution.csv",
                ["t"] + [f"u{j}" for j in range(spec.sgrid.n_cells + 1)],
-               ([_fmt(t)] + [_fmt(v) for v in row]
-                for t, row in zip(spec.tgrid.nodes, sol.u)))
+               np.column_stack([spec.tgrid.nodes, sol.u]))
     rep = sol.diagnostics["assumption1"]
     _write_json(out / "diagnostics.json", {
         "assumption1": {
@@ -329,8 +320,7 @@ def _run_inverse(cfg, out: Path, threads, base: Path) -> int:
                     forward_max_iter=solver["forward_max_iter"])
 
     _write_csv(out / "recovered_q.csv", ["t", "q"],
-               ([_fmt(t), _fmt(v)]
-                for t, v in zip(spec.tgrid.nodes, res.q.values)))
+               np.column_stack([spec.tgrid.nodes, res.q.values]))
     rep = res.condition_report
     _write_json(out / "report.json", {
         "condition_report": {

@@ -249,9 +249,7 @@ def residual_check(sol: FieldSolution, spec: ProblemSpec) -> float:
         u_xx = assemble_field(curv, spec.sgrid, spec.tgrid)
 
     nx = spec.sgrid.n_cells
-    dcap = np.empty_like(u[:, 1:nx])
-    for i in range(1, nx):
-        dcap[:, i - 1] = caputo_l1(spec.tgrid, u[:, i], spec.rho)
+    dcap = caputo_l1(spec.tgrid, u[:, 1:nx], spec.rho)
     sig = spec.sigma.values[:, None]
     qv = spec.q.values[:, None]
     res = dcap - sig * u_xx[:, 1:nx] + qv * u[:, 1:nx] - spec.f[:, 1:nx]

@@ -1,9 +1,10 @@
 """Two-parameter Mittag-Leffler function on the nonpositive real axis.
 
-Everything the time-stepping machinery needs reduces to four callables:
+Everything the time-stepping machinery needs reduces to five callables:
 
 * ``eval_mlf``    -- E_{rho,beta}(z) for z <= 0,
 * ``relaxation``  -- E_{rho,1}(-lam * t^rho), the fractional relaxation curve,
+* ``relaxation_curve`` -- the same curve at every entry of an array of times,
 * ``kernel``      -- lam * t^(rho-1) * E_{rho,rho}(-lam * t^rho),
 * ``kernel_mass`` -- the exact integral of ``kernel`` over [a, b].
 
@@ -19,6 +20,14 @@ tolerance the value is recovered from the real integral representation on
 the branch cut (0 < rho < 1) or from an extended-precision series; this
 keeps the advertised tolerances honest also in the cancellation band that
 plain double-precision series/asymptotics cannot cover.
+
+``relaxation_curve`` runs the series and asymptotic bands as term loops over
+all entries still active, taking each term's coefficient once per term index
+and applying the same compensation, stopping rules, error estimates and
+acceptance tolerances as the scalar sums.  Only the entries whose estimate
+fails, or whose cancellation rules the series out, go one by one to the
+scalar fallback (branch cut, then extended precision).  A single value is
+cheaper on the scalar path, so the scalar entry points keep their own loops.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -39,6 +50,11 @@ _EPS = 2.220446049250313e-16
 _SERIES_COND_LIMIT = 2.5e1
 _REL_TARGET = 1e-13
 _ABS_TARGET = 1e-16
+# the series is not tried once x^(1/rho) exceeds this (its running maximum
+# term outgrows the result beyond care)
+_SERIES_CANCEL_MAX = 34.0
+# an asymptotic value is also accepted at this absolute error estimate
+_ASYMPTOTIC_ABS_MAX = 1e-13
 
 
 def rgamma(x: float) -> float:
@@ -124,6 +140,49 @@ def _series(rho: float, beta: float, x: float) -> tuple[float, float]:
     return total, cond * 4.0 * _EPS
 
 
+def _series_curve(rho: float, beta: float, x: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``_series`` for x > 0: (values, est. relative errors)."""
+    val = np.full(x.shape, math.nan)
+    rel = np.full(x.shape, math.inf)
+    idx = np.arange(x.size)
+    lnx = np.log(x)
+    total = np.zeros(x.size)
+    comp = np.zeros(x.size)
+    abs_sum = np.zeros(x.size)
+    small_streak = np.zeros(x.size, dtype=int)
+    for k in range(SERIES_MAX_TERMS):
+        if idx.size == 0:
+            break
+        lg, sg = _log_rgamma_abs(k * rho + beta)  # a pole gives lg = -inf
+        e = k * lnx + lg
+        live = e <= 700.0
+        if not live.all():  # overflowing entries fail, as in the scalar
+            idx, lnx, e, total, comp, abs_sum, small_streak = (
+                a[live] for a in (idx, lnx, e, total, comp, abs_sum,
+                                  small_streak))
+        term = (-sg if k % 2 else sg) * np.exp(e)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_sum += np.abs(term)
+        small_streak = np.where(np.abs(term) < 1e-16 * np.abs(total),
+                                small_streak + 1, 0)
+        done = small_streak >= 3
+        if done.any():
+            fin, tot = idx[done], total[done]
+            nonzero = tot != 0.0
+            val[fin] = tot
+            rel[fin[nonzero]] = (abs_sum[done][nonzero] / np.abs(tot[nonzero])
+                                 * 4.0 * _EPS)
+            keep = ~done
+            idx, lnx, total, comp, abs_sum, small_streak = (
+                a[keep] for a in (idx, lnx, total, comp, abs_sum, small_streak))
+    # entries still running after SERIES_MAX_TERMS keep (nan, inf)
+    return val, rel
+
+
 def _asymptotic(rho: float, beta: float, x: float) -> tuple[float, float]:
     """Large-x expansion; returns (value, est. absolute error).
 
@@ -170,6 +229,55 @@ def _asymptotic(rho: float, beta: float, x: float) -> tuple[float, float]:
         # way; the caller treats rho == 1 separately
         return math.nan, math.inf
     return total, err + 4.0 * _EPS * abs(total)
+
+
+def _asymptotic_curve(rho: float, beta: float, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``_asymptotic`` for 0 < rho < 1: (values, est. abs. errors)."""
+    val = np.full(x.shape, math.nan)
+    err_out = np.full(x.shape, math.inf)
+    idx = np.arange(x.size)
+    lnx = np.log(x)
+    total = np.zeros(x.size)
+    comp = np.zeros(x.size)
+    best_min = np.full(x.size, math.inf)
+    err = np.full(x.size, math.inf)
+    seen = np.zeros(x.size, dtype=bool)
+
+    def finish(stop, idx, total, err, seen):
+        fin = stop & seen  # entries that stop before any term stay (nan, inf)
+        val[idx[fin]] = total[fin]
+        err_out[idx[fin]] = err[fin] + 4.0 * _EPS * np.abs(total[fin])
+
+    for n in range(1, 301):
+        if idx.size == 0:
+            break
+        lg, sg = _log_rgamma_abs(beta - n * rho)
+        if sg == 0.0:
+            continue
+        e = -n * lnx + lg
+        mag = np.exp(np.minimum(e, 700.0))
+        mag[e >= 700.0] = math.inf
+        diverged = mag > 3.0 * best_min
+        term = (sg if n % 2 == 1 else -sg) * mag
+        y = term - comp
+        t = total + y
+        new_comp = (t - total) - y
+        # diverged entries stop before adding the term, with the term as error
+        total = np.where(diverged, total, t)
+        comp = np.where(diverged, comp, new_comp)
+        best_min = np.where(diverged, best_min, np.minimum(best_min, mag))
+        err = mag
+        seen |= ~diverged
+        converged = ~diverged & (mag < 1e-18 * (np.abs(total) + 1e-300))
+        stop = diverged | converged
+        if stop.any():
+            finish(stop, idx, total, err, seen)
+            keep = ~stop
+            idx, lnx, total, comp, best_min, err, seen = (
+                a[keep] for a in (idx, lnx, total, comp, best_min, err, seen))
+    finish(np.ones(idx.size, dtype=bool), idx, total, err, seen)
+    return val, err_out
 
 
 def _branch_cut(rho: float, beta: float, x: float) -> tuple[float, float]:
@@ -329,7 +437,7 @@ def _mlf_neg(rho: float, beta: float, x: float) -> float:
 
     if x <= Z_SWITCH:
         cancel = x ** (1.0 / rho)
-        if cancel <= 34.0:  # beyond this the running maximum term overflows care
+        if cancel <= _SERIES_CANCEL_MAX:
             val, rel = _series(rho, beta, x)
             if math.isfinite(val) and rel <= _REL_TARGET:
                 return val
@@ -337,9 +445,13 @@ def _mlf_neg(rho: float, beta: float, x: float) -> float:
         val, abserr = _asymptotic(rho, beta, x)
         if math.isfinite(val):
             tol = max(_REL_TARGET * abs(val), _ABS_TARGET)
-            if abserr <= tol or abserr <= 1e-13:
+            if abserr <= tol or abserr <= _ASYMPTOTIC_ABS_MAX:
                 return val
+    return _fallback(rho, beta, x)
 
+
+def _fallback(rho: float, beta: float, x: float) -> float:
+    """E_{rho,beta}(-x) where neither the series nor the asymptotics qualify."""
     if 0.0 < rho <= 0.97:
         return _reduce_beta_eval(rho, beta, x)
     return _mp_series(rho, beta, x)
@@ -368,6 +480,55 @@ def relaxation(rho: float, lam: float, t: float) -> float:
     if t == 0.0:
         return 1.0
     return _mlf_neg(rho, 1.0, lam * t ** rho)
+
+
+def relaxation_curve(rho: float, lam: float, t) -> np.ndarray:
+    """E_{rho,1}(-lam * t^rho) at every entry of ``t >= 0``, for 0 < rho <= 1.
+
+    Same values and tolerances as ``relaxation`` entry by entry (agreement to
+    rounding), but the series and asymptotic sums run over the whole array;
+    see the module docstring for the routing.
+    """
+    if not (0.0 < lam < math.inf):
+        raise DomainError(f"lam must be positive and finite, got {lam!r}")
+    if not (0.0 < rho <= 1.0):
+        raise DomainError(f"relaxation_curve needs rho in (0, 1], got {rho!r}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0.0):
+        raise DomainError("times must be nonnegative")
+    if rho == 1.0:
+        return np.exp(-lam * t)
+    x = lam * t ** rho
+    out = np.empty(x.shape)
+    pending = np.ones(x.shape, dtype=bool)
+    for edge, value in ((x == 0.0, 1.0), (np.isinf(x), 0.0)):
+        out[edge] = value
+        pending[edge] = False
+
+    series = (pending & (x <= Z_SWITCH)
+              & (np.minimum(x, Z_SWITCH) ** (1.0 / rho) <= _SERIES_CANCEL_MAX))
+    val, rel = _series_curve(rho, 1.0, x[series])
+    ok = np.isfinite(val) & (rel <= _REL_TARGET)
+    _accept(out, pending, series, val, ok)
+
+    asym = pending & (x > Z_SWITCH)
+    val, abserr = _asymptotic_curve(rho, 1.0, x[asym])
+    ok = np.isfinite(val) & (
+        (abserr <= np.maximum(_REL_TARGET * np.abs(val), _ABS_TARGET))
+        | (abserr <= _ASYMPTOTIC_ABS_MAX))
+    _accept(out, pending, asym, val, ok)
+
+    for i in np.flatnonzero(pending):
+        out.flat[i] = _fallback(rho, 1.0, float(x.flat[i]))
+    return out
+
+
+def _accept(out: np.ndarray, pending: np.ndarray, band: np.ndarray,
+            val: np.ndarray, ok: np.ndarray) -> None:
+    """Store the accepted values of one band and clear them from ``pending``."""
+    where = np.flatnonzero(band)[ok]
+    out.flat[where] = val[ok]
+    pending.flat[where] = False
 
 
 def kernel(rho: float, lam: float, t: float) -> float:

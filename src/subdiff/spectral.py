@@ -99,10 +99,19 @@ def simpson_integral(sgrid: SpaceGrid, samples) -> float:
 
 
 @lru_cache(maxsize=64)
-def _basis(length: float, n_cells: int, K: int) -> np.ndarray:
-    sgrid = SpaceGrid(length, n_cells)
+def basis(sgrid: SpaceGrid, K: int) -> np.ndarray:
+    """Read-only (K, n_cells + 1) array; row k-1 holds e_k at the grid nodes.
+
+    K is capped at M/2 so that the top retained mode is resolved by the grid.
+    """
+    if K < 1:
+        raise DomainError(f"need K >= 1, got {K}")
+    if K > sgrid.n_cells // 2:
+        raise AliasingError(
+            f"K={K} exceeds the anti-aliasing cap M/2={sgrid.n_cells // 2}")
+    length = sgrid.length
     x = sgrid.nodes
-    e = np.empty((K, n_cells + 1))
+    e = np.empty((K, sgrid.n_cells + 1))
     amp = math.sqrt(2.0 / length)
     for k in range(1, K + 1):
         e[k - 1] = amp * np.sin(math.pi * k * x / length)
@@ -116,16 +125,11 @@ def _basis(length: float, n_cells: int, K: int) -> np.ndarray:
 
 def sine_coefficients(sgrid: SpaceGrid, samples, K: int) -> np.ndarray:
     """c_k = Simpson(g * e_k) for k = 1..K; last axis of ``samples`` is space."""
-    if K < 1:
-        raise DomainError(f"need K >= 1, got {K}")
-    if K > sgrid.n_cells // 2:
-        raise AliasingError(
-            f"K={K} exceeds the anti-aliasing cap M/2={sgrid.n_cells // 2}")
     v = np.asarray(samples, dtype=float)
     if v.shape[-1] != sgrid.n_cells + 1:
         raise GridMismatchError(
             f"samples {v.shape} do not match grid with {sgrid.n_cells + 1} nodes")
-    return (v * _simpson_weights(sgrid)) @ _basis(sgrid.length, sgrid.n_cells, K).T
+    return (v * _simpson_weights(sgrid)) @ basis(sgrid, K).T
 
 
 def assemble_field(modes: ModeSet, sgrid: SpaceGrid,
@@ -136,7 +140,7 @@ def assemble_field(modes: ModeSet, sgrid: SpaceGrid,
     if not math.isclose(sgrid.length, modes.length, rel_tol=1e-14):
         raise GridMismatchError(
             f"space grid length {sgrid.length} != mode-set length {modes.length}")
-    return modes.coeffs.T @ _basis(sgrid.length, sgrid.n_cells, modes.K)
+    return modes.coeffs.T @ basis(sgrid, modes.K)
 
 
 def flux_at_left(modes: ModeSet, tgrid: TimeGrid) -> Profile:

@@ -145,6 +145,17 @@ def sample_mode_problem(rng, *, n_steps: int = 64, sign: int | None = None,
                        f_k=f_k, phi_k=phi_k, grid=grid)
 
 
+def l1_direct(grid, u, rho: float) -> np.ndarray:
+    """L1 Caputo derivative of one series with the history sum taken directly."""
+    n = grid.n_steps
+    m = np.arange(1, n + 1, dtype=float)
+    b = m ** (1.0 - rho) - (m - 1.0) ** (1.0 - rho)
+    out = np.full(n + 1, np.nan)
+    out[1:] = (grid.h ** (-rho) / math.gamma(2.0 - rho)
+               * np.convolve(b, np.diff(u))[:n])
+    return out
+
+
 def make_manufactured(n_steps: int, n_cells: int, rho: float = 0.5):
     """Forward problem with known solution u* = (1+t) sqrt(2) sin(pi x).
 

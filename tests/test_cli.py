@@ -1,12 +1,13 @@
 """Command-line behavior: exit codes, artifact contents, determinism."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from subdiff.cli import main
+from subdiff.cli import _write_csv, main
 from subdiff.frackernel import TimeGrid
 
 CONFIGS = {
@@ -78,6 +79,18 @@ class TestConfigErrors:
         assert code == 2
         assert "gaussian" in capsys.readouterr().err
 
+    def test_unknown_profile_parameter(self, tmp_path, capsys):
+        cfg = small_forward_cfg()
+        cfg["q"]["slop"] = 2.0
+        assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+        assert capsys.readouterr().err == "config error: q: unknown keys ['slop']\n"
+
+    def test_aliased_mode_count(self, tmp_path, capsys):
+        cfg = small_forward_cfg()
+        cfg["problem"]["n_modes"] = 9
+        assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+        assert "K=9 exceeds the anti-aliasing cap M/2=8" in capsys.readouterr().err
+
     def test_missing_block(self, tmp_path):
         cfg = small_forward_cfg()
         del cfg["sigma"]
@@ -110,6 +123,24 @@ class TestConfigErrors:
         cfg = small_forward_cfg()
         cfg["problem"]["n_steps"] = 32.5
         assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+
+
+class TestCsvWriter:
+    def test_bytes_match_csv_module_formatting(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = np.column_stack([
+            np.linspace(0.0, 1.0, 12),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 3.0, -7.0,
+             2.0 ** 60, 0.1, 1.0 / 3.0],
+            rng.normal(size=(12, 3)), rng.normal(size=(12, 2)) * 1e-8])
+        header = ["t"] + [f"u{j}" for j in range(table.shape[1] - 1)]
+        _write_csv(tmp_path / "new.csv", header, table)
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([format(float(v), ".17g") for v in row] for row in table)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
 
 
 class TestExitCodes:

@@ -19,11 +19,11 @@ from subdiff.forward import (
     solve_forward,
     validate_assumption1,
 )
-from subdiff.frackernel import TimeGrid
+from subdiff.frackernel import TimeGrid, caputo_l1
 from subdiff.profiles import Profile, constant
 from subdiff.spectral import SpaceGrid, eigenvalues
 
-from conftest import make_manufactured, mlf_reference
+from conftest import l1_direct, make_manufactured, mlf_reference
 
 
 def tiny_spec(n=8, m=8, q=0.1, sigma=2.0, K=None):
@@ -291,6 +291,24 @@ class TestResidual:
             warnings.simplefilter("ignore")
             sol = solve_forward(spec)
         assert residual_check(sol, spec) < 1e-2
+
+    def test_matches_per_column_l1(self):
+        # the shipped forward config: the batched L1 derivative against the
+        # per-column direct sum
+        spec, _ = make_quadratic(512, 128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = solve_forward(spec)
+        nx = spec.sgrid.n_cells
+        dcap = np.column_stack([l1_direct(spec.tgrid, sol.u[:, i], spec.rho)
+                                for i in range(1, nx)])
+        batched = caputo_l1(spec.tgrid, sol.u[:, 1:nx], spec.rho)
+        np.testing.assert_allclose(batched[1:], dcap[1:], rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(dcap[1:])))
+        res = (dcap - spec.sigma.values[:, None] * sol.u_xx_diag[:, 1:nx]
+               + spec.q.values[:, None] * sol.u[:, 1:nx] - spec.f[:, 1:nx])
+        want = float(np.max(np.abs(res[1:])))
+        assert residual_check(sol, spec) == pytest.approx(want, rel=1e-12)
 
     def test_residual_decreases_under_refinement(self):
         vals = []

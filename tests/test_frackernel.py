@@ -19,7 +19,7 @@ from subdiff.frackernel import (
 )
 from subdiff.mlf import kernel, relaxation
 
-from conftest import mlf_reference
+from conftest import l1_direct, mlf_reference
 
 
 class TestTimeGrid:
@@ -80,6 +80,18 @@ class TestCaputoL1:
         rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(rates) >= 1.3
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 513])
+    def test_columns_match_direct_sum(self, n):
+        g = TimeGrid(1.3, n)
+        rng = np.random.default_rng(n)
+        u = np.cumsum(rng.normal(size=(n + 1, 5)), axis=0)
+        got = caputo_l1(g, u, 0.4)
+        assert got.shape == u.shape and np.all(np.isnan(got[0]))
+        for j in range(u.shape[1]):
+            want = l1_direct(g, u[:, j], 0.4)
+            np.testing.assert_allclose(got[1:, j], want[1:], rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(want[1:])))
+
     def test_rejects_bad_order(self):
         g = TimeGrid(1.0, 4)
         for rho in (0.0, 1.0, 1.2, -0.5):
@@ -89,6 +101,8 @@ class TestCaputoL1:
     def test_rejects_mismatched_series(self):
         with pytest.raises(GridMismatchError):
             caputo_l1(TimeGrid(1.0, 4), np.zeros(6), 0.5)
+        with pytest.raises(GridMismatchError):
+            caputo_l1(TimeGrid(1.0, 4), np.zeros((5, 2, 2)), 0.5)
 
 
 class TestBuildWeights:
@@ -115,6 +129,18 @@ class TestBuildWeights:
             got = lam * w.row(i).sum()
             want = 1.0 - relaxation(rho, lam, g.nodes[i])
             assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9, 1.0])
+    def test_matches_scalar_built_weights(self, rho):
+        # lam spans the series, fallback and asymptotic bands of x = lam t^rho
+        g = TimeGrid(1.0, 300)
+        for lam in (2.0, 10.0, 5000.0):
+            w = build_weights(g, rho, lam)
+            relax = np.array([relaxation(rho, lam, t) for t in g.nodes])
+            np.testing.assert_allclose(w.relax, relax, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(w.column[1:], -np.diff(relax) / lam,
+                                       rtol=0.0, atol=1e-14)
+            assert w.column[0] == 0.0 and w.relax[0] == 1.0
 
     def test_nonnegative(self):
         w = build_weights(TimeGrid(2.0, 64), 0.4, 7.0)

@@ -10,8 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from subdiff import mlf
 from subdiff.errors import DomainError
-from subdiff.mlf import MlfParams, eval_mlf, kernel, kernel_mass, relaxation
+from subdiff.mlf import (
+    Z_SWITCH,
+    MlfParams,
+    eval_mlf,
+    kernel,
+    kernel_mass,
+    relaxation,
+    relaxation_curve,
+)
 
 from conftest import mlf_reference, rel_or_abs_err, series_guard_digits
 
@@ -151,6 +160,79 @@ class TestRelaxation:
             relaxation(0.5, 1.0, -0.1)
         with pytest.raises(DomainError):
             relaxation(0.5, 0.0, 1.0)
+
+
+class TestRelaxationCurve:
+    # lam 0.5 keeps x = lam t^rho in the series band, 10 sweeps x through the
+    # fallback band [1.5, 10], 1000 reaches far into the asymptotic band
+    T = np.linspace(0.0, 1.0, 257)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("lam", [0.5, 10.0, 1000.0])
+    def test_matches_scalar(self, rho, lam):
+        got = relaxation_curve(rho, lam, self.T)
+        want = np.array([relaxation(rho, lam, t) for t in self.T])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_at_zero_is_exactly_one(self):
+        for rho in (0.3, 0.5, 1.0):
+            assert relaxation_curve(rho, 4.0, self.T)[0] == 1.0
+
+    def test_shape_preserved(self):
+        t = self.T[1:].reshape(16, 16)
+        got = relaxation_curve(0.5, 10.0, t)
+        assert got.shape == (16, 16)
+        np.testing.assert_array_equal(got.ravel(),
+                                      relaxation_curve(0.5, 10.0, self.T[1:]))
+
+    def test_domain_errors(self):
+        for lam in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                relaxation_curve(0.5, lam, self.T)
+        with pytest.raises(DomainError):
+            relaxation_curve(0.5, 1.0, np.array([0.0, -0.1, 1.0]))
+        with pytest.raises(DomainError):
+            relaxation_curve(1.5, 1.0, self.T)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
+    def test_series_band_matches_scalar_sum(self, rho):
+        # past the acceptance limit the partial sums are cancellation noise,
+        # so values are compared where the scalar sum accepts its estimate
+        x = np.linspace(0.01, Z_SWITCH, 120)
+        for beta in (1.0, rho):
+            val, rel = mlf._series_curve(rho, beta, x)
+            want = np.array([mlf._series(rho, beta, v) for v in x])
+            ok = want[:, 1] <= mlf._REL_TARGET
+            assert ok.any()
+            np.testing.assert_array_equal(rel <= mlf._REL_TARGET, ok)
+            np.testing.assert_allclose(val[ok], want[ok, 0], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(rel[ok], want[ok, 1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
+    def test_asymptotic_band_matches_scalar_sum(self, rho):
+        x = np.geomspace(Z_SWITCH * 1.001, 1e4, 120)
+        for beta in (1.0, rho):
+            val, err = mlf._asymptotic_curve(rho, beta, x)
+            want = np.array([mlf._asymptotic(rho, beta, v) for v in x])
+            np.testing.assert_allclose(val, want[:, 0], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(err, want[:, 1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
+    def test_only_failed_estimates_reach_the_fallback(self, rho, monkeypatch):
+        calls = []
+
+        def counting(rho_, beta, x):
+            calls.append(x)
+            return fallback(rho_, beta, x)
+
+        fallback = mlf._fallback
+        monkeypatch.setattr(mlf, "_fallback", counting)
+        relaxation_curve(rho, 10.0, self.T)
+        array_calls, calls[:] = list(calls), []
+        for t in self.T[1:]:
+            mlf._mlf_neg.__wrapped__(rho, 1.0, 10.0 * t ** rho)
+        assert array_calls
+        np.testing.assert_allclose(array_calls, calls, rtol=1e-15)
 
 
 class TestKernel:

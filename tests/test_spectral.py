@@ -16,6 +16,7 @@ from subdiff.spectral import (
     ModeSet,
     SpaceGrid,
     assemble_field,
+    basis,
     eigenvalue,
     eigenvalues,
     flux_at_left,
@@ -89,6 +90,15 @@ class TestSineCoefficients:
         for n in range(5):
             np.testing.assert_allclose(
                 all_at_once[n], sine_coefficients(g, field[n], 8), atol=1e-14)
+
+    def test_basis_rows_are_the_sampled_sines(self):
+        g = SpaceGrid(1.5, 64)
+        e = basis(g, 32)
+        assert e.shape == (32, 65) and not e.flags.writeable
+        for k in (1, 7, 32):
+            want = math.sqrt(2.0 / 1.5) * np.sin(k * math.pi * g.nodes / 1.5)
+            want[0] = want[-1] = 0.0
+            np.testing.assert_array_equal(e[k - 1], want)
 
     def test_aliasing_cap(self):
         g = SpaceGrid(1.0, 16)
