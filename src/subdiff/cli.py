@@ -36,7 +36,7 @@ from .errors import (
 from .forward import ProblemSpec, residual_check, solve_forward
 from .frackernel import TimeGrid, build_weights, caputo_l1, convolve
 from .inverse import InverseSpec, recover_q, synthesize_data
-from .mlf import MlfParams, eval_mlf, kernel, relaxation
+from .mlf import MlfParams, eval_mlf, kernel, relaxation, relaxation_curve
 from .oracle import solve_fd
 from .profiles import _KINDS, Profile, named_profile
 from .spectral import SpaceGrid, basis
@@ -412,6 +412,13 @@ def _selftest_mlf():
         worst = max(worst, abs(kernel(rho, lam, t) + fd) / abs(fd))
     checks.append(("kernel = -d/dt relaxation vs central differences",
                    worst <= 1e-6, f"max rel err {worst:.3e}"))
+
+    # x = 10 t^0.9 crosses the band that only the branch cut covers
+    t = np.linspace(0.0, 1.0, 129)
+    want = np.array([relaxation(0.9, 10.0, s) for s in t])
+    worst = float(np.max(np.abs(relaxation_curve(0.9, 10.0, t) - want) / want))
+    checks.append(("relaxation_curve vs scalar relaxation (rho 0.9, lam 10)",
+                   worst <= 1e-13, f"max rel err {worst:.3e}"))
     return checks
 
 

@@ -17,17 +17,23 @@ its cancellation allows the 1e-12 relative target; beyond |z| = Z_SWITCH the
 algebraic asymptotic expansion with smallest-term truncation is tried first.
 Both estimate their own error a posteriori.  When neither attains its
 tolerance the value is recovered from the real integral representation on
-the branch cut (0 < rho < 1) or from an extended-precision series; this
+the branch cut (0 < rho <= 0.97) or from an extended-precision series; this
 keeps the advertised tolerances honest also in the cancellation band that
 plain double-precision series/asymptotics cannot cover.
 
-``relaxation_curve`` runs the series and asymptotic bands as term loops over
-all entries still active, taking each term's coefficient once per term index
+``relaxation_curve`` routes a whole array through four stages: series, then
+asymptotic expansion, then a vectorised branch cut, then the scalar
+fallback.  The series and asymptotic bands run as term loops over all
+entries still active, taking each term's coefficient once per term index
 and applying the same compensation, stopping rules, error estimates and
-acceptance tolerances as the scalar sums.  Only the entries whose estimate
-fails, or whose cancellation rules the series out, go one by one to the
-scalar fallback (branch cut, then extended precision).  A single value is
-cheaper on the scalar path, so the scalar entry points keep their own loops.
+acceptance tolerances as the scalar sums.  The entries they leave go through
+the branch-cut integral rescaled so that its weight does not depend on the
+argument (``_branch_cut_curve``): one composite Gauss-Legendre node set per
+order serves them all, and each value is accepted under the scalar branch
+cut's own error gate.  Only the entries it rejects, or that lie outside its
+domain, go one by one to the scalar fallback (branch cut, then extended
+precision).  A single value is cheaper on the scalar path, so the scalar
+entry points keep their own loops.
 """
 
 from __future__ import annotations
@@ -55,6 +61,28 @@ _ABS_TARGET = 1e-16
 _SERIES_CANCEL_MAX = 34.0
 # an asymptotic value is also accepted at this absolute error estimate
 _ASYMPTOTIC_ABS_MAX = 1e-13
+# the branch cut serves orders up to this (its integrand peaks ever more
+# sharply as rho -> 1); above it the extended-precision series takes over
+_BRANCH_CUT_RHO_MAX = 0.97
+# a branch-cut value is accepted at err <= _CUT_REL_TOL * max(|v|, _CUT_FLOOR)
+_CUT_REL_TOL = 1e-12
+_CUT_FLOOR = 1e-4
+
+# Fixed-node branch-cut rule of ``relaxation_curve`` (beta = 1).  Domain: x in
+# [_CUT_X_MIN, _CUT_X_MAX] (the fallback band lies inside) and rho at least
+# _CUT_RHO_MIN, below which x^(1/rho) overflows and the node count grows
+# like 1/rho.
+_CUT_RHO_MIN = 0.01
+_CUT_X_MIN = 0.5
+_CUT_X_MAX = 100.0
+# Gauss-Legendre points per panel of the coarse rule; the fine rule has twice
+_CUT_N = 12
+# panels start at w = _CUT_W_MIN (one more panel covers [0, _CUT_W_MIN]) and
+# end where (x w)^(1/rho) = _CUT_TAIL_EXP at x = _CUT_X_MIN
+_CUT_W_MIN = 1e-12
+_CUT_TAIL_EXP = 42.0
+# entries x nodes evaluated at a time (4 MB of doubles)
+_CUT_BLOCK = 1 << 19
 
 
 def rgamma(x: float) -> float:
@@ -331,6 +359,88 @@ def _branch_cut(rho: float, beta: float, x: float) -> tuple[float, float]:
     return total, err
 
 
+@lru_cache(maxsize=32)
+def _cut_edges(rho: float) -> np.ndarray:
+    """Panel edges in w for ``_branch_cut_curve``: 0, then graded in y = log w.
+
+    Each panel stays well inside the region where the integrand is analytic
+    and bounded, for every x of the domain.  exp(-(x w)^(1/rho)) is bounded
+    on the strip |Im y| < pi rho / 2, so the width bound is 2 rho where it
+    turns over and grows to the left of that band, where it is nearly 1.  The
+    Lorentzian has its poles at y = +-i pi (1 - rho), so near its peak at
+    w = 1 (y = 0) the bound is the distance to a pole.  The bound is
+    1-Lipschitz in y, so a step of half of it, taken at the left edge, leaves
+    every panel no wider than the bound at any of its points.
+    """
+    delta = math.pi * (1.0 - rho)
+    y_band = -math.log(_CUT_X_MAX) - 3.0 * rho  # (x w)^(1/rho) = e^-3 there
+    y_end = rho * math.log(_CUT_TAIL_EXP) - math.log(_CUT_X_MIN)
+    ys = [math.log(_CUT_W_MIN)]
+    while ys[-1] < y_end:
+        y = ys[-1]
+        width = min(4.0, 2.0 * rho + max(0.0, y_band - y), math.hypot(y, delta))
+        ys.append(min(y + 0.5 * width, y_end))
+    edges = np.concatenate(([0.0], np.exp(ys)))
+    edges.setflags(write=False)
+    return edges
+
+
+@lru_cache(maxsize=32)
+def _cut_rule(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on every panel of ``_cut_edges(rho)``.
+
+    Returns (w^(1/rho) at the nodes, weights); the weights carry the factor
+    sin(pi rho) / (pi rho) and the Lorentzian 1 / (w^2 + 2 w cos(pi rho) + 1).
+    """
+    edges = _cut_edges(rho)
+    g, gw = np.polynomial.legendre.leggauss(n)
+    a, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    w = (a + half * (g + 1.0)).ravel()
+    c, s = math.cos(math.pi * rho), math.sin(math.pi * rho)
+    weights = ((half * gw).ravel() * (s / (math.pi * rho))
+               / ((w + c) ** 2 + s * s))
+    powers = w ** (1.0 / rho)
+    powers.setflags(write=False)
+    weights.setflags(write=False)
+    return powers, weights
+
+
+def _branch_cut_curve(rho: float, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """E_{rho,1}(-x) from the branch cut, one fixed rule for every entry of x.
+
+    For _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX and x in [_CUT_X_MIN,
+    _CUT_X_MAX]; returns (values, est. absolute errors).  Putting
+    s = (x w)^(1/rho) into the ``_branch_cut`` integral at beta = 1 gives
+
+        E_{rho,1}(-x) = sin(pi rho)/(pi rho)
+            * int_0^inf exp(-(x w)^(1/rho)) / (w^2 + 2 w cos(pi rho) + 1) dw,
+
+    whose weight no longer depends on x.  The value is the composite rule
+    with 2n points per panel; the error estimate is its distance from the
+    n-point rule plus a bound on the integral beyond the last edge W,
+    exp(-(x W)^(1/rho)) times the exact Lorentzian mass there.  The integrand
+    is positive, so the sums do not cancel.  Entries go through in blocks,
+    each row summed on its own, so no value depends on the block size.
+    """
+    coarse = _cut_rule(rho, _CUT_N)
+    fine = _cut_rule(rho, 2 * _CUT_N)
+    big_x = x ** (1.0 / rho)
+    sums = []
+    for powers, weights in (coarse, fine):
+        out = np.empty(x.size)
+        step = max(1, _CUT_BLOCK // powers.size)
+        for i in range(0, x.size, step):
+            block = np.exp(-big_x[i:i + step, None] * powers)
+            out[i:i + step] = (block * weights).sum(axis=1)
+        sums.append(out)
+    w_end = _cut_edges(rho)[-1]
+    c, s = math.cos(math.pi * rho), math.sin(math.pi * rho)
+    tail = (np.exp(-big_x * w_end ** (1.0 / rho))
+            * (math.atan2(s, w_end + c) / (math.pi * rho)))
+    return sums[1], np.abs(sums[1] - sums[0]) + tail
+
+
 def _mp_branch_cut(rho: float, beta: float, x: float) -> float:
     """Branch-cut integral in extended precision (0 < rho < 1, beta <= rho + 0.75)."""
     import mpmath as mp
@@ -416,7 +526,7 @@ def _reduce_beta_eval(rho: float, beta: float, x: float) -> float:
     m = max(0, int(math.ceil((beta - b_cap) / rho - 1e-12)))
     b0 = beta - m * rho
     val, err = _branch_cut(rho, b0, x)
-    if not math.isfinite(val) or err > 1e-12 * max(abs(val), 1e-4):
+    if not math.isfinite(val) or err > _CUT_REL_TOL * max(abs(val), _CUT_FLOOR):
         val = _mp_branch_cut(rho, b0, x)
     b = b0
     for _ in range(m):
@@ -452,7 +562,7 @@ def _mlf_neg(rho: float, beta: float, x: float) -> float:
 
 def _fallback(rho: float, beta: float, x: float) -> float:
     """E_{rho,beta}(-x) where neither the series nor the asymptotics qualify."""
-    if 0.0 < rho <= 0.97:
+    if 0.0 < rho <= _BRANCH_CUT_RHO_MAX:
         return _reduce_beta_eval(rho, beta, x)
     return _mp_series(rho, beta, x)
 
@@ -517,6 +627,13 @@ def relaxation_curve(rho: float, lam: float, t) -> np.ndarray:
         (abserr <= np.maximum(_REL_TARGET * np.abs(val), _ABS_TARGET))
         | (abserr <= _ASYMPTOTIC_ABS_MAX))
     _accept(out, pending, asym, val, ok)
+
+    cut = pending & (x >= _CUT_X_MIN) & (x <= _CUT_X_MAX)
+    if _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX and cut.any():
+        val, err = _branch_cut_curve(rho, x[cut])
+        ok = np.isfinite(val) & (err <= _CUT_REL_TOL
+                                 * np.maximum(np.abs(val), _CUT_FLOOR))
+        _accept(out, pending, cut, val, ok)
 
     for i in np.flatnonzero(pending):
         out.flat[i] = _fallback(rho, 1.0, float(x.flat[i]))

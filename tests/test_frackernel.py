@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import subdiff
 from subdiff.errors import DomainError, GridMismatchError, ResourceError
 from subdiff.frackernel import (
     TimeGrid,
@@ -169,6 +174,24 @@ class TestBuildWeights:
         a = build_weights(TimeGrid(1.0, 32), 0.5, 2.0)
         b = build_weights(TimeGrid(1.0, 32), 0.5, 2.0)
         assert a is b
+
+    def test_cold_builds_leave_scipy_integrate_unloaded(self):
+        # the branch-cut band of these grids (rho 0.9 with the stiffnesses of
+        # K = 4 modes, rho 0.5 with K = 32) is served by the fixed-node rule,
+        # so no scalar quadrature runs and its module is never imported
+        code = ("import math, sys\n"
+                "from subdiff.frackernel import TimeGrid, build_weights\n"
+                "g = TimeGrid(1.0, 2048)\n"
+                "for rho, modes in ((0.9, 4), (0.5, 32)):\n"
+                "    for k in range(1, modes + 1):\n"
+                "        build_weights(g, rho, (k * math.pi) ** 2)\n"
+                "print('scipy.integrate' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(subdiff.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestConvolve:

@@ -167,7 +167,7 @@ class TestRelaxationCurve:
     # fallback band [1.5, 10], 1000 reaches far into the asymptotic band
     T = np.linspace(0.0, 1.0, 257)
 
-    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97, 1.0])
     @pytest.mark.parametrize("lam", [0.5, 10.0, 1000.0])
     def test_matches_scalar(self, rho, lam):
         got = relaxation_curve(rho, lam, self.T)
@@ -219,6 +219,10 @@ class TestRelaxationCurve:
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_only_failed_estimates_reach_the_fallback(self, rho, monkeypatch):
+        # the scalar fallback gets exactly the entries that the series, the
+        # asymptotics and the cut rule all reject, plus those outside the cut
+        # rule's domain; a lowered x range puts part of the band outside
+        monkeypatch.setattr(mlf, "_CUT_X_MAX", 3.0)
         calls = []
 
         def counting(rho_, beta, x):
@@ -227,12 +231,61 @@ class TestRelaxationCurve:
 
         fallback = mlf._fallback
         monkeypatch.setattr(mlf, "_fallback", counting)
-        relaxation_curve(rho, 10.0, self.T)
-        array_calls, calls[:] = list(calls), []
         for t in self.T[1:]:
             mlf._mlf_neg.__wrapped__(rho, 1.0, 10.0 * t ** rho)
-        assert array_calls
-        np.testing.assert_allclose(array_calls, calls, rtol=1e-15)
+        left, calls[:] = np.array(calls), []
+        relaxation_curve(rho, 10.0, self.T)
+
+        inside = (left >= mlf._CUT_X_MIN) & (left <= 3.0)
+        assert inside.any() and not inside.all()
+        val, err = mlf._branch_cut_curve(rho, left[inside])
+        passed = np.zeros(left.size, dtype=bool)
+        passed[inside] = err <= mlf._CUT_REL_TOL * np.maximum(np.abs(val),
+                                                              mlf._CUT_FLOOR)
+        np.testing.assert_allclose(calls, left[~passed], rtol=1e-15)
+
+    def test_rejected_cut_values_take_the_scalar_fallback(self, monkeypatch):
+        rho, lam = 0.9, 10.0
+        seen, calls = [], []
+        cut_curve, fallback = mlf._branch_cut_curve, mlf._fallback
+
+        def half_rejected(rho_, x):
+            seen.extend(x)
+            val, err = cut_curve(rho_, x)
+            err[::2] = math.inf
+            return val, err
+
+        def counting(rho_, beta, x):
+            calls.append(x)
+            return fallback(rho_, beta, x)
+
+        monkeypatch.setattr(mlf, "_branch_cut_curve", half_rejected)
+        monkeypatch.setattr(mlf, "_fallback", counting)
+        got = relaxation_curve(rho, lam, self.T)
+        rejected = np.array(seen[::2])
+        assert rejected.size
+        np.testing.assert_array_equal(calls, rejected)
+        where = np.isin(lam * self.T ** rho, rejected)
+        np.testing.assert_array_equal(
+            got[where], [fallback(rho, 1.0, x) for x in rejected])
+
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.97])
+    def test_branch_cut_curve_meets_the_scalar_gate(self, rho):
+        x = np.geomspace(1.0, 40.0, 8)
+        val, err = mlf._branch_cut_curve(rho, x)
+        tol = mlf._CUT_REL_TOL * np.maximum(np.abs(val), mlf._CUT_FLOOR)
+        assert np.all(err <= tol)
+        want = np.array([mlf._mp_branch_cut(rho, 1.0, v) for v in x])
+        assert np.all(np.abs(val - want) <= tol)
+
+    def test_branch_cut_curve_independent_of_block_size(self, monkeypatch):
+        x = np.linspace(2.0, 20.0, 7)
+        want = mlf._branch_cut_curve(0.9, x)
+        for rows in (1, 3):
+            monkeypatch.setattr(mlf, "_CUT_BLOCK",
+                                rows * mlf._cut_rule(0.9, 2 * mlf._CUT_N)[0].size)
+            for a, b in zip(mlf._branch_cut_curve(0.9, x), want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestKernel:
