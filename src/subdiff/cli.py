@@ -16,9 +16,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +32,8 @@ from .errors import (
     GridMismatchError,
     ResourceError,
 )
-from .forward import ProblemSpec, residual_check, solve_forward
+from .forward import (ProblemSpec, default_mode_count, residual_check,
+                      solve_forward)
 from .frackernel import TimeGrid, build_weights, caputo_l1, convolve
 from .inverse import InverseSpec, recover_q, synthesize_data
 from .mlf import MlfParams, eval_mlf, kernel, relaxation, relaxation_curve
@@ -47,10 +47,7 @@ _SENTINEL = object()
 # ---------------------------------------------------------------- config ---
 
 def _load_config(path: Path) -> dict:
-    try:
-        text = path.read_text()
-    except OSError:
-        raise
+    text = path.read_text()
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
@@ -161,9 +158,8 @@ def _build_spec(cfg, need_q: bool, base: Path) -> ProblemSpec:
     sgrid = SpaceGrid(_num(prob, "length", "problem", lo=1e-300),
                       _num(prob, "n_cells", "problem", lo=2, integer=True))
     rho = _num(prob, "rho", "problem")
-    K = _num(prob, "n_modes", "problem", default=None, lo=1, integer=True)
-    if K is None:
-        K = min(64, max(1, sgrid.n_cells // 4))
+    K = _num(prob, "n_modes", "problem",
+             default=default_mode_count(sgrid.n_cells), lo=1, integer=True)
 
     sigma = _profile(cfg["sigma"], tgrid, "sigma", base)
     q = _profile(cfg["q"], tgrid, "q", base) if need_q else None
@@ -233,6 +229,11 @@ def _write_csv(path: Path, header, table: np.ndarray) -> None:
         fh.writelines(row % tuple(r) for r in table.tolist())
 
 
+def _report_json(rep) -> dict:
+    """A condition report's fields plus its ``all_passed`` verdict."""
+    return asdict(rep) | {"all_passed": rep.all_passed}
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True))
@@ -241,13 +242,12 @@ def _write_json(path: Path, obj) -> None:
 
 # -------------------------------------------------------------- commands ---
 
-def _run_forward(cfg, out: Path, threads, base: Path) -> int:
+def _run_forward(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "q", "phi", "f", "solver"},
                 "config", required={"problem", "sigma", "q", "phi", "f"})
     solver = _solver_block(cfg, {"tol": 1e-10, "max_iter": 200})
     spec = _build_spec(cfg, need_q=True, base=base)
-    sol = solve_forward(spec, tol=solver["tol"], max_iter=solver["max_iter"],
-                        threads=threads)
+    sol = solve_forward(spec, tol=solver["tol"], max_iter=solver["max_iter"])
     residual = residual_check(sol, spec)
 
     _write_csv(out / "solution.csv",
@@ -255,16 +255,7 @@ def _run_forward(cfg, out: Path, threads, base: Path) -> int:
                np.column_stack([spec.tgrid.nodes, sol.u]))
     rep = sol.diagnostics["assumption1"]
     _write_json(out / "diagnostics.json", {
-        "assumption1": {
-            "m_sigma": rep.m_sigma, "M_sigma": rep.M_sigma,
-            "n_q": rep.n_q, "N_q": rep.N_q,
-            "q_window": list(rep.q_window),
-            "cond1_sigma_positive": rep.cond1_sigma_positive,
-            "cond2_q_in_window": rep.cond2_q_in_window,
-            "cond3_endpoints": rep.cond3_endpoints,
-            "endpoint_defect": rep.endpoint_defect,
-            "all_passed": rep.all_passed,
-        },
+        "assumption1": _report_json(rep),
         "contraction_bounds": sol.diagnostics["contraction_bounds"],
         "picard_iterations": sol.diagnostics["picard_iterations"],
         "q1_value": sol.diagnostics["q1_value"],
@@ -280,7 +271,7 @@ def _run_forward(cfg, out: Path, threads, base: Path) -> int:
     return 0
 
 
-def _run_inverse(cfg, out: Path, threads, base: Path) -> int:
+def _run_inverse(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "phi", "f", "data", "solver"},
                 "config", required={"problem", "sigma", "phi", "f", "data"})
     solver = _solver_block(cfg, {"tol": 1e-6, "max_iter": 500,
@@ -316,23 +307,14 @@ def _run_inverse(cfg, out: Path, threads, base: Path) -> int:
         inv = InverseSpec(spec=spec, psi=psi, psi0=psi0)
 
     res = recover_q(inv, tol=solver["tol"], max_iter=solver["max_iter"],
-                    threads=threads, forward_tol=solver["forward_tol"],
+                    forward_tol=solver["forward_tol"],
                     forward_max_iter=solver["forward_max_iter"])
 
     _write_csv(out / "recovered_q.csv", ["t", "q"],
                np.column_stack([spec.tgrid.nodes, res.q.values]))
     rep = res.condition_report
     _write_json(out / "report.json", {
-        "condition_report": {
-            "psi_min": rep.psi_min, "psi_deriv_max": rep.psi_deriv_max,
-            "cond1_flux_floor": rep.cond1_flux_floor,
-            "compat_defect": rep.compat_defect,
-            "cond2_compatible": rep.cond2_compatible,
-            "cond3_low": rep.cond3_low, "cond3_high": rep.cond3_high,
-            "cond3_rhs": rep.cond3_rhs, "cond3_window": rep.cond3_window,
-            "CT": rep.CT, "cond4_contraction": rep.cond4_contraction,
-            "all_passed": rep.all_passed,
-        },
+        "condition_report": _report_json(rep),
         "CT_bound": res.CT_bound,
         "measured_ratio": res.measured_ratio,
         "iterations": len(res.iterates),
@@ -353,7 +335,7 @@ def _run_inverse(cfg, out: Path, threads, base: Path) -> int:
     return 0
 
 
-def _run_verify(cfg, out: Path, threads, base: Path) -> int:
+def _run_verify(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "q", "phi", "f", "solver",
                       "verify"}, "config",
                 required={"problem", "sigma", "q", "phi", "f"})
@@ -364,8 +346,7 @@ def _run_verify(cfg, out: Path, threads, base: Path) -> int:
     max_gap = _num(ver, "max_cross_gap", "verify", default=5e-3, lo=0.0)
 
     spec = _build_spec(cfg, need_q=True, base=base)
-    sol = solve_forward(spec, tol=solver["tol"], max_iter=solver["max_iter"],
-                        threads=threads)
+    sol = solve_forward(spec, tol=solver["tol"], max_iter=solver["max_iter"])
     residual = residual_check(sol, spec)
     gap = float(np.max(np.abs(sol.u - solve_fd(spec).u)))
     res_ok, gap_ok = residual <= max_res, gap <= max_gap
@@ -487,21 +468,9 @@ def main(argv: Optional[list] = None) -> int:
         if needs_config:
             p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--threads", type=int, default=None)
     args = ap.parse_args(argv)
 
     try:
-        threads = args.threads
-        if threads is None and os.environ.get("SUBDIFF_THREADS"):
-            raw = os.environ["SUBDIFF_THREADS"]
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"SUBDIFF_THREADS={raw!r} is not an integer") from None
-        if threads is not None and threads < 1:
-            raise ConfigError(f"thread count must be >= 1, got {threads}")
-
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "selftest":
@@ -511,7 +480,7 @@ def main(argv: Optional[list] = None) -> int:
         base = cfg_path.resolve().parent
         runner = {"forward": _run_forward, "inverse": _run_inverse,
                   "verify": _run_verify}[args.command]
-        return runner(cfg, out, threads, base)
+        return runner(cfg, out, base)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

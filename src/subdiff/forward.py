@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, AliasingError, ConvergenceError, DomainError, GridMismatchError
+from .errors import AdmissibilityError, AliasingError, DomainError, GridMismatchError
 from .frackernel import TimeGrid, caputo_l1
 from .mode_solver import ModeProblem, ModeSolution, solve_mode
 from .profiles import Profile
@@ -31,6 +30,11 @@ from .spectral import (
 )
 
 _ENDPOINT_TOL = 1e-12
+
+
+def default_mode_count(n_cells: int) -> int:
+    """Sine modes kept when none are requested: a quarter of the cells, 1..64."""
+    return min(64, max(1, n_cells // 4))
 
 
 @dataclass(eq=False)
@@ -64,7 +68,7 @@ class ProblemSpec:
             if prof is not None and prof.grid != self.tgrid:
                 raise GridMismatchError(f"{name} lives on a different time grid")
         if self.K is None:
-            self.K = min(64, max(1, self.sgrid.n_cells // 4))
+            self.K = default_mode_count(self.sgrid.n_cells)
         if self.K < 1:
             raise DomainError(f"need K >= 1, got {self.K}")
         if self.K > self.sgrid.n_cells // 2:
@@ -145,32 +149,21 @@ def decompose_data(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_mode_set(spec: ProblemSpec, phi_k: np.ndarray, f_k: np.ndarray,
                    tol: float = 1e-10, max_iter: int = 200,
-                   threads: Optional[int] = None,
                    initial: Optional[np.ndarray] = None) -> list[ModeSolution]:
     """Solve all K mode problems; ``initial`` rows warm-start the iteration."""
     if spec.q is None:
         raise DomainError("cannot solve modes without a reaction coefficient")
-
-    def one(k: int) -> ModeSolution:
+    solutions = []
+    for k in range(1, spec.K + 1):
         p = ModeProblem(
             k=k, lam_k=eigenvalue(k, spec.length), rho=spec.rho,
             sigma=spec.sigma, q=spec.q,
             f_k=Profile(spec.tgrid, f_k[k - 1]), phi_k=float(phi_k[k - 1]),
             grid=spec.tgrid)
         guess = None if initial is None else initial[k - 1]
-        try:
-            return solve_mode(p, tol=tol, max_iter=max_iter, initial=guess)
-        except ConvergenceError as e:
-            raise ConvergenceError(
-                f"mode {k} failed to converge: {e}",
-                iterations=e.iterations, last_update=e.last_update,
-                contraction_estimate=e.contraction_estimate) from e
-
-    ks = range(1, spec.K + 1)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, ks))
-    return [one(k) for k in ks]
+        solutions.append(solve_mode(p, tol=tol, max_iter=max_iter,
+                                    initial=guess))
+    return solutions
 
 
 def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
@@ -183,8 +176,8 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
     return float(np.polyfit(np.log(t), np.log(y), 1)[0])
 
 
-def solve_forward(spec: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
-                  threads: Optional[int] = None) -> FieldSolution:
+def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
+                  max_iter: int = 200) -> FieldSolution:
     report = validate_assumption1(spec)
     if not report.cond1_sigma_positive:
         raise AdmissibilityError(
@@ -197,8 +190,7 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10, max_iter: int = 200,
             f"contraction alone", stacklevel=2)
 
     phi_k, f_k = decompose_data(spec)
-    solutions = solve_mode_set(spec, phi_k, f_k, tol=tol, max_iter=max_iter,
-                               threads=threads)
+    solutions = solve_mode_set(spec, phi_k, f_k, tol=tol, max_iter=max_iter)
     coeffs = np.vstack([s.u_k for s in solutions])
     modes = ModeSet(length=spec.length, grid=spec.tgrid, coeffs=coeffs)
     lam = modes.lambdas

@@ -76,9 +76,8 @@ class InverseSpec:
         amp = math.sqrt(2.0 / self.spec.length)
         self.fx0 = Profile(self.spec.tgrid, (amp * self._lam) @ self.f_k)
 
-        psi_at_0 = float(self.psi.values[0])
-        defect = abs(float((amp * self._lam) @ self.phi_k) - psi_at_0)
-        if defect > _COMPAT_RTOL * (1.0 + abs(psi_at_0)):
+        defect, compatible = _compat_defect(self)
+        if not compatible:
             warnings.warn(
                 f"initial datum and flux disagree at t=0 by {defect:.3g}; "
                 f"recovery proceeds on inconsistent data", stacklevel=2)
@@ -96,6 +95,24 @@ class InverseSpec:
         lam1sq = (math.pi / self.spec.length) ** 2
         m_s, M_s = self.spec.sigma.vmin, self.spec.sigma.vmax
         return -m_s * lam1sq, (M_s - m_s) * lam1sq
+
+
+def _compat_defect(inv: InverseSpec) -> tuple[float, bool]:
+    """Mismatch |u_x(0, 0) - psi(0)| of datum and flux at t = 0, and whether
+    it lies within the relative compatibility tolerance."""
+    amp = math.sqrt(2.0 / inv.spec.length)
+    psi_at_0 = float(inv.psi.values[0])
+    defect = abs(float((amp * inv._lam) @ inv.phi_k) - psi_at_0)
+    return defect, defect <= _COMPAT_RTOL * (1.0 + abs(psi_at_0))
+
+
+def _trace_bound(inv: InverseSpec) -> tuple[float, float]:
+    """(T^rho/Gamma(rho+1), T^rho/Gamma(rho+1) * S_f + S_phi), with S_f and
+    S_phi the cubically weighted coefficient sums of source and datum."""
+    spec = inv.spec
+    tail = tail_diagnostics(inv._lam, inv.phi_k, inv.f_k, weight_power=3)
+    head = spec.t_final ** spec.rho / math.gamma(spec.rho + 1.0)
+    return head, head * tail.f_sum + tail.phi_sum
 
 
 @dataclass(frozen=True)
@@ -156,12 +173,11 @@ def compute_q0(inv: InverseSpec) -> Profile:
 
 
 def _sweep(inv: InverseSpec, q: Profile, tol: float, max_iter: int,
-           threads: Optional[int], initial: Optional[np.ndarray]
-           ) -> tuple[Profile, np.ndarray]:
+           initial: Optional[np.ndarray]) -> tuple[Profile, np.ndarray]:
     """One application of the map: forward-solve at q, read off the update."""
     spec_q = replace(inv.spec, q=q)
     sols = solve_mode_set(spec_q, inv.phi_k, inv.f_k, tol=tol,
-                          max_iter=max_iter, threads=threads, initial=initial)
+                          max_iter=max_iter, initial=initial)
     coeffs = np.vstack([s.u_k for s in sols])
     modes = ModeSet(length=inv.spec.length, grid=inv.spec.tgrid, coeffs=coeffs)
     trace3 = third_trace_at_left(modes, inv.spec.tgrid).values
@@ -171,13 +187,13 @@ def _sweep(inv: InverseSpec, q: Profile, tol: float, max_iter: int,
 
 
 def apply_L(q_current: Profile, inv: InverseSpec, tol: float = 1e-10,
-            max_iter: int = 200, threads: Optional[int] = None) -> Profile:
+            max_iter: int = 200) -> Profile:
     """Recovery map L: q0 plus the third-trace correction (sigma/psi) u_xxx(0,t).
 
     ``tol``/``max_iter`` govern the inner forward solve, not an outer loop;
     a single call is one sweep.
     """
-    return _sweep(inv, q_current, tol, max_iter, threads, None)[0]
+    return _sweep(inv, q_current, tol, max_iter, None)[0]
 
 
 def estimate_CT(inv: InverseSpec) -> float:
@@ -190,10 +206,9 @@ def estimate_CT(inv: InverseSpec) -> float:
     void (warned, not raised -- the measured ratio still rules the run).
     """
     spec = inv.spec
-    tail = tail_diagnostics(inv._lam, inv.phi_k, inv.f_k, weight_power=3)
-    head = spec.t_final ** spec.rho / math.gamma(spec.rho + 1.0)
+    head, trace_bound = _trace_bound(inv)
     ct = (spec.length * spec.sigma.vmax * head / (math.sqrt(6.0) * inv.psi0)
-          * (head * tail.f_sum + tail.phi_sum))
+          * trace_bound)
     if ct >= 1.0:
         warnings.warn(
             f"contraction estimate C(T)={ct:.3g} >= 1: convergence is not "
@@ -216,9 +231,7 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
     deriv = float(np.max(np.abs(np.diff(pv)))) / spec.tgrid.h
     cond1 = inv.psi0 > 0.0 and psi_min >= inv.psi0 and math.isfinite(deriv)
 
-    amp = math.sqrt(2.0 / spec.length)
-    defect = abs(float((amp * inv._lam) @ inv.phi_k) - float(pv[0]))
-    cond2 = defect <= _COMPAT_RTOL * (1.0 + abs(float(pv[0])))
+    defect, cond2 = _compat_defect(inv)
 
     head_T = spec.t_final ** spec.rho
     g = head_T * compute_q0(inv).values[1:]
@@ -239,7 +252,7 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
 
 
 def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
-              threads: Optional[int] = None, forward_tol: float = 1e-10,
+              forward_tol: float = 1e-10,
               forward_max_iter: int = 200) -> InverseResult:
     """Iterate q <- L[q] from the initial guess until the update stalls.
 
@@ -254,9 +267,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
     report = validate_theorem43(inv)
     lo, hi = inv.q_window
 
-    tail = tail_diagnostics(inv._lam, inv.phi_k, inv.f_k, weight_power=3)
-    head = inv.spec.t_final ** inv.spec.rho / math.gamma(inv.spec.rho + 1.0)
-    trace_bound = head * tail.f_sum + tail.phi_sum
+    _, trace_bound = _trace_bound(inv)
     lam3 = inv._lam ** 3
 
     q = inv.q_init
@@ -267,8 +278,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
     converged = False
     for it in range(1, max_iter + 1):
         try:
-            new, coeffs = _sweep(inv, q, forward_tol, forward_max_iter,
-                                 threads, warm)
+            new, coeffs = _sweep(inv, q, forward_tol, forward_max_iter, warm)
         except ConvergenceError as e:
             raise ConvergenceError(
                 f"forward solve failed inside sweep {it}: {e}",
@@ -298,7 +308,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
             contraction_estimate=measured_ratio)
 
     final = solve_forward(replace(inv.spec, q=q), tol=forward_tol,
-                          max_iter=forward_max_iter, threads=threads)
+                          max_iter=forward_max_iter)
     flux = flux_at_left(final.mode_set, inv.spec.tgrid).values
     flux_defect = float(np.max(np.abs(flux - inv.psi.values)))
     err = (None if inv.q_true is None

@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from subdiff.cli import _write_csv, main
+from subdiff.cli import _build_spec, _write_csv, main
+from subdiff.forward import AssumptionReport
 from subdiff.frackernel import TimeGrid
+from subdiff.inverse import ConditionReport
 
 CONFIGS = {
     "forward": "configs/forward_manufactured.json",
@@ -115,14 +118,38 @@ class TestConfigErrors:
         cfg["data"]["psi0"] = 0.1
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SUBDIFF_THREADS", "two")
-        assert run(tmp_path, "selftest")[0] == 2
-
     def test_fractional_step_count(self, tmp_path):
         cfg = small_forward_cfg()
         cfg["problem"]["n_steps"] = 32.5
         assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+
+
+class TestConfigDefaults:
+    def test_mode_count_matches_problem_spec(self, tmp_path):
+        cfg = small_forward_cfg()
+        del cfg["problem"]["n_modes"]
+        for n_cells in (2, 8, 64, 512):
+            cfg["problem"]["n_cells"] = n_cells
+            spec = _build_spec(cfg, need_q=True, base=tmp_path)
+            assert spec.K == replace(spec, K=None).K
+
+
+class TestReportBlocks:
+    def test_keys_are_dataclass_fields_plus_verdict(self, tmp_path, repo_root):
+        code, out = run(tmp_path, "forward", cfg=small_forward_cfg(),
+                        out=tmp_path / "fwd")
+        assert code == 0
+        block = json.loads((out / "diagnostics.json").read_text())["assumption1"]
+        assert set(block) == {f.name for f in fields(AssumptionReport)} | {
+            "all_passed"}
+
+        cfg = shipped("inverse", repo_root)
+        cfg["problem"].update(n_steps=64, n_cells=32, n_modes=8)
+        code, out = run(tmp_path, "inverse", cfg=cfg, out=tmp_path / "inv")
+        assert code == 0
+        block = json.loads((out / "report.json").read_text())["condition_report"]
+        assert set(block) == {f.name for f in fields(ConditionReport)} | {
+            "all_passed"}
 
 
 class TestCsvWriter:
@@ -160,9 +187,10 @@ class TestExitCodes:
         assert code == 5
 
     def test_unknown_command_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["transmogrify"])
-        assert exc.value.code == 2
+        for argv in (["transmogrify"], ["selftest", "--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestForwardCommand:

@@ -232,14 +232,6 @@ class TestSolveForward:
         sol = solve_forward(spec)
         assert sol.mode_set.coeffs.min() >= -1e-12
 
-    def test_threaded_solve_matches_serial(self):
-        spec, _ = make_manufactured(64, 32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = solve_forward(spec)
-            fanned = solve_forward(spec, threads=4)
-        assert np.array_equal(serial.u, fanned.u)
-
     def test_weighted_sum_within_bound(self):
         spec, _ = make_manufactured(128, 32)
         with warnings.catch_warnings():
