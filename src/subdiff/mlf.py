@@ -12,33 +12,22 @@ The kernel is minus the derivative of the relaxation curve, so its integral
 telescopes into relaxation differences; ``kernel_mass`` uses that closed form
 and never touches the t -> 0 singularity numerically.
 
-Evaluation strategy.  The power series is run (Kahan-compensated) whenever
-its cancellation allows the 1e-12 relative target; beyond |z| = Z_SWITCH the
-algebraic asymptotic expansion with smallest-term truncation is tried first.
-Both estimate their own error a posteriori.  When neither attains its
-tolerance the value is recovered from the real integral representation on
-the branch cut (0 < rho <= 0.97) or from an extended-precision series; this
-keeps the advertised tolerances honest also in the cancellation band that
-plain double-precision series/asymptotics cannot cover.
-
-``relaxation_curve`` routes a whole array through four stages: series, then
-asymptotic expansion, then a vectorised branch cut, then the scalar
-fallback.  The series and asymptotic bands run as term loops over all
-entries still active, taking each term's coefficient once per term index
-and applying the same compensation, stopping rules, error estimates and
-acceptance tolerances as the scalar sums.  The entries they leave go through
-the branch-cut integral rescaled so that its weight does not depend on the
-argument (``_branch_cut_curve``): one composite Gauss-Legendre node set per
-order serves them all, and each value is accepted under the scalar branch
-cut's own error gate.  Only the entries it rejects, or that lie outside its
-domain, go one by one to the scalar fallback (branch cut, then extended
-precision).  A single value is cheaper on the scalar path, so the scalar
-entry points keep their own loops.
+Evaluation strategy.  One array evaluator (``_curve``) serves every entry
+point; the scalar functions pass it a one-entry array.  Each entry goes
+through five stages, each taking what the ones before it left: the endpoints
+x = 0 and x = inf and the case rho = beta = 1; the power series
+(Kahan-compensated) where its cancellation allows the relative target; past
+|z| = Z_SWITCH the asymptotic expansion truncated at its smallest term; the
+branch-cut integral, rescaled so that one fixed Gauss-Legendre rule per
+(rho, beta) serves every entry (``_branch_cut_curve``, beta first lowered to
+at most 1); and extended precision, one entry at a time.  The two sums run as
+term loops over every entry still active and estimate their own error a
+posteriori; what they cannot reach in double precision goes on to the later
+stages, so the tolerances hold everywhere.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,25 +40,22 @@ Z_SWITCH = 5.0
 SERIES_MAX_TERMS = 500
 _EPS = 2.220446049250313e-16
 
-# series is accepted only while the condition number keeps the rounding
-# noise below the relative target
-_SERIES_COND_LIMIT = 2.5e1
 _REL_TARGET = 1e-13
-_ABS_TARGET = 1e-16
 # the series is not tried once x^(1/rho) exceeds this (its running maximum
 # term outgrows the result beyond care)
 _SERIES_CANCEL_MAX = 34.0
-# an asymptotic value is also accepted at this absolute error estimate
-_ASYMPTOTIC_ABS_MAX = 1e-13
-# the branch cut serves orders up to this (its integrand peaks ever more
-# sharply as rho -> 1); above it the extended-precision series takes over
-_BRANCH_CUT_RHO_MAX = 0.97
+# the fixed-node branch-cut rule serves orders up to this; near rho = 1 the
+# pole grading of ``_cut_edges`` keeps its panels narrow enough
+_BRANCH_CUT_RHO_MAX = 0.999
+# the extended-precision branch cut serves orders up to this (its integrand
+# peaks ever more sharply as rho -> 1); above it the series takes over
+_MP_CUT_RHO_MAX = 0.97
 # a branch-cut value is accepted at err <= _CUT_REL_TOL * max(|v|, _CUT_FLOOR)
 _CUT_REL_TOL = 1e-12
 _CUT_FLOOR = 1e-4
 
-# Fixed-node branch-cut rule of ``relaxation_curve`` (beta = 1).  Domain: x in
-# [_CUT_X_MIN, _CUT_X_MAX] (the fallback band lies inside) and rho at least
+# Fixed-node branch-cut rule.  Domain: x in [_CUT_X_MIN, _CUT_X_MAX] (the
+# band the series and asymptotics leave lies inside) and rho at least
 # _CUT_RHO_MIN, below which x^(1/rho) overflows and the node count grows
 # like 1/rho.
 _CUT_RHO_MIN = 0.01
@@ -131,46 +117,10 @@ class MlfParams:
             raise DomainError(f"beta must be finite, got {self.beta!r}")
 
 
-def _series(rho: float, beta: float, x: float) -> tuple[float, float]:
-    """Power series sum E_{rho,beta}(-x); returns (value, est. relative error)."""
-    lnx = math.log(x)
-    total = 0.0
-    comp = 0.0          # Kahan compensation
-    abs_sum = 0.0
-    small_streak = 0
-    for k in range(SERIES_MAX_TERMS):
-        lg, sg = _log_rgamma_abs(k * rho + beta)
-        if sg == 0.0:
-            term = 0.0
-        else:
-            e = k * lnx + lg
-            if e > 700.0:
-                return math.nan, math.inf
-            term = sg * math.exp(e)
-            if k % 2:
-                term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_sum += abs(term)
-        if abs(term) < 1e-16 * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                break
-        else:
-            small_streak = 0
-    else:
-        return math.nan, math.inf
-    if total == 0.0:
-        return 0.0, math.inf
-    cond = abs_sum / abs(total)
-    return total, cond * 4.0 * _EPS
-
-
 def _series_curve(rho: float, beta: float, x: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``_series`` for x > 0: (values, est. relative errors)."""
+    """Power series of E_{rho,beta}(-x) for x > 0: (values, est. relative
+    errors), the estimate being 4 eps times sum |terms| / |sum|."""
     val = np.full(x.shape, math.nan)
     rel = np.full(x.shape, math.inf)
     idx = np.arange(x.size)
@@ -179,13 +129,14 @@ def _series_curve(rho: float, beta: float, x: np.ndarray
     comp = np.zeros(x.size)
     abs_sum = np.zeros(x.size)
     small_streak = np.zeros(x.size, dtype=int)
+    lnx_max = lnx.max(initial=-math.inf)
     for k in range(SERIES_MAX_TERMS):
         if idx.size == 0:
             break
         lg, sg = _log_rgamma_abs(k * rho + beta)  # a pole gives lg = -inf
         e = k * lnx + lg
-        live = e <= 700.0
-        if not live.all():  # overflowing entries fail, as in the scalar
+        if k * lnx_max + lg > 700.0:  # entries whose term overflows fail
+            live = e <= 700.0
             idx, lnx, e, total, comp, abs_sum, small_streak = (
                 a[live] for a in (idx, lnx, e, total, comp, abs_sum,
                                   small_streak))
@@ -194,11 +145,11 @@ def _series_curve(rho: float, beta: float, x: np.ndarray
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_sum += np.abs(term)
-        small_streak = np.where(np.abs(term) < 1e-16 * np.abs(total),
-                                small_streak + 1, 0)
+        mag = np.abs(term)
+        abs_sum += mag
+        small_streak = (small_streak + 1) * (mag < 1e-16 * np.abs(total))
         done = small_streak >= 3
-        if done.any():
+        if np.count_nonzero(done):
             fin, tot = idx[done], total[done]
             nonzero = tot != 0.0
             val[fin] = tot
@@ -211,152 +162,105 @@ def _series_curve(rho: float, beta: float, x: np.ndarray
     return val, rel
 
 
-def _asymptotic(rho: float, beta: float, x: float) -> tuple[float, float]:
-    """Large-x expansion; returns (value, est. absolute error).
+def _asymptotic_curve(rho: float, beta: float, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Large-x expansion of E_{rho,beta}(-x): (values, est. absolute errors).
 
     Algebraic part: sum_{n>=1} (-1)^(n+1) x^(-n) / Gamma(beta - n*rho),
     truncated before its smallest term.  For rho in (1, 2) the two conjugate
     exponential contributions on the Stokes rays are added; on the negative
     axis they decay like exp(x^(1/rho) * cos(pi/rho)) and are computed
-    exactly in complex double precision.
+    exactly in complex double precision.  At rho = 1 that ray term is real
+    and not representable this way, so every entry is left (nan, inf).
     """
-    lnx = math.log(x)
-    total = 0.0
-    comp = 0.0
-    best_min = math.inf
-    err = math.inf
-    terms_seen = 0
-    for n in range(1, 301):
-        lg, sg = _log_rgamma_abs(beta - n * rho)
-        if sg == 0.0:
-            continue
-        e = -n * lnx + lg
-        mag = math.exp(e) if e < 700.0 else math.inf
-        # terms can dip spuriously when beta - n*rho grazes a Gamma pole, so
-        # divergence onset is judged against the running envelope minimum
-        if mag > 3.0 * best_min:
-            err = mag
-            break
-        term = sg * mag if (n % 2 == 1) else -sg * mag
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        best_min = min(best_min, mag)
-        err = mag  # provisional: tail estimated by the last included term
-        terms_seen += 1
-        if mag < 1e-18 * (abs(total) + 1e-300):
-            break
-    if terms_seen == 0:
-        return math.nan, math.inf
-    if rho > 1.0:
-        w = x ** (1.0 / rho) * cmath.exp(1j * math.pi / rho)
-        total += (2.0 / rho) * (w ** (1.0 - beta) * cmath.exp(w)).real
-    elif rho == 1.0:
-        # exponentially small ray term is real and not representable this
-        # way; the caller treats rho == 1 separately
-        return math.nan, math.inf
-    return total, err + 4.0 * _EPS * abs(total)
-
-
-def _asymptotic_curve(rho: float, beta: float, x: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``_asymptotic`` for 0 < rho < 1: (values, est. abs. errors)."""
     val = np.full(x.shape, math.nan)
     err_out = np.full(x.shape, math.inf)
+    if rho == 1.0:
+        return val, err_out
+    ray = None
+    if rho > 1.0:
+        w = x ** (1.0 / rho) * np.exp(1j * math.pi / rho)
+        ray = (2.0 / rho) * (w ** (1.0 - beta) * np.exp(w)).real
     idx = np.arange(x.size)
     lnx = np.log(x)
     total = np.zeros(x.size)
     comp = np.zeros(x.size)
     best_min = np.full(x.size, math.inf)
-    err = np.full(x.size, math.inf)
-    seen = np.zeros(x.size, dtype=bool)
+    over = np.zeros(x.size)
+    err = np.full(x.size, math.inf)  # stays inf where no term is taken
 
-    def finish(stop, idx, total, err, seen):
-        fin = stop & seen  # entries that stop before any term stay (nan, inf)
-        val[idx[fin]] = total[fin]
-        err_out[idx[fin]] = err[fin] + 4.0 * _EPS * np.abs(total[fin])
+    def finish(stop, err):
+        at, v = idx[stop], total[stop]
+        if ray is not None:
+            v = v + ray[at]
+        val[at] = v
+        err_out[at] = err[stop] + 4.0 * _EPS * np.abs(v)
 
     for n in range(1, 301):
         if idx.size == 0:
             break
-        lg, sg = _log_rgamma_abs(beta - n * rho)
+        b = beta - n * rho
+        lg, sg = _log_rgamma_abs(b)
         if sg == 0.0:
             continue
         e = -n * lnx + lg
         mag = np.exp(np.minimum(e, 700.0))
         mag[e >= 700.0] = math.inf
-        diverged = mag > 3.0 * best_min
+        # below b = 1, 1/Gamma(b) = Gamma(1 - b) sin(pi b) / pi dips where b
+        # grazes a pole and the remainder does not, so the stopping rules and
+        # the estimate follow the envelope without the sine.  The estimate
+        # adds every term taken past the smallest: near rho = 1 the terms no
+        # longer alternate, so those do not cancel.
+        env = mag / abs(math.sin(math.pi * b)) if b < 1.0 else mag
+        diverged = env > 3.0 * best_min
+        if np.count_nonzero(diverged):  # these stop before taking the term
+            finish(diverged, over + env)
+            keep = ~diverged
+            idx, lnx, total, comp, best_min, over, mag, env = (
+                a[keep] for a in (idx, lnx, total, comp, best_min, over, mag,
+                                  env))
         term = (sg if n % 2 == 1 else -sg) * mag
         y = term - comp
         t = total + y
-        new_comp = (t - total) - y
-        # diverged entries stop before adding the term, with the term as error
-        total = np.where(diverged, total, t)
-        comp = np.where(diverged, comp, new_comp)
-        best_min = np.where(diverged, best_min, np.minimum(best_min, mag))
-        err = mag
-        seen |= ~diverged
-        converged = ~diverged & (mag < 1e-18 * (np.abs(total) + 1e-300))
-        stop = diverged | converged
-        if stop.any():
-            finish(stop, idx, total, err, seen)
-            keep = ~stop
-            idx, lnx, total, comp, best_min, err, seen = (
-                a[keep] for a in (idx, lnx, total, comp, best_min, err, seen))
-    finish(np.ones(idx.size, dtype=bool), idx, total, err, seen)
+        comp = (t - total) - y
+        total = t
+        over = np.where(env < best_min, 0.0, over + env)
+        best_min = np.minimum(best_min, env)
+        err = over + env
+        converged = env < 1e-18 * (np.abs(total) + 1e-300)
+        if np.count_nonzero(converged):
+            finish(converged, err)
+            keep = ~converged
+            idx, lnx, total, comp, best_min, over, err = (
+                a[keep] for a in (idx, lnx, total, comp, best_min, over, err))
+    finish(np.ones(idx.size, dtype=bool), err)
     return val, err_out
 
 
-def _branch_cut(rho: float, beta: float, x: float) -> tuple[float, float]:
-    """Real integral over the branch cut, for 0 < rho < 1, beta <= rho + 0.75.
+def _lowered_beta(rho: float, beta: float) -> tuple[int, float]:
+    """(m, beta - m*rho) for the fewest steps m >= 0 that bring beta to <= 1."""
+    m = max(0, math.ceil((beta - 1.0) / rho - 1e-12))
+    return m, beta - m * rho
 
-    E_{rho,beta}(-x) = (1/pi) * int_0^inf exp(-s) s^(rho-beta)
-        * (s^rho sin(pi beta) - x sin(pi (rho-beta)))
-        / (s^(2 rho) + 2 x s^rho cos(pi rho) + x^2) ds
 
-    The substitution s = v^4 turns the weak endpoint singularity into a
-    regular integrand (v-power exponent 4*(rho-beta)+3 >= 0), which keeps
-    the quadrature error estimates honest.
-    """
-    from scipy.integrate import quad
+def _raise_beta(rho: float, b0: float, m: int, x, val):
+    """E_{rho, b0 + m rho}(-x) from val = E_{rho,b0}(-x) by m steps of
+    E_{rho, b + rho}(z) = (E_{rho, b}(z) - 1/Gamma(b)) / z, for x > 0."""
+    b = b0
+    for _ in range(m):
+        val = (rgamma(b) - val) / x
+        b += rho
+    return val
 
-    sb = math.sin(math.pi * beta)
-    srb = math.sin(math.pi * (rho - beta))
-    c = math.cos(math.pi * rho)
-    vpow = 4.0 * (rho - beta) + 3.0
 
-    def g(v: float) -> float:
-        s = v ** 4.0
-        sr = s ** rho
-        den = sr * sr + 2.0 * x * sr * c + x * x
-        return 4.0 * v ** vpow * math.exp(-s) * (sr * sb - x * srb) / (math.pi * den)
-
-    def f(s: float) -> float:
-        sr = s ** rho
-        den = sr * sr + 2.0 * x * sr * c + x * x
-        return math.exp(-s) * s ** (rho - beta) * (sr * sb - x * srb) / (math.pi * den)
-
-    s_hi = 100.0
-    peak = x ** (1.0 / rho) if x > 0 else 1.0
-    pts = {0.0, s_hi ** 0.25}
-    if peak < s_hi * 0.95:
-        for frac in (0.5, 0.9, 0.97, 1.0, 1.03, 1.1, 2.0):
-            p = peak * frac
-            if 0.0 < p < s_hi:
-                pts.add(p ** 0.25)
-    cuts = sorted(pts)
-    total = 0.0
-    err = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        out = quad(g, a, b, epsabs=1e-16, epsrel=1e-13, limit=300, full_output=1)
-        total += out[0]
-        err += out[1]
-    out = quad(f, s_hi, math.inf, epsabs=1e-18, epsrel=1e-13, limit=200,
-               full_output=1)
-    total += out[0]
-    err += out[1]
-    return total, err
+def _sin_pi(rho: float, beta: float) -> tuple[float, float]:
+    """(sin(pi beta), sin(pi (beta - rho))), the latter from the sines and
+    cosines of both angles, exact at integer beta (sin(pi rho) at beta = 1)."""
+    if beta == round(beta):
+        sb, cb = 0.0, (-1.0) ** round(beta)
+    else:
+        sb, cb = math.sin(math.pi * beta), math.cos(math.pi * beta)
+    return sb, sb * math.cos(math.pi * rho) - cb * math.sin(math.pi * rho)
 
 
 @lru_cache(maxsize=32)
@@ -385,19 +289,28 @@ def _cut_edges(rho: float) -> np.ndarray:
     return edges
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 @lru_cache(maxsize=32)
-def _cut_rule(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _cut_rule(rho: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre rule on every panel of ``_cut_edges(rho)``.
 
     Returns (w^(1/rho) at the nodes, weights); the weights carry the factor
-    sin(pi rho) / (pi rho) and the Lorentzian 1 / (w^2 + 2 w cos(pi rho) + 1).
+    w^((1-beta)/rho) (w sin(pi beta) + sin(pi (beta - rho))) / (pi rho) and
+    the Lorentzian 1 / (w^2 + 2 w cos(pi rho) + 1).
     """
     edges = _cut_edges(rho)
-    g, gw = np.polynomial.legendre.leggauss(n)
+    g, gw = _gauss_legendre(n)
     a, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
     w = (a + half * (g + 1.0)).ravel()
     c, s = math.cos(math.pi * rho), math.sin(math.pi * rho)
-    weights = ((half * gw).ravel() * (s / (math.pi * rho))
+    sb, sbr = _sin_pi(rho, beta)
+    num = w ** ((1.0 - beta) / rho) * (w * sb + sbr)
+    weights = ((half * gw).ravel() * (num / (math.pi * rho))
                / ((w + c) ** 2 + s * s))
     powers = w ** (1.0 / rho)
     powers.setflags(write=False)
@@ -405,44 +318,73 @@ def _cut_rule(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return powers, weights
 
 
-def _branch_cut_curve(rho: float, x: np.ndarray
+def _branch_cut_curve(rho: float, beta: float, x: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """E_{rho,1}(-x) from the branch cut, one fixed rule for every entry of x.
+    """E_{rho,beta}(-x) from the branch cut, one fixed rule for every entry of x.
 
-    For _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX and x in [_CUT_X_MIN,
-    _CUT_X_MAX]; returns (values, est. absolute errors).  Putting
-    s = (x w)^(1/rho) into the ``_branch_cut`` integral at beta = 1 gives
+    For _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX, beta <= 1 and x in
+    [_CUT_X_MIN, _CUT_X_MAX]; returns (values, est. absolute errors).  Putting
+    s = (x w)^(1/rho) into the branch-cut integral of ``_mp_branch_cut``
+    (Gorenflo, Loutchko and Luchko, Fract. Calc. Appl. Anal. 5 (2002) 491)
+    gives, with p = (1 - beta)/rho and L(w) = w^2 + 2 w cos(pi rho) + 1,
 
-        E_{rho,1}(-x) = sin(pi rho)/(pi rho)
-            * int_0^inf exp(-(x w)^(1/rho)) / (w^2 + 2 w cos(pi rho) + 1) dw,
+        E_{rho,beta}(-x) = x^p / (pi rho) int_0^inf exp(-(x w)^(1/rho)) w^p
+            * (w sin(pi beta) + sin(pi (beta-rho))) / L(w) dw,
 
-    whose weight no longer depends on x.  The value is the composite rule
-    with 2n points per panel; the error estimate is its distance from the
-    n-point rule plus a bound on the integral beyond the last edge W,
-    exp(-(x W)^(1/rho)) times the exact Lorentzian mass there.  The integrand
-    is positive, so the sums do not cancel.  Entries go through in blocks,
-    each row summed on its own, so no value depends on the block size.
+    whose weight does not depend on x and, for beta <= 1, stays bounded at
+    w = 0.  The value is the composite rule with 2n points per panel.  The
+    estimate is its distance from the n-point rule, 8 eps times the sum of
+    the absolute terms, and a bound on the integral past the last edge W,
+    where U = (x W)^(1/rho) >= _CUT_TAIL_EXP and both u^(1-beta) e^-u (for
+    U >= 1 - beta) and w / L(w) decrease: the sin(pi (beta-rho)) part is at
+    most its value at W times the exact Lorentzian mass, the w sin(pi beta)
+    part at most W / L(W) times Gamma(a, U) <= U^(a-1) e^-U / (1 - (a-1)/U),
+    a = 1 - beta + rho (a - 1 read as 0 when negative).  Entries go through
+    in blocks, each row summed on its own, so no value depends on the block
+    size.
     """
-    coarse = _cut_rule(rho, _CUT_N)
-    fine = _cut_rule(rho, 2 * _CUT_N)
+    fine = _cut_rule(rho, beta, 2 * _CUT_N)
     big_x = x ** (1.0 / rho)
+    # exp(...) > 0, so the absolute terms sum against |weights|; with
+    # nonnegative weights (beta = 1) they sum to the value itself
+    rules = [_cut_rule(rho, beta, _CUT_N), fine]
+    if (fine[1] < 0.0).any():
+        rules.append((fine[0], np.abs(fine[1])))
     sums = []
-    for powers, weights in (coarse, fine):
+    for powers, weights in rules:
         out = np.empty(x.size)
         step = max(1, _CUT_BLOCK // powers.size)
         for i in range(0, x.size, step):
             block = np.exp(-big_x[i:i + step, None] * powers)
             out[i:i + step] = (block * weights).sum(axis=1)
         sums.append(out)
+    lo, hi, mag = sums[0], sums[1], sums[-1]
+    scale = x ** ((1.0 - beta) / rho)
+
     w_end = _cut_edges(rho)[-1]
     c, s = math.cos(math.pi * rho), math.sin(math.pi * rho)
-    tail = (np.exp(-big_x * w_end ** (1.0 / rho))
-            * (math.atan2(s, w_end + c) / (math.pi * rho)))
-    return sums[1], np.abs(sums[1] - sums[0]) + tail
+    sb, sbr = _sin_pi(rho, beta)
+    big_u = big_x * w_end ** (1.0 / rho)
+    shifted = 1.0 - max(rho - beta, 0.0) / big_u
+    tail = np.exp(-big_u) * (
+        big_u ** (1.0 - beta)
+        * (abs(sbr) / s * math.atan2(s, w_end + c) / (math.pi * rho))
+        + abs(sb) * w_end / (((w_end + c) ** 2 + s * s) * math.pi)
+        * big_u ** (rho - beta) / (x * shifted))
+    tail = np.where(big_u >= 1.0 - beta, tail, math.inf)
+    return (scale * hi,
+            scale * (np.abs(hi - lo) + 8.0 * _EPS * mag) + tail)
 
 
 def _mp_branch_cut(rho: float, beta: float, x: float) -> float:
-    """Branch-cut integral in extended precision (0 < rho < 1, beta <= rho + 0.75)."""
+    """Branch-cut integral in extended precision (0 < rho < 1, beta <= rho + 0.75):
+
+        E_{rho,beta}(-x) = (1/pi) int_0^inf exp(-s) s^(rho-beta)
+            * (s^rho sin(pi beta) - x sin(pi (rho-beta)))
+            / (s^(2 rho) + 2 x s^rho cos(pi rho) + x^2) ds,
+
+    with s = v^4 on the finite part so the endpoint singularity is regular.
+    """
     import mpmath as mp
 
     with mp.workdps(40):
@@ -515,56 +457,60 @@ def _mp_series(rho: float, beta: float, x: float) -> float:
         return float(total)
 
 
-def _reduce_beta_eval(rho: float, beta: float, x: float) -> float:
-    """Branch-cut evaluation, lowering beta below rho + 0.75 first if needed.
-
-    E_{rho, b + rho}(z) = (E_{rho, b}(z) - 1/Gamma(b)) / z climbs back up; the
-    1/x factor per step never amplifies here because the series regime covers
-    all x <= 1.
-    """
-    b_cap = rho + 0.75
-    m = max(0, int(math.ceil((beta - b_cap) / rho - 1e-12)))
-    b0 = beta - m * rho
-    val, err = _branch_cut(rho, b0, x)
-    if not math.isfinite(val) or err > _CUT_REL_TOL * max(abs(val), _CUT_FLOOR):
-        val = _mp_branch_cut(rho, b0, x)
-    b = b0
-    for _ in range(m):
-        val = (rgamma(b) - val) / x
-        b += rho
-    return val
-
-
-@lru_cache(maxsize=100_000)
-def _mlf_neg(rho: float, beta: float, x: float) -> float:
-    """E_{rho,beta}(-x) for x >= 0, dispatching across regimes."""
-    if x == 0.0:
-        return rgamma(beta)
-    if math.isinf(x):
-        return 0.0
-    if rho == 1.0 and beta == 1.0:
-        return math.exp(-x)
-
-    if x <= Z_SWITCH:
-        cancel = x ** (1.0 / rho)
-        if cancel <= _SERIES_CANCEL_MAX:
-            val, rel = _series(rho, beta, x)
-            if math.isfinite(val) and rel <= _REL_TARGET:
-                return val
-    else:
-        val, abserr = _asymptotic(rho, beta, x)
-        if math.isfinite(val):
-            tol = max(_REL_TARGET * abs(val), _ABS_TARGET)
-            if abserr <= tol or abserr <= _ASYMPTOTIC_ABS_MAX:
-                return val
-    return _fallback(rho, beta, x)
-
-
 def _fallback(rho: float, beta: float, x: float) -> float:
-    """E_{rho,beta}(-x) where neither the series nor the asymptotics qualify."""
-    if 0.0 < rho <= _BRANCH_CUT_RHO_MAX:
-        return _reduce_beta_eval(rho, beta, x)
+    """E_{rho,beta}(-x) in extended precision, for one entry no band serves."""
+    if rho <= _MP_CUT_RHO_MAX:
+        m, b0 = _lowered_beta(rho, beta)
+        return _raise_beta(rho, b0, m, x, _mp_branch_cut(rho, b0, x))
     return _mp_series(rho, beta, x)
+
+
+def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """E_{rho,beta}(-x) at every entry of x >= 0, for 0 < rho < 2, through
+    the five stages of the module docstring."""
+    if rho == 1.0 and beta == 1.0:
+        return np.exp(-x)
+    shape, x = x.shape, x.ravel()
+    out = np.zeros(x.size)  # the limit at x = inf
+    pending = ~np.isinf(x)
+    zero = x == 0.0
+    if zero.any():  # 1/Gamma(beta) overflows for tiny beta, so only on demand
+        out[zero] = rgamma(beta)
+        pending &= ~zero
+
+    series = (pending & (x <= Z_SWITCH)
+              & (np.minimum(x, Z_SWITCH) ** (1.0 / rho) <= _SERIES_CANCEL_MAX))
+    if series.any():
+        val, rel = _series_curve(rho, beta, x[series])
+        ok = np.isfinite(val) & (rel <= _REL_TARGET)
+        _accept(out, pending, series, val, ok)
+
+    asym = pending & (x > Z_SWITCH)
+    if asym.any():
+        val, abserr = _asymptotic_curve(rho, beta, x[asym])
+        ok = np.isfinite(val) & (abserr <= _REL_TARGET * np.abs(val))
+        _accept(out, pending, asym, val, ok)
+
+    cut = pending & (x >= _CUT_X_MIN) & (x <= _CUT_X_MAX)
+    if _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX and cut.any():
+        m, b0 = _lowered_beta(rho, beta)
+        xc = x[cut]
+        val, err = _branch_cut_curve(rho, b0, xc)
+        ok = np.isfinite(val) & (err <= _CUT_REL_TOL
+                                 * np.maximum(np.abs(val), _CUT_FLOOR))
+        _accept(out, pending, cut, _raise_beta(rho, b0, m, xc, val), ok)
+
+    for i in np.flatnonzero(pending):
+        out[i] = _fallback(rho, beta, float(x[i]))
+    return out.reshape(shape)
+
+
+def _accept(out: np.ndarray, pending: np.ndarray, band: np.ndarray,
+            val: np.ndarray, ok: np.ndarray) -> None:
+    """Store the accepted values of one band and clear them from ``pending``."""
+    where = np.flatnonzero(band)[ok]
+    out[where] = val[ok]
+    pending[where] = False
 
 
 def eval_mlf(params: MlfParams, z: float) -> float:
@@ -578,27 +524,16 @@ def eval_mlf(params: MlfParams, z: float) -> float:
         raise DomainError(f"argument must be a nonpositive real, got {z!r}")
     if z > 0.0:
         raise DomainError(f"argument must be nonpositive, got {z!r}")
-    return _mlf_neg(params.rho, params.beta, -z)
+    return float(_curve(params.rho, params.beta, np.array([-z]))[0])
 
 
 def relaxation(rho: float, lam: float, t: float) -> float:
     """E_{rho,1}(-lam * t^rho); equals 1 at t = 0, decays monotonically."""
-    if lam <= 0.0:
-        raise DomainError(f"lam must be positive, got {lam!r}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t!r}")
-    if t == 0.0:
-        return 1.0
-    return _mlf_neg(rho, 1.0, lam * t ** rho)
+    return float(relaxation_curve(rho, lam, t))
 
 
 def relaxation_curve(rho: float, lam: float, t) -> np.ndarray:
-    """E_{rho,1}(-lam * t^rho) at every entry of ``t >= 0``, for 0 < rho <= 1.
-
-    Same values and tolerances as ``relaxation`` entry by entry (agreement to
-    rounding), but the series and asymptotic sums run over the whole array;
-    see the module docstring for the routing.
-    """
+    """E_{rho,1}(-lam * t^rho) at every entry of ``t >= 0``, for 0 < rho <= 1."""
     if not (0.0 < lam < math.inf):
         raise DomainError(f"lam must be positive and finite, got {lam!r}")
     if not (0.0 < rho <= 1.0):
@@ -606,46 +541,7 @@ def relaxation_curve(rho: float, lam: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("times must be nonnegative")
-    if rho == 1.0:
-        return np.exp(-lam * t)
-    x = lam * t ** rho
-    out = np.empty(x.shape)
-    pending = np.ones(x.shape, dtype=bool)
-    for edge, value in ((x == 0.0, 1.0), (np.isinf(x), 0.0)):
-        out[edge] = value
-        pending[edge] = False
-
-    series = (pending & (x <= Z_SWITCH)
-              & (np.minimum(x, Z_SWITCH) ** (1.0 / rho) <= _SERIES_CANCEL_MAX))
-    val, rel = _series_curve(rho, 1.0, x[series])
-    ok = np.isfinite(val) & (rel <= _REL_TARGET)
-    _accept(out, pending, series, val, ok)
-
-    asym = pending & (x > Z_SWITCH)
-    val, abserr = _asymptotic_curve(rho, 1.0, x[asym])
-    ok = np.isfinite(val) & (
-        (abserr <= np.maximum(_REL_TARGET * np.abs(val), _ABS_TARGET))
-        | (abserr <= _ASYMPTOTIC_ABS_MAX))
-    _accept(out, pending, asym, val, ok)
-
-    cut = pending & (x >= _CUT_X_MIN) & (x <= _CUT_X_MAX)
-    if _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX and cut.any():
-        val, err = _branch_cut_curve(rho, x[cut])
-        ok = np.isfinite(val) & (err <= _CUT_REL_TOL
-                                 * np.maximum(np.abs(val), _CUT_FLOOR))
-        _accept(out, pending, cut, val, ok)
-
-    for i in np.flatnonzero(pending):
-        out.flat[i] = _fallback(rho, 1.0, float(x.flat[i]))
-    return out
-
-
-def _accept(out: np.ndarray, pending: np.ndarray, band: np.ndarray,
-            val: np.ndarray, ok: np.ndarray) -> None:
-    """Store the accepted values of one band and clear them from ``pending``."""
-    where = np.flatnonzero(band)[ok]
-    out.flat[where] = val[ok]
-    pending.flat[where] = False
+    return _curve(rho, 1.0, lam * t ** rho)
 
 
 def kernel(rho: float, lam: float, t: float) -> float:
@@ -653,11 +549,12 @@ def kernel(rho: float, lam: float, t: float) -> float:
 
     Singular (integrably) at t = 0 for rho < 1; t must be positive.
     """
-    if lam <= 0.0:
-        raise DomainError(f"lam must be positive, got {lam!r}")
-    if t <= 0.0:
+    if not (0.0 < lam < math.inf):
+        raise DomainError(f"lam must be positive and finite, got {lam!r}")
+    if not t > 0.0:
         raise DomainError("kernel is singular at t = 0; need t > 0")
-    return lam * t ** (rho - 1.0) * _mlf_neg(rho, rho, lam * t ** rho)
+    x = np.array([lam * t ** rho])
+    return lam * t ** (rho - 1.0) * float(_curve(rho, rho, x)[0])
 
 
 def kernel_mass(rho: float, lam: float, a: float, b: float) -> float:

@@ -178,13 +178,19 @@ class TestBuildWeights:
     def test_cold_builds_leave_scipy_integrate_unloaded(self):
         # the branch-cut band of these grids (rho 0.9 with the stiffnesses of
         # K = 4 modes, rho 0.5 with K = 32) is served by the fixed-node rule,
-        # so no scalar quadrature runs and its module is never imported
+        # as are the scalar entry points at x across the series, asymptotic
+        # and branch-cut bands; no quadrature module is ever imported
         code = ("import math, sys\n"
                 "from subdiff.frackernel import TimeGrid, build_weights\n"
+                "from subdiff.mlf import MlfParams, eval_mlf, kernel\n"
                 "g = TimeGrid(1.0, 2048)\n"
                 "for rho, modes in ((0.9, 4), (0.5, 32)):\n"
                 "    for k in range(1, modes + 1):\n"
                 "        build_weights(g, rho, (k * math.pi) ** 2)\n"
+                "    for x in (0.3, 2.0, 4.5, 8.0, 30.0, 500.0):\n"
+                "        for beta in (1.0, rho, 1.3):\n"
+                "            eval_mlf(MlfParams(rho, beta), -x)\n"
+                "        kernel(rho, x, 1.0)\n"
                 "print('scipy.integrate' in sys.modules)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(subdiff.__file__).resolve().parents[1]))

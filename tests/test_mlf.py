@@ -24,6 +24,21 @@ from subdiff.mlf import (
 
 from conftest import mlf_reference, rel_or_abs_err, series_guard_digits
 
+
+def reference(rho, beta, x):
+    """Extended-precision E_{rho,beta}(-x): exp at rho = beta = 1, the
+    big-float series where its cancellation costs few digits, else the
+    branch-cut integral (rho < 1), reached by the recurrence in beta where
+    beta lies above its domain."""
+    if rho == 1.0 and beta == 1.0:
+        return math.exp(-x)
+    if series_guard_digits(rho, x) <= 60.0:
+        return mlf_reference(rho, beta, x)
+    if beta > rho + 0.75:  # outside the integral's domain: lower beta by
+        b = beta - rho     # E_{rho,b+rho}(-x) = (1/Gamma(b) - E_{rho,b}(-x))/x
+        return (1.0 / math.gamma(b) - reference(rho, b, x)) / x
+    return mlf._mp_branch_cut(rho, beta, x)
+
 # Reference values from the brute-force big-float series (conftest.mlf_reference),
 # 17 significant digits.  The first row doubles as the closed form e*erfc(1).
 FROZEN = [
@@ -167,12 +182,20 @@ class TestRelaxationCurve:
     # fallback band [1.5, 10], 1000 reaches far into the asymptotic band
     T = np.linspace(0.0, 1.0, 257)
 
-    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97, 1.0])
+    # node indices a factor 4 apart in t, so each band is reached
+    SUB = [0, 1, 4, 16, 64, 256]
+
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97,
+                                     0.98, 0.99, 1.0])
     @pytest.mark.parametrize("lam", [0.5, 10.0, 1000.0])
     def test_matches_scalar(self, rho, lam):
-        got = relaxation_curve(rho, lam, self.T)
-        want = np.array([relaxation(rho, lam, t) for t in self.T])
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        # the array and its scalar wrapper, at a subsample of the nodes
+        # because the reference is slow
+        t = self.T[self.SUB]
+        want = [reference(rho, 1.0, lam * s ** rho) for s in t]
+        for got in (relaxation_curve(rho, lam, self.T)[self.SUB],
+                    [relaxation(rho, lam, s) for s in t]):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_at_zero_is_exactly_one(self):
         for rho in (0.3, 0.5, 1.0):
@@ -197,94 +220,115 @@ class TestRelaxationCurve:
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_series_band_matches_scalar_sum(self, rho):
         # past the acceptance limit the partial sums are cancellation noise,
-        # so values are compared where the scalar sum accepts its estimate
-        x = np.linspace(0.01, Z_SWITCH, 120)
+        # so values are compared where the sum accepts its estimate
+        x = np.linspace(0.01, Z_SWITCH, 40)
         for beta in (1.0, rho):
             val, rel = mlf._series_curve(rho, beta, x)
-            want = np.array([mlf._series(rho, beta, v) for v in x])
-            ok = want[:, 1] <= mlf._REL_TARGET
+            ok = rel <= mlf._REL_TARGET
             assert ok.any()
-            np.testing.assert_array_equal(rel <= mlf._REL_TARGET, ok)
-            np.testing.assert_allclose(val[ok], want[ok, 0], rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(rel[ok], want[ok, 1], rtol=1e-12, atol=0.0)
+            want = [reference(rho, beta, v) for v in x[ok]]
+            np.testing.assert_allclose(val[ok], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_asymptotic_band_matches_scalar_sum(self, rho):
-        x = np.geomspace(Z_SWITCH * 1.001, 1e4, 120)
+        # values are compared where the expansion accepts its estimate at the
+        # relative target
+        x = np.geomspace(Z_SWITCH * 1.001, 1e4, 6)
         for beta in (1.0, rho):
             val, err = mlf._asymptotic_curve(rho, beta, x)
-            want = np.array([mlf._asymptotic(rho, beta, v) for v in x])
-            np.testing.assert_allclose(val, want[:, 0], rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(err, want[:, 1], rtol=1e-12, atol=0.0)
+            ok = err <= mlf._REL_TARGET * np.abs(val)
+            assert ok.any()
+            want = [reference(rho, beta, v) for v in x[ok]]
+            np.testing.assert_allclose(val[ok], want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("rho", [0.97, 0.99])
+    def test_asymptotic_estimate_holds_near_rho_one(self, rho):
+        # near rho = 1 the terms dip where beta - n rho grazes a pole of
+        # Gamma and stop alternating, so an estimate from the last term alone
+        # falls short where the band begins to accept
+        x = np.geomspace(25.0, 45.0, 13)
+        for beta in (1.0, rho, 0.3, 1.3):
+            val, err = mlf._asymptotic_curve(rho, beta, x)
+            ok = err <= mlf._REL_TARGET * np.abs(val)
+            want = [reference(rho, beta, v) for v in x[ok]]
+            np.testing.assert_allclose(val[ok], want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_only_failed_estimates_reach_the_fallback(self, rho, monkeypatch):
-        # the scalar fallback gets exactly the entries that the series, the
-        # asymptotics and the cut rule all reject, plus those outside the cut
-        # rule's domain; a lowered x range puts part of the band outside
-        monkeypatch.setattr(mlf, "_CUT_X_MAX", 3.0)
+        # the extended-precision tail gets exactly the entries that the
+        # series, the asymptotics and the cut rule all reject, plus those
+        # outside the cut rule's domain.  With the rule switched off it gets
+        # every entry the bands leave; a lowered x range then puts part of
+        # that band outside the rule's domain
         calls = []
-
-        def counting(rho_, beta, x):
-            calls.append(x)
-            return fallback(rho_, beta, x)
-
-        fallback = mlf._fallback
-        monkeypatch.setattr(mlf, "_fallback", counting)
-        for t in self.T[1:]:
-            mlf._mlf_neg.__wrapped__(rho, 1.0, 10.0 * t ** rho)
+        monkeypatch.setattr(mlf, "_fallback",
+                            lambda rho_, beta, x: calls.append(x) or math.nan)
+        cut_rho_max = mlf._BRANCH_CUT_RHO_MAX
+        monkeypatch.setattr(mlf, "_BRANCH_CUT_RHO_MAX", 0.0)
+        relaxation_curve(rho, 10.0, self.T)
         left, calls[:] = np.array(calls), []
+        monkeypatch.setattr(mlf, "_BRANCH_CUT_RHO_MAX", cut_rho_max)
+        monkeypatch.setattr(mlf, "_CUT_X_MAX", 3.0)
         relaxation_curve(rho, 10.0, self.T)
 
         inside = (left >= mlf._CUT_X_MIN) & (left <= 3.0)
         assert inside.any() and not inside.all()
-        val, err = mlf._branch_cut_curve(rho, left[inside])
+        val, err = mlf._branch_cut_curve(rho, 1.0, left[inside])
         passed = np.zeros(left.size, dtype=bool)
         passed[inside] = err <= mlf._CUT_REL_TOL * np.maximum(np.abs(val),
                                                               mlf._CUT_FLOOR)
         np.testing.assert_allclose(calls, left[~passed], rtol=1e-15)
 
     def test_rejected_cut_values_take_the_scalar_fallback(self, monkeypatch):
+        # the tail is stubbed with -x, a value no band returns here
         rho, lam = 0.9, 10.0
         seen, calls = [], []
-        cut_curve, fallback = mlf._branch_cut_curve, mlf._fallback
+        cut_curve = mlf._branch_cut_curve
 
-        def half_rejected(rho_, x):
+        def half_rejected(rho_, beta, x):
             seen.extend(x)
-            val, err = cut_curve(rho_, x)
+            val, err = cut_curve(rho_, beta, x)
             err[::2] = math.inf
             return val, err
 
-        def counting(rho_, beta, x):
+        def stub(rho_, beta, x):
             calls.append(x)
-            return fallback(rho_, beta, x)
+            return -x
 
         monkeypatch.setattr(mlf, "_branch_cut_curve", half_rejected)
-        monkeypatch.setattr(mlf, "_fallback", counting)
+        monkeypatch.setattr(mlf, "_fallback", stub)
         got = relaxation_curve(rho, lam, self.T)
         rejected = np.array(seen[::2])
         assert rejected.size
         np.testing.assert_array_equal(calls, rejected)
         where = np.isin(lam * self.T ** rho, rejected)
-        np.testing.assert_array_equal(
-            got[where], [fallback(rho, 1.0, x) for x in rejected])
+        np.testing.assert_array_equal(got[where], -rejected)
 
-    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.97])
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.98, 0.99])
     def test_branch_cut_curve_meets_the_scalar_gate(self, rho):
-        x = np.geomspace(1.0, 40.0, 8)
-        val, err = mlf._branch_cut_curve(rho, x)
-        tol = mlf._CUT_REL_TOL * np.maximum(np.abs(val), mlf._CUT_FLOOR)
-        assert np.all(err <= tol)
-        want = np.array([mlf._mp_branch_cut(rho, 1.0, v) for v in x])
-        assert np.all(np.abs(val - want) <= tol)
+        # beta = rho is the kernel's; 1.3 is first lowered to <= 1, and the
+        # value raised back must still lie within the gate of the truth
+        for beta in (1.0, rho, 0.3, 1.3):
+            x = np.geomspace(1.0, 40.0, 8)
+            if beta != 1.0:
+                x = x[::3]  # the reference is slow
+            m, b0 = mlf._lowered_beta(rho, beta)
+            val, err = mlf._branch_cut_curve(rho, b0, x)
+            tol = mlf._CUT_REL_TOL * np.maximum(np.abs(val), mlf._CUT_FLOOR)
+            assert np.all(err <= tol)
+            val = mlf._raise_beta(rho, b0, m, x, val)
+            tol = mlf._CUT_REL_TOL * np.maximum(np.abs(val), mlf._CUT_FLOOR)
+            want = np.array([reference(rho, beta, v) for v in x])
+            assert np.all(np.abs(val - want) <= tol)
 
     def test_branch_cut_curve_independent_of_block_size(self, monkeypatch):
         x = np.linspace(2.0, 20.0, 7)
-        want = mlf._branch_cut_curve(0.9, x)
+        want = mlf._branch_cut_curve(0.9, 1.0, x)
         for rows in (1, 3):
-            monkeypatch.setattr(mlf, "_CUT_BLOCK",
-                                rows * mlf._cut_rule(0.9, 2 * mlf._CUT_N)[0].size)
-            for a, b in zip(mlf._branch_cut_curve(0.9, x), want):
+            monkeypatch.setattr(
+                mlf, "_CUT_BLOCK",
+                rows * mlf._cut_rule(0.9, 1.0, 2 * mlf._CUT_N)[0].size)
+            for a, b in zip(mlf._branch_cut_curve(0.9, 1.0, x), want):
                 np.testing.assert_array_equal(a, b)
 
 
