@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     GridMismatchError,
     ResourceError,
+    SingularSystemError,
 )
 from .forward import (ProblemSpec, default_mode_count, residual_check,
                       solve_forward)
@@ -487,7 +488,7 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except AdmissibilityError as e:
+    except (AdmissibilityError, SingularSystemError) as e:
         print(f"inadmissible problem: {e}", file=sys.stderr)
         return 3
     except ConvergenceError as e:

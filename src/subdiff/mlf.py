@@ -516,9 +516,9 @@ def _accept(out: np.ndarray, pending: np.ndarray, band: np.ndarray,
 def eval_mlf(params: MlfParams, z: float) -> float:
     """E_{rho,beta}(z) for z <= 0.
 
-    Relative accuracy ~1e-12 for |z| <= Z_SWITCH, absolute ~1e-10 beyond
-    (in practice much better; the evaluator escalates until its internal
-    error estimate meets the target or raises).
+    Each value meets, by its own error estimate, the gate of the stage that
+    took it: 1e-13 relative in the series and asymptotic bands, 1e-12 *
+    max(|v|, 1e-4) in the branch-cut rule, else extended precision.
     """
     if not math.isfinite(z) and not (math.isinf(z) and z < 0):
         raise DomainError(f"argument must be a nonpositive real, got {z!r}")

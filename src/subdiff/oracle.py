@@ -2,10 +2,11 @@
 
 Implicit stepping: the fractional derivative is discretised by the L1 rule,
 the space operator by second-order central differences, and both coefficient
-terms are taken at the new time level, so every step solves one tridiagonal
-system over the interior nodes.  Shares nothing with the spectral route
-beyond the problem container, which is the point: agreement between the two
-is evidence, not tautology.
+terms are taken at the new time level, so every step solves (scale a_0 + q_n)
+I + (sigma_n / h^2) T over the interior nodes, with T the fixed [-1, 2, -1]
+stencil, diagonalised numerically once.  Shares nothing with the spectral
+route beyond the problem container, which is the point: agreement between
+the two is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import AdmissibilityError, DomainError, SingularSystemError
 from .forward import FieldSolution, ProblemSpec
@@ -29,6 +29,8 @@ class FdWorkspace:
     ``a`` are the L1 weights a_m = (m+1)^{1-rho} - m^{1-rho}; the history
     weights d_m = a_m - a_{m+1} are positive and the summation-by-parts form
     keeps the right-hand side a plain dot product with past interior rows.
+    ``mu`` and ``V`` are the eigenvalues (over h^2) and eigenvectors of the
+    interior stencil T = tridiag(-1, 2, -1), from ``np.linalg.eigh``.
     """
 
     tgrid: TimeGrid
@@ -37,6 +39,8 @@ class FdWorkspace:
     scale: float
     a: np.ndarray
     d: np.ndarray
+    mu: np.ndarray
+    V: np.ndarray
 
     @classmethod
     def from_spec(cls, spec: ProblemSpec) -> "FdWorkspace":
@@ -45,20 +49,14 @@ class FdWorkspace:
         m = np.arange(tg.n_steps + 1, dtype=float)
         a = (m + 1.0) ** (1.0 - spec.rho) - m ** (1.0 - spec.rho)
         d = a[:-1] - a[1:]
-        a.setflags(write=False)
-        d.setflags(write=False)
+        n_in = spec.sgrid.n_cells - 1
+        lam, V = np.linalg.eigh(
+            2.0 * np.eye(n_in) - np.eye(n_in, k=1) - np.eye(n_in, k=-1))
+        mu = lam / spec.sgrid.h ** 2
+        for arr in (a, d, mu, V):
+            arr.setflags(write=False)
         return cls(tgrid=tg, sgrid=spec.sgrid, rho=spec.rho, scale=scale,
-                   a=a, d=d)
-
-    def bands(self, sigma_n: float, q_n: float) -> np.ndarray:
-        """Banded matrix (ab form) of the implicit step at one time level."""
-        m = self.sgrid.n_cells
-        off = -sigma_n / self.sgrid.h ** 2
-        ab = np.zeros((3, m - 1))
-        ab[0, 1:] = off
-        ab[1, :] = self.scale * self.a[0] - 2.0 * off + q_n
-        ab[2, :-1] = off
-        return ab
+                   a=a, d=d, mu=mu, V=V)
 
     def dominant(self, q_n: float) -> bool:
         """Strict diagonal dominance of the step system.
@@ -94,13 +92,11 @@ def solve_fd(spec: ProblemSpec) -> FieldSolution:
     for n in range(1, N + 1):
         dominant = dominant and ws.dominant(float(qv[n]))
         rhs = ws.history(interior, n) + spec.f[n, 1:M]
-        try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                interior[n] = solve_banded(
-                    (1, 1), ws.bands(float(sig[n]), float(qv[n])), rhs)
-        except np.linalg.LinAlgError as e:
+        div = ws.scale * ws.a[0] + float(sig[n]) * ws.mu + float(qv[n])
+        if not np.all(np.isfinite(div) & (div != 0.0)):
             raise SingularSystemError(
-                f"tridiagonal solve failed at step {n}: {e}", step=n) from e
+                f"singular step system at step {n}", step=n)
+        interior[n] = ws.V @ ((rhs @ ws.V) / div)
         if not np.all(np.isfinite(interior[n])):
             raise SingularSystemError(
                 f"non-finite values after step {n}", step=n)

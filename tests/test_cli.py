@@ -176,6 +176,21 @@ class TestExitCodes:
         cfg["sigma"] = {"kind": "constant", "value": -1.0}
         assert run(tmp_path, "forward", cfg=cfg)[0] == 3
 
+    def test_singular_fd_step_is_inadmissible(self, tmp_path):
+        # with h = 1/2, q(t_1) = -(scale + 2/h^2) zeroes the FD oracle's
+        # 1x1 step system; the spectral route runs through
+        cfg = small_forward_cfg()
+        cfg["problem"].update(n_steps=4, n_cells=2, n_modes=1)
+        cfg["sigma"] = {"kind": "constant", "value": 1.0}
+        tg = TimeGrid(1.0, 4)
+        q = [0.0] * 5
+        q[1] = -(tg.h ** -0.5 / math.gamma(1.5) + 2.0 / 0.5 ** 2)
+        lines = ["t,value"] + [f"{t:.17g},{v:.17g}"
+                               for t, v in zip(tg.nodes, q)]
+        (tmp_path / "q.csv").write_text("\n".join(lines) + "\n")
+        cfg["q"] = {"kind": "csv-samples", "path": "q.csv"}
+        assert run(tmp_path, "verify", cfg=cfg)[0] == 3
+
     def test_starved_inverse_iteration(self, tmp_path, repo_root):
         cfg = shipped("inverse", repo_root)
         cfg["problem"].update(n_steps=64, n_cells=32, n_modes=8)

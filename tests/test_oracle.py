@@ -1,11 +1,16 @@
 """Finite-difference reference solver, and its agreement with the spectral route."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subdiff
 from subdiff.errors import AdmissibilityError, DomainError, SingularSystemError
 from subdiff.forward import ProblemSpec, solve_forward
 from subdiff.frackernel import TimeGrid
@@ -26,15 +31,19 @@ class TestWorkspace:
         assert np.all(ws.d > 0)  # history weights positive
         assert ws.scale == pytest.approx(0.25 ** -0.5 / math.gamma(1.5))
 
-    def test_band_layout(self):
-        ws = FdWorkspace.from_spec(tiny_spec(n=4, m=4, sigma=1.0))
-        ab = ws.bands(1.0, 0.3)
-        assert ab.shape == (3, 3)
-        off = -1.0 / 0.25 ** 2
-        assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
-        assert np.allclose(ab[0, 1:], off)
-        assert np.allclose(ab[2, :-1], off)
-        assert np.allclose(ab[1], ws.scale - 2.0 * off + 0.3)
+    def test_step_system(self):
+        # the dense step matrix (scale*a_0 + q_1) I + (sigma_1/h^2) T maps
+        # the first computed row back onto its right-hand side
+        spec, _ = make_manufactured(32, 16)
+        ws = FdWorkspace.from_spec(spec)
+        M, h = spec.sgrid.n_cells, spec.sgrid.h
+        sig, q = spec.sigma.values[1], spec.q.values[1]
+        T = 2.0 * np.eye(M - 1) - np.eye(M - 1, k=1) - np.eye(M - 1, k=-1)
+        A = (ws.scale * ws.a[0] + q) * np.eye(M - 1) + sig / h ** 2 * T
+        u = solve_fd(spec).u
+        rhs = ws.history(u[:, 1:M], 1) + spec.f[1, 1:M]
+        assert (np.max(np.abs(A @ u[1, 1:M] - rhs))
+                <= 1e-13 * np.max(np.abs(rhs)))
 
     def test_dominance_threshold(self):
         ws = FdWorkspace.from_spec(tiny_spec(n=16, m=8))
@@ -109,7 +118,10 @@ class TestSolveFd:
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                            sigma=constant(tg, 1.0), q=constant(tg, q_bad),
                            f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
-        with pytest.raises(SingularSystemError) as exc:
+        # raised before the division, so numpy warns of no 0/0
+        with warnings.catch_warnings(), \
+                pytest.raises(SingularSystemError) as exc:
+            warnings.simplefilter("error", RuntimeWarning)
             solve_fd(spec)
         assert exc.value.step == 1
 
@@ -120,6 +132,24 @@ class TestSolveFd:
     def test_refuses_nonpositive_sigma(self):
         with pytest.raises(AdmissibilityError):
             solve_fd(tiny_spec(sigma=0.0))
+
+    def test_leaves_scipy_unloaded(self):
+        code = ("import sys\n"
+                "import subdiff.cli\n"
+                "from subdiff import (ProblemSpec, SpaceGrid, TimeGrid, "
+                "constant, solve_fd)\n"
+                "import numpy as np\n"
+                "tg, sg = TimeGrid(1.0, 8), SpaceGrid(1.0, 8)\n"
+                "solve_fd(ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, "
+                "sigma=constant(tg, 1.0), q=constant(tg, 0.1), "
+                "f=np.ones((9, 9)), phi=np.zeros(9)))\n"
+                "print('scipy' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(subdiff.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestCrossSolver:
