@@ -48,7 +48,6 @@ from .profiles import (
     Profile,
     affine,
     constant,
-    from_callable,
     named_profile,
     power,
     sinusoidal_offset,

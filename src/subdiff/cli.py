@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -81,6 +81,9 @@ def _num(block, key, where, default=_SENTINEL, lo=None, hi=None,
     v = block[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{where}.{key}: expected a finite number, "
+                          f"got {v!r}")
     if integer and int(v) != v:
         raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
     if lo is not None and v < lo:
@@ -231,9 +234,19 @@ def _write_csv(path: Path, header, table: np.ndarray) -> None:
         fh.writelines(row % tuple(r) for r in table.tolist())
 
 
-def _report_json(rep) -> dict:
-    """A condition report's fields plus its ``all_passed`` verdict."""
-    return asdict(rep) | {"all_passed": rep.all_passed}
+def _artifact(value):
+    """JSON form of a result value.  A dataclass becomes its fields plus its
+    ``all_passed`` verdict where it has one; floats go through ``_jnum``."""
+    if is_dataclass(value):
+        out = asdict(value)
+        if hasattr(value, "all_passed"):
+            out["all_passed"] = value.all_passed
+        return _artifact(out)
+    if isinstance(value, dict):
+        return {k: _artifact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_artifact(v) for v in value]
+    return _jnum(value) if isinstance(value, float) else value
 
 
 def _write_json(path: Path, obj) -> None:
@@ -255,17 +268,8 @@ def _run_forward(cfg, out: Path, base: Path) -> int:
     _write_csv(out / "solution.csv",
                ["t"] + [f"u{j}" for j in range(spec.sgrid.n_cells + 1)],
                np.column_stack([spec.tgrid.nodes, sol.u]))
-    rep = sol.diagnostics["assumption1"]
-    _write_json(out / "diagnostics.json", {
-        "assumption1": _report_json(rep),
-        "contraction_bounds": sol.diagnostics["contraction_bounds"],
-        "picard_iterations": sol.diagnostics["picard_iterations"],
-        "q1_value": sol.diagnostics["q1_value"],
-        "q1_bound": sol.diagnostics["q1_bound"],
-        "q2_weighted_max": sol.diagnostics["q2_weighted_max"],
-        "q2_fitted_exponent": _jnum(sol.diagnostics["q2_fitted_exponent"]),
-        "init_defect": sol.diagnostics["init_defect"],
-        "residual": residual,
+    _write_json(out / "diagnostics.json", _artifact(sol.diagnostics) | {
+        "residual": _jnum(residual),
         "resolved_config": _resolved_config("forward", cfg, spec, solver),
     })
     print(f"forward: residual {residual:.6e}; "
@@ -314,18 +318,10 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
 
     _write_csv(out / "recovered_q.csv", ["t", "q"],
                np.column_stack([spec.tgrid.nodes, res.q.values]))
-    rep = res.condition_report
-    _write_json(out / "report.json", {
-        "condition_report": _report_json(rep),
-        "CT_bound": res.CT_bound,
-        "measured_ratio": res.measured_ratio,
+    report = {f.name: getattr(res, f.name) for f in fields(res)
+              if f.name != "q"}  # q is recovered_q.csv
+    _write_json(out / "report.json", _artifact(report) | {
         "iterations": len(res.iterates),
-        "iterates": res.iterates,
-        "clamp_count": res.clamp_count,
-        "flux_defect": res.flux_defect,
-        "trace_bound": res.trace_bound,
-        "trace_sums": res.trace_sums,
-        "recovery_error": res.recovery_error,
         "resolved_config": _resolved_config(
             "inverse", cfg, spec, solver, extra={"data": data}),
     })

@@ -132,12 +132,14 @@ def validate_assumption1(spec: ProblemSpec) -> AssumptionReport:
 
 @dataclass(eq=False)
 class FieldSolution:
+    """A solved field.  From ``solve_forward``, ``diagnostics`` is the content
+    of the forward command's ``diagnostics.json``: the CLI writes it whole,
+    so only what that artifact reports belongs there."""
+
     u: np.ndarray
     u_xx_diag: Optional[np.ndarray]
-    per_mode: list[ModeSolution]
     mode_set: Optional[ModeSet]
     diagnostics: dict = field(default_factory=dict)
-    residual_norm: Optional[float] = None
 
 
 def decompose_data(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +222,8 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
         "q2_fitted_exponent": _blowup_exponent(spec.tgrid, uxx_sup),
         "init_defect": float(np.max(np.abs(u[0] - spec.phi))),
     }
-    return FieldSolution(u=u, u_xx_diag=u_xx, per_mode=solutions,
-                         mode_set=modes, diagnostics=diagnostics)
+    return FieldSolution(u=u, u_xx_diag=u_xx, mode_set=modes,
+                         diagnostics=diagnostics)
 
 
 def residual_check(sol: FieldSolution, spec: ProblemSpec) -> float:
@@ -245,6 +247,4 @@ def residual_check(sol: FieldSolution, spec: ProblemSpec) -> float:
     sig = spec.sigma.values[:, None]
     qv = spec.q.values[:, None]
     res = dcap - sig * u_xx[:, 1:nx] + qv * u[:, 1:nx] - spec.f[:, 1:nx]
-    value = float(np.max(np.abs(res[1:])))
-    sol.residual_norm = value
-    return value
+    return float(np.max(np.abs(res[1:])))

@@ -144,16 +144,16 @@ def _build_cached(rho: float, lam_eff: float, grid: TimeGrid) -> ConvolutionWeig
                               column=column, relax=relax)
 
 
-def build_weights(grid: TimeGrid, rho: float, lam_eff: float,
-                  max_steps: int = MAX_WEIGHT_STEPS) -> ConvolutionWeights:
+def build_weights(grid: TimeGrid, rho: float,
+                  lam_eff: float) -> ConvolutionWeights:
     """Closed-form product-integration weights; O(N) storage, one array mlf call."""
     if lam_eff <= 0.0 or not math.isfinite(lam_eff):
         raise DomainError(f"lam_eff must be positive, got {lam_eff!r}")
     if not (0.0 < rho <= 1.0):
         raise DomainError(f"weights need rho in (0, 1], got {rho!r}")
-    if grid.n_steps > max_steps:
-        raise ResourceError(
-            f"grid has {grid.n_steps} steps, exceeding the cap {max_steps}")
+    if grid.n_steps > MAX_WEIGHT_STEPS:
+        raise ResourceError(f"grid has {grid.n_steps} steps, exceeding the "
+                            f"cap {MAX_WEIGHT_STEPS}")
     return _build_cached(rho, lam_eff, grid)
 
 

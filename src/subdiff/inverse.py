@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     GridMismatchError,
 )
-from .forward import FieldSolution, ProblemSpec, decompose_data, solve_forward, solve_mode_set
+from .forward import ProblemSpec, decompose_data, solve_forward, solve_mode_set
 from .frackernel import caputo_l1
 from .profiles import Profile, constant
 from .spectral import (
@@ -139,12 +139,15 @@ class ConditionReport:
 
 @dataclass(eq=False)
 class InverseResult:
+    """The recovered ``q`` plus the content of the inverse command's
+    ``report.json``: the CLI writes every other field whole, so only what
+    that artifact reports belongs here."""
+
     q: Profile
     iterates: list  # sup-norm update per sweep
     measured_ratio: float
     CT_bound: float
     condition_report: ConditionReport
-    final_forward: FieldSolution
     clamp_count: int
     flux_defect: float
     trace_sums: list  # max_t sum_k lam^3 |u_k| at each sweep
@@ -172,18 +175,23 @@ def compute_q0(inv: InverseSpec) -> Profile:
     return Profile(inv.spec.tgrid, inv._q0_cache)
 
 
+def _modes(inv: InverseSpec, q: Profile, tol: float, max_iter: int,
+           initial: Optional[np.ndarray] = None) -> ModeSet:
+    """Mode trajectories of the forward problem at q; no field assembly."""
+    sols = solve_mode_set(replace(inv.spec, q=q), inv.phi_k, inv.f_k,
+                          tol=tol, max_iter=max_iter, initial=initial)
+    return ModeSet(length=inv.spec.length, grid=inv.spec.tgrid,
+                   coeffs=np.vstack([s.u_k for s in sols]))
+
+
 def _sweep(inv: InverseSpec, q: Profile, tol: float, max_iter: int,
            initial: Optional[np.ndarray]) -> tuple[Profile, np.ndarray]:
     """One application of the map: forward-solve at q, read off the update."""
-    spec_q = replace(inv.spec, q=q)
-    sols = solve_mode_set(spec_q, inv.phi_k, inv.f_k, tol=tol,
-                          max_iter=max_iter, initial=initial)
-    coeffs = np.vstack([s.u_k for s in sols])
-    modes = ModeSet(length=inv.spec.length, grid=inv.spec.tgrid, coeffs=coeffs)
+    modes = _modes(inv, q, tol, max_iter, initial)
     trace3 = third_trace_at_left(modes, inv.spec.tgrid).values
     new = (compute_q0(inv).values
            + inv.spec.sigma.values / inv.psi.values * trace3)
-    return Profile(inv.spec.tgrid, new), coeffs
+    return Profile(inv.spec.tgrid, new), modes.coeffs
 
 
 def apply_L(q_current: Profile, inv: InverseSpec, tol: float = 1e-10,
@@ -307,18 +315,18 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
             iterations=max_iter, last_update=updates[-1],
             contraction_estimate=measured_ratio)
 
-    final = solve_forward(replace(inv.spec, q=q), tol=forward_tol,
-                          max_iter=forward_max_iter)
-    flux = flux_at_left(final.mode_set, inv.spec.tgrid).values
+    # a cold solve, as solve_forward makes it, without the field assembly
+    final = _modes(inv, q, forward_tol, forward_max_iter)
+    flux = flux_at_left(final, inv.spec.tgrid).values
     flux_defect = float(np.max(np.abs(flux - inv.psi.values)))
     err = (None if inv.q_true is None
            else float(np.max(np.abs(q.values - inv.q_true.values))))
 
     return InverseResult(
         q=q, iterates=updates, measured_ratio=measured_ratio,
-        CT_bound=report.CT, condition_report=report, final_forward=final,
-        clamp_count=clamp_count, flux_defect=flux_defect,
-        trace_sums=trace_sums, trace_bound=trace_bound, recovery_error=err)
+        CT_bound=report.CT, condition_report=report, clamp_count=clamp_count,
+        flux_defect=flux_defect, trace_sums=trace_sums,
+        trace_bound=trace_bound, recovery_error=err)
 
 
 def synthesize_data(spec_with_q_true: ProblemSpec, noise_level: float = 0.0,

@@ -91,7 +91,6 @@ def picard_step(p: ModeProblem, weights: ConvolutionWeights,
 class ModeSolution:
     u_k: np.ndarray
     iterations: int
-    final_update: float
     contraction_estimate: float
     C_k_bound: float
 
@@ -125,7 +124,7 @@ def solve_mode(p: ModeProblem, tol: float = 1e-10, max_iter: int = 200,
         u = u_next
         if update < tol:
             u[0] = p.phi_k  # exact by construction; pin against roundoff
-            return ModeSolution(u_k=u, iterations=it, final_update=update,
+            return ModeSolution(u_k=u, iterations=it,
                                 contraction_estimate=worst_ratio,
                                 C_k_bound=c_bound)
         prev_update = update

@@ -102,5 +102,5 @@ def solve_fd(spec: ProblemSpec) -> FieldSolution:
                 f"non-finite values after step {n}", step=n)
 
     return FieldSolution(
-        u=u, u_xx_diag=None, per_mode=[], mode_set=None,
+        u=u, u_xx_diag=None, mode_set=None,
         diagnostics={"diagonally_dominant": dominant})

@@ -9,7 +9,6 @@ extrema; when absent, the nodewise extrema stand in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -65,12 +64,6 @@ class Profile:
         return Profile(self.grid, clipped), touched
 
 
-def from_callable(grid: TimeGrid, fn: Callable[[np.ndarray], np.ndarray],
-                  lower: float | None = None,
-                  upper: float | None = None) -> Profile:
-    return Profile(grid, np.asarray(fn(grid.nodes), dtype=float), lower, upper)
-
-
 def constant(grid: TimeGrid, value: float) -> Profile:
     return Profile(grid, np.full(grid.n_steps + 1, float(value)),
                    lower=value, upper=value)
@@ -119,8 +112,7 @@ def named_profile(grid: TimeGrid, kind: str, **params: float) -> Profile:
                           f"{sorted(unknown)}")
     if kind == "sinusoidal-offset":
         params.setdefault("frequency", 1.0)
-    missing = [n for n in names if n not in params
-               and not (kind == "sinusoidal-offset" and n == "frequency")]
+    missing = [n for n in names if n not in params]
     if missing:
         raise DomainError(f"profile kind {kind!r} missing parameters {missing}")
     return fn(grid, **params)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import subdiff
+from subdiff import frackernel
 from subdiff.errors import DomainError, GridMismatchError, ResourceError
 from subdiff.frackernel import (
+    MAX_WEIGHT_STEPS,
     TimeGrid,
     build_weights,
     caputo_l1,
@@ -158,13 +160,16 @@ class TestBuildWeights:
             np.testing.assert_array_equal(d[n, :n], w.row(n))
         assert np.all(d[np.triu_indices(7)] == 0.0)
 
-    def test_step_cap(self):
-        with pytest.raises(ResourceError):
-            build_weights(TimeGrid(1.0, 20000), 0.5, 1.0)
-        # configurable: raising the cap lets it through
-        build_weights(TimeGrid(1.0, 64), 0.5, 1.0, max_steps=64)
-        with pytest.raises(ResourceError):
-            build_weights(TimeGrid(1.0, 65), 0.5, 1.0, max_steps=64)
+    def test_step_cap(self, monkeypatch):
+        w = build_weights(TimeGrid(1.0, MAX_WEIGHT_STEPS), 0.5, 1.0)
+        assert w.column.shape == (MAX_WEIGHT_STEPS + 1,)
+
+        # one step more is refused before any Mittag-Leffler work
+        def no_mlf(*args):
+            raise AssertionError("weights evaluated past the step cap")
+        monkeypatch.setattr(frackernel, "relaxation_curve", no_mlf)
+        with pytest.raises(ResourceError, match=str(MAX_WEIGHT_STEPS)):
+            build_weights(TimeGrid(1.0, MAX_WEIGHT_STEPS + 1), 0.5, 1.0)
 
     def test_rejects_bad_stiffness(self):
         with pytest.raises(DomainError):
