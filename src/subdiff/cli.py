@@ -123,7 +123,7 @@ def _is_float(s: str) -> bool:
 
 
 _PROFILE_KEYS = frozenset({"kind", "path"}.union(
-    *(names for _, names in _KINDS.values())))
+    *(required + optional for _, required, optional in _KINDS.values())))
 
 
 def _profile(cfg, tgrid: TimeGrid, where: str, base: Path) -> Profile:
@@ -435,6 +435,16 @@ def _selftest_frackernel():
         worst = max(worst, abs(out[i] - want))
     checks.append(("kernel * t convolution matches the series identity",
                    worst <= 5e-4, f"max err {worst:.3e}"))
+
+    # FFT round-off is absolute: eps-sized against ||w||_1 ||g||_inf
+    g3 = TimeGrid(1.0, 4096)
+    w = build_weights(g3, rho, 20.0)
+    series = np.random.default_rng(20250815).normal(size=4097)
+    direct = np.convolve(w.column[1:], 0.5 * (series[:-1] + series[1:]))
+    worst = float(np.max(np.abs(convolve(w, series)[1:] - direct[:4096])))
+    bound = 1e-13 * float(np.sum(w.column) * np.max(np.abs(series)))
+    checks.append(("FFT convolution matches the direct sum at N = 4096",
+                   worst <= bound, f"max err {worst:.3e} (bound {bound:.3e})"))
     return checks
 
 

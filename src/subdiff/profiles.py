@@ -90,29 +90,30 @@ def power(grid: TimeGrid, coefficient: float, exponent: float) -> Profile:
     return Profile(grid, vals)
 
 
+#: kind -> (function, required parameters, optional parameters); an optional
+#: parameter left out takes the function's own default
 _KINDS = {
-    "constant": (constant, ("value",)),
-    "affine": (affine, ("intercept", "slope")),
-    "sinusoidal-offset": (sinusoidal_offset, ("offset", "amplitude", "frequency")),
-    "power": (power, ("coefficient", "exponent")),
+    "constant": (constant, ("value",), ()),
+    "affine": (affine, ("intercept", "slope"), ()),
+    "sinusoidal-offset": (sinusoidal_offset, ("offset", "amplitude"),
+                          ("frequency",)),
+    "power": (power, ("coefficient", "exponent"), ()),
 }
 
 
 def named_profile(grid: TimeGrid, kind: str, **params: float) -> Profile:
     """Dispatch for the analytic profile kinds the run configuration accepts."""
     try:
-        fn, names = _KINDS[kind]
+        fn, required, optional = _KINDS[kind]
     except KeyError:
         raise DomainError(
             f"unknown profile kind {kind!r}; expected one of {sorted(_KINDS)}"
         ) from None
-    unknown = set(params) - set(names)
+    unknown = set(params) - set(required) - set(optional)
     if unknown:
         raise DomainError(f"profile kind {kind!r} got unknown parameters "
                           f"{sorted(unknown)}")
-    if kind == "sinusoidal-offset":
-        params.setdefault("frequency", 1.0)
-    missing = [n for n in names if n not in params]
+    missing = [n for n in required if n not in params]
     if missing:
         raise DomainError(f"profile kind {kind!r} missing parameters {missing}")
     return fn(grid, **params)

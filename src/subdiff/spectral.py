@@ -193,7 +193,11 @@ def _weighted_partials(lambdas: np.ndarray, coeffs: np.ndarray,
         prev = float(cum[max(1, K // 4) - 1].max())
     tail = total - partial
     prev_tail = partial - prev
-    decaying = K < 4 or tail <= prev_tail + 1e-12 * (1.0 + total)
+    # every coefficient carries round-off of order eps * max|c|, which the
+    # weights amplify by up to max(w); K such terms bound the noise in a sum
+    slack = K * float(np.finfo(float).eps * np.max(w, initial=0.0)
+                      * np.max(np.abs(coeffs), initial=0.0))
+    decaying = K < 4 or tail <= prev_tail + slack
     return total, tail, decaying
 
 

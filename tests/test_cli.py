@@ -395,6 +395,6 @@ class TestSelftest:
         assert code == 0
         text = capsys.readouterr().out
         assert "selftest mlf: 4/4 passed" in text
-        assert "selftest frackernel: 3/3 passed" in text
+        assert "selftest frackernel: 4/4 passed" in text
         rep = json.loads((out / "selftest.json").read_text())
         assert all(c["passed"] for suite in rep.values() for c in suite)

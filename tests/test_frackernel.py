@@ -179,6 +179,10 @@ class TestBuildWeights:
         a = build_weights(TimeGrid(1.0, 32), 0.5, 2.0)
         b = build_weights(TimeGrid(1.0, 32), 0.5, 2.0)
         assert a is b
+        # the spectrum every convolve reuses cannot be changed through it
+        assert a.spectrum.shape == (64 // 2 + 1,)
+        with pytest.raises(ValueError):
+            a.spectrum[0] = 0.0
 
     def test_cold_builds_leave_scipy_integrate_unloaded(self):
         # the branch-cut band of these grids (rho 0.9 with the stiffnesses of
@@ -247,6 +251,39 @@ class TestConvolve:
         w = build_weights(TimeGrid(1.0, 8), 0.6, 2.0)
         out = convolve(w, np.array(vals))
         assert np.all(out >= 0.0)
+
+    def test_pinned_nonnegative_input(self):
+        # a pure-FFT sum returned -3.3e-16 here, where the exact value is 0
+        w = build_weights(TimeGrid(1.0, 8), 0.6, 2.0)
+        out = convolve(w, np.array([0, 0, 0, 0, 8.65, 9.02, 4.61, 8.20, 3.50]))
+        assert np.all(out >= 0.0)
+        assert np.all(out[:4] == 0.0)
+
+    @staticmethod
+    def _direct(w, g):
+        n = w.grid.n_steps
+        return np.convolve(w.column[1:], 0.5 * (g[:-1] + g[1:]))[:n]
+
+    def test_matches_direct_sum_at_4096(self):
+        w = build_weights(TimeGrid(1.0, 4096), 0.5, 20.0)
+        g = np.random.default_rng(4096).normal(size=4097)
+        out = convolve(w, g)
+        tol = 1e-13 * np.sum(w.column) * np.max(np.abs(g))
+        assert out[0] == 0.0
+        np.testing.assert_allclose(out[1:], self._direct(w, g), rtol=0.0,
+                                   atol=tol)
+
+    def test_leading_zeros_exact_on_direct_block(self):
+        n = 4 * frackernel._DIRECT_BLOCK
+        w = build_weights(TimeGrid(1.0, n), 0.7, 5.0)
+        g = np.zeros(n + 1)
+        g[2 * frackernel._DIRECT_BLOCK:] = np.random.default_rng(7).uniform(
+            0.0, 10.0, size=n + 1 - 2 * frackernel._DIRECT_BLOCK)
+        out = convolve(w, g)
+        assert np.all(out[:frackernel._DIRECT_BLOCK + 1] == 0.0)
+        tol = 1e-13 * np.sum(w.column) * np.max(np.abs(g))
+        np.testing.assert_allclose(out[1:], self._direct(w, g), rtol=0.0,
+                                   atol=tol)
 
     def test_rejects_mismatched_series(self):
         w = build_weights(TimeGrid(1.0, 8), 0.5, 1.0)

@@ -75,6 +75,16 @@ def test_power():
 def test_named_dispatch():
     p = profiles.named_profile(GRID, "sinusoidal-offset", offset=2.0, amplitude=1.0)
     np.testing.assert_allclose(p.values, 2.0 + np.sin(GRID.nodes))
+    # a left-out frequency takes sinusoidal_offset's own default
+    explicit = profiles.named_profile(GRID, "sinusoidal-offset", offset=2.0,
+                                      amplitude=1.0, frequency=1.0)
+    np.testing.assert_array_equal(p.values, explicit.values)
+    with pytest.raises(DomainError):
+        profiles.named_profile(GRID, "sinusoidal-offset", offset=2.0,
+                               amplitude=1.0, phase=0.5)
+    with pytest.raises(DomainError):
+        profiles.named_profile(GRID, "sinusoidal-offset", offset=2.0,
+                               frequency=1.0)
     with pytest.raises(DomainError):
         profiles.named_profile(GRID, "quadratic", a=1.0)
     with pytest.raises(DomainError):

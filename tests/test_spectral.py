@@ -232,6 +232,26 @@ class TestTailDiagnostics:
         assert rep.phi_decaying
         assert rep.phi_tail < 0.1 * rep.phi_sum
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_single_sine_mode_reads_decaying(self, p):
+        # projecting one sine mode leaves round-off in the upper coefficients,
+        # which the weights lambda_k^p amplify to tails of 1e-11 to 2e-7;
+        # that noise is not a growing tail
+        K, sgrid = 32, SpaceGrid(1.0, 128)
+        lam = eigenvalues(K, 1.0)
+        e1 = math.sqrt(2.0) * np.sin(math.pi * sgrid.nodes)
+        phi = sine_coefficients(sgrid, e1, K)
+        amp = 10.0 + 200.0 * np.linspace(0.0, 1.0, 9) ** 2
+        f = sine_coefficients(sgrid, amp[:, None] * e1, K).T
+        assert np.max(np.abs(phi[1:])) > 0.0  # the round-off is really there
+        rep = tail_diagnostics(lam, phi, f, weight_power=p)
+        assert rep.phi_tail > 0.0 and rep.f_tail > 0.0
+        assert rep.phi_decaying and rep.f_decaying
+        # the same data with a flat upper half is a growing tail
+        grown = phi + np.where(np.arange(K) >= K // 2, 1e-6, 0.0)
+        rep = tail_diagnostics(lam, grown, f + 1e-6, weight_power=p)
+        assert not rep.phi_decaying and not rep.f_decaying
+
     def test_flat_coefficients_flagged(self):
         K = 16
         rep = tail_diagnostics(eigenvalues(K, 1.0), np.ones(K), weight_power=3)
