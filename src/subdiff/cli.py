@@ -420,7 +420,7 @@ def _selftest_frackernel():
     rho, lam = 0.6, 3.0
     w = build_weights(g, rho, lam)
     out = convolve(w, np.ones(257))
-    want = (1.0 - np.array([relaxation(rho, lam, s) for s in t])) / lam
+    want = (1.0 - relaxation_curve(rho, lam, t)) / lam
     worst = float(np.max(np.abs(out[1:] - want[1:])))
     checks.append(("convolution weights integrate the kernel exactly",
                    worst <= 1e-12, f"max err {worst:.3e}"))

@@ -4,9 +4,15 @@ Implicit stepping: the fractional derivative is discretised by the L1 rule,
 the space operator by second-order central differences, and both coefficient
 terms are taken at the new time level, so every step solves (scale a_0 + q_n)
 I + (sigma_n / h^2) T over the interior nodes, with T the fixed [-1, 2, -1]
-stencil, diagonalised numerically once.  Shares nothing with the spectral
-route beyond the problem container, which is the point: agreement between
-the two is evidence, not tautology.
+stencil, diagonalised numerically once.  The scheme steps the coefficients of
+the interior rows in T's eigenbasis, where each step is one division, and
+maps them back to physical space at the end.  Its L1 memory sum is split at
+blocks of ``_HISTORY_BLOCK`` steps: the rows before a block reach all of its
+steps through one matrix product, and each step adds only the rows of its own
+block.  The split keeps the terms of the direct sum, so the result is exact
+up to round-off.  Shares nothing with the spectral route beyond the problem
+container, which is the point: agreement between the two is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from .forward import FieldSolution, ProblemSpec
 from .frackernel import TimeGrid
 from .spectral import SpaceGrid
 
+#: steps per history block: the far field of a block is one matrix product
+_HISTORY_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class FdWorkspace:
@@ -28,7 +37,8 @@ class FdWorkspace:
 
     ``a`` are the L1 weights a_m = (m+1)^{1-rho} - m^{1-rho}; the history
     weights d_m = a_m - a_{m+1} are positive and the summation-by-parts form
-    keeps the right-hand side a plain dot product with past interior rows.
+    keeps the right-hand side a weighted sum of past interior rows, linear in
+    the rows, so it holds unchanged for their eigenbasis coefficients.
     ``mu`` and ``V`` are the eigenvalues (over h^2) and eigenvectors of the
     interior stencil T = tridiag(-1, 2, -1), from ``np.linalg.eigh``.
     """
@@ -66,11 +76,16 @@ class FdWorkspace:
         """
         return self.scale * self.a[0] + q_n > 0.0
 
-    def history(self, interior: np.ndarray, n: int) -> np.ndarray:
-        """L1 memory term at step n from interior rows 0..n-1."""
-        h = self.a[n - 1] * interior[0]
-        if n > 1:
-            h = h + self.d[n - 2::-1] @ interior[1:n]
+    def history(self, rows: np.ndarray, n: int, stop: int) -> np.ndarray:
+        """L1 memory of rows 0..n-1 on steps n..stop-1, one row per step.
+
+        Step m weighs row 0 by a_{m-1} and row j >= 1 by d_{m-1-j}; the
+        weights of rows 1..n-1 form a Toeplitz block, so the memory of all
+        the steps is one matrix product.
+        """
+        steps = np.arange(n, stop)
+        toeplitz = self.d[steps[:, None] - np.arange(2, n + 1)]
+        h = self.a[steps - 1, None] * rows[0] + toeplitz @ rows[1:n]
         return self.scale * h
 
 
@@ -84,23 +99,33 @@ def solve_fd(spec: ProblemSpec) -> FieldSolution:
     N, M = spec.tgrid.n_steps, spec.sgrid.n_cells
     sig, qv = spec.sigma.values, spec.q.values
 
+    dominant = bool(np.all(ws.dominant(qv[1:])))
+
     u = np.zeros((N + 1, M + 1))
+    W = u[:, 1:M]  # writable view: eigenbasis coefficients while stepping
+    W[0] = spec.phi[1:M] @ ws.V
+    for s in range(1, N + 1, _HISTORY_BLOCK):
+        stop = min(s + _HISTORY_BLOCK, N + 1)
+        # the block's divisors in the eigenbasis: it steps up to its first
+        # singular step, if any, and raises there before dividing by it
+        div = ws.scale * ws.a[0] + sig[s:stop, None] * ws.mu + qv[s:stop, None]
+        bad = np.flatnonzero(~np.all(np.isfinite(div) & (div != 0.0), axis=1))
+        e = s + int(bad[0]) if bad.size else stop
+        block = ws.history(W, s, e) + spec.f[s:e, 1:M] @ ws.V
+        for n in range(s, e):
+            if n > s:
+                block[n - s] += ws.scale * (ws.d[n - s - 1::-1] @ W[s:n])
+            W[n] = block[n - s] / div[n - s]
+            if not np.all(np.isfinite(W[n])):
+                raise SingularSystemError(
+                    f"non-finite values after step {n}", step=n)
+        if bad.size:
+            raise SingularSystemError(
+                f"singular step system at step {e}", step=e)
+
+    for s in range(1, N + 1, _HISTORY_BLOCK):
+        W[s:s + _HISTORY_BLOCK] = W[s:s + _HISTORY_BLOCK] @ ws.V.T
     u[0] = spec.phi
-    interior = u[:, 1:M]  # writable view, (N+1, M-1)
-
-    dominant = True
-    for n in range(1, N + 1):
-        dominant = dominant and ws.dominant(float(qv[n]))
-        rhs = ws.history(interior, n) + spec.f[n, 1:M]
-        div = ws.scale * ws.a[0] + float(sig[n]) * ws.mu + float(qv[n])
-        if not np.all(np.isfinite(div) & (div != 0.0)):
-            raise SingularSystemError(
-                f"singular step system at step {n}", step=n)
-        interior[n] = ws.V @ ((rhs @ ws.V) / div)
-        if not np.all(np.isfinite(interior[n])):
-            raise SingularSystemError(
-                f"non-finite values after step {n}", step=n)
-
     return FieldSolution(
         u=u, u_xx_diag=None, mode_set=None,
         diagnostics={"diagonally_dominant": dominant})

@@ -32,18 +32,20 @@ class TestWorkspace:
         assert ws.scale == pytest.approx(0.25 ** -0.5 / math.gamma(1.5))
 
     def test_step_system(self):
-        # the dense step matrix (scale*a_0 + q_1) I + (sigma_1/h^2) T maps
-        # the first computed row back onto its right-hand side
-        spec, _ = make_manufactured(32, 16)
+        # the dense step matrix (scale*a_0 + q_n) I + (sigma_n/h^2) T maps
+        # computed row n back onto its right-hand side, on the first step and
+        # on one in a later history block
+        spec, _ = make_manufactured(128, 16)
         ws = FdWorkspace.from_spec(spec)
         M, h = spec.sgrid.n_cells, spec.sgrid.h
-        sig, q = spec.sigma.values[1], spec.q.values[1]
         T = 2.0 * np.eye(M - 1) - np.eye(M - 1, k=1) - np.eye(M - 1, k=-1)
-        A = (ws.scale * ws.a[0] + q) * np.eye(M - 1) + sig / h ** 2 * T
         u = solve_fd(spec).u
-        rhs = ws.history(u[:, 1:M], 1) + spec.f[1, 1:M]
-        assert (np.max(np.abs(A @ u[1, 1:M] - rhs))
-                <= 1e-13 * np.max(np.abs(rhs)))
+        for n in (1, 100):
+            sig, q = spec.sigma.values[n], spec.q.values[n]
+            A = (ws.scale * ws.a[0] + q) * np.eye(M - 1) + sig / h ** 2 * T
+            rhs = ws.history(u[:, 1:M], n, n + 1)[0] + spec.f[n, 1:M]
+            assert (np.max(np.abs(A @ u[n, 1:M] - rhs))
+                    <= 1e-13 * np.max(np.abs(rhs)))
 
     def test_dominance_threshold(self):
         ws = FdWorkspace.from_spec(tiny_spec(n=16, m=8))
@@ -54,7 +56,84 @@ class TestWorkspace:
     def test_first_step_history_is_initial_row(self):
         ws = FdWorkspace.from_spec(tiny_spec(n=4, m=4))
         interior = np.arange(20.0).reshape(5, 4)
-        assert np.allclose(ws.history(interior, 1), ws.scale * interior[0])
+        assert np.allclose(ws.history(interior, 1, 2),
+                           ws.scale * interior[:1])
+        # from row 0 alone, step m weighs it by a_{m-1}
+        assert np.allclose(ws.history(interior, 1, 5),
+                           ws.scale * ws.a[:4, None] * interior[0])
+
+
+def reference_fd(spec):
+    """The implicit L1 scheme stepped in physical space: at every step the
+    direct memory sum over all past rows, then a dense solve."""
+    ws = FdWorkspace.from_spec(spec)
+    N, M, h = spec.tgrid.n_steps, spec.sgrid.n_cells, spec.sgrid.h
+    T = 2.0 * np.eye(M - 1) - np.eye(M - 1, k=1) - np.eye(M - 1, k=-1)
+    u = np.zeros((N + 1, M + 1))
+    u[0] = spec.phi
+    for n in range(1, N + 1):
+        mem = ws.a[n - 1] * u[0, 1:M]
+        for j in range(1, n):
+            mem = mem + ws.d[n - 1 - j] * u[j, 1:M]
+        A = ((ws.scale * ws.a[0] + spec.q.values[n]) * np.eye(M - 1)
+             + spec.sigma.values[n] / h ** 2 * T)
+        u[n, 1:M] = np.linalg.solve(A, ws.scale * mem + spec.f[n, 1:M])
+    return u
+
+
+def varying_spec(n, m, q=None, seed=5):
+    """Time-varying sigma and q, random source and nonzero initial row."""
+    rng = np.random.default_rng(seed)
+    tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
+    t = tg.nodes
+    f = rng.normal(0.0, 1.0, (n + 1, m + 1))
+    f[:, 0] = f[:, -1] = 0.0
+    phi = np.sin(math.pi * sg.nodes) + 0.3 * np.sin(3.0 * math.pi * sg.nodes)
+    phi[0] = phi[-1] = 0.0
+    q_vals = 0.2 + 0.5 * np.cos(5.0 * t) if q is None else q
+    return ProblemSpec(sgrid=sg, tgrid=tg, rho=0.7,
+                       sigma=Profile(tg, 1.0 + 0.5 * np.sin(3.0 * t)),
+                       q=Profile(tg, q_vals), f=f, phi=phi)
+
+
+class TestBlockedHistory:
+    """``solve_fd`` splits the memory sum at history blocks and steps in the
+    stencil's eigenbasis; it must equal the direct physical-space loop."""
+
+    @pytest.mark.parametrize("n,m", [(1, 8), (63, 8), (64, 8), (65, 8),
+                                     (200, 16), (8, 64)])
+    def test_matches_direct_physical_loop(self, n, m):
+        spec = varying_spec(n, m)
+        got, want = solve_fd(spec).u, reference_fd(spec)
+        assert np.array_equal(got[0], spec.phi)
+        assert (np.max(np.abs(got - want))
+                <= 1e-12 * np.max(np.abs(want)))
+
+    def test_singular_step_in_later_block(self):
+        n, m = 128, 4
+        spec = varying_spec(n, m)
+        ws = FdWorkspace.from_spec(spec)
+        sig = spec.sigma.values[100]
+        q = spec.q.values.copy()
+        q[100] = -(ws.scale * ws.a[0] + sig * ws.mu[0])  # zeroes one divisor
+        spec = varying_spec(n, m, q=q)
+        with warnings.catch_warnings(), \
+                pytest.raises(SingularSystemError) as exc:
+            warnings.simplefilter("error", RuntimeWarning)
+            solve_fd(spec)
+        assert exc.value.step == 100
+        assert "singular step system at step 100" in str(exc.value)
+
+    def test_dominance_lost_in_second_block(self):
+        n, m = 128, 8
+        spec = varying_spec(n, m)
+        assert solve_fd(spec).diagnostics["diagonally_dominant"]
+        ws = FdWorkspace.from_spec(spec)
+        q = spec.q.values.copy()
+        q[90] = -ws.scale * ws.a[0] - 1.0  # divisors stay >= sigma*mu_0 - 1
+        sol = solve_fd(varying_spec(n, m, q=q))
+        assert not sol.diagnostics["diagonally_dominant"]
+        assert np.all(np.isfinite(sol.u))
 
 
 class TestSolveFd:
