@@ -1,7 +1,5 @@
 """Time-fractional subdiffusion: forward solver and reaction-coefficient recovery."""
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .errors import (
     AdmissibilityError,
     AliasingError,
@@ -62,8 +60,3 @@ from .spectral import (
     sine_coefficients,
     third_trace_at_left,
 )
-
-try:
-    __version__ = version("artifact")
-except PackageNotFoundError:  # pragma: no cover
-    __version__ = "0.0.0"

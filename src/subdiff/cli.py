@@ -49,9 +49,10 @@ _SENTINEL = object()
 # ---------------------------------------------------------------- config ---
 
 def _load_config(path: Path) -> dict:
-    text = path.read_text()
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: parse error at line {e.lineno} column {e.colno}: "
@@ -95,8 +96,11 @@ def _num(block, key, where, default=_SENTINEL, lo=None, hi=None,
 
 def _read_samples_csv(path: Path, tgrid: TimeGrid, where: str) -> np.ndarray:
     """Two-column (t, value) CSV, optional header, nodes matching the grid."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{where}: {path}: not UTF-8 text: {e}") from e
     if rows and rows[0] and not _is_float(rows[0][0]):
         rows = rows[1:]
     if len(rows) != tgrid.n_steps + 1:
@@ -280,9 +284,7 @@ def _run_forward(cfg, out: Path, base: Path) -> int:
 def _run_inverse(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "phi", "f", "data", "solver"},
                 "config", required={"problem", "sigma", "phi", "f", "data"})
-    solver = _solver_block(cfg, {"tol": 1e-6, "max_iter": 500,
-                                 "forward_tol": 1e-10,
-                                 "forward_max_iter": 200})
+    solver = _solver_block(cfg, {"tol": 1e-6, "max_iter": 500})
     spec = _build_spec(cfg, need_q=False, base=base)
 
     data = cfg["data"]
@@ -312,9 +314,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
                     default=float(psi.values.min()), lo=1e-300)
         inv = InverseSpec(spec=spec, psi=psi, psi0=psi0)
 
-    res = recover_q(inv, tol=solver["tol"], max_iter=solver["max_iter"],
-                    forward_tol=solver["forward_tol"],
-                    forward_max_iter=solver["forward_max_iter"])
+    res = recover_q(inv, tol=solver["tol"], max_iter=solver["max_iter"])
 
     _write_csv(out / "recovered_q.csv", ["t", "q"],
                np.column_stack([spec.tgrid.nodes, res.q.values]))
@@ -503,6 +503,10 @@ def main(argv: Optional[list] = None) -> int:
     except (DomainError, GridMismatchError, AliasingError,
             ResourceError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("config error: the problem does not fit in memory; reduce "
+              "n_steps, n_cells or n_modes", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -196,10 +196,10 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
     coeffs = np.vstack([s.u_k for s in solutions])
     modes = ModeSet(length=spec.length, grid=spec.tgrid, coeffs=coeffs)
     lam = modes.lambdas
-    u = assemble_field(modes, spec.sgrid, spec.tgrid)
+    u = assemble_field(modes, spec.sgrid)
     curv = ModeSet(length=spec.length, grid=spec.tgrid,
                    coeffs=-(lam ** 2)[:, None] * coeffs)
-    u_xx = assemble_field(curv, spec.sgrid, spec.tgrid)
+    u_xx = assemble_field(curv, spec.sgrid)
 
     rho, T = spec.rho, spec.t_final
     head = T ** rho / math.gamma(rho + 1.0)
@@ -240,7 +240,7 @@ def residual_check(sol: FieldSolution, spec: ProblemSpec) -> float:
         lam = eigenvalues(spec.K, spec.length)
         curv = ModeSet(length=spec.length, grid=spec.tgrid,
                        coeffs=-(lam ** 2)[:, None] * coeffs)
-        u_xx = assemble_field(curv, spec.sgrid, spec.tgrid)
+        u_xx = assemble_field(curv, spec.sgrid)
 
     nx = spec.sgrid.n_cells
     dcap = caputo_l1(spec.tgrid, u[:, 1:nx], spec.rho)

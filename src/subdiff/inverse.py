@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -46,6 +46,17 @@ class InverseSpec:
     below it are rejected outright, since every division in the recovery map
     runs through psi.  ``q_true`` is optional and only used for scoring
     synthetic runs.
+
+    Construction derives the data-only quantities once: ``phi_k`` and
+    ``f_k`` (sine coefficients of datum and source); ``q0``, the data part
+    (f_x(0,t) - D^rho psi)/psi of the recovery map, whose first node, where
+    the L1 derivative has no value, is the quadratic extrapolation from
+    t_1..t_3 (the iteration only reads q on solver nodes, and the
+    extrapolation matches the scheme's accuracy); ``compat_defect``, the
+    mismatch |u_x(0, 0) - psi(0)| of datum and flux, and ``compatible``,
+    whether it lies within the relative compatibility tolerance; and
+    ``trace_bound``, T^rho/Gamma(rho+1) * S_f + S_phi with S_f and S_phi the
+    cubically weighted coefficient sums of source and datum.
     """
 
     spec: ProblemSpec
@@ -53,7 +64,6 @@ class InverseSpec:
     psi0: float
     q_init: Optional[Profile] = None
     q_true: Optional[Profile] = None
-    fx0: Profile = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.spec.q is not None:
@@ -71,23 +81,38 @@ class InverseSpec:
                 f"flux data reaches {pmin}, below the declared floor "
                 f"{self.psi0}")
 
-        self.phi_k, self.f_k = decompose_data(self.spec)
-        self._lam = eigenvalues(self.spec.K, self.spec.length)
-        amp = math.sqrt(2.0 / self.spec.length)
-        self.fx0 = Profile(self.spec.tgrid, (amp * self._lam) @ self.f_k)
+        spec, tg, pv = self.spec, self.spec.tgrid, self.psi.values
+        self.phi_k, self.f_k = decompose_data(spec)
+        self._lam = eigenvalues(spec.K, spec.length)
+        flux_weights = math.sqrt(2.0 / spec.length) * self._lam
 
-        defect, compatible = _compat_defect(self)
-        if not compatible:
+        psi_at_0 = float(pv[0])
+        self.compat_defect = abs(float(flux_weights @ self.phi_k) - psi_at_0)
+        self.compatible = (self.compat_defect
+                           <= _COMPAT_RTOL * (1.0 + abs(psi_at_0)))
+        if not self.compatible:
             warnings.warn(
-                f"initial datum and flux disagree at t=0 by {defect:.3g}; "
-                f"recovery proceeds on inconsistent data", stacklevel=2)
+                f"initial datum and flux disagree at t=0 by "
+                f"{self.compat_defect:.3g}; recovery proceeds on "
+                f"inconsistent data", stacklevel=2)
+
+        dpsi = caputo_l1(tg, pv, spec.rho)
+        q0 = np.empty(tg.n_steps + 1)
+        q0[1:] = ((flux_weights @ self.f_k)[1:] - dpsi[1:]) / pv[1:]
+        q0[0] = 3.0 * (q0[1] - q0[2]) + q0[3] if tg.n_steps >= 3 else q0[1]
+        self.q0 = Profile(tg, q0)
+
+        tail = tail_diagnostics(self._lam, self.phi_k, self.f_k,
+                                weight_power=3)
+        self.trace_bound = (spec.t_final ** spec.rho
+                            / math.gamma(spec.rho + 1.0) * tail.f_sum
+                            + tail.phi_sum)
 
         if self.q_init is None:
             lo, hi = self.q_window
-            self.q_init = constant(self.spec.tgrid, max(0.0, 0.5 * (lo + hi)))
-        elif self.q_init.grid != self.spec.tgrid:
+            self.q_init = constant(tg, max(0.0, 0.5 * (lo + hi)))
+        elif self.q_init.grid != tg:
             raise GridMismatchError("initial guess lives on a different time grid")
-        self._q0_cache: Optional[np.ndarray] = None
 
     @property
     def q_window(self) -> tuple[float, float]:
@@ -95,24 +120,6 @@ class InverseSpec:
         lam1sq = (math.pi / self.spec.length) ** 2
         m_s, M_s = self.spec.sigma.vmin, self.spec.sigma.vmax
         return -m_s * lam1sq, (M_s - m_s) * lam1sq
-
-
-def _compat_defect(inv: InverseSpec) -> tuple[float, bool]:
-    """Mismatch |u_x(0, 0) - psi(0)| of datum and flux at t = 0, and whether
-    it lies within the relative compatibility tolerance."""
-    amp = math.sqrt(2.0 / inv.spec.length)
-    psi_at_0 = float(inv.psi.values[0])
-    defect = abs(float((amp * inv._lam) @ inv.phi_k) - psi_at_0)
-    return defect, defect <= _COMPAT_RTOL * (1.0 + abs(psi_at_0))
-
-
-def _trace_bound(inv: InverseSpec) -> tuple[float, float]:
-    """(T^rho/Gamma(rho+1), T^rho/Gamma(rho+1) * S_f + S_phi), with S_f and
-    S_phi the cubically weighted coefficient sums of source and datum."""
-    spec = inv.spec
-    tail = tail_diagnostics(inv._lam, inv.phi_k, inv.f_k, weight_power=3)
-    head = spec.t_final ** spec.rho / math.gamma(spec.rho + 1.0)
-    return head, head * tail.f_sum + tail.phi_sum
 
 
 @dataclass(frozen=True)
@@ -156,52 +163,38 @@ class InverseResult:
 
 
 def compute_q0(inv: InverseSpec) -> Profile:
-    """Data-only part of the recovery map: (f_x(0,t) - D^rho psi)/psi.
-
-    The L1 derivative has no value at t_0, so the first node is filled by
-    quadratic extrapolation from t_1..t_3 -- the iteration only ever reads q
-    on solver nodes, and the extrapolation matches the scheme's accuracy.
-    """
-    pv = inv.psi.values
-    if float(pv.min()) < inv.psi0:
+    """Data-only part of the recovery map, ``inv.q0``, once the flux data are
+    checked against the (possibly tightened) floor."""
+    if float(inv.psi.values.min()) < inv.psi0:
         raise DomainError("flux data dips below the declared floor")
-    if inv._q0_cache is None:
-        tg = inv.spec.tgrid
-        dpsi = caputo_l1(tg, pv, inv.spec.rho)
-        q0 = np.empty(tg.n_steps + 1)
-        q0[1:] = (inv.fx0.values[1:] - dpsi[1:]) / pv[1:]
-        q0[0] = 3.0 * (q0[1] - q0[2]) + q0[3] if tg.n_steps >= 3 else q0[1]
-        inv._q0_cache = q0
-    return Profile(inv.spec.tgrid, inv._q0_cache)
+    return inv.q0
 
 
-def _modes(inv: InverseSpec, q: Profile, tol: float, max_iter: int,
+def _modes(inv: InverseSpec, q: Profile,
            initial: Optional[np.ndarray] = None) -> ModeSet:
     """Mode trajectories of the forward problem at q; no field assembly."""
     sols = solve_mode_set(replace(inv.spec, q=q), inv.phi_k, inv.f_k,
-                          tol=tol, max_iter=max_iter, initial=initial)
+                          initial=initial)
     return ModeSet(length=inv.spec.length, grid=inv.spec.tgrid,
                    coeffs=np.vstack([s.u_k for s in sols]))
 
 
-def _sweep(inv: InverseSpec, q: Profile, tol: float, max_iter: int,
+def _sweep(inv: InverseSpec, q: Profile,
            initial: Optional[np.ndarray]) -> tuple[Profile, np.ndarray]:
     """One application of the map: forward-solve at q, read off the update."""
-    modes = _modes(inv, q, tol, max_iter, initial)
-    trace3 = third_trace_at_left(modes, inv.spec.tgrid).values
+    modes = _modes(inv, q, initial)
+    trace3 = third_trace_at_left(modes).values
     new = (compute_q0(inv).values
            + inv.spec.sigma.values / inv.psi.values * trace3)
     return Profile(inv.spec.tgrid, new), modes.coeffs
 
 
-def apply_L(q_current: Profile, inv: InverseSpec, tol: float = 1e-10,
-            max_iter: int = 200) -> Profile:
+def apply_L(q_current: Profile, inv: InverseSpec) -> Profile:
     """Recovery map L: q0 plus the third-trace correction (sigma/psi) u_xxx(0,t).
 
-    ``tol``/``max_iter`` govern the inner forward solve, not an outer loop;
-    a single call is one sweep.
+    A single call is one sweep.
     """
-    return _sweep(inv, q_current, tol, max_iter, None)[0]
+    return _sweep(inv, q_current, None)[0]
 
 
 def estimate_CT(inv: InverseSpec) -> float:
@@ -214,9 +207,9 @@ def estimate_CT(inv: InverseSpec) -> float:
     void (warned, not raised -- the measured ratio still rules the run).
     """
     spec = inv.spec
-    head, trace_bound = _trace_bound(inv)
+    head = spec.t_final ** spec.rho / math.gamma(spec.rho + 1.0)
     ct = (spec.length * spec.sigma.vmax * head / (math.sqrt(6.0) * inv.psi0)
-          * trace_bound)
+          * inv.trace_bound)
     if ct >= 1.0:
         warnings.warn(
             f"contraction estimate C(T)={ct:.3g} >= 1: convergence is not "
@@ -239,8 +232,6 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
     deriv = float(np.max(np.abs(np.diff(pv)))) / spec.tgrid.h
     cond1 = inv.psi0 > 0.0 and psi_min >= inv.psi0 and math.isfinite(deriv)
 
-    defect, cond2 = _compat_defect(inv)
-
     head_T = spec.t_final ** spec.rho
     g = head_T * compute_q0(inv).values[1:]
     rhs = (head_T * math.pi ** 2 * (spec.sigma.vmax - spec.sigma.vmin)
@@ -254,14 +245,13 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
 
     return ConditionReport(
         psi_min=psi_min, psi_deriv_max=deriv, cond1_flux_floor=cond1,
-        compat_defect=defect, cond2_compatible=cond2,
+        compat_defect=inv.compat_defect, cond2_compatible=inv.compatible,
         cond3_low=lo, cond3_high=hi, cond3_rhs=rhs, cond3_window=cond3,
         CT=ct, cond4_contraction=ct < 1.0)
 
 
-def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
-              forward_tol: float = 1e-10,
-              forward_max_iter: int = 200) -> InverseResult:
+def recover_q(inv: InverseSpec, tol: float = 1e-6,
+              max_iter: int = 500) -> InverseResult:
     """Iterate q <- L[q] from the initial guess until the update stalls.
 
     Iterates are clamped nodewise into the admissible window (clamp events
@@ -274,8 +264,6 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
         raise AdmissibilityError("flux data dips below the declared floor")
     report = validate_theorem43(inv)
     lo, hi = inv.q_window
-
-    _, trace_bound = _trace_bound(inv)
     lam3 = inv._lam ** 3
 
     q = inv.q_init
@@ -286,7 +274,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
     converged = False
     for it in range(1, max_iter + 1):
         try:
-            new, coeffs = _sweep(inv, q, forward_tol, forward_max_iter, warm)
+            new, coeffs = _sweep(inv, q, warm)
         except ConvergenceError as e:
             raise ConvergenceError(
                 f"forward solve failed inside sweep {it}: {e}",
@@ -316,8 +304,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
             contraction_estimate=measured_ratio)
 
     # a cold solve, as solve_forward makes it, without the field assembly
-    final = _modes(inv, q, forward_tol, forward_max_iter)
-    flux = flux_at_left(final, inv.spec.tgrid).values
+    flux = flux_at_left(_modes(inv, q)).values
     flux_defect = float(np.max(np.abs(flux - inv.psi.values)))
     err = (None if inv.q_true is None
            else float(np.max(np.abs(q.values - inv.q_true.values))))
@@ -326,7 +313,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6, max_iter: int = 500,
         q=q, iterates=updates, measured_ratio=measured_ratio,
         CT_bound=report.CT, condition_report=report, clamp_count=clamp_count,
         flux_defect=flux_defect, trace_sums=trace_sums,
-        trace_bound=trace_bound, recovery_error=err)
+        trace_bound=inv.trace_bound, recovery_error=err)
 
 
 def synthesize_data(spec_with_q_true: ProblemSpec, noise_level: float = 0.0,
@@ -342,7 +329,7 @@ def synthesize_data(spec_with_q_true: ProblemSpec, noise_level: float = 0.0,
     if noise_level < 0.0:
         raise DomainError(f"noise level must be nonnegative, got {noise_level}")
     sol = solve_forward(spec_with_q_true)
-    psi = flux_at_left(sol.mode_set, spec_with_q_true.tgrid).values.copy()
+    psi = flux_at_left(sol.mode_set).values.copy()
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         psi *= 1.0 + noise_level * rng.uniform(-1.0, 1.0, psi.shape)

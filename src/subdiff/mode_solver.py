@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,18 @@ class ModeProblem:
     def lam_eff(self) -> float:
         return self.lam_k ** 2 * self.sigma.vmax
 
+    @cached_property
+    def weights(self) -> ConvolutionWeights:
+        """Product-integration weights of the kernel at ``lam_eff``."""
+        return build_weights(self.grid, self.rho, self.lam_eff)
+
+    @cached_property
+    def bracket(self) -> np.ndarray:
+        """lam_k^2 (M_sigma - sigma(t)) - q(t), the factor on u_k under the
+        integral."""
+        return (self.lam_k ** 2 * (self.sigma.vmax - self.sigma.values)
+                - self.q.values)
+
 
 def contraction_bound(p: ModeProblem) -> float:
     """C_k = max_t |(M_sigma - sigma(t))/M_sigma - q(t)/(lam_k^2 M_sigma)|."""
@@ -73,18 +86,10 @@ def contraction_bound(p: ModeProblem) -> float:
     return c
 
 
-def picard_step(p: ModeProblem, weights: ConvolutionWeights,
-                current: np.ndarray) -> np.ndarray:
+def picard_step(p: ModeProblem, current: np.ndarray) -> np.ndarray:
     """One application of the integral operator to ``current``."""
-    if weights.grid != p.grid:
-        raise GridMismatchError("weights live on a different time grid")
-    if not math.isclose(weights.lam_eff, p.lam_eff, rel_tol=1e-12):
-        raise DomainError(
-            f"weights built at lam_eff={weights.lam_eff}, problem needs "
-            f"{p.lam_eff}")
-    bracket = p.lam_k ** 2 * (p.sigma.vmax - p.sigma.values) - p.q.values
-    g = p.f_k.values + bracket * np.asarray(current, dtype=float)
-    return p.phi_k * weights.relax + convolve(weights, g)
+    g = p.f_k.values + p.bracket * np.asarray(current, dtype=float)
+    return p.phi_k * p.weights.relax + convolve(p.weights, g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +109,9 @@ def solve_mode(p: ModeProblem, tol: float = 1e-10, max_iter: int = 200,
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    weights = build_weights(p.grid, p.rho, p.lam_eff)
     c_bound = contraction_bound(p)
     if initial is None:
-        u = p.phi_k * weights.relax
+        u = p.phi_k * p.weights.relax
     else:
         u = np.array(initial, dtype=float)
         if u.shape != (p.grid.n_steps + 1,):
@@ -116,7 +120,7 @@ def solve_mode(p: ModeProblem, tol: float = 1e-10, max_iter: int = 200,
     worst_ratio = 0.0
     floor = _RATIO_FLOOR * np.finfo(float).eps
     for it in range(1, max_iter + 1):
-        u_next = picard_step(p, weights, u)
+        u_next = picard_step(p, u)
         update = float(np.max(np.abs(u_next - u)))
         scale = max(1.0, float(np.max(np.abs(u_next))))
         if prev_update is not None and prev_update > floor * scale:

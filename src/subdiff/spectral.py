@@ -132,31 +132,25 @@ def sine_coefficients(sgrid: SpaceGrid, samples, K: int) -> np.ndarray:
     return (v * _simpson_weights(sgrid)) @ basis(sgrid, K).T
 
 
-def assemble_field(modes: ModeSet, sgrid: SpaceGrid,
-                   tgrid: TimeGrid) -> np.ndarray:
-    """u(x_i, t_n) = sum_k c_k(t_n) e_k(x_i); rows are time nodes."""
-    if tgrid != modes.grid:
-        raise GridMismatchError("mode trajectories live on a different time grid")
+def assemble_field(modes: ModeSet, sgrid: SpaceGrid) -> np.ndarray:
+    """u(x_i, t_n) = sum_k c_k(t_n) e_k(x_i); rows are the mode set's time
+    nodes."""
     if not math.isclose(sgrid.length, modes.length, rel_tol=1e-14):
         raise GridMismatchError(
             f"space grid length {sgrid.length} != mode-set length {modes.length}")
     return modes.coeffs.T @ basis(sgrid, modes.K)
 
 
-def flux_at_left(modes: ModeSet, tgrid: TimeGrid) -> Profile:
+def flux_at_left(modes: ModeSet) -> Profile:
     """Boundary derivative trace u_x(0, t) = sum_k lambda_k sqrt(2/l) c_k(t)."""
-    if tgrid != modes.grid:
-        raise GridMismatchError("mode trajectories live on a different time grid")
     amp = math.sqrt(2.0 / modes.length)
-    return Profile(tgrid, (amp * modes.lambdas) @ modes.coeffs)
+    return Profile(modes.grid, (amp * modes.lambdas) @ modes.coeffs)
 
 
-def third_trace_at_left(modes: ModeSet, tgrid: TimeGrid) -> Profile:
+def third_trace_at_left(modes: ModeSet) -> Profile:
     """u_xxx(0, t) = -sum_k lambda_k^3 sqrt(2/l) c_k(t)."""
-    if tgrid != modes.grid:
-        raise GridMismatchError("mode trajectories live on a different time grid")
     amp = math.sqrt(2.0 / modes.length)
-    return Profile(tgrid, -(amp * modes.lambdas ** 3) @ modes.coeffs)
+    return Profile(modes.grid, -(amp * modes.lambdas ** 3) @ modes.coeffs)
 
 
 @dataclass(frozen=True)

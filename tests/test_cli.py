@@ -120,6 +120,38 @@ class TestConfigErrors:
         cfg["data"]["psi0"] = 0.1
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
 
+    def test_retired_inverse_solver_keys(self, tmp_path, repo_root, capsys):
+        # the inner forward solve always runs at the forward defaults
+        for key, value in (("forward_tol", 1e-10), ("forward_max_iter", 200)):
+            cfg = shipped("inverse", repo_root)
+            cfg["solver"] = {key: value}
+            assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
+            assert key in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"problem": "\xff"}')
+        assert main(["forward", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(path) in err and "UTF-8" in err
+
+    def test_samples_csv_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "psi.csv").write_bytes(b"\xff\xfe,1\n")
+        cfg = {
+            "problem": {"length": 1.0, "t_final": 0.5, "rho": 0.5,
+                        "n_steps": 4, "n_cells": 8, "n_modes": 2},
+            "sigma": {"kind": "constant", "value": 1.0},
+            "phi": {"terms": [{"mode": 1, "amplitude": 0.05}]},
+            "f": {"terms": [{"mode": 1, "time": {"kind": "constant",
+                                                 "value": 1.0}}]},
+            "data": {"psi_csv": "psi.csv"},
+        }
+        assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
+        err = capsys.readouterr().err
+        assert "data.psi_csv" in err and "psi.csv" in err and "UTF-8" in err
+
     def test_fractional_step_count(self, tmp_path):
         cfg = small_forward_cfg()
         cfg["problem"]["n_steps"] = 32.5
@@ -226,6 +258,14 @@ class TestExitCodes:
         cfg["problem"].update(n_steps=64, n_cells=32, n_modes=8)
         cfg["solver"] = {"tol": 1e-12, "max_iter": 2}
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 4
+
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_room(spec):
+            raise MemoryError
+        monkeypatch.setattr("subdiff.cli.solve_fd", no_room)
+        assert run(tmp_path, "verify", cfg=small_forward_cfg())[0] == 2
+        assert "does not fit in memory" in capsys.readouterr().err
 
     def test_unwritable_output_directory(self, tmp_path):
         code, _ = run(tmp_path, "selftest", out="/proc/no_such_dir/out")

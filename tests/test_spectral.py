@@ -129,19 +129,19 @@ class TestAssemble:
     def test_single_mode(self):
         m = make_modes(np.ones((1, 5)))
         g = SpaceGrid(1.0, 64)
-        u = assemble_field(m, g, TG)
+        u = assemble_field(m, g)
         want = math.sqrt(2.0) * np.sin(math.pi * g.nodes)
         for n in range(5):
             np.testing.assert_allclose(u[n, 1:-1], want[1:-1], rtol=1e-13)
 
     def test_zero_modes(self):
         m = make_modes(np.zeros((3, 5)))
-        assert np.all(assemble_field(m, SpaceGrid(1.0, 16), TG) == 0.0)
+        assert np.all(assemble_field(m, SpaceGrid(1.0, 16)) == 0.0)
 
     def test_boundary_exact_zero(self):
         rng = np.random.default_rng(3)
         m = make_modes(rng.normal(size=(7, 5)))
-        u = assemble_field(m, SpaceGrid(1.0, 32), TG)
+        u = assemble_field(m, SpaceGrid(1.0, 32))
         assert np.all(u[:, 0] == 0.0)
         assert np.all(u[:, -1] == 0.0)
 
@@ -150,49 +150,47 @@ class TestAssemble:
         coeffs = rng.normal(size=(16, 5)) / (1.0 + np.arange(16.0))[:, None]
         m = make_modes(coeffs, length=1.5)
         g = SpaceGrid(1.5, 64)  # K = M/4
-        u = assemble_field(m, g, TG)
+        u = assemble_field(m, g)
         back = sine_coefficients(g, u, 16).T
         np.testing.assert_allclose(back, coeffs, atol=1e-9)
 
     def test_grid_mismatch(self):
         m = make_modes(np.ones((1, 5)))
         with pytest.raises(GridMismatchError):
-            assemble_field(m, SpaceGrid(1.0, 16), TimeGrid(1.0, 8))
-        with pytest.raises(GridMismatchError):
-            assemble_field(m, SpaceGrid(2.0, 16), TG)
+            assemble_field(m, SpaceGrid(2.0, 16))
 
 
 class TestTraces:
     def test_flux_single_mode(self):
         m = make_modes(np.ones((1, 5)))
-        psi = flux_at_left(m, TG)
+        psi = flux_at_left(m)
         np.testing.assert_allclose(psi.values, math.pi * math.sqrt(2.0),
                                    rtol=1e-14)
 
     def test_flux_zero(self):
         m = make_modes(np.zeros((4, 5)))
-        assert np.all(flux_at_left(m, TG).values == 0.0)
+        assert np.all(flux_at_left(m).values == 0.0)
 
     def test_flux_matches_one_sided_difference(self):
         gt = np.array([1.0, 1.1, 0.9, 1.3, 0.7])
         m = make_modes(gt[None, :])
         g = SpaceGrid(1.0, 256)
-        u = assemble_field(m, g, TG)
+        u = assemble_field(m, g)
         fd = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * g.h)
-        np.testing.assert_allclose(flux_at_left(m, TG).values, fd, atol=1e-3)
+        np.testing.assert_allclose(flux_at_left(m).values, fd, atol=1e-3)
 
     def test_third_trace_single_mode(self):
         m = make_modes(np.ones((1, 5)))
-        got = third_trace_at_left(m, TG)
+        got = third_trace_at_left(m)
         np.testing.assert_allclose(got.values, -math.pi ** 3 * math.sqrt(2.0),
                                    rtol=1e-14)
 
     def test_third_trace_matches_forward_difference(self):
         m = make_modes(np.full((1, 5), 0.8))
         g = SpaceGrid(1.0, 512)
-        u = assemble_field(m, g, TG)
+        u = assemble_field(m, g)
         fd = (u[:, 3] - 3.0 * u[:, 2] + 3.0 * u[:, 1] - u[:, 0]) / g.h ** 3
-        got = third_trace_at_left(m, TG).values
+        got = third_trace_at_left(m).values
         assert np.all(np.abs(got - fd) < 0.02 * np.abs(got))
 
 
