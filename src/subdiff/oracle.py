@@ -4,7 +4,7 @@ Implicit stepping: the fractional derivative is discretised by the L1 rule,
 the space operator by second-order central differences, and both coefficient
 terms are taken at the new time level, so every step solves (scale a_0 + q_n)
 I + (sigma_n / h^2) T over the interior nodes, with T the fixed [-1, 2, -1]
-stencil, diagonalised numerically once.  The scheme steps the coefficients of
+stencil, diagonalised in closed form.  The scheme steps the coefficients of
 the interior rows in T's eigenbasis, where each step is one division, and
 maps them back to physical space at the end.  Its L1 memory sum is split at
 blocks of ``_HISTORY_BLOCK`` steps: the rows before a block reach all of its
@@ -40,7 +40,8 @@ class FdWorkspace:
     keeps the right-hand side a weighted sum of past interior rows, linear in
     the rows, so it holds unchanged for their eigenbasis coefficients.
     ``mu`` and ``V`` are the eigenvalues (over h^2) and eigenvectors of the
-    interior stencil T = tridiag(-1, 2, -1), from ``np.linalg.eigh``.
+    interior stencil T = tridiag(-1, 2, -1), in closed form: mu_j h^2 =
+    4 sin^2(j pi/2M) and V_ij = sqrt(2/M) sin(i j pi/M), j ascending.
     """
 
     tgrid: TimeGrid
@@ -59,9 +60,18 @@ class FdWorkspace:
         m = np.arange(tg.n_steps + 1, dtype=float)
         a = (m + 1.0) ** (1.0 - spec.rho) - m ** (1.0 - spec.rho)
         d = a[:-1] - a[1:]
-        n_in = spec.sgrid.n_cells - 1
-        lam, V = np.linalg.eigh(
-            2.0 * np.eye(n_in) - np.eye(n_in, k=1) - np.eye(n_in, k=-1))
+        M = spec.sgrid.n_cells
+        j = np.arange(1, M)
+        # 4 sin^2(j pi/2M) = 2 - 2 cos(j pi/M): the squared sine keeps the
+        # low eigenvalues relatively accurate; the upper half takes the
+        # cosine, as a sine of the integer M - 2j, which has no cancellation
+        # there and is exactly 2 at j = M/2, so an exactly singular step
+        # system still gives an exactly zero divisor
+        lam = np.where(2 * j < M, 4.0 * np.sin(j * (math.pi / (2 * M))) ** 2,
+                       2.0 - 2.0 * np.sin((M - 2 * j) * (math.pi / (2 * M))))
+        # i j is reduced mod 2M in integers so every sine argument is < 2 pi
+        V = math.sqrt(2.0 / M) * np.sin(np.outer(j, j) % (2 * M)
+                                        * (math.pi / M))
         mu = lam / spec.sgrid.h ** 2
         for arr in (a, d, mu, V):
             arr.setflags(write=False)

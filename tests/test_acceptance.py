@@ -239,7 +239,7 @@ class TestAcceptance:
             f"certificate cannot be issued for this scenario, although the "
             f"recovery itself meets every tolerance (const {err_c:.3e} <= "
             f"1e-3, affine {err_a:.3e} <= 5e-3, measured ratios "
-            f"{ratio_c:.4f}/{ratio_a:.4f}, all iterate decays geometric)")
+            f"{ratio_c:.4f}/{ratio_a:.4f})")
         assert ratio_c <= ct + 0.1 and ratio_a <= ct + 0.1
         assert err_c <= 1e-3 and err_a <= 5e-3
         assert elapsed < 300.0

@@ -150,8 +150,10 @@ class TestComputeQ0:
         spec = bare_spec()
         inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
         inv.psi0 = 2.0  # tightened after the fact
-        with pytest.raises(DomainError):
-            compute_q0(inv)
+        for call in (compute_q0, validate_theorem43, recover_q,
+                     lambda inv: apply_L(inv.q_init, inv)):
+            with pytest.raises(AdmissibilityError):
+                call(inv)
 
 
 class TestApplyL:
@@ -294,16 +296,31 @@ class TestRecoverQ:
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert res.recovery_error < 1e-4
 
-    def test_updates_decay_geometrically(self):
+    def test_mixed_sweeps_reach_fixed_point(self):
+        # mixed residuals need not fall monotonically, so the result is
+        # judged as a fixed point of L; plain iteration took 93 sweeps here
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec)
             res = recover_q(inv, tol=1e-6, max_iter=300)
-        ups = res.iterates
-        assert len(ups) > 5
-        for a, b in zip(ups, ups[1:]):
-            assert b <= (res.measured_ratio + 0.05) * a
+            moved = apply_L(res.q, inv).values
+        assert np.max(np.abs(moved - res.q.values)) <= 1e-6
+        assert 0.0 < res.measured_ratio < 1.0
+        assert len(res.iterates) <= 93 // 2
+
+    def test_clamps_counted_near_window_edge(self):
+        # q_true = 4.5 sits just below the window's upper end (about 4.73),
+        # and the mixed iterates overshoot it before settling
+        spec = const_mode_spec(128, lambda t: np.full_like(t, 4.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inv = synthesize_data(spec)
+            res = recover_q(inv, tol=1e-6, max_iter=300)
+        lo, hi = inv.q_window
+        assert res.clamp_count > 0
+        assert np.all((lo <= res.q.values) & (res.q.values <= hi))
+        assert res.recovery_error < 1e-4
 
     def test_iterate_traces_within_data_bound(self):
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))

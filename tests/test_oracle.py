@@ -47,6 +47,16 @@ class TestWorkspace:
             assert (np.max(np.abs(A @ u[n, 1:M] - rhs))
                     <= 1e-13 * np.max(np.abs(rhs)))
 
+    @pytest.mark.parametrize("m", [2, 4, 8, 34])
+    def test_closed_form_eigensystem_matches_eigh(self, m):
+        ws = FdWorkspace.from_spec(tiny_spec(n=4, m=m))
+        T = 2.0 * np.eye(m - 1) - np.eye(m - 1, k=1) - np.eye(m - 1, k=-1)
+        lam, V = np.linalg.eigh(T)
+        assert np.max(np.abs(ws.mu * ws.sgrid.h ** 2 - lam)) <= 1e-13
+        # the same eigenvectors up to sign, and an orthogonal basis
+        assert np.max(np.abs(np.abs(ws.V.T @ V) - np.eye(m - 1))) <= 1e-13
+        assert np.max(np.abs(ws.V.T @ ws.V - np.eye(m - 1))) <= 1e-13
+
     def test_dominance_threshold(self):
         ws = FdWorkspace.from_spec(tiny_spec(n=16, m=8))
         assert ws.dominant(0.0)
