@@ -26,7 +26,6 @@ from .inverse import (
     InverseResult,
     InverseSpec,
     apply_L,
-    compute_q0,
     estimate_CT,
     recover_q,
     synthesize_data,

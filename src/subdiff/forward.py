@@ -1,6 +1,6 @@
 """Forward solve of the subdiffusion problem on (0,l) x (0,T].
 
-Pipeline: validate the coefficient assumptions, expand the data in the sine
+Pipeline: report the coefficient assumptions, expand the data in the sine
 basis, solve each mode's Volterra equation, reassemble the field, and attach
 the regularity diagnostics (weighted coefficient sums, the short-time
 second-derivative blow-up shape, and the pointwise PDE residual).
@@ -23,7 +23,6 @@ from .spectral import (
     ModeSet,
     SpaceGrid,
     assemble_field,
-    eigenvalue,
     eigenvalues,
     sine_coefficients,
     tail_diagnostics,
@@ -37,8 +36,17 @@ def default_mode_count(n_cells: int) -> int:
     return min(64, max(1, n_cells // 4))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
+    """Data of the forward problem, checked once at construction.
+
+    Assumption 1 is owned here: sigma's declared lower bound m_sigma must be
+    positive, and ``q_window`` is the open interval
+    (-m_sigma lam_1^2, (M_sigma - m_sigma) lam_1^2) for q, with lam_1 = pi/l
+    and both sigma bounds the declared ones (``Profile.vmin``/``vmax``), the
+    same bounds the mode solver contracts with.  Solvers trust the spec.
+    """
+
     sgrid: SpaceGrid
     tgrid: TimeGrid
     rho: float
@@ -61,20 +69,29 @@ class ProblemSpec:
         if phi.shape != (nx,):
             raise GridMismatchError(
                 f"initial datum {phi.shape} does not match {nx} space nodes")
-        self.f = f
-        self.phi = phi
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "phi", phi)
         for name in ("sigma", "q"):
             prof = getattr(self, name)
             if prof is not None and prof.grid != self.tgrid:
                 raise GridMismatchError(f"{name} lives on a different time grid")
         if self.K is None:
-            self.K = default_mode_count(self.sgrid.n_cells)
+            object.__setattr__(self, "K",
+                               default_mode_count(self.sgrid.n_cells))
         if self.K < 1:
             raise DomainError(f"need K >= 1, got {self.K}")
         if self.K > self.sgrid.n_cells // 2:
             raise AliasingError(
                 f"K={self.K} exceeds the anti-aliasing cap M/2="
                 f"{self.sgrid.n_cells // 2}")
+
+        m_s, M_s = self.sigma.vmin, self.sigma.vmax
+        if m_s <= 0.0:
+            raise AdmissibilityError(
+                f"sigma must be strictly positive; lower bound is {m_s}")
+        lam1sq = (math.pi / self.length) ** 2
+        object.__setattr__(self, "q_window",
+                           (-m_s * lam1sq, (M_s - m_s) * lam1sq))
 
     @property
     def length(self) -> float:
@@ -104,22 +121,20 @@ class AssumptionReport:
 
 
 def validate_assumption1(spec: ProblemSpec) -> AssumptionReport:
-    """Nodewise extrema of the coefficients against the admissibility window.
+    """Declared coefficient bounds against the spec's admissibility window.
 
     The q window uses strict inequalities: a constant sigma yields the window
-    (-m_sigma pi^2/l^2, 0), which excludes q identically zero.
+    (-m_sigma pi^2/l^2, 0), which excludes q identically zero.  Sigma's
+    positivity is enforced by ``ProblemSpec`` itself, so condition 1 holds on
+    every spec that exists.
     """
-    m_s = float(spec.sigma.values.min())
-    M_s = float(spec.sigma.values.max())
-    lam1sq = (math.pi / spec.length) ** 2
-    lo = -m_s * lam1sq
-    hi = (M_s - m_s) * lam1sq
+    m_s, M_s = spec.sigma.vmin, spec.sigma.vmax
+    lo, hi = spec.q_window
     if spec.q is None:
         n_q = N_q = None
         cond2 = lo < hi
     else:
-        n_q = float(spec.q.values.min())
-        N_q = float(spec.q.values.max())
+        n_q, N_q = spec.q.vmin, spec.q.vmax
         cond2 = (n_q > lo) and (N_q < hi)
     defect = max(
         abs(float(spec.phi[0])), abs(float(spec.phi[-1])),
@@ -155,10 +170,11 @@ def solve_mode_set(spec: ProblemSpec, phi_k: np.ndarray, f_k: np.ndarray,
     """Solve all K mode problems; ``initial`` rows warm-start the iteration."""
     if spec.q is None:
         raise DomainError("cannot solve modes without a reaction coefficient")
+    lam = eigenvalues(spec.K, spec.length)
     solutions = []
     for k in range(1, spec.K + 1):
         p = ModeProblem(
-            k=k, lam_k=eigenvalue(k, spec.length), rho=spec.rho,
+            k=k, lam_k=float(lam[k - 1]), rho=spec.rho,
             sigma=spec.sigma, q=spec.q,
             f_k=Profile(spec.tgrid, f_k[k - 1]), phi_k=float(phi_k[k - 1]),
             grid=spec.tgrid)
@@ -181,10 +197,6 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
 def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
                   max_iter: int = 200) -> FieldSolution:
     report = validate_assumption1(spec)
-    if not report.cond1_sigma_positive:
-        raise AdmissibilityError(
-            f"sigma is not strictly positive (min {report.m_sigma}); refusing "
-            f"to solve")
     if not report.cond2_q_in_window:
         warnings.warn(
             f"reaction coefficient leaves the admissibility window "

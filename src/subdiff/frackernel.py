@@ -126,24 +126,6 @@ class ConvolutionWeights:
     relax: np.ndarray = field(repr=False, compare=False)
     spectrum: np.ndarray = field(repr=False, compare=False)
 
-    def row(self, n: int) -> np.ndarray:
-        """Weights w[n][0..n-1]."""
-        if not 0 <= n <= self.grid.n_steps:
-            raise IndexError(n)
-        return self.column[1:n + 1][::-1]
-
-    def dense(self) -> np.ndarray:
-        """Full lower-triangular weight matrix (diagnostics; small grids only)."""
-        n = self.grid.n_steps
-        if n > 4096:
-            raise ResourceError(
-                f"dense weight matrix at {n} steps would need "
-                f"{(n + 1) ** 2 * 8 / 1e9:.1f} GB; use row()/convolve")
-        w = np.zeros((n + 1, n + 1))
-        for i in range(1, n + 1):
-            w[i, :i] = self.row(i)
-        return w
-
 
 @lru_cache(maxsize=128)
 def _build_cached(rho: float, lam_eff: float, grid: TimeGrid) -> ConvolutionWeights:

@@ -41,14 +41,15 @@ _COMPAT_RTOL = 1e-6
 _ANDERSON_DEPTH = 8
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class InverseSpec:
     """Forward problem with the reaction coefficient removed, plus flux data.
 
     ``psi0`` is the declared positive floor of the observation; data dipping
-    below it are rejected outright, since every division in the recovery map
-    runs through psi.  ``q_true`` is optional and only used for scoring
-    synthetic runs.
+    below it are rejected at construction, since every division in the
+    recovery map runs through psi.  ``q_true`` is optional and only used for
+    scoring synthetic runs.  The spec is immutable: a changed field means a
+    new spec (``dataclasses.replace``), checked and derived afresh.
 
     Construction derives the data-only quantities once: ``phi_k`` and
     ``f_k`` (sine coefficients of datum and source); ``q0``, the data part
@@ -85,44 +86,41 @@ class InverseSpec:
                 f"{self.psi0}")
 
         spec, tg, pv = self.spec, self.spec.tgrid, self.psi.values
-        self.phi_k, self.f_k = decompose_data(spec)
-        self._lam = eigenvalues(spec.K, spec.length)
-        flux_weights = math.sqrt(2.0 / spec.length) * self._lam
+        phi_k, f_k = decompose_data(spec)
+        lam = eigenvalues(spec.K, spec.length)
+        flux_weights = math.sqrt(2.0 / spec.length) * lam
 
         psi_at_0 = float(pv[0])
-        self.compat_defect = abs(float(flux_weights @ self.phi_k) - psi_at_0)
-        self.compatible = (self.compat_defect
-                           <= _COMPAT_RTOL * (1.0 + abs(psi_at_0)))
-        if not self.compatible:
+        compat_defect = abs(float(flux_weights @ phi_k) - psi_at_0)
+        compatible = compat_defect <= _COMPAT_RTOL * (1.0 + abs(psi_at_0))
+        if not compatible:
             warnings.warn(
                 f"initial datum and flux disagree at t=0 by "
-                f"{self.compat_defect:.3g}; recovery proceeds on "
+                f"{compat_defect:.3g}; recovery proceeds on "
                 f"inconsistent data", stacklevel=2)
 
         dpsi = caputo_l1(tg, pv, spec.rho)
         q0 = np.empty(tg.n_steps + 1)
-        q0[1:] = ((flux_weights @ self.f_k)[1:] - dpsi[1:]) / pv[1:]
+        q0[1:] = ((flux_weights @ f_k)[1:] - dpsi[1:]) / pv[1:]
         q0[0] = 3.0 * (q0[1] - q0[2]) + q0[3] if tg.n_steps >= 3 else q0[1]
-        self.q0 = Profile(tg, q0)
 
-        tail = tail_diagnostics(self._lam, self.phi_k, self.f_k,
-                                weight_power=3)
-        self.trace_bound = (spec.t_final ** spec.rho
-                            / math.gamma(spec.rho + 1.0) * tail.f_sum
-                            + tail.phi_sum)
+        tail = tail_diagnostics(lam, phi_k, f_k, weight_power=3)
+        trace_bound = (spec.t_final ** spec.rho
+                       / math.gamma(spec.rho + 1.0) * tail.f_sum
+                       + tail.phi_sum)
 
         if self.q_init is None:
-            lo, hi = self.q_window
-            self.q_init = constant(tg, max(0.0, 0.5 * (lo + hi)))
+            lo, hi = spec.q_window
+            object.__setattr__(self, "q_init",
+                               constant(tg, max(0.0, 0.5 * (lo + hi))))
         elif self.q_init.grid != tg:
             raise GridMismatchError("initial guess lives on a different time grid")
-
-    @property
-    def q_window(self) -> tuple[float, float]:
-        """Admissible open interval for q, from sigma's (declared) bounds."""
-        lam1sq = (math.pi / self.spec.length) ** 2
-        m_s, M_s = self.spec.sigma.vmin, self.spec.sigma.vmax
-        return -m_s * lam1sq, (M_s - m_s) * lam1sq
+        for name, value in (("phi_k", phi_k), ("f_k", f_k), ("_lam", lam),
+                            ("compat_defect", compat_defect),
+                            ("compatible", compatible),
+                            ("q0", Profile(tg, q0)),
+                            ("trace_bound", trace_bound)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -165,14 +163,6 @@ class InverseResult:
     recovery_error: Optional[float] = None
 
 
-def compute_q0(inv: InverseSpec) -> Profile:
-    """Data-only part of the recovery map, ``inv.q0``, once the flux data are
-    checked against the (possibly tightened) floor."""
-    if float(inv.psi.values.min()) < inv.psi0:
-        raise AdmissibilityError("flux data dips below the declared floor")
-    return inv.q0
-
-
 def _modes(inv: InverseSpec, q: Profile,
            initial: Optional[np.ndarray] = None) -> ModeSet:
     """Mode trajectories of the forward problem at q; no field assembly."""
@@ -187,7 +177,7 @@ def _sweep(inv: InverseSpec, q: Profile,
     """One application of the map: forward-solve at q, read off the update."""
     modes = _modes(inv, q, initial)
     trace3 = third_trace_at_left(modes).values
-    new = (compute_q0(inv).values
+    new = (inv.q0.values
            + inv.spec.sigma.values / inv.psi.values * trace3)
     return Profile(inv.spec.tgrid, new), modes.coeffs
 
@@ -223,22 +213,22 @@ def estimate_CT(inv: InverseSpec) -> float:
 def validate_theorem43(inv: InverseSpec) -> ConditionReport:
     """Report-style check of the four conditions behind unique recovery.
 
-    (1) flux floor and a bounded difference quotient (C^1 surrogate);
-    (2) compatibility of datum and flux at t=0; (3) the scaled data window
-    0 <= T^rho q0 < T^rho pi^2 (M_sigma - m_sigma)/l^2 - Gamma(rho+1) at all
-    positive nodes; (4) contraction estimate below 1.  Nothing raises: each
-    condition carries its margin and the caller decides.
+    (1) flux floor, which the spec enforces, and a bounded difference
+    quotient (C^1 surrogate); (2) compatibility of datum and flux at t=0;
+    (3) the scaled data window 0 <= T^rho q0 < T^rho hi - Gamma(rho+1) at
+    all positive nodes, hi = pi^2 (M_sigma - m_sigma)/l^2 being the upper end
+    of the spec's q window; (4) contraction estimate below 1.  Nothing
+    raises: each condition carries its margin and the caller decides.
     """
     spec = inv.spec
     pv = inv.psi.values
     psi_min = float(pv.min())
     deriv = float(np.max(np.abs(np.diff(pv)))) / spec.tgrid.h
-    cond1 = inv.psi0 > 0.0 and psi_min >= inv.psi0 and math.isfinite(deriv)
+    cond1 = math.isfinite(deriv)
 
     head_T = spec.t_final ** spec.rho
-    g = head_T * compute_q0(inv).values[1:]
-    rhs = (head_T * math.pi ** 2 * (spec.sigma.vmax - spec.sigma.vmin)
-           / spec.length ** 2 - math.gamma(spec.rho + 1.0))
+    g = head_T * inv.q0.values[1:]
+    rhs = head_T * spec.q_window[1] - math.gamma(spec.rho + 1.0)
     lo, hi = float(g.min()), float(g.max())
     cond3 = lo >= 0.0 and hi < rhs
 
@@ -270,12 +260,12 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
     warm-starts its forward solve from the previous mode trajectories.
     ``measured_ratio`` is the largest Lipschitz quotient
     sup |g_k - g_{k-1}| / sup |q_k - q_{k-1}| over steps longer than tol.
-    Refuses to start only when the flux floor is violated -- every other
-    condition is reported, not enforced, because the measured contraction
-    is the decisive evidence.
+    The flux floor holds by construction of ``inv``; every other condition
+    is reported, not enforced, because the measured contraction is the
+    decisive evidence.
     """
-    report = validate_theorem43(inv)  # compute_q0 checks the flux floor
-    lo, hi = inv.q_window
+    report = validate_theorem43(inv)
+    lo, hi = inv.spec.q_window
     lam3 = inv._lam ** 3
 
     q = inv.q_init

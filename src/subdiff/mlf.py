@@ -73,18 +73,12 @@ _CUT_BLOCK = 1 << 19
 
 def rgamma(x: float) -> float:
     """Reciprocal gamma, zero at the poles (analytic continuation of 1/Gamma)."""
-    if x > 0.0:
-        if x <= 171.0:
-            return 1.0 / math.gamma(x)
-        return math.exp(-math.lgamma(x))
-    n = round(x)
-    if abs(x - n) < 1e-12 * max(1.0, abs(x)) and n <= 0:
-        return 0.0
-    # reflection sign: Gamma alternates on (-n-1, -n)
-    sign = -1.0 if math.floor(-x) % 2 == 0 else 1.0
+    if 0.0 < x <= 171.0:
+        return 1.0 / math.gamma(x)
     try:
-        return sign * math.exp(-math.lgamma(x))
-    except (ValueError, OverflowError):
+        lg, sign = _log_rgamma_abs(x)
+        return sign * math.exp(lg)
+    except OverflowError:
         return 0.0
 
 
@@ -99,6 +93,7 @@ def _log_rgamma_abs(x: float) -> tuple[float, float]:
         return -math.inf, 0.0
     if x > 0.0:
         return -lg, 1.0
+    # reflection sign: Gamma alternates on (-n-1, -n)
     sign = -1.0 if math.floor(-x) % 2 == 0 else 1.0
     return -lg, sign
 

@@ -75,10 +75,8 @@ class ModeProblem:
 
 
 def contraction_bound(p: ModeProblem) -> float:
-    """C_k = max_t |(M_sigma - sigma(t))/M_sigma - q(t)/(lam_k^2 M_sigma)|."""
-    m_big = p.sigma.vmax
-    bracket = (m_big - p.sigma.values) / m_big - p.q.values / (p.lam_k ** 2 * m_big)
-    c = float(np.max(np.abs(bracket)))
+    """C_k = max_t |lam_k^2 (M_sigma - sigma(t)) - q(t)| / (lam_k^2 M_sigma)."""
+    c = float(np.max(np.abs(p.bracket))) / p.lam_eff
     if c >= 1.0:
         warnings.warn(
             f"mode {p.k}: contraction bound {c:.4f} >= 1; Picard iteration "

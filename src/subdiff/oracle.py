@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, SingularSystemError
+from .errors import DomainError, SingularSystemError
 from .forward import FieldSolution, ProblemSpec
 from .frackernel import TimeGrid
 from .spectral import SpaceGrid
@@ -102,8 +102,6 @@ class FdWorkspace:
 def solve_fd(spec: ProblemSpec) -> FieldSolution:
     if spec.q is None:
         raise DomainError("cannot step the scheme without a reaction coefficient")
-    if float(spec.sigma.values.min()) <= 0.0:
-        raise AdmissibilityError("sigma must be strictly positive")
 
     ws = FdWorkspace.from_spec(spec)
     N, M = spec.tgrid.n_steps, spec.sgrid.n_cells

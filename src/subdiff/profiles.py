@@ -45,11 +45,11 @@ class Profile:
 
     @property
     def vmin(self) -> float:
-        return float(self.values.min()) if self.lower is None else self.lower
+        return float(self.values.min() if self.lower is None else self.lower)
 
     @property
     def vmax(self) -> float:
-        return float(self.values.max()) if self.upper is None else self.upper
+        return float(self.values.max() if self.upper is None else self.upper)
 
     def with_values(self, values) -> "Profile":
         """Same grid, new samples; declared bounds are dropped, not inherited."""
@@ -82,12 +82,7 @@ def power(grid: TimeGrid, coefficient: float, exponent: float) -> Profile:
     """coefficient * t^exponent; exponent >= 0 so the t=0 node stays finite."""
     if exponent < 0.0:
         raise DomainError(f"power profile needs exponent >= 0, got {exponent}")
-    t = grid.nodes
-    if exponent == 0.0:
-        vals = np.full_like(t, coefficient)
-    else:
-        vals = coefficient * t ** exponent
-    return Profile(grid, vals)
+    return Profile(grid, coefficient * grid.nodes ** exponent)
 
 
 #: kind -> (function, required parameters, optional parameters); an optional

@@ -52,7 +52,10 @@ def eigenvalue(k: int, length: float) -> float:
 
 
 def eigenvalues(K: int, length: float) -> np.ndarray:
-    return np.array([eigenvalue(k, length) for k in range(1, K + 1)])
+    """lam_k = pi k / l for k = 1..K."""
+    if length <= 0.0:
+        raise DomainError(f"length must be positive, got {length}")
+    return math.pi * np.arange(1, K + 1) / length
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +92,6 @@ def _simpson_weights(sgrid: SpaceGrid) -> np.ndarray:
     return w * (sgrid.h / 3.0)
 
 
-def simpson_integral(sgrid: SpaceGrid, samples) -> float:
-    """Composite Simpson integral of nodal samples over (0, l)."""
-    v = np.asarray(samples, dtype=float)
-    if v.shape[-1] != sgrid.n_cells + 1:
-        raise GridMismatchError(
-            f"samples {v.shape} do not match grid with {sgrid.n_cells + 1} nodes")
-    return float(v @ _simpson_weights(sgrid))
-
-
 @lru_cache(maxsize=64)
 def basis(sgrid: SpaceGrid, K: int) -> np.ndarray:
     """Read-only (K, n_cells + 1) array; row k-1 holds e_k at the grid nodes.
@@ -109,12 +103,9 @@ def basis(sgrid: SpaceGrid, K: int) -> np.ndarray:
     if K > sgrid.n_cells // 2:
         raise AliasingError(
             f"K={K} exceeds the anti-aliasing cap M/2={sgrid.n_cells // 2}")
-    length = sgrid.length
-    x = sgrid.nodes
-    e = np.empty((K, sgrid.n_cells + 1))
-    amp = math.sqrt(2.0 / length)
-    for k in range(1, K + 1):
-        e[k - 1] = amp * np.sin(math.pi * k * x / length)
+    k = np.arange(1, K + 1)[:, None]
+    e = (math.sqrt(2.0 / sgrid.length)
+         * np.sin(math.pi * k * sgrid.nodes / sgrid.length))
     # Dirichlet endpoints are zero analytically; make them zero exactly so
     # assembled fields honor the boundary to the last bit.
     e[:, 0] = 0.0

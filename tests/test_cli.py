@@ -332,7 +332,7 @@ class TestInverseCommand:
         """q_true = 0.2 + 0.4 t from exact data: on t >= 0.05 the recovery
         error falls about 1.8x per doubling of the steps (1.0e-2, 5.8e-3,
         3.1e-3).  At t = 0 it grows with N instead (3.2e-2 at N = 128,
-        4.8e-2 at N = 512): compute_q0's quadratic extrapolation misses the
+        4.8e-2 at N = 512): the quadratic extrapolation of q0 misses the
         t^rho initial layer.  That is an open defect, not asserted on."""
         cfg = shipped("inverse", repo_root)
         cfg["data"]["synthetic"].update(

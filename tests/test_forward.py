@@ -108,6 +108,22 @@ class TestAssumptionReport:
         assert hi == pytest.approx(math.sin(1.0) * math.pi ** 2)
         assert r.all_passed
 
+    def test_window_from_declared_bounds(self):
+        # sigma = 2 sampled, declared in [0.5, 4]: the report, the mode
+        # solver and the inverse clamp all read the declared bounds
+        n = 16
+        tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, 8)
+        spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
+                           sigma=Profile(tg, np.full(n + 1, 2.0),
+                                         lower=0.5, upper=4.0),
+                           q=constant(tg, 0.3),
+                           f=np.zeros((n + 1, 9)), phi=np.zeros(9))
+        r = validate_assumption1(spec)
+        assert r.q_window == spec.q_window == (-0.5 * math.pi ** 2,
+                                               3.5 * math.pi ** 2)
+        assert (r.m_sigma, r.M_sigma) == (0.5, 4.0)
+        assert r.cond2_q_in_window and r.all_passed
+
     def test_zero_q_needs_varying_sigma(self):
         # constant sigma degenerates the window to (-m pi^2, 0), which the
         # strict upper inequality closes even for q = 0
@@ -200,14 +216,14 @@ class TestSolveForward:
         assert np.max(np.abs(sol.u[0] - spec.phi)) < 1e-9
 
     def test_refuses_nonpositive_sigma(self):
+        # the spec owns Assumption 1, so no solver ever sees such data
         n, m = 8, 8
         tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
-        spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                           sigma=Profile(tg, 1.0 - tg.nodes),  # hits 0 at T
-                           q=constant(tg, 0.1),
-                           f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
         with pytest.raises(AdmissibilityError):
-            solve_forward(spec)
+            ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
+                        sigma=Profile(tg, 1.0 - tg.nodes),  # hits 0 at T
+                        q=constant(tg, 0.1),
+                        f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
 
     def test_requires_reaction_coefficient(self):
         with pytest.raises(DomainError):

@@ -117,13 +117,14 @@ class TestBuildWeights:
         g = TimeGrid(0.8, 1)
         w = build_weights(g, 0.6, 3.0)
         want = (1.0 - relaxation(0.6, 3.0, 0.8)) / 3.0
-        assert w.row(1)[0] == pytest.approx(want, rel=1e-14)
+        assert w.column[1] == pytest.approx(want, rel=1e-14)
 
     def test_exponential_closed_form(self):
-        # rho=1: kernel is e^{-t}, so w[2][0] integrates it over [0.5, 1]
+        # rho=1: kernel is e^{-t}, so w[2][0] = column[2] integrates it
+        # over [0.5, 1]
         g = TimeGrid(1.0, 2)
         w = build_weights(g, 1.0, 1.0)
-        assert w.row(2)[0] == pytest.approx(
+        assert w.column[2] == pytest.approx(
             math.exp(-0.5) - math.exp(-1.0), rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -133,7 +134,7 @@ class TestBuildWeights:
         g = TimeGrid(1.5, n)
         w = build_weights(g, rho, lam)
         for i in (1, n):
-            got = lam * w.row(i).sum()
+            got = lam * w.column[1:i + 1].sum()
             want = 1.0 - relaxation(rho, lam, g.nodes[i])
             assert abs(got - want) < 1e-12
 
@@ -152,13 +153,6 @@ class TestBuildWeights:
     def test_nonnegative(self):
         w = build_weights(TimeGrid(2.0, 64), 0.4, 7.0)
         assert np.all(w.column >= 0.0)
-
-    def test_dense_matches_rows(self):
-        w = build_weights(TimeGrid(1.0, 6), 0.5, 2.0)
-        d = w.dense()
-        for n in range(1, 7):
-            np.testing.assert_array_equal(d[n, :n], w.row(n))
-        assert np.all(d[np.triu_indices(7)] == 0.0)
 
     def test_step_cap(self, monkeypatch):
         w = build_weights(TimeGrid(1.0, MAX_WEIGHT_STEPS), 0.5, 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from subdiff.frackernel import TimeGrid
 from subdiff.inverse import (
     InverseSpec,
     apply_L,
-    compute_q0,
     estimate_CT,
     recover_q,
     synthesize_data,
@@ -117,16 +117,30 @@ class TestInverseSpec:
                                          lower=0.5, upper=4.0),
                            q=None, f=spec.f, phi=spec.phi, K=spec.K)
         inv = InverseSpec(spec=wide, psi=constant(tg, 1.0), psi0=0.5)
-        lo, hi = inv.q_window
+        lo, hi = inv.spec.q_window
         assert lo == pytest.approx(-0.5 * math.pi ** 2)
         assert hi == pytest.approx(3.5 * math.pi ** 2)
+
+    def test_specs_are_frozen(self):
+        # derived data cannot go stale: a changed field is a new spec, and
+        # a new spec is checked afresh
+        spec = bare_spec()
+        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
+        for owner, name, value in ((inv.spec, "q", constant(spec.tgrid, 0.1)),
+                                   (inv, "psi", constant(spec.tgrid, 2.0)),
+                                   (inv, "psi0", 2.0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(owner, name, value)
+        assert replace(inv, psi0=0.8).psi0 == 0.8
+        with pytest.raises(AdmissibilityError):
+            replace(inv, psi0=2.0)  # above the data
 
 
 class TestComputeQ0:
     def test_constant_flux_zero_sourcefree_estimate(self):
         spec = bare_spec()
         inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
-        assert np.max(np.abs(compute_q0(inv).values)) == 0.0
+        assert np.max(np.abs(inv.q0.values)) == 0.0
 
     def test_linear_flux_closed_form(self):
         # D^0.5(1+t) = t^0.5/Gamma(1.5) and the L1 rule is exact on linears
@@ -134,7 +148,7 @@ class TestComputeQ0:
         t = spec.tgrid.nodes
         inv = InverseSpec(spec=spec, psi=Profile(spec.tgrid, 1.0 + t),
                           psi0=1.0)
-        q0 = compute_q0(inv).values
+        q0 = inv.q0.values
         want = -np.sqrt(t[1:]) / (math.gamma(1.5) * (1.0 + t[1:]))
         assert np.max(np.abs(q0[1:] - want)) < 1e-12
 
@@ -143,17 +157,8 @@ class TestComputeQ0:
         inv = InverseSpec(spec=spec,
                           psi=Profile(spec.tgrid, 1.0 + spec.tgrid.nodes),
                           psi0=1.0)
-        q0 = compute_q0(inv).values
+        q0 = inv.q0.values
         assert q0[0] == pytest.approx(3.0 * (q0[1] - q0[2]) + q0[3])
-
-    def test_floor_violation_raises(self):
-        spec = bare_spec()
-        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
-        inv.psi0 = 2.0  # tightened after the fact
-        for call in (compute_q0, validate_theorem43, recover_q,
-                     lambda inv: apply_L(inv.q_init, inv)):
-            with pytest.raises(AdmissibilityError):
-                call(inv)
 
 
 class TestApplyL:
@@ -292,7 +297,8 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec)
-            inv.q_init = constant(inv.spec.tgrid, 1.0)  # force real motion
+            # force real motion
+            inv = replace(inv, q_init=constant(inv.spec.tgrid, 1.0))
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert res.recovery_error < 1e-4
 
@@ -317,7 +323,7 @@ class TestRecoverQ:
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec)
             res = recover_q(inv, tol=1e-6, max_iter=300)
-        lo, hi = inv.q_window
+        lo, hi = inv.spec.q_window
         assert res.clamp_count > 0
         assert np.all((lo <= res.q.values) & (res.q.values <= hi))
         assert res.recovery_error < 1e-4
@@ -335,7 +341,7 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec)
-            inv.q_init = inv.q_true
+            inv = replace(inv, q_init=inv.q_true)
             res = recover_q(inv, tol=1e-5, max_iter=50)
         assert len(res.iterates) <= 2
 

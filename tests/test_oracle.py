@@ -219,6 +219,7 @@ class TestSolveFd:
             solve_fd(tiny_spec(q=None))
 
     def test_refuses_nonpositive_sigma(self):
+        # the spec refuses it before solve_fd could see it
         with pytest.raises(AdmissibilityError):
             solve_fd(tiny_spec(sigma=0.0))
 
