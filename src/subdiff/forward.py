@@ -166,22 +166,16 @@ def decompose_data(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_mode_set(spec: ProblemSpec, phi_k: np.ndarray, f_k: np.ndarray,
                    tol: float = 1e-10, max_iter: int = 200,
-                   initial: Optional[np.ndarray] = None) -> list[ModeSolution]:
-    """Solve all K mode problems; ``initial`` rows warm-start the iteration."""
+                   initial: Optional[np.ndarray] = None) -> ModeSolution:
+    """Solve the K mode problems as one batch; ``initial`` rows warm-start
+    the iteration."""
     if spec.q is None:
         raise DomainError("cannot solve modes without a reaction coefficient")
-    lam = eigenvalues(spec.K, spec.length)
-    solutions = []
-    for k in range(1, spec.K + 1):
-        p = ModeProblem(
-            k=k, lam_k=float(lam[k - 1]), rho=spec.rho,
-            sigma=spec.sigma, q=spec.q,
-            f_k=Profile(spec.tgrid, f_k[k - 1]), phi_k=float(phi_k[k - 1]),
-            grid=spec.tgrid)
-        guess = None if initial is None else initial[k - 1]
-        solutions.append(solve_mode(p, tol=tol, max_iter=max_iter,
-                                    initial=guess))
-    return solutions
+    p = ModeProblem(k=np.arange(1, spec.K + 1),
+                    lam_k=eigenvalues(spec.K, spec.length), rho=spec.rho,
+                    sigma=spec.sigma, q=spec.q, f_k=f_k, phi_k=phi_k,
+                    grid=spec.tgrid)
+    return solve_mode(p, tol=tol, max_iter=max_iter, initial=initial)
 
 
 def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
@@ -204,8 +198,8 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
             f"contraction alone", stacklevel=2)
 
     phi_k, f_k = decompose_data(spec)
-    solutions = solve_mode_set(spec, phi_k, f_k, tol=tol, max_iter=max_iter)
-    coeffs = np.vstack([s.u_k for s in solutions])
+    solution = solve_mode_set(spec, phi_k, f_k, tol=tol, max_iter=max_iter)
+    coeffs = solution.u_k
     modes = ModeSet(length=spec.length, grid=spec.tgrid, coeffs=coeffs)
     lam = modes.lambdas
     u = assemble_field(modes, spec.sgrid)
@@ -224,8 +218,8 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
 
     diagnostics = {
         "assumption1": report,
-        "contraction_bounds": [s.C_k_bound for s in solutions],
-        "picard_iterations": [s.iterations for s in solutions],
+        "contraction_bounds": solution.C_k_bound.tolist(),
+        "picard_iterations": solution.iterations.tolist(),
         "tail_p2": tail2,
         "tail_p3": tail3,
         "q1_value": q1_value,

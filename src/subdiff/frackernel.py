@@ -16,13 +16,15 @@ stored, together with its real FFT.  ``convolve`` multiplies that cached
 spectrum with the spectrum of the series, O(N log N) per call, and sums the
 first ``_DIRECT_BLOCK`` outputs directly: FFT round-off is absolute, of order
 eps * ||w||_1 * ||g||_inf, so only a direct sum keeps the early entries exact
-(zero stays zero, constants stay exact) on every grid.
+(zero stays zero, constants stay exact) on every grid.  Weights for several
+stiffnesses are one batch with a row each: one Mittag-Leffler evaluation
+builds them, and ``convolve`` applies them with one FFT pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,15 +70,6 @@ class TimeGrid:
         return self.n_steps + 1
 
 
-def _as_series(grid: TimeGrid, samples) -> np.ndarray:
-    u = np.asarray(samples, dtype=float)
-    if u.shape != (grid.n_steps + 1,):
-        raise GridMismatchError(
-            f"series of length {u.shape} does not match grid with "
-            f"{grid.n_steps + 1} nodes")
-    return u
-
-
 def caputo_l1(grid: TimeGrid, samples, rho: float) -> np.ndarray:
     """L1 Caputo derivative approximants at t_1..t_N.
 
@@ -117,23 +110,33 @@ class ConvolutionWeights:
     grid).  ``relax[n] = E_{rho,1}(-lam_eff t_n^rho)`` rides along since the
     same evaluations produce it, and ``spectrum`` is the real FFT of
     ``column[1:]`` at ``_fft_size(n_steps)`` points, which ``convolve`` reuses.
+    ``lam_eff`` is one stiffness or a tuple of them; a tuple gives every
+    array one row per stiffness.
     """
 
     rho: float
-    lam_eff: float
+    lam_eff: float | tuple
     grid: TimeGrid
     column: np.ndarray = field(repr=False, compare=False)
     relax: np.ndarray = field(repr=False, compare=False)
     spectrum: np.ndarray = field(repr=False, compare=False)
 
+    def take(self, rows: np.ndarray) -> "ConvolutionWeights":
+        """The rows ``rows`` of tuple-built weights, as weights of their own."""
+        return replace(self, lam_eff=tuple(np.take(self.lam_eff, rows).tolist()),
+                       column=self.column[rows], relax=self.relax[rows],
+                       spectrum=self.spectrum[rows])
+
 
 @lru_cache(maxsize=128)
-def _build_cached(rho: float, lam_eff: float, grid: TimeGrid) -> ConvolutionWeights:
-    n = grid.n_steps
-    relax = relaxation_curve(rho, lam_eff, grid.nodes)
-    column = np.zeros(n + 1)
-    column[1:] = -np.diff(relax) / lam_eff  # mass of kernel over [(m-1)h, mh]
-    spectrum = np.fft.rfft(column[1:], _fft_size(n))
+def _build_cached(rho: float, lam_eff: float | tuple,
+                  grid: TimeGrid) -> ConvolutionWeights:
+    lam = np.asarray(lam_eff)
+    relax = relaxation_curve(rho, lam, grid.nodes)
+    column = np.zeros(relax.shape)
+    # mass of the kernel over [(m-1)h, mh]
+    column[..., 1:] = -np.diff(relax, axis=-1) / lam[..., None]
+    spectrum = np.fft.rfft(column[..., 1:], _fft_size(grid.n_steps), axis=-1)
     for a in (column, relax, spectrum):
         a.setflags(write=False)
     return ConvolutionWeights(rho=rho, lam_eff=lam_eff, grid=grid,
@@ -141,9 +144,12 @@ def _build_cached(rho: float, lam_eff: float, grid: TimeGrid) -> ConvolutionWeig
 
 
 def build_weights(grid: TimeGrid, rho: float,
-                  lam_eff: float) -> ConvolutionWeights:
-    """Closed-form product-integration weights; O(N) storage, one array mlf call."""
-    if lam_eff <= 0.0 or not math.isfinite(lam_eff):
+                  lam_eff: float | tuple) -> ConvolutionWeights:
+    """Closed-form product-integration weights; O(N) storage per stiffness,
+    one array mlf call for all of them.  A tuple ``lam_eff`` (hashable, so
+    it keys the cache) gives one row per stiffness."""
+    lam = np.asarray(lam_eff, dtype=float)
+    if not np.all((lam > 0.0) & np.isfinite(lam)):
         raise DomainError(f"lam_eff must be positive, got {lam_eff!r}")
     if not (0.0 < rho <= 1.0):
         raise DomainError(f"weights need rho in (0, 1], got {rho!r}")
@@ -154,20 +160,30 @@ def build_weights(grid: TimeGrid, rho: float,
 
 
 def convolve(weights: ConvolutionWeights, g) -> np.ndarray:
-    """c[n] = sum_{j<n} w[n][j] * (g_j + g_{j+1})/2, with c[0] = 0.
+    """c[n] = sum_{j<n} w[n][j] * (g_j + g_{j+1})/2, with c[0] = 0, along
+    the last axis; ``g`` has one row per row of the weights.
 
     Exact when g is constant: the weights integrate the kernel itself.  The
-    sum runs through the cached weight spectrum, with an absolute round-off
-    of order eps * ||column||_1 * ||g||_inf, except on the first
-    ``_DIRECT_BLOCK`` entries, which are summed directly.
+    sum runs through the cached weight spectrum, one batched FFT pair for
+    all rows, with an absolute round-off of order eps * ||column||_1 *
+    ||g||_inf, except on the first ``_DIRECT_BLOCK`` entries of each row,
+    which are summed directly.
     """
-    gv = _as_series(weights.grid, g)
+    gv = np.asarray(g, dtype=float)
+    if gv.shape != weights.column.shape:
+        raise GridMismatchError(
+            f"series of shape {gv.shape} does not match weights of shape "
+            f"{weights.column.shape} ({weights.grid.n_steps + 1} nodes)")
     n = weights.grid.n_steps
-    gbar = 0.5 * (gv[:-1] + gv[1:])
+    gbar = 0.5 * (gv[..., :-1] + gv[..., 1:])
     size = _fft_size(n)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = np.fft.irfft(np.fft.rfft(gbar, size) * weights.spectrum, size)[:n]
+    out = np.empty(gv.shape)
+    out[..., 0] = 0.0
+    spec = np.fft.rfft(gbar, size, axis=-1)
+    spec *= weights.spectrum
+    out[..., 1:] = np.fft.irfft(spec, size, axis=-1)[..., :n]
     m = min(n, _DIRECT_BLOCK)
-    out[1:m + 1] = np.convolve(weights.column[1:m + 1], gbar[:m])[:m]
+    for row in np.ndindex(gv.shape[:-1]):
+        out[row][1:m + 1] = np.convolve(weights.column[row][1:m + 1],
+                                        gbar[row][:m])[:m]
     return out

@@ -166,10 +166,10 @@ class InverseResult:
 def _modes(inv: InverseSpec, q: Profile,
            initial: Optional[np.ndarray] = None) -> ModeSet:
     """Mode trajectories of the forward problem at q; no field assembly."""
-    sols = solve_mode_set(replace(inv.spec, q=q), inv.phi_k, inv.f_k,
-                          initial=initial)
+    sol = solve_mode_set(replace(inv.spec, q=q), inv.phi_k, inv.f_k,
+                         initial=initial)
     return ModeSet(length=inv.spec.length, grid=inv.spec.tgrid,
-                   coeffs=np.vstack([s.u_k for s in sols]))
+                   coeffs=sol.u_k)
 
 
 def _sweep(inv: InverseSpec, q: Profile,

@@ -4,7 +4,7 @@ Everything the time-stepping machinery needs reduces to five callables:
 
 * ``eval_mlf``    -- E_{rho,beta}(z) for z <= 0,
 * ``relaxation``  -- E_{rho,1}(-lam * t^rho), the fractional relaxation curve,
-* ``relaxation_curve`` -- the same curve at every entry of an array of times,
+* ``relaxation_curve`` -- the same curve for an array of rates and times,
 * ``kernel``      -- lam * t^(rho-1) * E_{rho,rho}(-lam * t^rho),
 * ``kernel_mass`` -- the exact integral of ``kernel`` over [a, b].
 
@@ -349,9 +349,14 @@ def _branch_cut_curve(rho: float, beta: float, x: np.ndarray
     for powers, weights in rules:
         out = np.empty(x.size)
         step = max(1, _CUT_BLOCK // powers.size)
+        buf = np.empty((min(step, x.size), powers.size))
         for i in range(0, x.size, step):
-            block = np.exp(-big_x[i:i + step, None] * powers)
-            out[i:i + step] = (block * weights).sum(axis=1)
+            # every block is formed in place in one buffer
+            block = buf[:min(step, x.size - i)]
+            np.multiply(big_x[i:i + step, None], -powers, out=block)
+            np.exp(block, out=block)
+            block *= weights
+            out[i:i + step] = block.sum(axis=1)
         sums.append(out)
     lo, hi, mag = sums[0], sums[1], sums[-1]
     scale = x ** ((1.0 - beta) / rho)
@@ -527,16 +532,24 @@ def relaxation(rho: float, lam: float, t: float) -> float:
     return float(relaxation_curve(rho, lam, t))
 
 
-def relaxation_curve(rho: float, lam: float, t) -> np.ndarray:
-    """E_{rho,1}(-lam * t^rho) at every entry of ``t >= 0``, for 0 < rho <= 1."""
-    if not (0.0 < lam < math.inf):
-        raise DomainError(f"lam must be positive and finite, got {lam!r}")
+def relaxation_curve(rho: float, lam, t) -> np.ndarray:
+    """E_{rho,1}(-lam * t^rho) for 0 < rho <= 1, every rate against every
+    entry of ``t >= 0``.
+
+    ``lam`` is one positive rate or an array of them; the result has shape
+    ``lam.shape + t.shape``, and all rates go through one evaluation, so each
+    band's term loop runs once for the whole set.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((lam > 0.0) & (lam < math.inf)):
+        raise DomainError(
+            f"lam must be positive and finite, got {lam.tolist()!r}")
     if not (0.0 < rho <= 1.0):
         raise DomainError(f"relaxation_curve needs rho in (0, 1], got {rho!r}")
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("times must be nonnegative")
-    return _curve(rho, 1.0, lam * t ** rho)
+    return _curve(rho, 1.0, np.multiply.outer(lam, t ** rho))
 
 
 def kernel(rho: float, lam: float, t: float) -> float:

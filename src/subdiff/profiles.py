@@ -34,11 +34,11 @@ class Profile:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.lower is not None and self.lower > v.min() + 1e-12:
+        if self.lower is not None and _overshoots(self.lower, v.min()):
             raise DomainError(
                 f"declared lower bound {self.lower} exceeds sampled minimum "
                 f"{v.min()}")
-        if self.upper is not None and self.upper < v.max() - 1e-12:
+        if self.upper is not None and _overshoots(-self.upper, -v.max()):
             raise DomainError(
                 f"declared upper bound {self.upper} is below sampled maximum "
                 f"{v.max()}")
@@ -62,6 +62,15 @@ class Profile:
         clipped = np.clip(self.values, lo, hi)
         touched = int(np.count_nonzero(clipped != self.values))
         return Profile(self.grid, clipped), touched
+
+
+def _overshoots(bound: float, extreme: float) -> bool:
+    """Whether a declared lower bound lies above the sampled minimum by more
+    than round-off: by over 1e-12, or onto the other side of zero (a bound
+    that makes a sampled zero or negative value read as positive).  An upper
+    bound is checked negated, against the negated maximum."""
+    return bound > extreme and (bound > extreme + 1e-12
+                                or np.sign(bound) != np.sign(extreme))
 
 
 def constant(grid: TimeGrid, value: float) -> Profile:

@@ -139,10 +139,9 @@ def sample_mode_problem(rng, *, n_steps: int = 64, sign: int | None = None,
     if sign is not None:
         f_vals = sign * np.abs(f_vals)
         phi_k = sign * abs(phi_k)
-    f_k = Profile(grid, f_vals)
 
     return ModeProblem(k=k, lam_k=lam_k, rho=rho, sigma=sigma, q=q,
-                       f_k=f_k, phi_k=phi_k, grid=grid)
+                       f_k=f_vals, phi_k=phi_k, grid=grid)
 
 
 def l1_direct(grid, u, rho: float) -> np.ndarray:

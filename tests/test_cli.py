@@ -9,10 +9,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from subdiff import profiles
 from subdiff.cli import _build_spec, _write_csv, main
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid
 from subdiff.inverse import ConditionReport, InverseResult
+from subdiff.profiles import Profile
 from subdiff.spectral import TailReport
 
 CONFIGS = {
@@ -237,6 +239,28 @@ class TestExitCodes:
         cfg = small_forward_cfg()
         cfg["sigma"] = {"kind": "constant", "value": -1.0}
         assert run(tmp_path, "forward", cfg=cfg)[0] == 3
+
+    def test_sigma_bound_across_zero_is_config_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # no shipped profile kind declares a bound off its samples, so a
+        # stand-in kind does: lower bound 5e-13 over a node at -5e-13
+        def dipping(grid, value):
+            values = np.full(grid.n_steps + 1, value)
+            values[3] = -5e-13
+            return Profile(grid, values, lower=5e-13)
+        monkeypatch.setitem(profiles._KINDS, "constant",
+                            (dipping, ("value",), ()))
+        cfg = small_forward_cfg()
+        cfg["sigma"] = {"kind": "constant", "value": 1.0}
+        assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+        assert "sigma: declared lower bound" in capsys.readouterr().err
+
+    def test_forward_nonconvergence_names_the_mode(self, tmp_path, capsys):
+        cfg = small_forward_cfg()
+        cfg["solver"] = {"tol": 1e-15, "max_iter": 2}
+        assert run(tmp_path, "forward", cfg=cfg)[0] == 4
+        assert ("mode 1: Picard iteration did not reach tol=1e-15 in 2 "
+                "iterations") in capsys.readouterr().err
 
     def test_singular_fd_step_is_inadmissible(self, tmp_path):
         # with h = 1/2, q(t_1) = -(scale + 2/h^2) zeroes the FD oracle's

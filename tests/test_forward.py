@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -16,11 +17,13 @@ from subdiff.errors import (
 from subdiff.forward import (
     FieldSolution,
     ProblemSpec,
+    default_mode_count,
     residual_check,
     solve_forward,
     validate_assumption1,
 )
 from subdiff.frackernel import TimeGrid, caputo_l1
+from subdiff.oracle import solve_fd
 from subdiff.profiles import Profile, constant
 from subdiff.spectral import SpaceGrid, eigenvalues
 
@@ -195,6 +198,21 @@ class TestSolveForward:
             sol = solve_forward(spec)
         assert np.max(np.abs(sol.u - u_star)) < 3e-3
 
+    def test_largest_default_mode_count(self):
+        # K = 64 is default_mode_count's cap and M = 128 the fewest cells
+        # that keep it under the aliasing cap; the bound is the verify
+        # command's default cross gap, which the forward benchmark also
+        # applies to the manufactured error
+        max_gap = 5e-3
+        spec, u_star = make_quadratic(128, 128)
+        spec = replace(spec, K=default_mode_count(1 << 20))
+        assert spec.K == 64
+        with pytest.warns(UserWarning):  # constant sigma closes the q window
+            sol = solve_forward(spec)
+        assert len(sol.diagnostics["picard_iterations"]) == 64
+        assert np.max(np.abs(sol.u - u_star)) <= max_gap
+        assert np.max(np.abs(sol.u - solve_fd(spec).u)) <= max_gap
+
     def test_manufactured_refinement_monotone(self):
         errs = []
         for n, m in ((128, 32), (256, 64), (512, 128)):
@@ -223,6 +241,24 @@ class TestSolveForward:
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                         sigma=Profile(tg, 1.0 - tg.nodes),  # hits 0 at T
                         q=constant(tg, 0.1),
+                        f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
+
+    def test_refuses_sigma_declared_positive_over_a_negative_node(self):
+        # a declared bound 1e-12 above the samples passes the round-off
+        # slack, but not across zero: the profile is refused, so the spec
+        # never sees a sigma that is negative at a node
+        n, m = 8, 8
+        tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
+        values = np.ones(n + 1)
+        values[4] = -5e-13
+        with pytest.raises(DomainError, match="declared lower bound"):
+            ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
+                        sigma=Profile(tg, values, lower=5e-13),
+                        q=constant(tg, 0.1),
+                        f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
+        with pytest.raises(AdmissibilityError):
+            ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
+                        sigma=Profile(tg, values), q=constant(tg, 0.1),
                         f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
 
     def test_requires_reaction_coefficient(self):
@@ -345,7 +381,6 @@ class TestResidual:
         assert vals[2] < 5e-2
 
     def test_fd_residual_within_three_of_spectral(self):
-        from subdiff.oracle import solve_fd
         spec, _ = make_quadratic(256, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

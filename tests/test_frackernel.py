@@ -283,3 +283,48 @@ class TestConvolve:
         w = build_weights(TimeGrid(1.0, 8), 0.5, 1.0)
         with pytest.raises(GridMismatchError):
             convolve(w, np.zeros(8))
+
+
+class TestBatchedWeights:
+    """Weights built for a tuple of stiffnesses, and convolutions through
+    them, equal the one-stiffness ones row by row, bit for bit."""
+
+    # x = lam t^rho spans the series, branch-cut and asymptotic bands
+    LAMS = (2.0, 9.869604401089358, 39.47841760435743, 5000.0)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 1.0])
+    def test_tuple_build_equals_per_stiffness_builds(self, rho):
+        g = TimeGrid(1.0, 300)
+        batch = build_weights(g, rho, self.LAMS)
+        assert batch.relax.shape == (len(self.LAMS), 301)
+        for i, lam in enumerate(self.LAMS):
+            one = build_weights(g, rho, lam)
+            assert np.array_equal(batch.column[i], one.column)
+            assert np.array_equal(batch.relax[i], one.relax)
+            assert np.array_equal(batch.spectrum[i], one.spectrum)
+
+    def test_take_keeps_rows_and_stiffnesses(self):
+        g = TimeGrid(1.0, 40)
+        batch = build_weights(g, 0.7, self.LAMS)
+        sub = batch.take(np.array([1, 3]))
+        assert sub.lam_eff == (self.LAMS[1], self.LAMS[3])
+        assert np.array_equal(sub.spectrum, batch.spectrum[[1, 3]])
+
+    @pytest.mark.parametrize("n", [8, 300, 4096])
+    def test_batched_convolve_equals_per_row_calls(self, n):
+        # n = 8 stays inside the direct block, 4096 goes well past it
+        g = TimeGrid(1.0, n)
+        batch = build_weights(g, 0.6, self.LAMS)
+        series = np.random.default_rng(n).normal(size=(len(self.LAMS), n + 1))
+        out = convolve(batch, series)
+        for i, lam in enumerate(self.LAMS):
+            assert np.array_equal(out[i],
+                                  convolve(build_weights(g, 0.6, lam),
+                                           series[i]))
+
+    def test_batched_convolve_needs_a_row_per_stiffness(self):
+        batch = build_weights(TimeGrid(1.0, 8), 0.5, self.LAMS)
+        with pytest.raises(GridMismatchError):
+            convolve(batch, np.zeros(9))
+        with pytest.raises(DomainError):
+            build_weights(TimeGrid(1.0, 8), 0.5, (1.0, 0.0))

@@ -208,8 +208,16 @@ class TestRelaxationCurve:
         np.testing.assert_array_equal(got.ravel(),
                                       relaxation_curve(0.5, 10.0, self.T[1:]))
 
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_rates_in_one_call_equal_separate_calls(self, rho):
+        lams = np.array([0.5, 10.0, 1000.0])
+        got = relaxation_curve(rho, lams, self.T)
+        assert got.shape == (3,) + self.T.shape
+        for i, lam in enumerate(lams):
+            assert np.array_equal(got[i], relaxation_curve(rho, lam, self.T))
+
     def test_domain_errors(self):
-        for lam in (0.0, -1.0):
+        for lam in (0.0, -1.0, np.array([1.0, 0.0]), np.array([1.0, np.inf])):
             with pytest.raises(DomainError):
                 relaxation_curve(0.5, lam, self.T)
         with pytest.raises(DomainError):

@@ -1,8 +1,10 @@
-"""Per-mode Picard solver: closed forms, contraction, sign, envelopes."""
+"""Batched mode solver: closed forms, contraction, sign, envelopes; a
+single mode is a one-row batch."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ def make_problem(grid, *, rho=0.5, lam_k=math.pi, sigma=None, q=None,
     q = q if q is not None else profiles.constant(grid, 0.0)
     f = f if f is not None else profiles.constant(grid, 0.0)
     return ModeProblem(k=k, lam_k=lam_k, rho=rho, sigma=sigma, q=q,
-                       f_k=f, phi_k=phi, grid=grid)
+                       f_k=f.values, phi_k=phi, grid=grid)
 
 
 GRID = TimeGrid(1.0, 64)
@@ -99,7 +101,7 @@ class TestPicardStep:
         lam_eff = math.pi ** 2 * Ms
         relax = np.array([relaxation(p.rho, lam_eff, t) for t in GRID.nodes])
         star = phi * relax + (F / lam_eff) * (1.0 - relax)
-        np.testing.assert_allclose(picard_step(p, star), star, atol=1e-13)
+        np.testing.assert_allclose(picard_step(p, star)[0], star, atol=1e-13)
 
 
 class TestSolveMode:
@@ -107,7 +109,7 @@ class TestSolveMode:
         p = make_problem(GRID, sigma=profiles.constant(GRID, 2.0), phi=0.9)
         sol = solve_mode(p)
         assert sol.iterations == 1
-        assert sol.u_k[0] == 0.9
+        assert sol.u_k[0, 0] == 0.9
         w = build_weights(GRID, p.rho, p.lam_eff)
         np.testing.assert_allclose(sol.u_k, 0.9 * w.relax, rtol=1e-14)
 
@@ -134,7 +136,7 @@ class TestSolveMode:
         p = make_problem(GRID, sigma=profiles.sinusoidal_offset(GRID, 2.0, 0.5),
                          f=profiles.affine(GRID, 1.0, -0.5), phi=-0.37)
         sol = solve_mode(p)
-        assert sol.u_k[0] == -0.37
+        assert sol.u_k[0, 0] == -0.37
 
     def test_sign_preserved(self):
         rng = np.random.default_rng(42)
@@ -210,13 +212,13 @@ class TestAprioriBounds:
     def test_zero_source(self):
         v_b, w_b = apriori_bounds(make_problem(GRID, phi=2.0))
         assert np.all(v_b == 0.0)
-        assert w_b[0] == 2.0
+        assert w_b[0, 0] == 2.0
 
     def test_zero_datum(self):
         v_b, w_b = apriori_bounds(
             make_problem(GRID, phi=0.0, f=profiles.constant(GRID, 1.0)))
         assert np.all(w_b == 0.0)
-        assert v_b[-1] > 0.0
+        assert v_b[0, -1] > 0.0
 
     def test_envelopes_hold_on_random_problems(self):
         rng = np.random.default_rng(11)
@@ -232,3 +234,102 @@ class TestAprioriBounds:
         p = make_problem(GRID, q=q)
         with pytest.raises(DomainError):
             apriori_bounds(p)
+
+
+def make_batch(grid, ks, *, data_from=1, q=None):
+    """Modes ``ks`` of one problem with varying sigma.  Mode k's data scale
+    like 10^-k, so against an absolute tolerance the modes converge at
+    different iterations; modes below ``data_from`` carry no data and
+    converge in one step."""
+    t = grid.nodes
+    sigma = profiles.sinusoidal_offset(grid, 1.5, 0.4)
+    q = q if q is not None else profiles.affine(grid, 0.3, -0.5)
+    ks = np.asarray(ks)
+    scale = np.where(ks >= data_from, 10.0 ** -ks, 0.0)
+    f = scale[:, None] * np.cos(np.outer(ks, t))
+    phi = scale
+    return ModeProblem(k=ks, lam_k=math.pi * ks, rho=0.6, sigma=sigma, q=q,
+                       f_k=f, phi_k=phi, grid=grid)
+
+
+class TestBatchedSolve:
+    """A batch of modes gives each mode, bit for bit, what a solve of that
+    mode alone gives."""
+
+    KS = np.arange(1, 7)
+
+    def test_rows_equal_one_row_solves(self):
+        g = TimeGrid(1.0, 200)
+        batch = make_batch(g, self.KS)
+        sol = solve_mode(batch, tol=1e-12)
+        # the rows converge at different iterations, so rows freeze early
+        assert len(set(sol.iterations.tolist())) > 1
+        for i in range(len(self.KS)):
+            one = solve_mode(batch.take([i]), tol=1e-12)
+            assert np.array_equal(sol.u_k[i], one.u_k[0])
+            assert sol.iterations[i] == one.iterations[0]
+            assert sol.contraction_estimate[i] == one.contraction_estimate[0]
+            assert sol.C_k_bound[i] == one.C_k_bound[0]
+
+    def test_take_matches_a_fresh_one_mode_problem(self):
+        g = TimeGrid(1.0, 64)
+        batch = make_batch(g, self.KS)
+        fresh = make_batch(g, self.KS[3:4])
+        assert fresh.lam_eff == batch.take([3]).lam_eff
+        assert np.array_equal(solve_mode(fresh).u_k,
+                              solve_mode(batch.take([3])).u_k)
+
+    def test_warm_start_rows(self):
+        g = TimeGrid(1.0, 64)
+        batch = make_batch(g, self.KS)
+        cold = solve_mode(batch, tol=1e-12)
+        warm = solve_mode(batch, tol=1e-12, initial=cold.u_k + 1e-3)
+        np.testing.assert_allclose(warm.u_k, cold.u_k, atol=1e-11)
+        with pytest.raises(GridMismatchError):
+            solve_mode(batch, initial=cold.u_k[:2])
+
+    def test_nonconvergence_names_first_unconverged_mode(self):
+        g = TimeGrid(1.0, 64)
+        # modes 1 and 2 carry no data and stop after one step
+        batch = make_batch(g, self.KS, data_from=3)
+        with pytest.raises(ConvergenceError, match="^mode 3: ") as exc:
+            solve_mode(batch, tol=1e-15, max_iter=3)
+        with pytest.raises(ConvergenceError) as alone:
+            solve_mode(batch.take([2]), tol=1e-15, max_iter=3)
+        assert str(exc.value) == str(alone.value)
+        assert exc.value.iterations == 3
+        assert exc.value.last_update == alone.value.last_update > 0.0
+        assert (exc.value.contraction_estimate
+                == alone.value.contraction_estimate)
+
+    def test_contraction_warnings_per_mode(self):
+        g = TimeGrid(1.0, 64)
+        # C_k, about 80 / (k pi)^2 / 1.84, falls below 1 from k = 3 on
+        batch = make_batch(g, self.KS, q=profiles.constant(g, -80.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bounds = contraction_bound(batch)
+        texts = [str(w.message) for w in caught]
+        want = []
+        for i in range(len(self.KS)):
+            with warnings.catch_warnings(record=True) as one:
+                warnings.simplefilter("always")
+                assert contraction_bound(batch.take([i]))[0] == bounds[i]
+            want += [str(w.message) for w in one]
+        assert texts == want
+        assert texts == [
+            f"mode {k}: contraction bound {bounds[k - 1]:.4f} >= 1; "
+            f"Picard iteration may not converge" for k in (1, 2)]
+
+    def test_rejects_mismatched_rows(self):
+        g = TimeGrid(1.0, 16)
+        with pytest.raises(DomainError):
+            ModeProblem(k=[1, 2], lam_k=[math.pi], rho=0.5,
+                        sigma=profiles.constant(g, 1.0),
+                        q=profiles.constant(g, 0.0), f_k=np.zeros((2, 17)),
+                        phi_k=[0.0, 0.0], grid=g)
+        with pytest.raises(GridMismatchError):
+            ModeProblem(k=[1, 2], lam_k=[math.pi, 2 * math.pi], rho=0.5,
+                        sigma=profiles.constant(g, 1.0),
+                        q=profiles.constant(g, 0.0), f_k=np.zeros(17),
+                        phi_k=[0.0, 0.0], grid=g)

@@ -31,6 +31,25 @@ def test_declared_bounds_must_bracket_samples():
         profiles.Profile(GRID, np.ones(9), upper=0.5)
 
 
+def test_declared_bound_may_not_cross_zero():
+    # within the round-off slack of the samples, but on the other side of
+    # zero: such a bound would make a negative or zero sample read positive
+    dip = np.ones(9)
+    for node in (-5e-13, 0.0):
+        dip[3] = node
+        with pytest.raises(DomainError, match="lower bound"):
+            profiles.Profile(GRID, dip, lower=5e-13)
+    with pytest.raises(DomainError, match="lower bound"):
+        profiles.Profile(GRID, np.full(9, -5e-13), lower=0.0)
+    bump = -np.ones(9)
+    bump[5] = 5e-13
+    with pytest.raises(DomainError, match="upper bound"):
+        profiles.Profile(GRID, bump, upper=-5e-13)
+    # the slack itself stays, on either side of zero
+    assert profiles.Profile(GRID, np.ones(9), lower=1.0 + 5e-13).vmin > 1.0
+    assert profiles.Profile(GRID, -np.ones(9), upper=-1.0 - 5e-13).vmax < -1.0
+
+
 def test_shape_mismatch():
     with pytest.raises(GridMismatchError):
         profiles.Profile(GRID, np.ones(5))

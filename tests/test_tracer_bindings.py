@@ -1,18 +1,26 @@
-"""The benchmark tracer's bindings still name callables in the package.
+"""The benchmark tracer's bindings still name callables in the package, and
+a traced benchmark operation still records the solver layers.
 
 ``bench/tracer.py`` wraps package functions at the names their callers bind;
 a refactor that renames or removes one of them breaks ``bench/run.py
 --trace 1`` without failing anything else.  The module is executed from its
 source text, so nothing is written under ``bench/``, and ``install()`` is
-never called, so the package stays unwrapped for the rest of the session.
+never called in this process, so the package stays unwrapped for the rest of
+the session; the traced operation runs in a subprocess.
 """
 
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "forward_manufactured.json"
 
 
 @pytest.fixture(scope="module")
@@ -34,3 +42,24 @@ def test_every_binding_resolves_to_a_callable(tracer):
         owner, last = tracer._owner(module, attr)
         assert callable(getattr(owner, last, None)), f"{module}.{attr}"
 
+
+def test_traced_worker_records_weight_builds_and_picard_steps(tmp_path):
+    # the weight-build span keys each call by its arguments, so this also
+    # checks that they stay hashable
+    cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
+    cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
+    config, result = tmp_path / "config.json", tmp_path / "result.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), "--result", str(result),
+         "--trace", "--", "forward", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    record = json.loads(result.read_text(encoding="utf-8"))
+    assert record["returncode"] == 0
+    names = [span[0] for span in record["trace"]["spans"]]
+    assert names.count("frackernel.build_weights") >= 1
+    assert names.count("mode_solver.picard_step") >= 1
+    assert record["trace"]["weights"]["calls"] >= 1
