@@ -15,7 +15,6 @@ from .forward import (
     AssumptionReport,
     FieldSolution,
     ProblemSpec,
-    decompose_data,
     residual_check,
     solve_forward,
     validate_assumption1,
@@ -50,10 +49,8 @@ from .profiles import (
     sinusoidal_offset,
 )
 from .spectral import (
-    ModeSet,
     SpaceGrid,
     basis,
-    eigenvalue,
     eigenvalues,
     flux_at_left,
     sine_coefficients,

@@ -365,12 +365,19 @@ def _run_verify(cfg, out: Path, base: Path) -> int:
 
 
 def _selftest_mlf():
+    import mpmath as mp
+
     checks = []
-    p11 = MlfParams(1.0, 1.0)
-    worst = max(abs(eval_mlf(p11, -x) - math.exp(-x)) / math.exp(-x)
-                for x in np.linspace(0.0, 30.0, 301))
-    checks.append(("exp agreement on [-30, 0]", worst <= 1e-12,
-                   f"max rel err {worst:.3e}"))
+    # E_{1/2,1}(-x) = exp(x^2) erfc(x) is the relaxation
+    # E_{1/2,1}(-lam t^{1/2}) at lam = 1, t = x^2
+    x = np.linspace(0.0, 30.0, 301)
+    with mp.workdps(40):
+        want = np.array([float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v)))
+                         for v in x])
+    worst = float(np.max(np.abs(relaxation_curve(0.5, 1.0, x ** 2) - want)
+                         / want))
+    checks.append(("E_{1/2,1}(-x) = exp(x^2) erfc(x) on [0, 30] vs 40-digit "
+                   "mpmath", worst <= 1e-12, f"max rel err {worst:.3e}"))
 
     rng = np.random.default_rng(20250815)
     bad = 0

@@ -1,9 +1,10 @@
 """Forward solve of the subdiffusion problem on (0,l) x (0,T].
 
-Pipeline: report the coefficient assumptions, expand the data in the sine
-basis, solve each mode's Volterra equation, reassemble the field, and attach
-the regularity diagnostics (weighted coefficient sums, the short-time
-second-derivative blow-up shape, and the pointwise PDE residual).
+Pipeline: the problem spec expands the data in the sine basis once; the
+solve reports the coefficient assumptions, solves each mode's Volterra
+equation, reassembles the field, and attaches the regularity diagnostics
+(weighted coefficient sums, the short-time second-derivative blow-up shape,
+and the pointwise PDE residual).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .frackernel import TimeGrid, caputo_l1
 from .mode_solver import ModeProblem, ModeSolution, solve_mode
 from .profiles import Profile
 from .spectral import (
-    ModeSet,
     SpaceGrid,
     assemble_field,
     eigenvalues,
@@ -45,6 +45,10 @@ class ProblemSpec:
     (-m_sigma lam_1^2, (M_sigma - m_sigma) lam_1^2) for q, with lam_1 = pi/l
     and both sigma bounds the declared ones (``Profile.vmin``/``vmax``), the
     same bounds the mode solver contracts with.  Solvers trust the spec.
+
+    The sine coefficients of the data are derived here once: ``phi_k`` (K,)
+    of the initial datum and ``f_k`` (K, n_steps+1) of the source, rows
+    modes and columns time nodes.
     """
 
     sgrid: SpaceGrid
@@ -92,6 +96,10 @@ class ProblemSpec:
         lam1sq = (math.pi / self.length) ** 2
         object.__setattr__(self, "q_window",
                            (-m_s * lam1sq, (M_s - m_s) * lam1sq))
+        object.__setattr__(self, "phi_k",
+                           sine_coefficients(self.sgrid, phi, self.K))
+        object.__setattr__(self, "f_k",
+                           sine_coefficients(self.sgrid, f, self.K).T)
 
     @property
     def length(self) -> float:
@@ -109,15 +117,13 @@ class AssumptionReport:
     n_q: Optional[float]
     N_q: Optional[float]
     q_window: tuple[float, float]
-    cond1_sigma_positive: bool
     cond2_q_in_window: bool
     cond3_endpoints: bool
     endpoint_defect: float
 
     @property
     def all_passed(self) -> bool:
-        return (self.cond1_sigma_positive and self.cond2_q_in_window
-                and self.cond3_endpoints)
+        return self.cond2_q_in_window and self.cond3_endpoints
 
 
 def validate_assumption1(spec: ProblemSpec) -> AssumptionReport:
@@ -125,8 +131,8 @@ def validate_assumption1(spec: ProblemSpec) -> AssumptionReport:
 
     The q window uses strict inequalities: a constant sigma yields the window
     (-m_sigma pi^2/l^2, 0), which excludes q identically zero.  Sigma's
-    positivity is enforced by ``ProblemSpec`` itself, so condition 1 holds on
-    every spec that exists.
+    positivity (condition 1) is enforced by ``ProblemSpec`` itself, so it is
+    not reported: it holds on every spec that exists.
     """
     m_s, M_s = spec.sigma.vmin, spec.sigma.vmax
     lo, hi = spec.q_window
@@ -141,7 +147,7 @@ def validate_assumption1(spec: ProblemSpec) -> AssumptionReport:
         float(np.max(np.abs(spec.f[:, 0]))), float(np.max(np.abs(spec.f[:, -1]))))
     return AssumptionReport(
         m_sigma=m_s, M_sigma=M_s, n_q=n_q, N_q=N_q, q_window=(lo, hi),
-        cond1_sigma_positive=m_s > 0.0, cond2_q_in_window=cond2,
+        cond2_q_in_window=cond2,
         cond3_endpoints=defect <= _ENDPOINT_TOL, endpoint_defect=defect)
 
 
@@ -153,27 +159,18 @@ class FieldSolution:
 
     u: np.ndarray
     u_xx_diag: Optional[np.ndarray]
-    mode_set: Optional[ModeSet]
+    u_k: Optional[np.ndarray]  # (K, n_steps+1) sine coefficients
     diagnostics: dict = field(default_factory=dict)
 
 
-def decompose_data(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(phi_k, f_k) sine coefficients; f_k rows are modes, columns time nodes."""
-    phi_k = sine_coefficients(spec.sgrid, spec.phi, spec.K)
-    f_k = sine_coefficients(spec.sgrid, spec.f, spec.K).T
-    return phi_k, f_k
-
-
-def solve_mode_set(spec: ProblemSpec, phi_k: np.ndarray, f_k: np.ndarray,
-                   tol: float = 1e-10, max_iter: int = 200,
+def solve_mode_set(spec: ProblemSpec, q: Profile, tol: float = 1e-10,
+                   max_iter: int = 200,
                    initial: Optional[np.ndarray] = None) -> ModeSolution:
-    """Solve the K mode problems as one batch; ``initial`` rows warm-start
-    the iteration."""
-    if spec.q is None:
-        raise DomainError("cannot solve modes without a reaction coefficient")
+    """Solve the spec's K mode problems at reaction coefficient ``q`` as one
+    batch; ``initial`` rows warm-start the iteration."""
     p = ModeProblem(k=np.arange(1, spec.K + 1),
                     lam_k=eigenvalues(spec.K, spec.length), rho=spec.rho,
-                    sigma=spec.sigma, q=spec.q, f_k=f_k, phi_k=phi_k,
+                    sigma=spec.sigma, q=q, f_k=spec.f_k, phi_k=spec.phi_k,
                     grid=spec.tgrid)
     return solve_mode(p, tol=tol, max_iter=max_iter, initial=initial)
 
@@ -197,20 +194,18 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
             f"{report.q_window}; the forward solve proceeds on the measured "
             f"contraction alone", stacklevel=2)
 
-    phi_k, f_k = decompose_data(spec)
-    solution = solve_mode_set(spec, phi_k, f_k, tol=tol, max_iter=max_iter)
+    if spec.q is None:
+        raise DomainError("cannot solve modes without a reaction coefficient")
+    solution = solve_mode_set(spec, spec.q, tol=tol, max_iter=max_iter)
     coeffs = solution.u_k
-    modes = ModeSet(length=spec.length, grid=spec.tgrid, coeffs=coeffs)
-    lam = modes.lambdas
-    u = assemble_field(modes, spec.sgrid)
-    curv = ModeSet(length=spec.length, grid=spec.tgrid,
-                   coeffs=-(lam ** 2)[:, None] * coeffs)
-    u_xx = assemble_field(curv, spec.sgrid)
+    lam = eigenvalues(spec.K, spec.length)
+    u = assemble_field(coeffs, spec.sgrid)
+    u_xx = assemble_field(-(lam ** 2)[:, None] * coeffs, spec.sgrid)
 
     rho, T = spec.rho, spec.t_final
     head = T ** rho / math.gamma(rho + 1.0)
-    tail2 = tail_diagnostics(lam, phi_k, f_k, weight_power=2)
-    tail3 = tail_diagnostics(lam, phi_k, f_k, weight_power=3)
+    tail2 = tail_diagnostics(lam, spec.phi_k, spec.f_k, weight_power=2)
+    tail3 = tail_diagnostics(lam, spec.phi_k, spec.f_k, weight_power=3)
     q1_value = float(np.max((lam ** 2) @ np.abs(coeffs)))
     q1_bound = head * tail2.f_sum + tail2.phi_sum
     uxx_sup = np.max(np.abs(u_xx), axis=1)
@@ -228,7 +223,7 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
         "q2_fitted_exponent": _blowup_exponent(spec.tgrid, uxx_sup),
         "init_defect": float(np.max(np.abs(u[0] - spec.phi))),
     }
-    return FieldSolution(u=u, u_xx_diag=u_xx, mode_set=modes,
+    return FieldSolution(u=u, u_xx_diag=u_xx, u_k=coeffs,
                          diagnostics=diagnostics)
 
 
@@ -244,9 +239,7 @@ def residual_check(sol: FieldSolution, spec: ProblemSpec) -> float:
     else:
         coeffs = sine_coefficients(spec.sgrid, u, spec.K).T
         lam = eigenvalues(spec.K, spec.length)
-        curv = ModeSet(length=spec.length, grid=spec.tgrid,
-                       coeffs=-(lam ** 2)[:, None] * coeffs)
-        u_xx = assemble_field(curv, spec.sgrid)
+        u_xx = assemble_field(-(lam ** 2)[:, None] * coeffs, spec.sgrid)
 
     nx = spec.sgrid.n_cells
     dcap = caputo_l1(spec.tgrid, u[:, 1:nx], spec.rho)

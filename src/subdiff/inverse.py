@@ -25,11 +25,10 @@ from .errors import (
     DomainError,
     GridMismatchError,
 )
-from .forward import ProblemSpec, decompose_data, solve_forward, solve_mode_set
+from .forward import ProblemSpec, solve_forward, solve_mode_set
 from .frackernel import caputo_l1
 from .profiles import Profile, constant
 from .spectral import (
-    ModeSet,
     eigenvalues,
     flux_at_left,
     tail_diagnostics,
@@ -51,13 +50,13 @@ class InverseSpec:
     scoring synthetic runs.  The spec is immutable: a changed field means a
     new spec (``dataclasses.replace``), checked and derived afresh.
 
-    Construction derives the data-only quantities once: ``phi_k`` and
-    ``f_k`` (sine coefficients of datum and source); ``q0``, the data part
-    (f_x(0,t) - D^rho psi)/psi of the recovery map, whose first node, where
-    the L1 derivative has no value, is the quadratic extrapolation from
-    t_1..t_3 (the iteration only reads q on solver nodes, and the
-    extrapolation matches the scheme's accuracy); ``compat_defect``, the
-    mismatch |u_x(0, 0) - psi(0)| of datum and flux, and ``compatible``,
+    Construction derives the data-only quantities once, from the sine
+    coefficients ``phi_k`` and ``f_k`` that the problem spec carries: ``q0``,
+    the data part (f_x(0,t) - D^rho psi)/psi of the recovery map, whose first
+    node, where the L1 derivative has no value, is the quadratic
+    extrapolation from t_1..t_3 (the iteration only reads q on solver nodes,
+    and the extrapolation matches the scheme's accuracy); ``compat_defect``,
+    the mismatch |u_x(0, 0) - psi(0)| of datum and flux, and ``compatible``,
     whether it lies within the relative compatibility tolerance; and
     ``trace_bound``, T^rho/Gamma(rho+1) * S_f + S_phi with S_f and S_phi the
     cubically weighted coefficient sums of source and datum.
@@ -86,12 +85,10 @@ class InverseSpec:
                 f"{self.psi0}")
 
         spec, tg, pv = self.spec, self.spec.tgrid, self.psi.values
-        phi_k, f_k = decompose_data(spec)
-        lam = eigenvalues(spec.K, spec.length)
-        flux_weights = math.sqrt(2.0 / spec.length) * lam
 
         psi_at_0 = float(pv[0])
-        compat_defect = abs(float(flux_weights @ phi_k) - psi_at_0)
+        compat_defect = abs(float(flux_at_left(spec.phi_k, spec.length))
+                            - psi_at_0)
         compatible = compat_defect <= _COMPAT_RTOL * (1.0 + abs(psi_at_0))
         if not compatible:
             warnings.warn(
@@ -101,10 +98,11 @@ class InverseSpec:
 
         dpsi = caputo_l1(tg, pv, spec.rho)
         q0 = np.empty(tg.n_steps + 1)
-        q0[1:] = ((flux_weights @ f_k)[1:] - dpsi[1:]) / pv[1:]
+        q0[1:] = (flux_at_left(spec.f_k, spec.length)[1:] - dpsi[1:]) / pv[1:]
         q0[0] = 3.0 * (q0[1] - q0[2]) + q0[3] if tg.n_steps >= 3 else q0[1]
 
-        tail = tail_diagnostics(lam, phi_k, f_k, weight_power=3)
+        tail = tail_diagnostics(eigenvalues(spec.K, spec.length), spec.phi_k,
+                                spec.f_k, weight_power=3)
         trace_bound = (spec.t_final ** spec.rho
                        / math.gamma(spec.rho + 1.0) * tail.f_sum
                        + tail.phi_sum)
@@ -115,8 +113,7 @@ class InverseSpec:
                                constant(tg, max(0.0, 0.5 * (lo + hi))))
         elif self.q_init.grid != tg:
             raise GridMismatchError("initial guess lives on a different time grid")
-        for name, value in (("phi_k", phi_k), ("f_k", f_k), ("_lam", lam),
-                            ("compat_defect", compat_defect),
+        for name, value in (("compat_defect", compat_defect),
                             ("compatible", compatible),
                             ("q0", Profile(tg, q0)),
                             ("trace_bound", trace_bound)):
@@ -163,23 +160,14 @@ class InverseResult:
     recovery_error: Optional[float] = None
 
 
-def _modes(inv: InverseSpec, q: Profile,
-           initial: Optional[np.ndarray] = None) -> ModeSet:
-    """Mode trajectories of the forward problem at q; no field assembly."""
-    sol = solve_mode_set(replace(inv.spec, q=q), inv.phi_k, inv.f_k,
-                         initial=initial)
-    return ModeSet(length=inv.spec.length, grid=inv.spec.tgrid,
-                   coeffs=sol.u_k)
-
-
 def _sweep(inv: InverseSpec, q: Profile,
            initial: Optional[np.ndarray]) -> tuple[Profile, np.ndarray]:
     """One application of the map: forward-solve at q, read off the update."""
-    modes = _modes(inv, q, initial)
-    trace3 = third_trace_at_left(modes).values
+    coeffs = solve_mode_set(inv.spec, q, initial=initial).u_k
+    trace3 = third_trace_at_left(coeffs, inv.spec.length)
     new = (inv.q0.values
            + inv.spec.sigma.values / inv.psi.values * trace3)
-    return Profile(inv.spec.tgrid, new), modes.coeffs
+    return Profile(inv.spec.tgrid, new), coeffs
 
 
 def apply_L(q_current: Profile, inv: InverseSpec) -> Profile:
@@ -266,7 +254,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
     """
     report = validate_theorem43(inv)
     lo, hi = inv.spec.q_window
-    lam3 = inv._lam ** 3
+    lam3 = eigenvalues(inv.spec.K, inv.spec.length) ** 3
 
     q = inv.q_init
     residuals: list = []
@@ -325,7 +313,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
             contraction_estimate=measured_ratio)
 
     # a cold solve, as solve_forward makes it, without the field assembly
-    flux = flux_at_left(_modes(inv, q)).values
+    flux = flux_at_left(solve_mode_set(inv.spec, q).u_k, inv.spec.length)
     flux_defect = float(np.max(np.abs(flux - inv.psi.values)))
     err = (None if inv.q_true is None
            else float(np.max(np.abs(q.values - inv.q_true.values))))
@@ -350,7 +338,7 @@ def synthesize_data(spec_with_q_true: ProblemSpec, noise_level: float = 0.0,
     if noise_level < 0.0:
         raise DomainError(f"noise level must be nonnegative, got {noise_level}")
     sol = solve_forward(spec_with_q_true)
-    psi = flux_at_left(sol.mode_set).values.copy()
+    psi = flux_at_left(sol.u_k, spec_with_q_true.length)
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         psi *= 1.0 + noise_level * rng.uniform(-1.0, 1.0, psi.shape)

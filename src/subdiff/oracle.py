@@ -124,9 +124,13 @@ def solve_fd(spec: ProblemSpec) -> FieldSolution:
             if n > s:
                 block[n - s] += ws.scale * (ws.d[n - s - 1::-1] @ W[s:n])
             W[n] = block[n - s] / div[n - s]
-            if not np.all(np.isfinite(W[n])):
-                raise SingularSystemError(
-                    f"non-finite values after step {n}", step=n)
+        # checked once per block: the rows before this block are finite, so
+        # the block's first non-finite row is the first non-finite step
+        rows = np.flatnonzero(~np.all(np.isfinite(W[s:e]), axis=1))
+        if rows.size:
+            n = s + int(rows[0])
+            raise SingularSystemError(
+                f"non-finite values after step {n}", step=n)
         if bad.size:
             raise SingularSystemError(
                 f"singular step system at step {e}", step=e)
@@ -135,5 +139,5 @@ def solve_fd(spec: ProblemSpec) -> FieldSolution:
         W[s:s + _HISTORY_BLOCK] = W[s:s + _HISTORY_BLOCK] @ ws.V.T
     u[0] = spec.phi
     return FieldSolution(
-        u=u, u_xx_diag=None, mode_set=None,
+        u=u, u_xx_diag=None, u_k=None,
         diagnostics={"diagonally_dominant": dominant})

@@ -16,8 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AliasingError, DomainError, GridMismatchError
-from .frackernel import TimeGrid
-from .profiles import Profile
 
 
 @dataclass(frozen=True)
@@ -43,46 +41,11 @@ class SpaceGrid:
         return np.linspace(0.0, self.length, self.n_cells + 1)
 
 
-def eigenvalue(k: int, length: float) -> float:
-    if k < 1:
-        raise DomainError(f"mode index must be >= 1, got {k}")
-    if length <= 0.0:
-        raise DomainError(f"length must be positive, got {length}")
-    return math.pi * k / length
-
-
 def eigenvalues(K: int, length: float) -> np.ndarray:
     """lam_k = pi k / l for k = 1..K."""
     if length <= 0.0:
         raise DomainError(f"length must be positive, got {length}")
     return math.pi * np.arange(1, K + 1) / length
-
-
-@dataclass(frozen=True, eq=False)
-class ModeSet:
-    """Trajectories of the first K sine coefficients on a time grid."""
-
-    length: float
-    grid: TimeGrid
-    coeffs: np.ndarray  # shape (K, n_steps + 1)
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[1] != self.grid.n_steps + 1:
-            raise GridMismatchError(
-                f"coefficient array {c.shape} does not match grid with "
-                f"{self.grid.n_steps + 1} nodes")
-        if c.shape[0] < 1:
-            raise DomainError("need at least one mode")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def K(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return eigenvalues(self.K, self.length)
 
 
 def _simpson_weights(sgrid: SpaceGrid) -> np.ndarray:
@@ -123,25 +86,24 @@ def sine_coefficients(sgrid: SpaceGrid, samples, K: int) -> np.ndarray:
     return (v * _simpson_weights(sgrid)) @ basis(sgrid, K).T
 
 
-def assemble_field(modes: ModeSet, sgrid: SpaceGrid) -> np.ndarray:
-    """u(x_i, t_n) = sum_k c_k(t_n) e_k(x_i); rows are the mode set's time
-    nodes."""
-    if not math.isclose(sgrid.length, modes.length, rel_tol=1e-14):
-        raise GridMismatchError(
-            f"space grid length {sgrid.length} != mode-set length {modes.length}")
-    return modes.coeffs.T @ basis(sgrid, modes.K)
+def assemble_field(coeffs: np.ndarray, sgrid: SpaceGrid) -> np.ndarray:
+    """u(x_i, t_n) = sum_k c_k(t_n) e_k(x_i) from (K, n_times) coefficients;
+    rows of the result are the time nodes."""
+    return coeffs.T @ basis(sgrid, coeffs.shape[0])
 
 
-def flux_at_left(modes: ModeSet) -> Profile:
-    """Boundary derivative trace u_x(0, t) = sum_k lambda_k sqrt(2/l) c_k(t)."""
-    amp = math.sqrt(2.0 / modes.length)
-    return Profile(modes.grid, (amp * modes.lambdas) @ modes.coeffs)
+def flux_at_left(coeffs: np.ndarray, length: float) -> np.ndarray:
+    """Boundary derivative trace u_x(0, .) = sum_k lambda_k sqrt(2/l) c_k
+    of (K, ...) coefficients."""
+    lam = eigenvalues(coeffs.shape[0], length)
+    return (math.sqrt(2.0 / length) * lam) @ coeffs
 
 
-def third_trace_at_left(modes: ModeSet) -> Profile:
-    """u_xxx(0, t) = -sum_k lambda_k^3 sqrt(2/l) c_k(t)."""
-    amp = math.sqrt(2.0 / modes.length)
-    return Profile(modes.grid, -(amp * modes.lambdas ** 3) @ modes.coeffs)
+def third_trace_at_left(coeffs: np.ndarray, length: float) -> np.ndarray:
+    """u_xxx(0, .) = -sum_k lambda_k^3 sqrt(2/l) c_k of (K, ...)
+    coefficients."""
+    lam = eigenvalues(coeffs.shape[0], length)
+    return -(math.sqrt(2.0 / length) * lam ** 3) @ coeffs
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import time
 import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -30,7 +31,8 @@ from subdiff import (
 )
 from subdiff.cli import main
 from subdiff.frackernel import TimeGrid
-from subdiff.mlf import MlfParams, eval_mlf, kernel, kernel_mass, relaxation
+from subdiff.mlf import (MlfParams, eval_mlf, kernel, kernel_mass, relaxation,
+                         relaxation_curve)
 from subdiff.mode_solver import apriori_bounds, decompose_mode, solve_mode
 from subdiff.profiles import affine, constant, sinusoidal_offset
 from subdiff.spectral import SpaceGrid
@@ -65,12 +67,15 @@ def equilibrium_mode_spec(n_steps, q_vals, *, m=256, K=32, T=0.5, c1=0.05):
 class TestAcceptance:
     def test_criterion_1_mlf_identity_suite(self):
         t0 = time.monotonic()
-        # exp agreement at (1, 1)
-        p11 = MlfParams(1.0, 1.0)
-        exp_err = max(
-            abs(eval_mlf(p11, -x) - math.exp(-x)) / math.exp(-x)
-            for x in np.linspace(0.0, 30.0, 301))
-        assert exp_err <= 1e-12
+        # E_{1/2,1}(-x) = exp(x^2) erfc(x) against 40 digits, all 301
+        # points in one call: the relaxation at lam = 1, t = x^2
+        x = np.linspace(0.0, 30.0, 301)
+        with mp.workdps(40):
+            want = np.array([float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v)))
+                             for v in x])
+        erfc_err = float(np.max(
+            np.abs(relaxation_curve(0.5, 1.0, x ** 2) - want) / want))
+        assert erfc_err <= 1e-12
 
         # 0 <= E_{rho,beta}(-lam t^rho) <= 1/Gamma(beta) for beta >= rho
         rng = np.random.default_rng(1001)
@@ -107,7 +112,7 @@ class TestAcceptance:
 
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0
-        print(f"criterion 1: PASS — exp {exp_err:.2e}, bounds 0/1000 "
+        print(f"criterion 1: PASS — erfc {erfc_err:.2e}, bounds 0/1000 "
               f"violations, mass {mass_err:.2e}, derivative {deriv_err:.2e}, "
               f"{elapsed:.1f}s")
 

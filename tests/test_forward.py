@@ -25,7 +25,7 @@ from subdiff.forward import (
 from subdiff.frackernel import TimeGrid, caputo_l1
 from subdiff.oracle import solve_fd
 from subdiff.profiles import Profile, constant
-from subdiff.spectral import SpaceGrid, eigenvalues
+from subdiff.spectral import SpaceGrid, eigenvalues, sine_coefficients
 
 from conftest import l1_direct, make_manufactured
 
@@ -58,6 +58,14 @@ class TestProblemSpec:
         assert tiny_spec(m=8).K == 2
         assert tiny_spec(m=64).K == 16
         assert tiny_spec(m=512).K == 64
+
+    def test_carries_the_sine_coefficients_of_the_data(self):
+        spec, _ = make_quadratic(16, 32)
+        assert np.array_equal(spec.phi_k,
+                              sine_coefficients(spec.sgrid, spec.phi, spec.K))
+        assert np.array_equal(spec.f_k,
+                              sine_coefficients(spec.sgrid, spec.f, spec.K).T)
+        assert spec.phi_k.shape == (8,) and spec.f_k.shape == (8, 17)
 
     def test_rejects_bad_field_shape(self):
         tg, sg = TimeGrid(1.0, 4), SpaceGrid(1.0, 4)
@@ -285,7 +293,7 @@ class TestSolveForward:
                            sigma=Profile(tg, 1.5 + 0.3 * np.sin(tg.nodes)),
                            q=constant(tg, 0.2), f=f, phi=phi, K=K)
         sol = solve_forward(spec)
-        assert sol.mode_set.coeffs.min() >= -1e-12
+        assert sol.u_k.min() >= -1e-12
 
     def test_weighted_sum_within_bound(self):
         spec, _ = make_manufactured(128, 32)
@@ -302,6 +310,22 @@ class TestSolveForward:
             warnings.simplefilter("ignore")
             with pytest.raises(ConvergenceError, match="mode"):
                 solve_forward(spec, tol=1e-15, max_iter=1)
+
+
+class TestRefinementAcrossOrder:
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_temporal_order(self, rho):
+        # the quadratic-in-t field at fixed space grid: the observed order
+        # grows with rho, about 1 + rho on N = 64..512 (1.01 at rho = 0.1,
+        # 1.89 at rho = 0.9); the floor sits 0.2 below it
+        errs = []
+        for n in (64, 128, 256, 512):
+            spec, u_star = make_quadratic(n, 32, rho=rho)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # constant sigma: q window
+                errs.append(np.max(np.abs(solve_forward(spec).u - u_star)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert orders.min() >= 1.0 + rho - 0.2
 
 
 class TestBlowupShape:

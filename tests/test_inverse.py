@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from subdiff import forward
 from subdiff.errors import AdmissibilityError, ConvergenceError, DomainError, GridMismatchError
 from subdiff.forward import ProblemSpec
 from subdiff.frackernel import TimeGrid
@@ -19,7 +20,7 @@ from subdiff.inverse import (
     validate_theorem43,
 )
 from subdiff.profiles import Profile, constant
-from subdiff.spectral import SpaceGrid, eigenvalue, eigenvalues
+from subdiff.spectral import SpaceGrid, eigenvalues
 
 
 def sine_shape(sgrid, k=1):
@@ -38,7 +39,7 @@ def const_mode_spec(n, q_of_t, m=32, K=8, T=0.5, c1=0.05):
     tg, sg = TimeGrid(T, n), SpaceGrid(1.0, m)
     sigma = Profile(tg, 2.0 + np.sin(tg.nodes))
     qv = q_of_t(tg.nodes)
-    lam1 = eigenvalue(1, 1.0)
+    lam1 = math.pi
     sh = sine_shape(sg)
     f = ((lam1 ** 2 * sigma.values + qv) * c1)[:, None] * sh[None, :]
     return ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=sigma,
@@ -51,7 +52,7 @@ def smooth_mode_spec(n, T=0.5, c0=0.05, rho=0.5):
     t = tg.nodes
     sigma = Profile(tg, 2.0 + np.sin(t))
     qv = np.full(n + 1, 0.3)
-    lam1 = eigenvalue(1, 1.0)
+    lam1 = math.pi
     sh = sine_shape(sg)
     u1 = c0 * (1.0 + (t / T) ** 2)
     drho = 2.0 * c0 * t ** (2.0 - rho) / (T ** 2 * math.gamma(3.0 - rho))
@@ -64,7 +65,7 @@ def bare_spec(n=64, m=16, K=4, phi1=None, T=1.0):
     """ProblemSpec without q, single-mode datum phi1 (default: flux 1 at x=0)."""
     tg, sg = TimeGrid(T, n), SpaceGrid(1.0, m)
     if phi1 is None:
-        phi1 = 1.0 / (eigenvalue(1, 1.0) * math.sqrt(2.0))
+        phi1 = 1.0 / (math.pi * math.sqrt(2.0))
     return ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, 1.0),
                        q=None, f=np.zeros((n + 1, m + 1)),
                        phi=phi1 * sine_shape(sg), K=K)
@@ -216,8 +217,8 @@ class TestEstimateCT:
             inv = synthesize_data(spec)
             got = estimate_CT(inv)
         lam = eigenvalues(inv.spec.K, 1.0)
-        s_phi = float(np.sum(lam ** 3 * np.abs(inv.phi_k)))
-        s_f = float(np.max((lam ** 3) @ np.abs(inv.f_k)))
+        s_phi = float(np.sum(lam ** 3 * np.abs(inv.spec.phi_k)))
+        s_f = float(np.max((lam ** 3) @ np.abs(inv.spec.f_k)))
         head = inv.spec.t_final ** 0.5 / math.gamma(1.5)
         want = (inv.spec.sigma.vmax * head / (math.sqrt(6.0) * inv.psi0)
                 * (head * s_f + s_phi))
@@ -283,6 +284,24 @@ class TestRecoverQ:
         assert res.measured_ratio < 1.0
         assert res.clamp_count == 0
         assert res.flux_defect < 1e-6
+
+    def test_sweeps_make_no_sine_transform(self, monkeypatch):
+        # the sine coefficients of the data are the spec's, derived once;
+        # a sweep swaps q without rebuilding the spec
+        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inv = synthesize_data(spec)
+        calls = []
+        transform = forward.sine_coefficients
+        monkeypatch.setattr(forward, "sine_coefficients",
+                            lambda *a: calls.append(a) or transform(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = recover_q(inv, tol=1e-6, max_iter=300)
+        assert len(res.iterates) > 1 and calls == []
+        replace(inv.spec, q=res.q)  # the counter sees a spec build
+        assert len(calls) == 2
 
     def test_round_trip_time_varying_coefficient(self):
         spec = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,20 @@ class TestBlockedHistory:
         assert exc.value.step == 100
         assert "singular step system at step 100" in str(exc.value)
 
+    def test_overflow_in_later_block(self):
+        # finiteness is checked once per block; the error still names the
+        # first step whose values overflowed, not the end of its block
+        n, m = 128, 4
+        spec = varying_spec(n, m)
+        f = spec.f.copy()
+        f[100, 1:m] = 1.5e308
+        with warnings.catch_warnings(), \
+                pytest.raises(SingularSystemError) as exc:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solve_fd(replace(spec, f=f))
+        assert exc.value.step == 100
+        assert "non-finite values after step 100" in str(exc.value)
+
     def test_dominance_lost_in_second_block(self):
         n, m = 128, 8
         spec = varying_spec(n, m)
@@ -180,6 +195,17 @@ class TestSolveFd:
             errs.append(np.max(np.abs(solve_fd(spec).u - u_star)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert orders.min() >= 1.3
+
+    @pytest.mark.parametrize("rho,m", [(0.3, 1024), (0.7, 512), (0.9, 512)])
+    def test_temporal_order_across_rho(self, rho, m):
+        # the L1 rate 2 - rho on N = 16..64; at rho = 0.3 the space error of
+        # M = 512 already pulls the second order to 1.44, so M = 1024
+        errs = []
+        for n in (16, 32, 64):
+            spec, u_star = make_quadratic(n, m, rho=rho)
+            errs.append(np.max(np.abs(solve_fd(spec).u - u_star)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert orders.min() >= 2.0 - rho - 0.15
 
     def test_nonnegative_data_nonnegative_solution(self):
         n, m = 64, 32

@@ -10,28 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from subdiff.errors import AliasingError, DomainError, GridMismatchError
-from subdiff.frackernel import TimeGrid
+from subdiff.errors import AliasingError, DomainError
 from subdiff.spectral import (
-    ModeSet,
     SpaceGrid,
     _simpson_weights,
     assemble_field,
     basis,
-    eigenvalue,
     eigenvalues,
     flux_at_left,
     sine_coefficients,
     tail_diagnostics,
     third_trace_at_left,
 )
-
-TG = TimeGrid(1.0, 4)
-
-
-def make_modes(coeffs, length=1.0, grid=TG):
-    return ModeSet(length=length, grid=grid, coeffs=np.asarray(coeffs, float))
-
 
 class TestSpaceGrid:
     def test_nodes(self):
@@ -47,18 +37,15 @@ class TestSpaceGrid:
 
 class TestEigenvalue:
     def test_pinned(self):
-        assert eigenvalue(1, math.pi) == pytest.approx(1.0, rel=1e-15)
-        assert eigenvalue(3, 1.0) == pytest.approx(3.0 * math.pi, rel=1e-15)
-        assert eigenvalue(2, 2.0) == pytest.approx(math.pi, rel=1e-15)
+        assert eigenvalues(1, math.pi)[0] == pytest.approx(1.0, rel=1e-15)
+        assert eigenvalues(3, 1.0)[2] == pytest.approx(3.0 * math.pi,
+                                                       rel=1e-15)
+        assert eigenvalues(2, 2.0)[1] == pytest.approx(math.pi, rel=1e-15)
 
     def test_strictly_increasing(self):
         lam = eigenvalues(12, 0.7)
         assert np.all(np.diff(lam) > 0)
         assert lam[0] == pytest.approx(math.pi / 0.7)
-
-    def test_rejects_k_zero(self):
-        with pytest.raises(DomainError):
-            eigenvalue(0, 1.0)
 
 
 class TestSineCoefficients:
@@ -127,70 +114,58 @@ class TestSineCoefficients:
 
 class TestAssemble:
     def test_single_mode(self):
-        m = make_modes(np.ones((1, 5)))
         g = SpaceGrid(1.0, 64)
-        u = assemble_field(m, g)
+        u = assemble_field(np.ones((1, 5)), g)
         want = math.sqrt(2.0) * np.sin(math.pi * g.nodes)
         for n in range(5):
             np.testing.assert_allclose(u[n, 1:-1], want[1:-1], rtol=1e-13)
 
     def test_zero_modes(self):
-        m = make_modes(np.zeros((3, 5)))
-        assert np.all(assemble_field(m, SpaceGrid(1.0, 16)) == 0.0)
+        assert np.all(assemble_field(np.zeros((3, 5)), SpaceGrid(1.0, 16))
+                      == 0.0)
 
     def test_boundary_exact_zero(self):
         rng = np.random.default_rng(3)
-        m = make_modes(rng.normal(size=(7, 5)))
-        u = assemble_field(m, SpaceGrid(1.0, 32))
+        u = assemble_field(rng.normal(size=(7, 5)), SpaceGrid(1.0, 32))
         assert np.all(u[:, 0] == 0.0)
         assert np.all(u[:, -1] == 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         coeffs = rng.normal(size=(16, 5)) / (1.0 + np.arange(16.0))[:, None]
-        m = make_modes(coeffs, length=1.5)
         g = SpaceGrid(1.5, 64)  # K = M/4
-        u = assemble_field(m, g)
+        u = assemble_field(coeffs, g)
         back = sine_coefficients(g, u, 16).T
         np.testing.assert_allclose(back, coeffs, atol=1e-9)
-
-    def test_grid_mismatch(self):
-        m = make_modes(np.ones((1, 5)))
-        with pytest.raises(GridMismatchError):
-            assemble_field(m, SpaceGrid(2.0, 16))
 
 
 class TestTraces:
     def test_flux_single_mode(self):
-        m = make_modes(np.ones((1, 5)))
-        psi = flux_at_left(m)
-        np.testing.assert_allclose(psi.values, math.pi * math.sqrt(2.0),
-                                   rtol=1e-14)
+        psi = flux_at_left(np.ones((1, 5)), 1.0)
+        np.testing.assert_allclose(psi, math.pi * math.sqrt(2.0), rtol=1e-14)
 
     def test_flux_zero(self):
-        m = make_modes(np.zeros((4, 5)))
-        assert np.all(flux_at_left(m).values == 0.0)
+        assert np.all(flux_at_left(np.zeros((4, 5)), 1.0) == 0.0)
 
     def test_flux_matches_one_sided_difference(self):
         gt = np.array([1.0, 1.1, 0.9, 1.3, 0.7])
-        m = make_modes(gt[None, :])
         g = SpaceGrid(1.0, 256)
-        u = assemble_field(m, g)
+        u = assemble_field(gt[None, :], g)
         fd = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * g.h)
-        np.testing.assert_allclose(flux_at_left(m).values, fd, atol=1e-3)
+        np.testing.assert_allclose(flux_at_left(gt[None, :], 1.0), fd,
+                                   atol=1e-3)
 
     def test_third_trace_single_mode(self):
-        m = make_modes(np.ones((1, 5)))
-        got = third_trace_at_left(m)
-        np.testing.assert_allclose(got.values, -math.pi ** 3 * math.sqrt(2.0),
+        got = third_trace_at_left(np.ones((1, 5)), 1.0)
+        np.testing.assert_allclose(got, -math.pi ** 3 * math.sqrt(2.0),
                                    rtol=1e-14)
 
     def test_third_trace_matches_forward_difference(self):
-        m = make_modes(np.full((1, 5), 0.8))
+        coeffs = np.full((1, 5), 0.8)
         g = SpaceGrid(1.0, 512)
-        u = assemble_field(m, g)
+        u = assemble_field(coeffs, g)
         fd = (u[:, 3] - 3.0 * u[:, 2] + 3.0 * u[:, 1] - u[:, 0]) / g.h ** 3
-        got = third_trace_at_left(m).values
+        got = third_trace_at_left(coeffs, 1.0)
         assert np.all(np.abs(got - fd) < 0.02 * np.abs(got))
 
 

@@ -20,7 +20,8 @@ import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "forward_manufactured.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CONFIG = CONFIGS / "forward_manufactured.json"
 
 
 @pytest.fixture(scope="module")
@@ -43,23 +44,45 @@ def test_every_binding_resolves_to_a_callable(tracer):
         assert callable(getattr(owner, last, None)), f"{module}.{attr}"
 
 
-def test_traced_worker_records_weight_builds_and_picard_steps(tmp_path):
-    # the weight-build span keys each call by its arguments, so this also
-    # checks that they stay hashable
-    cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
-    cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
+def traced_run(tmp_path, command, cfg) -> dict:
+    """The worker's record of one traced CLI call on ``cfg``."""
     config, result = tmp_path / "config.json", tmp_path / "result.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, str(BENCH / "worker.py"), "--result", str(result),
-         "--trace", "--", "forward", "--config", str(config),
+         "--trace", "--", command, "--config", str(config),
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     record = json.loads(result.read_text(encoding="utf-8"))
     assert record["returncode"] == 0
+    return record
+
+
+def test_traced_worker_records_weight_builds_and_picard_steps(tmp_path):
+    # the weight-build span keys each call by its arguments, so this also
+    # checks that they stay hashable
+    cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
+    cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
+    record = traced_run(tmp_path, "forward", cfg)
     names = [span[0] for span in record["trace"]["spans"]]
     assert names.count("frackernel.build_weights") >= 1
     assert names.count("mode_solver.picard_step") >= 1
     assert record["trace"]["weights"]["calls"] >= 1
+
+
+def test_traced_inverse_sweeps_and_sine_transforms(tmp_path):
+    # one sweep span per recovery sweep plus the closing cold solve; the
+    # data's sine transforms are made when the CLI builds its problem specs,
+    # never per sweep
+    cfg = json.loads((CONFIGS / "inverse_synthetic.json").read_text(
+        encoding="utf-8"))
+    cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
+    record = traced_run(tmp_path, "inverse", cfg)
+    report = json.loads((tmp_path / "out" / "report.json").read_text(
+        encoding="utf-8"))
+    names = [span[0] for span in record["trace"]["spans"]]
+    assert report["iterations"] > 1
+    assert names.count("inverse.sweep") == report["iterations"] + 1
+    assert 1 <= names.count("spectral.sine_coefficients") <= 6
