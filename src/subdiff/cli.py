@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -302,7 +302,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
         q_true = _profile(syn["q_true"], spec.tgrid, "data.synthetic.q_true",
                           base)
         inv = synthesize_data(
-            replace(spec, q=q_true),
+            spec, q_true,
             noise_level=_num(syn, "noise_level", "data.synthetic",
                              default=0.0, lo=0.0),
             seed=_num(syn, "seed", "data.synthetic", default=0, integer=True))

@@ -73,6 +73,8 @@ class ProblemSpec:
         if phi.shape != (nx,):
             raise GridMismatchError(
                 f"initial datum {phi.shape} does not match {nx} space nodes")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(phi))):
+            raise DomainError("source and initial datum must be finite")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "phi", phi)
         for name in ("sigma", "q"):
@@ -126,21 +128,29 @@ class AssumptionReport:
         return self.cond2_q_in_window and self.cond3_endpoints
 
 
-def validate_assumption1(spec: ProblemSpec) -> AssumptionReport:
+def validate_assumption1(spec: ProblemSpec,
+                         q: Optional[Profile] = None) -> AssumptionReport:
     """Declared coefficient bounds against the spec's admissibility window.
 
+    ``q`` is the reaction coefficient judged: the spec's own by default, or
+    one given for a q-free spec (a spec that carries q refuses another).
     The q window uses strict inequalities: a constant sigma yields the window
     (-m_sigma pi^2/l^2, 0), which excludes q identically zero.  Sigma's
     positivity (condition 1) is enforced by ``ProblemSpec`` itself, so it is
     not reported: it holds on every spec that exists.
     """
+    if q is None:
+        q = spec.q
+    elif spec.q is not None:
+        raise DomainError("the spec carries its own reaction coefficient; "
+                          "pass q only with a q-free spec")
     m_s, M_s = spec.sigma.vmin, spec.sigma.vmax
     lo, hi = spec.q_window
-    if spec.q is None:
+    if q is None:
         n_q = N_q = None
         cond2 = lo < hi
     else:
-        n_q, N_q = spec.q.vmin, spec.q.vmax
+        n_q, N_q = q.vmin, q.vmax
         cond2 = (n_q > lo) and (N_q < hi)
     defect = max(
         abs(float(spec.phi[0])), abs(float(spec.phi[-1])),
@@ -186,17 +196,21 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
 
 
 def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
-                  max_iter: int = 200) -> FieldSolution:
-    report = validate_assumption1(spec)
+                  max_iter: int = 200,
+                  q: Optional[Profile] = None) -> FieldSolution:
+    """Solve at the spec's reaction coefficient or, for a q-free spec, at
+    ``q``; a spec that carries q refuses another (``DomainError``)."""
+    report = validate_assumption1(spec, q)
+    q = spec.q if q is None else q
     if not report.cond2_q_in_window:
         warnings.warn(
             f"reaction coefficient leaves the admissibility window "
             f"{report.q_window}; the forward solve proceeds on the measured "
             f"contraction alone", stacklevel=2)
 
-    if spec.q is None:
+    if q is None:
         raise DomainError("cannot solve modes without a reaction coefficient")
-    solution = solve_mode_set(spec, spec.q, tol=tol, max_iter=max_iter)
+    solution = solve_mode_set(spec, q, tol=tol, max_iter=max_iter)
     coeffs = solution.u_k
     lam = eigenvalues(spec.K, spec.length)
     u = assemble_field(coeffs, spec.sgrid)

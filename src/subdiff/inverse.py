@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,16 @@ from .spectral import (
 _COMPAT_RTOL = 1e-6
 #: past residual and image differences that each recovery sweep mixes
 _ANDERSON_DEPTH = 8
+#: the forward solve's own Picard tolerance, at which a sweep evaluates L
+#: as accurately as a standalone forward solve does
+_EXACT_TOL = 1e-10
+#: forcing term: a sweep's forward solve stops at this multiple of the
+#: previous sweep's residual (never below ``_EXACT_TOL``)
+_FORCING = 1e-4
+#: Anderson histories whose Gram matrix has an eigenvalue ratio at or below
+#: this take the plain step: the Gram system squares the history's condition
+#: number, so this bounds the relative error of gamma near sqrt(eps)
+_GRAM_RCOND = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +132,12 @@ class InverseSpec:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Pass/fail of the four recoverability conditions, with margins."""
+    """Pass/fail of the recoverability conditions, with margins.  The flux
+    floor (condition 1) holds on every ``InverseSpec`` that exists, so only
+    its margin ``psi_min`` is reported."""
 
     psi_min: float
     psi_deriv_max: float
-    cond1_flux_floor: bool
     compat_defect: float
     cond2_compatible: bool
     cond3_low: float
@@ -138,8 +149,8 @@ class ConditionReport:
 
     @property
     def all_passed(self) -> bool:
-        return (self.cond1_flux_floor and self.cond2_compatible
-                and self.cond3_window and self.cond4_contraction)
+        return (self.cond2_compatible and self.cond3_window
+                and self.cond4_contraction)
 
 
 @dataclass(eq=False)
@@ -160,10 +171,11 @@ class InverseResult:
     recovery_error: Optional[float] = None
 
 
-def _sweep(inv: InverseSpec, q: Profile,
-           initial: Optional[np.ndarray]) -> tuple[Profile, np.ndarray]:
-    """One application of the map: forward-solve at q, read off the update."""
-    coeffs = solve_mode_set(inv.spec, q, initial=initial).u_k
+def _sweep(inv: InverseSpec, q: Profile, initial: Optional[np.ndarray],
+           tol: float = _EXACT_TOL) -> tuple[Profile, np.ndarray]:
+    """One application of the map: forward-solve at q to ``tol``, read off
+    the update."""
+    coeffs = solve_mode_set(inv.spec, q, tol=tol, initial=initial).u_k
     trace3 = third_trace_at_left(coeffs, inv.spec.length)
     new = (inv.q0.values
            + inv.spec.sigma.values / inv.psi.values * trace3)
@@ -201,8 +213,9 @@ def estimate_CT(inv: InverseSpec) -> float:
 def validate_theorem43(inv: InverseSpec) -> ConditionReport:
     """Report-style check of the four conditions behind unique recovery.
 
-    (1) flux floor, which the spec enforces, and a bounded difference
-    quotient (C^1 surrogate); (2) compatibility of datum and flux at t=0;
+    (1) flux floor, which the spec enforces, so only its margin psi_min and
+    the largest difference quotient (C^1 surrogate) are reported;
+    (2) compatibility of datum and flux at t=0;
     (3) the scaled data window 0 <= T^rho q0 < T^rho hi - Gamma(rho+1) at
     all positive nodes, hi = pi^2 (M_sigma - m_sigma)/l^2 being the upper end
     of the spec's q window; (4) contraction estimate below 1.  Nothing
@@ -212,7 +225,6 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
     pv = inv.psi.values
     psi_min = float(pv.min())
     deriv = float(np.max(np.abs(np.diff(pv)))) / spec.tgrid.h
-    cond1 = math.isfinite(deriv)
 
     head_T = spec.t_final ** spec.rho
     g = head_T * inv.q0.values[1:]
@@ -225,10 +237,32 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
         ct = estimate_CT(inv)
 
     return ConditionReport(
-        psi_min=psi_min, psi_deriv_max=deriv, cond1_flux_floor=cond1,
+        psi_min=psi_min, psi_deriv_max=deriv,
         compat_defect=inv.compat_defect, cond2_compatible=inv.compatible,
         cond3_low=lo, cond3_high=hi, cond3_rhs=rhs, cond3_window=cond3,
         CT=ct, cond4_contraction=ct < 1.0)
+
+
+def _anderson_step(g: np.ndarray, stacked: np.ndarray,
+                   dG: np.ndarray) -> np.ndarray:
+    """The mixed iterate g - sum_j gamma_j dG_j, or the plain step g.
+
+    ``stacked`` holds the residual f in row 0 and the residual differences
+    dF_j in the rows below; the rows dG_j of ``dG`` are the matching image
+    differences.  gamma minimises |f - sum_j gamma_j dF_j|_2 through its
+    Gram system, whose matrix dF_i . dF_j and right-hand side dF_i . f are
+    read off one product of ``stacked`` with itself.  A Gram matrix whose
+    eigenvalue ratio is at most ``_GRAM_RCOND`` (a history too close to
+    rank-deficient for gamma to be accurate) or a non-finite mixed iterate
+    gives the plain step.
+    """
+    prod = stacked @ stacked.T
+    w, v = np.linalg.eigh(prod[1:, 1:])
+    if not w[0] > _GRAM_RCOND * w[-1]:
+        return g
+    gamma = v @ (v.T @ prod[1:, 0] / w)
+    mixed = g - gamma @ dG
+    return mixed if np.all(np.isfinite(mixed)) else g
 
 
 def recover_q(inv: InverseSpec, tol: float = 1e-6,
@@ -236,12 +270,21 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
     """Find the fixed point of q -> L[q] by Anderson-mixed sweeps.
 
     Sweep k evaluates the clamped image g_k = L[q_k] and the residual
-    f_k = g_k - q_k, and stops once sup |f_k| < tol, returning g_k.
-    Otherwise the next iterate is g_k - dG gamma, where gamma solves the
-    least-squares problem min |f_k - dF gamma|_2 over the differences of the
-    last ``_ANDERSON_DEPTH`` residuals (dF) and images (dG) (Walker and Ni,
-    SIAM J. Numer. Anal. 49 (2011) 1715).  A rank-deficient history or a
-    non-finite mixed iterate falls back to the plain step g_k, so the
+    f_k = g_k - q_k.  Its forward solve stops at the inner tolerance
+    max(1e-10, ``_FORCING`` * r_{k-1}), r_{k-1} being the previous sweep's
+    sup residual (the first sweep runs at 1e-10): early sweeps, whose
+    residual is large, need no more accuracy from L than a fraction of it
+    (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400).
+    The recovery stops at the first sweep with sup |f_k| < tol whose inner
+    solve ran at 1e-10, and returns its g_k, so the result is an image of L
+    evaluated as accurately as ``apply_L`` evaluates it; a loose sweep that
+    reaches sup |f_k| < tol is followed by one sweep at 1e-10, whatever tol
+    is.  Otherwise the next iterate is g_k - dG gamma, where gamma solves
+    the least-squares problem min |f_k - dF gamma|_2 over the differences
+    of the last ``_ANDERSON_DEPTH`` residuals (dF) and images (dG) (Walker
+    and Ni, SIAM J. Numer. Anal. 49 (2011) 1715).  A nearly rank-deficient
+    history or a non-finite mixed iterate falls back to the plain step g_k,
+    so the
     limit is the same fixed point that the paper's contraction argument
     makes unique.  Images and mixed iterates are clamped nodewise into the
     admissible window (clamp events are counted, not hidden); each sweep
@@ -260,14 +303,18 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
     residuals: list = []
     trace_sums: list = []
     measured_ratio = 0.0
-    dF: list = []
-    dG: list = []
+    # row 0 the current residual, rows 1.. the residual differences, in
+    # ring order; dG row j pairs with stacked row j + 1
+    stacked = np.empty((_ANDERSON_DEPTH + 1, q.values.size))
+    dG = np.empty((_ANDERSON_DEPTH, q.values.size))
+    depth = 0
     clamp_count = 0
     warm: Optional[np.ndarray] = None
+    inner_tol = _EXACT_TOL
     converged = False
     for it in range(1, max_iter + 1):
         try:
-            image, coeffs = _sweep(inv, q, warm)
+            image, coeffs = _sweep(inv, q, warm, inner_tol)
         except ConvergenceError as e:
             raise ConvergenceError(
                 f"forward solve failed inside sweep {it}: {e}",
@@ -284,25 +331,27 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
             if step > tol:
                 measured_ratio = max(
                     measured_ratio, float(np.max(np.abs(g - g_prev))) / step)
-            dF = (dF + [f - f_prev])[-_ANDERSON_DEPTH:]
-            dG = (dG + [g - g_prev])[-_ANDERSON_DEPTH:]
-        if residuals[-1] < tol:
+            row = (it - 2) % _ANDERSON_DEPTH
+            np.subtract(f, f_prev, out=stacked[row + 1])
+            np.subtract(g, g_prev, out=dG[row])
+            depth = min(depth + 1, _ANDERSON_DEPTH)
+        if residuals[-1] < tol and inner_tol == _EXACT_TOL:
             q = image
             converged = True
             break
 
         nxt = g
-        if dF:
-            gamma, _, rank, _ = np.linalg.lstsq(
-                np.column_stack(dF), f, rcond=None)
-            if rank == len(dF):
-                mixed = g - np.column_stack(dG) @ gamma
-                if np.all(np.isfinite(mixed)):
-                    nxt = mixed
+        if depth:
+            stacked[0] = f
+            nxt = _anderson_step(g, stacked[:depth + 1], dG[:depth])
         q_prev, f_prev, g_prev = q.values, f, g
         q, touched = image.with_values(nxt).clamped(lo, hi)
         clamp_count += touched
         warm = coeffs
+        # a residual below tol that did not end the loop came from a loose
+        # solve, so the next sweep confirms it at 1e-10
+        inner_tol = (_EXACT_TOL if residuals[-1] < tol
+                     else max(_EXACT_TOL, _FORCING * residuals[-1]))
 
     if not converged:
         raise ConvergenceError(
@@ -325,20 +374,18 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
         trace_bound=inv.trace_bound, recovery_error=err)
 
 
-def synthesize_data(spec_with_q_true: ProblemSpec, noise_level: float = 0.0,
-                    seed: int = 0) -> InverseSpec:
-    """Forward-solve at a known coefficient and package its flux trace as data.
+def synthesize_data(spec: ProblemSpec, q_true: Profile,
+                    noise_level: float = 0.0, seed: int = 0) -> InverseSpec:
+    """Forward-solve the q-free problem ``spec`` at the known coefficient
+    ``q_true`` and package its flux trace as data on that same spec.
 
     Noise is multiplicative uniform (level * U(-1,1) per node) so small
     levels keep the trace positive; the generator is seeded, making the
     synthesized data bitwise reproducible.
     """
-    if spec_with_q_true.q is None:
-        raise DomainError("synthesis needs the true coefficient: set q on the problem")
     if noise_level < 0.0:
         raise DomainError(f"noise level must be nonnegative, got {noise_level}")
-    sol = solve_forward(spec_with_q_true)
-    psi = flux_at_left(sol.u_k, spec_with_q_true.length)
+    psi = flux_at_left(solve_forward(spec, q=q_true).u_k, spec.length)
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         psi *= 1.0 + noise_level * rng.uniform(-1.0, 1.0, psi.shape)
@@ -347,6 +394,5 @@ def synthesize_data(spec_with_q_true: ProblemSpec, noise_level: float = 0.0,
         raise AdmissibilityError(
             f"synthesized flux reaches {floor}; positivity of the "
             f"observation fails for these data")
-    clean = replace(spec_with_q_true, q=None)
-    return InverseSpec(spec=clean, psi=Profile(spec_with_q_true.tgrid, psi),
-                       psi0=floor, q_true=spec_with_q_true.q)
+    return InverseSpec(spec=spec, psi=Profile(spec.tgrid, psi), psi0=floor,
+                       q_true=q_true)

@@ -218,7 +218,7 @@ class TestAcceptance:
         for label, q_true in (("const", constant(tg, 0.3)),
                               ("affine", affine(tg, 0.2, 0.1))):
             base = equilibrium_mode_spec(n, q_true.values)
-            invs[label] = synthesize_data(replace(base, q=q_true))
+            invs[label] = synthesize_data(base, q_true)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from subdiff import profiles
+from subdiff import forward, inverse, mode_solver, profiles
 from subdiff.cli import _build_spec, _write_csv, main
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid
@@ -277,6 +277,21 @@ class TestExitCodes:
         cfg["q"] = {"kind": "csv-samples", "path": "q.csv"}
         assert run(tmp_path, "verify", cfg=cfg)[0] == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("block", ["phi", "f"])
+    def test_overflowing_data_is_config_error(self, tmp_path, capsys, block):
+        # an amplitude near the float limit overflows on the sine shape;
+        # the problem spec refuses it before either solver route runs
+        cfg = small_forward_cfg()
+        if block == "phi":
+            cfg["phi"]["terms"][0]["amplitude"] = 1.7e308
+        else:
+            cfg["f"]["terms"][0]["time"]["value"] = 1.7e308
+        for command in ("forward", "verify"):
+            assert run(tmp_path, command, cfg=cfg)[0] == 2
+            assert ("source and initial datum must be finite"
+                    in capsys.readouterr().err)
+
     def test_starved_inverse_iteration(self, tmp_path, repo_root):
         cfg = shipped("inverse", repo_root)
         cfg["problem"].update(n_steps=64, n_cells=32, n_modes=8)
@@ -343,7 +358,7 @@ class TestInverseCommand:
         assert rep["measured_ratio"] < 1.0
         assert rep["clamp_count"] == 0
         assert rep["flux_defect"] <= 1e-6
-        assert rep["condition_report"]["cond1_flux_floor"] is True
+        assert "cond1_flux_floor" not in rep["condition_report"]
         assert rep["condition_report"]["CT"] > 1.0  # known-loose bound
         assert rep["iterations"] == len(rep["iterates"])
         assert rep["iterations"] <= 60  # mixed sweeps; plain iteration took 97
@@ -351,6 +366,80 @@ class TestInverseCommand:
         rows = (out / "recovered_q.csv").read_text().splitlines()
         q = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.max(np.abs(q - 0.3)) <= 1e-3
+
+    def test_synthetic_data_share_one_spec(self, tmp_path, repo_root,
+                                          monkeypatch):
+        # the q-free spec carries the synthesis and the recovery: the data
+        # are transformed once each, phi and f
+        calls = []
+        transform = forward.sine_coefficients
+        monkeypatch.setattr(forward, "sine_coefficients",
+                            lambda *a: calls.append(a) or transform(*a))
+        code, _ = run(tmp_path, "inverse", cfg=shipped("inverse", repo_root))
+        assert code == 0 and len(calls) == 2
+
+    def test_sweeps_solve_loosely_while_the_residual_is_large(
+            self, tmp_path, repo_root, monkeypatch):
+        # every sweep at the forward tolerance took 269 Picard steps here
+        steps = []
+        step = mode_solver.picard_step
+        monkeypatch.setattr(mode_solver, "picard_step",
+                            lambda *a: steps.append(1) or step(*a))
+        code, out = run(tmp_path, "inverse", cfg=shipped("inverse", repo_root))
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert len(steps) <= 170
+        assert rep["iterations"] <= 41 and rep["recovery_error"] < 1e-5
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-5])
+    def test_loose_outer_tolerance_keeps_its_sweep_count(
+            self, tmp_path, repo_root, monkeypatch, tol):
+        # a loose sweep that gets below tol is confirmed by one exact sweep,
+        # so at most one sweep is added to the plain exit rule's count;
+        # tightening the inner solve step by step took 39 sweeps at both
+        # tolerances, against 26 and 32
+        cfg = shipped("inverse", repo_root)
+        cfg["solver"]["tol"] = tol
+        steps = []
+        step = mode_solver.picard_step
+        monkeypatch.setattr(mode_solver, "picard_step",
+                            lambda *a: steps.append(1) or step(*a))
+        runs = []
+        for forcing in (inverse._FORCING, 0.0):
+            monkeypatch.setattr(inverse, "_FORCING", forcing)
+            steps.clear()
+            code, out = run(tmp_path, "inverse", cfg=cfg,
+                            out=tmp_path / f"c{forcing}")
+            assert code == 0
+            rep = json.loads((out / "report.json").read_text())
+            runs.append((rep["iterations"], len(steps)))
+        (sweeps, picard), (plain_sweeps, plain_picard) = runs
+        assert sweeps <= plain_sweeps + 1
+        assert picard < plain_picard
+
+    @pytest.mark.parametrize("q_true", [
+        None, {"kind": "affine", "intercept": 0.2, "slope": 0.4}],
+        ids=["shipped", "affine"])
+    def test_loose_sweeps_reach_the_same_fixed_point(
+            self, tmp_path, repo_root, monkeypatch, q_true):
+        # both runs stop on an exact sweep with residual below tol, so each
+        # lies within tol / (1 - r) of the fixed point
+        cfg = shipped("inverse", repo_root)
+        if q_true is not None:
+            cfg["data"]["synthetic"]["q_true"] = q_true
+        runs = []
+        for forcing in (inverse._FORCING, 0.0):
+            monkeypatch.setattr(inverse, "_FORCING", forcing)
+            code, out = run(tmp_path, "inverse", cfg=cfg,
+                            out=tmp_path / f"c{forcing}")
+            assert code == 0
+            rows = (out / "recovered_q.csv").read_text().splitlines()[1:]
+            runs.append((np.array([float(r.split(",")[1]) for r in rows]),
+                         json.loads((out / "report.json").read_text())))
+        (q_loose, rep_loose), (q_exact, rep_exact) = runs
+        ratio = max(rep_loose["measured_ratio"], rep_exact["measured_ratio"])
+        tol = cfg["solver"]["tol"]
+        assert np.max(np.abs(q_loose - q_exact)) <= 2.0 * tol / (1.0 - ratio)
 
     def test_time_varying_q_refines_away_from_t0(self, tmp_path, repo_root):
         """q_true = 0.2 + 0.4 t from exact data: on t >= 0.05 the recovery

@@ -273,6 +273,14 @@ class TestSolveForward:
         with pytest.raises(DomainError):
             solve_forward(tiny_spec(q=None))
 
+    def test_refuses_a_second_reaction_coefficient(self):
+        # a spec that carries q is never solved at another one in silence
+        spec = tiny_spec(q=0.1)
+        other = constant(spec.tgrid, 0.2)
+        for call in (solve_forward, validate_assumption1):
+            with pytest.raises(DomainError, match="carries its own"):
+                call(spec, q=other)
+
     def test_window_exit_warns_but_solves(self):
         spec, _ = make_manufactured(32, 16)  # sigma const, q=0.1 outside
         with pytest.warns(UserWarning, match="window"):

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from subdiff import forward
+from subdiff import forward, inverse
 from subdiff.errors import AdmissibilityError, ConvergenceError, DomainError, GridMismatchError
 from subdiff.forward import ProblemSpec
 from subdiff.frackernel import TimeGrid
@@ -20,7 +20,7 @@ from subdiff.inverse import (
     validate_theorem43,
 )
 from subdiff.profiles import Profile, constant
-from subdiff.spectral import SpaceGrid, eigenvalues
+from subdiff.spectral import SpaceGrid, eigenvalues, flux_at_left
 
 
 def sine_shape(sgrid, k=1):
@@ -59,6 +59,11 @@ def smooth_mode_spec(n, T=0.5, c0=0.05, rho=0.5):
     f = (drho + (lam1 ** 2 * sigma.values + qv) * u1)[:, None] * sh[None, :]
     return ProblemSpec(sgrid=sg, tgrid=tg, rho=rho, sigma=sigma,
                        q=Profile(tg, qv), f=f, phi=c0 * sh, K=4)
+
+
+def synth(spec, *args, **kwargs):
+    """Flux data of ``spec`` at its own coefficient, on the q-free problem."""
+    return synthesize_data(replace(spec, q=None), spec.q, *args, **kwargs)
 
 
 def bare_spec(n=64, m=16, K=4, phi1=None, T=1.0):
@@ -167,7 +172,7 @@ class TestApplyL:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             moved = apply_L(inv.q_true, inv).values
         assert np.max(np.abs(moved - inv.q_true.values)) < 1e-5
 
@@ -175,7 +180,7 @@ class TestApplyL:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             d0 = np.max(np.abs(inv.q_init.values - inv.q_true.values))
             d1 = np.max(np.abs(apply_L(inv.q_init, inv).values
                                - inv.q_true.values))
@@ -185,7 +190,7 @@ class TestApplyL:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
         with pytest.raises(GridMismatchError):
             apply_L(constant(TimeGrid(0.5, 64), 0.3), inv)
 
@@ -214,7 +219,7 @@ class TestEstimateCT:
         spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             got = estimate_CT(inv)
         lam = eigenvalues(inv.spec.K, 1.0)
         s_phi = float(np.sum(lam ** 3 * np.abs(inv.spec.phi_k)))
@@ -232,7 +237,7 @@ class TestConditionReport:
         rep = validate_theorem43(inv)
         assert rep.cond2_compatible
         assert rep.compat_defect < 1e-12
-        assert rep.cond1_flux_floor
+        assert rep.psi_min >= inv.psi0
 
     def test_constant_sigma_fails_data_window(self):
         # M_sigma = m_sigma makes the strict upper bound negative
@@ -242,7 +247,7 @@ class TestConditionReport:
                            f=spec.f, phi=spec.phi, K=spec.K)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(flat)
+            inv = synth(flat)
         rep = validate_theorem43(inv)
         assert rep.cond3_rhs < 0.0
         assert not rep.cond3_window
@@ -266,9 +271,9 @@ class TestConditionReport:
                            q=Profile(tg, qv), f=f, phi=phi, K=8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
         rep = validate_theorem43(inv)
-        assert rep.cond1_flux_floor and rep.cond2_compatible
+        assert rep.psi_min >= inv.psi0 and rep.cond2_compatible
         assert rep.cond3_window
         assert 0.0 <= rep.cond3_low and rep.cond3_high < rep.cond3_rhs
 
@@ -278,7 +283,7 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert res.recovery_error < 1e-3
         assert res.measured_ratio < 1.0
@@ -291,7 +296,7 @@ class TestRecoverQ:
         spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
         calls = []
         transform = forward.sine_coefficients
         monkeypatch.setattr(forward, "sine_coefficients",
@@ -307,7 +312,7 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert res.recovery_error < 5e-3
 
@@ -315,7 +320,7 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: np.zeros_like(t))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             # force real motion
             inv = replace(inv, q_init=constant(inv.spec.tgrid, 1.0))
             res = recover_q(inv, tol=1e-6, max_iter=300)
@@ -327,12 +332,54 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             res = recover_q(inv, tol=1e-6, max_iter=300)
             moved = apply_L(res.q, inv).values
         assert np.max(np.abs(moved - res.q.values)) <= 1e-6
         assert 0.0 < res.measured_ratio < 1.0
         assert len(res.iterates) <= 93 // 2
+
+    def test_final_sweep_solves_at_the_forward_tolerance(self, monkeypatch):
+        # sweep k solves to max(1e-10, c r_{k-1}), or to 1e-10 once r_{k-1}
+        # is below tol; the first and the last sweep run at 1e-10, so the
+        # returned q is an exact image of L
+        spec = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inv = synth(spec)
+        tols = []
+        solve = inverse.solve_mode_set
+        monkeypatch.setattr(
+            inverse, "solve_mode_set",
+            lambda *a, tol=1e-10, **k: tols.append(tol) or solve(
+                *a, tol=tol, **k))
+        res = recover_q(inv, tol=1e-6, max_iter=300)
+        sweeps = tols[:len(res.iterates)]
+        assert len(tols) == len(sweeps) + 1  # the final cold solve
+        assert sweeps[0] == sweeps[-1] == 1e-10
+        assert sweeps[1:] == [1e-10 if r < 1e-6
+                              else max(1e-10, inverse._FORCING * r)
+                              for r in res.iterates[:-1]]
+        assert max(sweeps) > 1e-6  # early sweeps do run loose
+
+    def test_anderson_step_solves_the_least_squares_problem(self):
+        rng = np.random.default_rng(3)
+        g, stacked, dG = rng.normal(size=50), rng.normal(size=(4, 50)), \
+            rng.normal(size=(3, 50))
+        gamma = np.linalg.lstsq(stacked[1:].T, stacked[0], rcond=None)[0]
+        got = inverse._anderson_step(g, stacked, dG)
+        assert np.max(np.abs(got - (g - gamma @ dG))) < 1e-12
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9])
+    def test_rank_deficient_history_takes_the_plain_step(self, gap):
+        # two difference rows equal or 1e-9 apart: the Gram system would
+        # square a condition number of 1e9 or more, past what gamma can be
+        # trusted with
+        rng = np.random.default_rng(3)
+        g, f, d, e = rng.normal(size=(4, 50))
+        stacked = np.array([f, d, rng.normal(size=50), d + gap * e])
+        assert inverse._anderson_step(g, stacked,
+                                      rng.normal(size=(3, 50))) is g
 
     def test_clamps_counted_near_window_edge(self):
         # q_true = 4.5 sits just below the window's upper end (about 4.73),
@@ -340,7 +387,7 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 4.5))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         lo, hi = inv.spec.q_window
         assert res.clamp_count > 0
@@ -351,7 +398,7 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert max(res.trace_sums) <= res.trace_bound + 1e-10
 
@@ -359,7 +406,7 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             inv = replace(inv, q_init=inv.q_true)
             res = recover_q(inv, tol=1e-5, max_iter=50)
         assert len(res.iterates) <= 2
@@ -368,7 +415,7 @@ class TestRecoverQ:
         spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
             with pytest.raises(ConvergenceError) as exc:
                 recover_q(inv, tol=1e-12, max_iter=3)
         assert exc.value.iterations == 3
@@ -381,7 +428,7 @@ class TestRecoverQ:
             spec = smooth_mode_spec(n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                inv = synthesize_data(spec)
+                inv = synth(spec)
                 moved = apply_L(inv.q_true, inv).values
             defects.append(np.max(np.abs(moved - inv.q_true.values)))
         assert defects[1] < 0.7 * defects[0]
@@ -391,20 +438,49 @@ class TestRecoverQ:
 class TestSynthesizeData:
     def test_requires_true_coefficient(self):
         with pytest.raises(DomainError):
-            synthesize_data(bare_spec())
+            synthesize_data(bare_spec(), None)
+
+    def test_refuses_a_spec_that_carries_q(self):
+        # the truth is an argument of its own, so a problem that carries q
+        # would give the coefficient twice
+        spec = const_mode_spec(16, lambda t: np.full_like(t, 0.3))
+        with pytest.raises(DomainError, match="carries its own"):
+            synthesize_data(spec, spec.q)
+
+    def test_data_ride_on_the_given_spec(self, monkeypatch):
+        # synthesis builds no spec of its own, so it makes no sine
+        # transform, and its flux is the forward solve's at q_true bitwise
+        spec = const_mode_spec(64, lambda t: 0.2 + 0.1 * t)
+        clean = replace(spec, q=None)
+        want = flux_at_left(forward.solve_forward(spec).u_k, spec.length)
+        calls = []
+        transform = forward.sine_coefficients
+        monkeypatch.setattr(forward, "sine_coefficients",
+                            lambda *a: calls.append(a) or transform(*a))
+        inv = synthesize_data(clean, spec.q)
+        assert inv.spec is clean and inv.q_true is spec.q
+        assert calls == []
+        assert np.array_equal(inv.psi.values, want)
+
+    def test_warns_on_truth_outside_window(self):
+        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        hi = spec.q_window[1]
+        with pytest.warns(UserWarning, match="admissibility window"):
+            synthesize_data(replace(spec, q=None),
+                            constant(spec.tgrid, hi + 0.5))
 
     def test_rejects_negative_noise(self):
         spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with pytest.raises(DomainError):
-            synthesize_data(spec, noise_level=-0.1)
+            synth(spec, noise_level=-0.1)
 
     def test_same_seed_bitwise_identical(self):
         spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = synthesize_data(spec, 0.01, seed=42).psi.values
-            b = synthesize_data(spec, 0.01, seed=42).psi.values
-            c = synthesize_data(spec, 0.01, seed=43).psi.values
+            a = synth(spec, 0.01, seed=42).psi.values
+            b = synth(spec, 0.01, seed=42).psi.values
+            c = synth(spec, 0.01, seed=43).psi.values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -412,7 +488,7 @@ class TestSynthesizeData:
         spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec)
+            inv = synth(spec)
         assert inv.psi0 == pytest.approx(float(inv.psi.values.min()))
         assert inv.q_true is spec.q
         assert inv.spec.q is None
@@ -420,4 +496,4 @@ class TestSynthesizeData:
     def test_violent_noise_rejected(self):
         spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with pytest.raises(AdmissibilityError):
-            synthesize_data(spec, noise_level=2.0, seed=0)
+            synth(spec, noise_level=2.0, seed=0)

@@ -149,6 +149,18 @@ class TestBlockedHistory:
         assert exc.value.step == 100
         assert "non-finite values after step 100" in str(exc.value)
 
+    def test_non_finite_data_refused_where_they_enter(self):
+        # a NaN in source row 100 once reached both routes, which told it
+        # apart (DomainError from the spectral route, SingularSystemError at
+        # step 100 from this one); the spec now refuses it for both
+        spec = varying_spec(128, 4)
+        f, phi = spec.f.copy(), spec.phi.copy()
+        f[100, 1] = np.nan
+        phi[2] = np.inf
+        for bad in ({"f": f}, {"phi": phi}):
+            with pytest.raises(DomainError, match="must be finite"):
+                replace(spec, **bad)
+
     def test_dominance_lost_in_second_block(self):
         n, m = 128, 8
         spec = varying_spec(n, m)
