@@ -20,10 +20,14 @@ x = 0 and x = inf and the case rho = beta = 1; the power series
 |z| = Z_SWITCH the asymptotic expansion truncated at its smallest term; the
 branch-cut integral, rescaled so that one fixed Gauss-Legendre rule per
 (rho, beta) serves every entry (``_branch_cut_curve``, beta first lowered to
-at most 1); and extended precision, one entry at a time.  The two sums run as
-term loops over every entry still active and estimate their own error a
-posteriori; what they cannot reach in double precision goes on to the later
-stages, so the tolerances hold everywhere.
+at most 1); and the same integral in extended precision, one entry at a time
+(``_mp_branch_cut``).  The two sums run as term loops over every entry still
+active and estimate their own error a posteriori; what they cannot reach in
+double precision goes on to the later stages, so the tolerances hold
+everywhere.
+
+Domain: the orders the solvers use, 0 < rho < 1 with any finite beta, and
+rho = beta = 1 (the exponential).  ``MlfParams`` is the one order check.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 Z_SWITCH = 5.0
 SERIES_MAX_TERMS = 500
@@ -44,12 +48,6 @@ _REL_TARGET = 1e-13
 # the series is not tried once x^(1/rho) exceeds this (its running maximum
 # term outgrows the result beyond care)
 _SERIES_CANCEL_MAX = 34.0
-# the fixed-node branch-cut rule serves orders up to this; near rho = 1 the
-# pole grading of ``_cut_edges`` keeps its panels narrow enough
-_BRANCH_CUT_RHO_MAX = 0.999
-# the extended-precision branch cut serves orders up to this (its integrand
-# peaks ever more sharply as rho -> 1); above it the series takes over
-_MP_CUT_RHO_MAX = 0.97
 # a branch-cut value is accepted at err <= _CUT_REL_TOL * max(|v|, _CUT_FLOOR)
 _CUT_REL_TOL = 1e-12
 _CUT_FLOOR = 1e-4
@@ -100,14 +98,17 @@ def _log_rgamma_abs(x: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MlfParams:
-    """Order/parameter pair (rho, beta) of E_{rho,beta}."""
+    """Order/parameter pair (rho, beta) of E_{rho,beta}: 0 < rho < 1 with
+    any finite beta, or rho = beta = 1."""
 
     rho: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho < 2.0) or not math.isfinite(self.rho):
-            raise DomainError(f"order rho must lie in (0, 2), got {self.rho!r}")
+        if not (0.0 < self.rho < 1.0 or self.rho == self.beta == 1.0):
+            raise DomainError(
+                f"order rho must lie in (0, 1), or rho = beta = 1; got "
+                f"rho={self.rho!r}, beta={self.beta!r}")
         if not math.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta!r}")
 
@@ -161,21 +162,12 @@ def _asymptotic_curve(rho: float, beta: float, x: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Large-x expansion of E_{rho,beta}(-x): (values, est. absolute errors).
 
-    Algebraic part: sum_{n>=1} (-1)^(n+1) x^(-n) / Gamma(beta - n*rho),
-    truncated before its smallest term.  For rho in (1, 2) the two conjugate
-    exponential contributions on the Stokes rays are added; on the negative
-    axis they decay like exp(x^(1/rho) * cos(pi/rho)) and are computed
-    exactly in complex double precision.  At rho = 1 that ray term is real
-    and not representable this way, so every entry is left (nan, inf).
+    The algebraic sum sum_{n>=1} (-1)^(n+1) x^(-n) / Gamma(beta - n*rho),
+    truncated before its smallest term (rho < 1 has no exponential part on
+    the negative axis).
     """
     val = np.full(x.shape, math.nan)
     err_out = np.full(x.shape, math.inf)
-    if rho == 1.0:
-        return val, err_out
-    ray = None
-    if rho > 1.0:
-        w = x ** (1.0 / rho) * np.exp(1j * math.pi / rho)
-        ray = (2.0 / rho) * (w ** (1.0 - beta) * np.exp(w)).real
     idx = np.arange(x.size)
     lnx = np.log(x)
     total = np.zeros(x.size)
@@ -186,8 +178,6 @@ def _asymptotic_curve(rho: float, beta: float, x: np.ndarray
 
     def finish(stop, err):
         at, v = idx[stop], total[stop]
-        if ray is not None:
-            v = v + ray[at]
         val[at] = v
         err_out[at] = err[stop] + 4.0 * _EPS * np.abs(v)
 
@@ -317,11 +307,11 @@ def _branch_cut_curve(rho: float, beta: float, x: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """E_{rho,beta}(-x) from the branch cut, one fixed rule for every entry of x.
 
-    For _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX, beta <= 1 and x in
-    [_CUT_X_MIN, _CUT_X_MAX]; returns (values, est. absolute errors).  Putting
-    s = (x w)^(1/rho) into the branch-cut integral of ``_mp_branch_cut``
-    (Gorenflo, Loutchko and Luchko, Fract. Calc. Appl. Anal. 5 (2002) 491)
-    gives, with p = (1 - beta)/rho and L(w) = w^2 + 2 w cos(pi rho) + 1,
+    For _CUT_RHO_MIN <= rho < 1, beta <= 1 and x in [_CUT_X_MIN, _CUT_X_MAX];
+    returns (values, est. absolute errors).  Putting s = (x w)^(1/rho) into
+    the branch-cut integral in s (Gorenflo, Loutchko and Luchko, Fract. Calc.
+    Appl. Anal. 5 (2002) 491) gives, with p = (1 - beta)/rho and
+    L(w) = w^2 + 2 w cos(pi rho) + 1,
 
         E_{rho,beta}(-x) = x^p / (pi rho) int_0^inf exp(-(x w)^(1/rho)) w^p
             * (w sin(pi beta) + sin(pi (beta-rho))) / L(w) dw,
@@ -377,97 +367,43 @@ def _branch_cut_curve(rho: float, beta: float, x: np.ndarray
 
 
 def _mp_branch_cut(rho: float, beta: float, x: float) -> float:
-    """Branch-cut integral in extended precision (0 < rho < 1, beta <= rho + 0.75):
+    """E_{rho,beta}(-x) for 0 < rho < 1, beta <= 1 and x > 0: the w-integral
+    of ``_branch_cut_curve`` by mpmath quadrature, every power taken in
+    extended precision.
 
-        E_{rho,beta}(-x) = (1/pi) int_0^inf exp(-s) s^(rho-beta)
-            * (s^rho sin(pi beta) - x sin(pi (rho-beta)))
-            / (s^(2 rho) + 2 x s^rho cos(pi rho) + x^2) ds,
-
-    with s = v^4 on the finite part so the endpoint singularity is regular.
+    The integral is split at w = 1, next to which the Lorentzian peaks ever
+    more sharply as rho -> 1, and at w = 1/x, where exp(-(x w)^(1/rho))
+    drops ever more steeply as rho -> 0; tanh-sinh clusters its nodes at
+    both.  It ends where that exponential is e^-1000, far below the working
+    precision (and exp of a larger argument costs more than the rest).
     """
     import mpmath as mp
 
     with mp.workdps(40):
-        sb = mp.sinpi(mp.mpf(beta))
-        srb = mp.sinpi(mp.mpf(rho) - mp.mpf(beta))
-        c = mp.cospi(mp.mpf(rho))
-        xm = mp.mpf(x)
-        vpow = 4 * (mp.mpf(rho) - mp.mpf(beta)) + 3
+        r, b, xm = mp.mpf(rho), mp.mpf(beta), mp.mpf(x)
+        p = (1 - b) / r
+        c, s = mp.cospi(r), mp.sinpi(r)
+        sb, sbr = mp.sinpi(b), mp.sinpi(b - r)
 
-        def g(v):
-            s = v ** 4
-            sr = s ** rho
-            den = sr * sr + 2 * xm * sr * c + xm * xm
-            return 4 * v ** vpow * mp.e ** (-s) * (sr * sb - xm * srb) / (mp.pi * den)
+        def f(w):
+            xw = xm * w
+            return (xw ** p * mp.exp(-xw ** (1 / r)) * (w * sb + sbr)
+                    / ((w + c) ** 2 + s * s))
 
-        def f(s):
-            sr = s ** rho
-            den = sr * sr + 2 * xm * sr * c + xm * xm
-            return mp.e ** (-s) * s ** (rho - beta) * (sr * sb - xm * srb) / (mp.pi * den)
-
-        s_hi = 100.0
-        peak = x ** (1.0 / rho)
-        vpts = {0.0, s_hi ** 0.25}
-        if peak < s_hi * 0.95:
-            for frac in (0.5, 1.0, 2.0):
-                p = peak * frac
-                if 0.0 < p < s_hi:
-                    vpts.add(p ** 0.25)
-        cuts = sorted(mp.mpf(v) for v in vpts)
-        total = mp.mpf(0)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            total += mp.quad(g, [a, b])
-        total += mp.quad(f, [mp.mpf(s_hi), mp.inf])
-        return float(total)
-
-
-def _mp_series(rho: float, beta: float, x: float) -> float:
-    """Extended-precision series; slow, used only where doubles cannot win."""
-    import mpmath as mp
-
-    # digits lost to cancellation ~ x^(1/rho) * log10(e)
-    lost = x ** (1.0 / rho) * 0.4343
-    if lost > 3000.0:
-        raise ConvergenceError(
-            f"Mittag-Leffler series needs ~{lost:.0f} guard digits at "
-            f"rho={rho}, beta={beta}, x={x}; out of supported range")
-    with mp.workdps(int(lost * 1.05) + 40):
-        z = mp.mpf(-x)
-        rho_m = mp.mpf(rho)
-        beta_m = mp.mpf(beta)
-        total = mp.mpf(0)
-        floor = mp.mpf(10) ** (-mp.mp.dps)
-        term_bound = max(2000, int(20.0 * x ** (1.0 / rho) / rho))
-        converged = False
-        for k in range(term_bound):
-            a = k * rho + beta
-            if a <= 0 and abs(a - round(a)) < 1e-12:
-                continue
-            # the Gamma argument must carry full precision: a double-rounded
-            # argument costs ~psi(a)*eps relative error, fatal after blow-up
-            t = z ** k / mp.gamma(k * rho_m + beta_m)
-            total += t
-            if k > 2 and abs(t) < floor * (abs(total) + 1):
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"extended-precision series did not converge within "
-                f"{term_bound} terms at rho={rho}, beta={beta}, x={x}")
-        return float(total)
+        w_end = 1000 ** r / xm
+        cuts = sorted(w for w in {mp.mpf(0), mp.mpf(1), 1 / xm} if w < w_end)
+        return float(mp.quad(f, cuts + [w_end]) / (mp.pi * r))
 
 
 def _fallback(rho: float, beta: float, x: float) -> float:
     """E_{rho,beta}(-x) in extended precision, for one entry no band serves."""
-    if rho <= _MP_CUT_RHO_MAX:
-        m, b0 = _lowered_beta(rho, beta)
-        return _raise_beta(rho, b0, m, x, _mp_branch_cut(rho, b0, x))
-    return _mp_series(rho, beta, x)
+    m, b0 = _lowered_beta(rho, beta)
+    return _raise_beta(rho, b0, m, x, _mp_branch_cut(rho, b0, x))
 
 
 def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """E_{rho,beta}(-x) at every entry of x >= 0, for 0 < rho < 2, through
-    the five stages of the module docstring."""
+    """E_{rho,beta}(-x) at every entry of x >= 0, for (rho, beta) that
+    ``MlfParams`` accepts, through the five stages of the module docstring."""
     if rho == 1.0 and beta == 1.0:
         return np.exp(-x)
     shape, x = x.shape, x.ravel()
@@ -478,8 +414,9 @@ def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
         out[zero] = rgamma(beta)
         pending &= ~zero
 
-    series = (pending & (x <= Z_SWITCH)
-              & (np.minimum(x, Z_SWITCH) ** (1.0 / rho) <= _SERIES_CANCEL_MAX))
+    with np.errstate(over="ignore"):  # inf fails the test, as it should
+        cancel = np.minimum(x, Z_SWITCH) ** (1.0 / rho)
+    series = pending & (x <= Z_SWITCH) & (cancel <= _SERIES_CANCEL_MAX)
     if series.any():
         val, rel = _series_curve(rho, beta, x[series])
         ok = np.isfinite(val) & (rel <= _REL_TARGET)
@@ -492,7 +429,7 @@ def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
         _accept(out, pending, asym, val, ok)
 
     cut = pending & (x >= _CUT_X_MIN) & (x <= _CUT_X_MAX)
-    if _CUT_RHO_MIN <= rho <= _BRANCH_CUT_RHO_MAX and cut.any():
+    if rho >= _CUT_RHO_MIN and cut.any():
         m, b0 = _lowered_beta(rho, beta)
         xc = x[cut]
         val, err = _branch_cut_curve(rho, b0, xc)
@@ -544,8 +481,7 @@ def relaxation_curve(rho: float, lam, t) -> np.ndarray:
     if not np.all((lam > 0.0) & (lam < math.inf)):
         raise DomainError(
             f"lam must be positive and finite, got {lam.tolist()!r}")
-    if not (0.0 < rho <= 1.0):
-        raise DomainError(f"relaxation_curve needs rho in (0, 1], got {rho!r}")
+    MlfParams(rho, 1.0)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("times must be nonnegative")
@@ -557,6 +493,7 @@ def kernel(rho: float, lam: float, t: float) -> float:
 
     Singular (integrably) at t = 0 for rho < 1; t must be positive.
     """
+    MlfParams(rho, rho)
     if not (0.0 < lam < math.inf):
         raise DomainError(f"lam must be positive and finite, got {lam!r}")
     if not t > 0.0:
