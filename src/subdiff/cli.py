@@ -157,7 +157,7 @@ def _terms(cfg, where, K):
     return terms
 
 
-def _build_spec(cfg, need_q: bool, base: Path) -> ProblemSpec:
+def _build_spec(cfg, base: Path) -> ProblemSpec:
     prob = cfg["problem"]
     _check_keys(prob, {"length", "t_final", "rho", "n_steps", "n_cells",
                        "n_modes"}, "problem",
@@ -171,7 +171,6 @@ def _build_spec(cfg, need_q: bool, base: Path) -> ProblemSpec:
              default=default_mode_count(sgrid.n_cells), lo=1, integer=True)
 
     sigma = _profile(cfg["sigma"], tgrid, "sigma", base)
-    q = _profile(cfg["q"], tgrid, "q", base) if need_q else None
 
     shapes = basis(sgrid, K)
     phi = np.zeros(sgrid.n_cells + 1)
@@ -189,8 +188,8 @@ def _build_spec(cfg, need_q: bool, base: Path) -> ProblemSpec:
         k = _num(term, "mode", f"f.terms[{i}]", integer=True)
         f += prof.values[:, None] * shapes[k - 1][None, :]
 
-    return ProblemSpec(sgrid=sgrid, tgrid=tgrid, rho=rho, sigma=sigma, q=q,
-                       f=f, phi=phi, K=K)
+    return ProblemSpec(sgrid=sgrid, tgrid=tgrid, rho=rho, sigma=sigma, f=f,
+                       phi=phi, K=K)
 
 
 def _solver_block(cfg, defaults):
@@ -216,8 +215,6 @@ def _resolved_config(command, cfg, spec, solver, extra=None):
         "f": cfg["f"],
         "solver": solver,
     }
-    if spec.q is not None:
-        resolved["q"] = cfg["q"]
     if extra:
         resolved.update(extra)
     return resolved
@@ -265,16 +262,19 @@ def _run_forward(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "q", "phi", "f", "solver"},
                 "config", required={"problem", "sigma", "q", "phi", "f"})
     solver = _solver_block(cfg, {"tol": 1e-10, "max_iter": 200})
-    spec = _build_spec(cfg, need_q=True, base=base)
-    sol = solve_forward(spec, tol=solver["tol"], max_iter=solver["max_iter"])
-    residual = residual_check(sol, spec)
+    spec = _build_spec(cfg, base)
+    q = _profile(cfg["q"], spec.tgrid, "q", base)
+    sol = solve_forward(spec, q, tol=solver["tol"],
+                        max_iter=solver["max_iter"])
+    residual = residual_check(sol, spec, q)
 
     _write_csv(out / "solution.csv",
                ["t"] + [f"u{j}" for j in range(spec.sgrid.n_cells + 1)],
                np.column_stack([spec.tgrid.nodes, sol.u]))
     _write_json(out / "diagnostics.json", _artifact(sol.diagnostics) | {
         "residual": _jnum(residual),
-        "resolved_config": _resolved_config("forward", cfg, spec, solver),
+        "resolved_config": _resolved_config("forward", cfg, spec, solver,
+                                            extra={"q": cfg["q"]}),
     })
     print(f"forward: residual {residual:.6e}; "
           f"wrote {out / 'solution.csv'}, {out / 'diagnostics.json'}")
@@ -285,7 +285,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "phi", "f", "data", "solver"},
                 "config", required={"problem", "sigma", "phi", "f", "data"})
     solver = _solver_block(cfg, {"tol": 1e-6, "max_iter": 500})
-    spec = _build_spec(cfg, need_q=False, base=base)
+    spec = _build_spec(cfg, base)
 
     data = cfg["data"]
     _check_keys(data, {"psi_csv", "psi0", "synthetic"}, "data")
@@ -343,10 +343,12 @@ def _run_verify(cfg, out: Path, base: Path) -> int:
     max_res = _num(ver, "max_residual", "verify", default=1e-2, lo=0.0)
     max_gap = _num(ver, "max_cross_gap", "verify", default=5e-3, lo=0.0)
 
-    spec = _build_spec(cfg, need_q=True, base=base)
-    sol = solve_forward(spec, tol=solver["tol"], max_iter=solver["max_iter"])
-    residual = residual_check(sol, spec)
-    gap = float(np.max(np.abs(sol.u - solve_fd(spec).u)))
+    spec = _build_spec(cfg, base)
+    q = _profile(cfg["q"], spec.tgrid, "q", base)
+    sol = solve_forward(spec, q, tol=solver["tol"],
+                        max_iter=solver["max_iter"])
+    residual = residual_check(sol, spec, q)
+    gap = float(np.max(np.abs(sol.u - solve_fd(spec, q).u)))
     res_ok, gap_ok = residual <= max_res, gap <= max_gap
 
     _write_json(out / "verify.json", {
@@ -355,8 +357,8 @@ def _run_verify(cfg, out: Path, base: Path) -> int:
         "passed": res_ok and gap_ok,
         "resolved_config": _resolved_config(
             "verify", cfg, spec, solver,
-            extra={"verify": {"max_residual": max_res,
-                              "max_cross_gap": max_gap}}),
+            extra={"q": cfg["q"], "verify": {"max_residual": max_res,
+                                             "max_cross_gap": max_gap}}),
     })
     print(f"verify: residual {residual:.6e} (<= {max_res:g}: {res_ok}), "
           f"cross gap {gap:.6e} (<= {max_gap:g}: {gap_ok}); "

@@ -40,8 +40,10 @@ def default_mode_count(n_cells: int) -> int:
 class ProblemSpec:
     """Data of the forward problem, checked once at construction.
 
-    Assumption 1 is owned here: sigma's declared lower bound m_sigma must be
-    positive, and ``q_window`` is the open interval
+    The spec holds what the forward and the inverse problem share; the
+    reaction coefficient q is the forward solvers' argument and the inverse
+    problem's unknown.  Assumption 1 is owned here: sigma's declared lower
+    bound m_sigma must be positive, and ``q_window`` is the open interval
     (-m_sigma lam_1^2, (M_sigma - m_sigma) lam_1^2) for q, with lam_1 = pi/l
     and both sigma bounds the declared ones (``Profile.vmin``/``vmax``), the
     same bounds the mode solver contracts with.  Solvers trust the spec.
@@ -55,7 +57,6 @@ class ProblemSpec:
     tgrid: TimeGrid
     rho: float
     sigma: Profile
-    q: Optional[Profile]
     f: np.ndarray  # (n_steps+1, n_cells+1), rows are time nodes
     phi: np.ndarray  # (n_cells+1,)
     K: Optional[int] = None
@@ -77,10 +78,7 @@ class ProblemSpec:
             raise DomainError("source and initial datum must be finite")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "phi", phi)
-        for name in ("sigma", "q"):
-            prof = getattr(self, name)
-            if prof is not None and prof.grid != self.tgrid:
-                raise GridMismatchError(f"{name} lives on a different time grid")
+        self.on_grid(self.sigma, "sigma")
         if self.K is None:
             object.__setattr__(self, "K",
                                default_mode_count(self.sgrid.n_cells))
@@ -103,6 +101,13 @@ class ProblemSpec:
         object.__setattr__(self, "f_k",
                            sine_coefficients(self.sgrid, f, self.K).T)
 
+    def on_grid(self, prof: Profile, name: str = "q") -> None:
+        """Refuse a ``prof`` that is not a time profile on the spec's grid."""
+        if not isinstance(prof, Profile):
+            raise DomainError(f"{name} must be a time profile, got {prof!r}")
+        if prof.grid != self.tgrid:
+            raise GridMismatchError(f"{name} lives on a different time grid")
+
     @property
     def length(self) -> float:
         return self.sgrid.length
@@ -116,8 +121,8 @@ class ProblemSpec:
 class AssumptionReport:
     m_sigma: float
     M_sigma: float
-    n_q: Optional[float]
-    N_q: Optional[float]
+    n_q: float
+    N_q: float
     q_window: tuple[float, float]
     cond2_q_in_window: bool
     cond3_endpoints: bool
@@ -128,30 +133,20 @@ class AssumptionReport:
         return self.cond2_q_in_window and self.cond3_endpoints
 
 
-def validate_assumption1(spec: ProblemSpec,
-                         q: Optional[Profile] = None) -> AssumptionReport:
-    """Declared coefficient bounds against the spec's admissibility window.
+def validate_assumption1(spec: ProblemSpec, q: Profile) -> AssumptionReport:
+    """Declared bounds of sigma and of the reaction coefficient ``q`` against
+    the spec's admissibility window.
 
-    ``q`` is the reaction coefficient judged: the spec's own by default, or
-    one given for a q-free spec (a spec that carries q refuses another).
     The q window uses strict inequalities: a constant sigma yields the window
     (-m_sigma pi^2/l^2, 0), which excludes q identically zero.  Sigma's
     positivity (condition 1) is enforced by ``ProblemSpec`` itself, so it is
     not reported: it holds on every spec that exists.
     """
-    if q is None:
-        q = spec.q
-    elif spec.q is not None:
-        raise DomainError("the spec carries its own reaction coefficient; "
-                          "pass q only with a q-free spec")
+    spec.on_grid(q)
     m_s, M_s = spec.sigma.vmin, spec.sigma.vmax
     lo, hi = spec.q_window
-    if q is None:
-        n_q = N_q = None
-        cond2 = lo < hi
-    else:
-        n_q, N_q = q.vmin, q.vmax
-        cond2 = (n_q > lo) and (N_q < hi)
+    n_q, N_q = q.vmin, q.vmax
+    cond2 = (n_q > lo) and (N_q < hi)
     defect = max(
         abs(float(spec.phi[0])), abs(float(spec.phi[-1])),
         float(np.max(np.abs(spec.f[:, 0]))), float(np.max(np.abs(spec.f[:, -1]))))
@@ -195,21 +190,16 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
     return float(np.polyfit(np.log(t), np.log(y), 1)[0])
 
 
-def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
-                  max_iter: int = 200,
-                  q: Optional[Profile] = None) -> FieldSolution:
-    """Solve at the spec's reaction coefficient or, for a q-free spec, at
-    ``q``; a spec that carries q refuses another (``DomainError``)."""
+def solve_forward(spec: ProblemSpec, q: Profile, tol: float = 1e-10,
+                  max_iter: int = 200) -> FieldSolution:
+    """Solve the spec's problem at the reaction coefficient ``q``."""
     report = validate_assumption1(spec, q)
-    q = spec.q if q is None else q
     if not report.cond2_q_in_window:
         warnings.warn(
             f"reaction coefficient leaves the admissibility window "
             f"{report.q_window}; the forward solve proceeds on the measured "
             f"contraction alone", stacklevel=2)
 
-    if q is None:
-        raise DomainError("cannot solve modes without a reaction coefficient")
     solution = solve_mode_set(spec, q, tol=tol, max_iter=max_iter)
     coeffs = solution.u_k
     lam = eigenvalues(spec.K, spec.length)
@@ -241,10 +231,10 @@ def solve_forward(spec: ProblemSpec, tol: float = 1e-10,
                          diagnostics=diagnostics)
 
 
-def residual_check(sol: FieldSolution, spec: ProblemSpec) -> float:
+def residual_check(sol: FieldSolution, spec: ProblemSpec,
+                   q: Profile) -> float:
     """max over t >= t_1 and interior x of |D^rho u - sigma u_xx + q u - f|."""
-    if spec.q is None:
-        raise DomainError("residual needs the reaction coefficient")
+    spec.on_grid(q)
     u = sol.u
     if u.shape != spec.f.shape:
         raise GridMismatchError("solution and problem grids differ")
@@ -258,6 +248,6 @@ def residual_check(sol: FieldSolution, spec: ProblemSpec) -> float:
     nx = spec.sgrid.n_cells
     dcap = caputo_l1(spec.tgrid, u[:, 1:nx], spec.rho)
     sig = spec.sigma.values[:, None]
-    qv = spec.q.values[:, None]
+    qv = q.values[:, None]
     res = dcap - sig * u_xx[:, 1:nx] + qv * u[:, 1:nx] - spec.f[:, 1:nx]
     return float(np.max(np.abs(res[1:])))

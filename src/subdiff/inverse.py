@@ -19,12 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    ConvergenceError,
-    DomainError,
-    GridMismatchError,
-)
+from .errors import AdmissibilityError, ConvergenceError, DomainError
 from .forward import ProblemSpec, solve_forward, solve_mode_set
 from .frackernel import caputo_l1
 from .profiles import Profile, constant
@@ -52,7 +47,7 @@ _GRAM_RCOND = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class InverseSpec:
-    """Forward problem with the reaction coefficient removed, plus flux data.
+    """The problem data of the forward problem, plus flux data.
 
     ``psi0`` is the declared positive floor of the observation; data dipping
     below it are rejected at construction, since every division in the
@@ -79,12 +74,7 @@ class InverseSpec:
     q_true: Optional[Profile] = None
 
     def __post_init__(self) -> None:
-        if self.spec.q is not None:
-            raise DomainError(
-                "the reaction coefficient is the unknown here; build the "
-                "problem with q=None")
-        if self.psi.grid != self.spec.tgrid:
-            raise GridMismatchError("flux data lives on a different time grid")
+        self.spec.on_grid(self.psi, "flux data")
         if not self.psi0 > 0.0:
             raise AdmissibilityError(
                 f"the flux floor must be positive, got psi0={self.psi0}")
@@ -121,8 +111,8 @@ class InverseSpec:
             lo, hi = spec.q_window
             object.__setattr__(self, "q_init",
                                constant(tg, max(0.0, 0.5 * (lo + hi))))
-        elif self.q_init.grid != tg:
-            raise GridMismatchError("initial guess lives on a different time grid")
+        else:
+            spec.on_grid(self.q_init, "initial guess")
         for name, value in (("compat_defect", compat_defect),
                             ("compatible", compatible),
                             ("q0", Profile(tg, q0)),
@@ -376,8 +366,8 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
 
 def synthesize_data(spec: ProblemSpec, q_true: Profile,
                     noise_level: float = 0.0, seed: int = 0) -> InverseSpec:
-    """Forward-solve the q-free problem ``spec`` at the known coefficient
-    ``q_true`` and package its flux trace as data on that same spec.
+    """Forward-solve ``spec`` at the known coefficient ``q_true`` and package
+    its flux trace as data on that same spec.
 
     Noise is multiplicative uniform (level * U(-1,1) per node) so small
     levels keep the trace positive; the generator is seeded, making the
@@ -385,7 +375,7 @@ def synthesize_data(spec: ProblemSpec, q_true: Profile,
     """
     if noise_level < 0.0:
         raise DomainError(f"noise level must be nonnegative, got {noise_level}")
-    psi = flux_at_left(solve_forward(spec, q=q_true).u_k, spec.length)
+    psi = flux_at_left(solve_forward(spec, q_true).u_k, spec.length)
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         psi *= 1.0 + noise_level * rng.uniform(-1.0, 1.0, psi.shape)

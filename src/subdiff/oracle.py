@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError
+from .errors import SingularSystemError
 from .forward import FieldSolution, ProblemSpec
 from .frackernel import TimeGrid
+from .profiles import Profile
 from .spectral import SpaceGrid
 
 #: steps per history block: the far field of a block is one matrix product
@@ -99,13 +100,12 @@ class FdWorkspace:
         return self.scale * h
 
 
-def solve_fd(spec: ProblemSpec) -> FieldSolution:
-    if spec.q is None:
-        raise DomainError("cannot step the scheme without a reaction coefficient")
-
+def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
+    """Step the spec's problem at the reaction coefficient ``q``."""
+    spec.on_grid(q)
     ws = FdWorkspace.from_spec(spec)
     N, M = spec.tgrid.n_steps, spec.sgrid.n_cells
-    sig, qv = spec.sigma.values, spec.q.values
+    sig, qv = spec.sigma.values, q.values
 
     dominant = bool(np.all(ws.dominant(qv[1:])))
 

@@ -160,7 +160,7 @@ def make_manufactured(n_steps: int, n_cells: int, rho: float = 0.5):
     sigma = 1, q = 0.1 on the unit square; the source is what the equation
     demands of u*, using D^rho(1+t) = t^(1-rho)/Gamma(2-rho).
 
-    Returns (spec, u_star).
+    Returns (spec, q, u_star).
     """
     from subdiff.forward import ProblemSpec
     from subdiff.frackernel import TimeGrid
@@ -179,9 +179,8 @@ def make_manufactured(n_steps: int, n_cells: int, rho: float = 0.5):
     spec = ProblemSpec(
         sgrid=sgrid, tgrid=tgrid, rho=rho,
         sigma=constant(tgrid, 1.0),
-        q=constant(tgrid, 0.1),
         f=f, phi=u_star[0].copy())
-    return spec, u_star
+    return spec, constant(tgrid, 0.1), u_star
 
 
 def sample_field_problem(rng, n_steps: int, n_cells: int, K: int = 12,
@@ -194,6 +193,7 @@ def sample_field_problem(rng, n_steps: int, n_cells: int, K: int = 12,
     O(1) phi costs the L1 route an O(lam^2 sigma t_1^rho) first-node defect
     that product integration does not share.  Coefficients decay
     geometrically, sigma is a positive sinusoid, q sits mid-window.
+    Returns (spec, q).
     """
     from subdiff.forward import ProblemSpec
     from subdiff.frackernel import TimeGrid
@@ -221,5 +221,5 @@ def sample_field_problem(rng, n_steps: int, n_cells: int, K: int = 12,
     f[:, 0] = f[:, -1] = 0.0
     phi = basis @ (rng.normal(0.0, 1.0, K) * decay * phi_scale)
     phi[0] = phi[-1] = 0.0
-    return ProblemSpec(sgrid=sgrid, tgrid=tgrid, rho=0.5, sigma=sigma, q=q,
-                       f=f, phi=phi, K=K)
+    return (ProblemSpec(sgrid=sgrid, tgrid=tgrid, rho=0.5, sigma=sigma, f=f,
+                        phi=phi, K=K), q)

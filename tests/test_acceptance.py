@@ -61,7 +61,7 @@ def equilibrium_mode_spec(n_steps, q_vals, *, m=256, K=32, T=0.5, c1=0.05):
     return ProblemSpec(
         sgrid=sg, tgrid=tg, rho=0.5,
         sigma=sinusoidal_offset(tg, 2.0, 1.0),
-        q=None, f=f, phi=c1 * shape, K=K)
+        f=f, phi=c1 * shape, K=K)
 
 
 class TestAcceptance:
@@ -176,9 +176,9 @@ class TestAcceptance:
         t0 = time.monotonic()
         spec_errs, fd_errs = [], []
         for n, m in [(256, 64), (512, 128), (1024, 256)]:
-            spec, u_star = make_manufactured(n, m)
-            spec_errs.append(sup(solve_forward(spec).u, u_star))
-            fd_errs.append(sup(solve_fd(spec).u, u_star))
+            spec, q, u_star = make_manufactured(n, m)
+            spec_errs.append(sup(solve_forward(spec, q).u, u_star))
+            fd_errs.append(sup(solve_fd(spec, q).u, u_star))
         assert spec_errs[-1] <= 1e-2 and fd_errs[-1] <= 1e-2
         assert spec_errs[0] > spec_errs[1] > spec_errs[2]
         assert fd_errs[0] > fd_errs[1] > fd_errs[2]
@@ -189,8 +189,10 @@ class TestAcceptance:
         for name, solver, levels, m in (
                 ("spectral", solve_forward, (128, 256, 512), 256),
                 ("fd", solve_fd, (16, 32, 64), 512)):
-            errs = [sup(solver(make_quadratic(n, m)[0]).u,
-                        make_quadratic(n, m)[1]) for n in levels]
+            errs = []
+            for n in levels:
+                spec, q, u_star = make_quadratic(n, m)
+                errs.append(sup(solver(spec, q).u, u_star))
             orders[name] = min(math.log2(errs[i] / errs[i + 1])
                                for i in range(2))
         assert min(orders.values()) >= 1.3
@@ -203,8 +205,8 @@ class TestAcceptance:
               f">= 1.3, {elapsed:.0f}s")
 
     def test_criterion_6_cross_solver_agreement(self):
-        spec = sample_field_problem(np.random.default_rng(21), 2048, 512)
-        gap = sup(solve_forward(spec).u, solve_fd(spec).u)
+        spec, q = sample_field_problem(np.random.default_rng(21), 2048, 512)
+        gap = sup(solve_forward(spec, q).u, solve_fd(spec, q).u)
         assert gap <= 5e-3
         print(f"criterion 6: PASS — cross-solver gap {gap:.2e} <= 5e-3 "
               f"at N=2048, M=512")
@@ -253,10 +255,11 @@ class TestAcceptance:
         tg, sg = TimeGrid(1.0, 64), SpaceGrid(1.0, 16)
         spec = ProblemSpec(
             sgrid=sg, tgrid=tg, rho=0.5,
-            sigma=sinusoidal_offset(tg, 2.0, 1.0), q=constant(tg, 0.1),
+            sigma=sinusoidal_offset(tg, 2.0, 1.0),
             f=np.zeros((65, 17)), phi=np.zeros(17))
-        u_spec = solve_forward(spec).u
-        u_fd = solve_fd(spec).u
+        q = constant(tg, 0.1)
+        u_spec = solve_forward(spec, q).u
+        u_fd = solve_fd(spec, q).u
         assert np.all(u_spec == 0.0) and np.all(u_fd == 0.0)
         print("criterion 8: PASS — zero data gives exactly zero fields on "
               "both solver routes")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from subdiff import forward, inverse, mode_solver, profiles
-from subdiff.cli import _build_spec, _write_csv, main
+from subdiff.cli import _build_spec, _profile, _write_csv, main
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid
 from subdiff.inverse import ConditionReport, InverseResult
@@ -183,7 +183,7 @@ class TestConfigDefaults:
         del cfg["problem"]["n_modes"]
         for n_cells in (2, 8, 64, 512):
             cfg["problem"]["n_cells"] = n_cells
-            spec = _build_spec(cfg, need_q=True, base=tmp_path)
+            spec = _build_spec(cfg, tmp_path)
             assert spec.K == replace(spec, K=None).K
 
 
@@ -195,7 +195,9 @@ class TestReportBlocks:
         assert code == 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_forward(_build_spec(cfg, need_q=True, base=tmp_path))
+            spec = _build_spec(cfg, tmp_path)
+            sol = solve_forward(spec, _profile(cfg["q"], spec.tgrid, "q",
+                                               tmp_path))
         diag = json.loads((out / "diagnostics.json").read_text())
         assert set(diag) == set(sol.diagnostics) | {"residual",
                                                     "resolved_config"}
@@ -300,7 +302,7 @@ class TestExitCodes:
 
     def test_out_of_memory_is_config_error(self, tmp_path, capsys,
                                            monkeypatch):
-        def no_room(spec):
+        def no_room(spec, q):
             raise MemoryError
         monkeypatch.setattr("subdiff.cli.solve_fd", no_room)
         assert run(tmp_path, "verify", cfg=small_forward_cfg())[0] == 2

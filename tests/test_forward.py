@@ -30,17 +30,18 @@ from subdiff.spectral import SpaceGrid, eigenvalues, sine_coefficients
 from conftest import l1_direct, make_manufactured
 
 
-def tiny_spec(n=8, m=8, q=0.1, sigma=2.0, K=None):
+def tiny_spec(n=8, m=8, sigma=2.0, K=None):
     tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
     return ProblemSpec(
-        sgrid=sg, tgrid=tg, rho=0.5,
-        sigma=constant(tg, sigma),
-        q=None if q is None else constant(tg, q),
+        sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, sigma),
         f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1), K=K)
 
 
 def make_quadratic(n, m, rho=0.5):
-    """Manufactured u* = (1+t^2) sqrt(2) sin(pi x): source smooth in time."""
+    """Manufactured u* = (1+t^2) sqrt(2) sin(pi x): source smooth in time.
+
+    Returns (spec, q, u_star) with q = 0.1.
+    """
     tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
     t, x = tg.nodes[:, None], sg.nodes[None, :]
     shape = math.sqrt(2.0) * np.sin(math.pi * x)
@@ -49,8 +50,8 @@ def make_quadratic(n, m, rho=0.5):
     drho = 2.0 * t ** (2.0 - rho) / math.gamma(3.0 - rho)
     f = (drho + (math.pi ** 2 + 0.1) * (1.0 + t ** 2)) * shape
     spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=rho, sigma=constant(tg, 1.0),
-                       q=constant(tg, 0.1), f=f, phi=u_star[0].copy())
-    return spec, u_star
+                       f=f, phi=u_star[0].copy())
+    return spec, constant(tg, 0.1), u_star
 
 
 class TestProblemSpec:
@@ -60,7 +61,7 @@ class TestProblemSpec:
         assert tiny_spec(m=512).K == 64
 
     def test_carries_the_sine_coefficients_of_the_data(self):
-        spec, _ = make_quadratic(16, 32)
+        spec, _, _ = make_quadratic(16, 32)
         assert np.array_equal(spec.phi_k,
                               sine_coefficients(spec.sgrid, spec.phi, spec.K))
         assert np.array_equal(spec.f_k,
@@ -71,15 +72,13 @@ class TestProblemSpec:
         tg, sg = TimeGrid(1.0, 4), SpaceGrid(1.0, 4)
         with pytest.raises(GridMismatchError):
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, 1.0),
-                        q=constant(tg, 0.0), f=np.zeros((4, 5)),
-                        phi=np.zeros(5))
+                        f=np.zeros((4, 5)), phi=np.zeros(5))
 
     def test_rejects_bad_datum_shape(self):
         tg, sg = TimeGrid(1.0, 4), SpaceGrid(1.0, 4)
         with pytest.raises(GridMismatchError):
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, 1.0),
-                        q=constant(tg, 0.0), f=np.zeros((5, 5)),
-                        phi=np.zeros(4))
+                        f=np.zeros((5, 5)), phi=np.zeros(4))
 
     def test_rejects_aliased_truncation(self):
         with pytest.raises(AliasingError):
@@ -90,16 +89,31 @@ class TestProblemSpec:
         tg, sg = TimeGrid(1.0, 4), SpaceGrid(1.0, 4)
         with pytest.raises(DomainError):
             ProblemSpec(sgrid=sg, tgrid=tg, rho=rho, sigma=constant(tg, 1.0),
-                        q=constant(tg, 0.0), f=np.zeros((5, 5)),
-                        phi=np.zeros(5))
+                        f=np.zeros((5, 5)), phi=np.zeros(5))
 
     def test_rejects_foreign_coefficient_grid(self):
         tg, sg = TimeGrid(1.0, 4), SpaceGrid(1.0, 4)
         other = TimeGrid(2.0, 4)
         with pytest.raises(GridMismatchError):
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                        sigma=constant(other, 1.0), q=constant(tg, 0.0),
+                        sigma=constant(other, 1.0),
                         f=np.zeros((5, 5)), phi=np.zeros(5))
+
+
+@pytest.mark.parametrize("call", [
+    validate_assumption1,
+    solve_forward,
+    lambda spec, q: residual_check(
+        FieldSolution(u=np.zeros_like(spec.f), u_xx_diag=None, u_k=None),
+        spec, q),
+    solve_fd,
+], ids=["validate_assumption1", "solve_forward", "residual_check", "solve_fd"])
+def test_q_on_another_time_grid_is_refused(call):
+    # same n_steps, other t_final: every array shape matches, so only the
+    # grid check sees that q belongs to another problem
+    spec = tiny_spec()
+    with pytest.raises(GridMismatchError, match="q lives on a different"):
+        call(spec, constant(TimeGrid(2.0, spec.tgrid.n_steps), 0.1))
 
 
 class TestAssumptionReport:
@@ -109,9 +123,8 @@ class TestAssumptionReport:
         spec = ProblemSpec(
             sgrid=sg, tgrid=tg, rho=0.5,
             sigma=Profile(tg, 2.0 + np.sin(tg.nodes)),
-            q=constant(tg, 1.0),
             f=np.zeros((n + 1, 33)), phi=np.zeros(33))
-        r = validate_assumption1(spec)
+        r = validate_assumption1(spec, constant(tg, 1.0))
         assert r.m_sigma == pytest.approx(2.0)
         assert r.M_sigma == pytest.approx(2.0 + math.sin(1.0))
         lo, hi = r.q_window
@@ -127,9 +140,8 @@ class TestAssumptionReport:
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                            sigma=Profile(tg, np.full(n + 1, 2.0),
                                          lower=0.5, upper=4.0),
-                           q=constant(tg, 0.3),
                            f=np.zeros((n + 1, 9)), phi=np.zeros(9))
-        r = validate_assumption1(spec)
+        r = validate_assumption1(spec, constant(tg, 0.3))
         assert r.q_window == spec.q_window == (-0.5 * math.pi ** 2,
                                                3.5 * math.pi ** 2)
         assert (r.m_sigma, r.M_sigma) == (0.5, 4.0)
@@ -140,38 +152,33 @@ class TestAssumptionReport:
         # strict upper inequality closes even for q = 0
         n = 16
         tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, 8)
+        zero = constant(tg, 0.0)
         flat = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                           sigma=constant(tg, 1.0), q=constant(tg, 0.0),
+                           sigma=constant(tg, 1.0),
                            f=np.zeros((n + 1, 9)), phi=np.zeros(9))
-        assert not validate_assumption1(flat).cond2_q_in_window
+        assert not validate_assumption1(flat, zero).cond2_q_in_window
         wavy = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                            sigma=Profile(tg, 2.0 + np.sin(tg.nodes)),
-                           q=constant(tg, 0.0),
                            f=np.zeros((n + 1, 9)), phi=np.zeros(9))
-        assert validate_assumption1(wavy).cond2_q_in_window
+        assert validate_assumption1(wavy, zero).cond2_q_in_window
 
     def test_endpoint_defect_detected(self):
         n, m = 8, 8
         tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
+        q = constant(tg, 0.1)
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                           sigma=constant(tg, 1.0), q=constant(tg, 0.1),
+                           sigma=constant(tg, 1.0),
                            f=np.zeros((n + 1, m + 1)), phi=sg.nodes.copy())
-        r = validate_assumption1(spec)
+        r = validate_assumption1(spec, q)
         assert not r.cond3_endpoints
         assert r.endpoint_defect == pytest.approx(1.0)
 
         f = np.zeros((n + 1, m + 1))
         f[3, -1] = 2e-3
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                           sigma=constant(tg, 1.0), q=constant(tg, 0.1),
-                           f=f, phi=np.zeros(m + 1))
-        assert validate_assumption1(spec).endpoint_defect == pytest.approx(2e-3)
-
-    def test_absent_q_reports_window_only(self):
-        spec = tiny_spec(q=None)
-        r = validate_assumption1(spec)
-        assert r.n_q is None and r.N_q is None
-        assert r.cond2_q_in_window  # window itself is nonempty
+                           sigma=constant(tg, 1.0), f=f, phi=np.zeros(m + 1))
+        assert validate_assumption1(spec, q).endpoint_defect == pytest.approx(
+            2e-3)
 
 
 class TestSolveForward:
@@ -184,10 +191,10 @@ class TestSolveForward:
         phi = math.sqrt(2.0) * np.sin(math.pi * sg.nodes)
         phi[0] = phi[-1] = 0.0
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=rho,
-                           sigma=constant(tg, 2.0), q=constant(tg, 0.0),
+                           sigma=constant(tg, 2.0),
                            f=np.zeros((n + 1, m + 1)), phi=phi)
         with pytest.warns(UserWarning):
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, constant(tg, 0.0))
         with mp.workdps(40):
             relax = np.array([float(mp.exp(x ** 2) * mp.erfc(x)) for x in (
                 mp.mpf(2.0 * math.pi ** 2 * t ** rho) for t in tg.nodes)])
@@ -196,14 +203,15 @@ class TestSolveForward:
 
     def test_zero_data_zero_solution(self):
         with pytest.warns(UserWarning):  # constant sigma closes the q window
-            sol = solve_forward(tiny_spec(n=16, m=8))
+            spec = tiny_spec(n=16, m=8)
+            sol = solve_forward(spec, constant(spec.tgrid, 0.1))
         assert np.all(sol.u == 0.0)
         assert sol.diagnostics["q1_value"] == 0.0
 
     def test_manufactured_error_small(self):
-        spec, u_star = make_manufactured(256, 64)
+        spec, q, u_star = make_manufactured(256, 64)
         with pytest.warns(UserWarning):
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, q)
         assert np.max(np.abs(sol.u - u_star)) < 3e-3
 
     def test_largest_default_mode_count(self):
@@ -212,30 +220,30 @@ class TestSolveForward:
         # command's default cross gap, which the forward benchmark also
         # applies to the manufactured error
         max_gap = 5e-3
-        spec, u_star = make_quadratic(128, 128)
+        spec, q, u_star = make_quadratic(128, 128)
         spec = replace(spec, K=default_mode_count(1 << 20))
         assert spec.K == 64
         with pytest.warns(UserWarning):  # constant sigma closes the q window
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, q)
         assert len(sol.diagnostics["picard_iterations"]) == 64
         assert np.max(np.abs(sol.u - u_star)) <= max_gap
-        assert np.max(np.abs(sol.u - solve_fd(spec).u)) <= max_gap
+        assert np.max(np.abs(sol.u - solve_fd(spec, q).u)) <= max_gap
 
     def test_manufactured_refinement_monotone(self):
         errs = []
         for n, m in ((128, 32), (256, 64), (512, 128)):
-            spec, u_star = make_manufactured(n, m)
+            spec, q, u_star = make_manufactured(n, m)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = solve_forward(spec)
+                sol = solve_forward(spec, q)
             errs.append(np.max(np.abs(sol.u - u_star)))
         assert errs[0] > errs[1] > errs[2]
 
     def test_boundary_rows_exact_and_datum_recovered(self):
-        spec, u_star = make_manufactured(64, 32)
+        spec, q, u_star = make_manufactured(64, 32)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, q)
         assert np.all(sol.u[:, 0] == 0.0)
         assert np.all(sol.u[:, -1] == 0.0)
         assert sol.diagnostics["init_defect"] < 1e-9
@@ -248,7 +256,6 @@ class TestSolveForward:
         with pytest.raises(AdmissibilityError):
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                         sigma=Profile(tg, 1.0 - tg.nodes),  # hits 0 at T
-                        q=constant(tg, 0.1),
                         f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
 
     def test_refuses_sigma_declared_positive_over_a_negative_node(self):
@@ -262,29 +269,16 @@ class TestSolveForward:
         with pytest.raises(DomainError, match="declared lower bound"):
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                         sigma=Profile(tg, values, lower=5e-13),
-                        q=constant(tg, 0.1),
                         f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
         with pytest.raises(AdmissibilityError):
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                        sigma=Profile(tg, values), q=constant(tg, 0.1),
+                        sigma=Profile(tg, values),
                         f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
 
-    def test_requires_reaction_coefficient(self):
-        with pytest.raises(DomainError):
-            solve_forward(tiny_spec(q=None))
-
-    def test_refuses_a_second_reaction_coefficient(self):
-        # a spec that carries q is never solved at another one in silence
-        spec = tiny_spec(q=0.1)
-        other = constant(spec.tgrid, 0.2)
-        for call in (solve_forward, validate_assumption1):
-            with pytest.raises(DomainError, match="carries its own"):
-                call(spec, q=other)
-
     def test_window_exit_warns_but_solves(self):
-        spec, _ = make_manufactured(32, 16)  # sigma const, q=0.1 outside
+        spec, q, _ = make_manufactured(32, 16)  # sigma const, q=0.1 outside
         with pytest.warns(UserWarning, match="window"):
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, q)
         assert isinstance(sol, FieldSolution)
 
     def test_positive_data_keeps_modes_positive(self):
@@ -299,25 +293,25 @@ class TestSolveForward:
         f[:, 0] = f[:, -1] = 0.0
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                            sigma=Profile(tg, 1.5 + 0.3 * np.sin(tg.nodes)),
-                           q=constant(tg, 0.2), f=f, phi=phi, K=K)
-        sol = solve_forward(spec)
+                           f=f, phi=phi, K=K)
+        sol = solve_forward(spec, constant(tg, 0.2))
         assert sol.u_k.min() >= -1e-12
 
     def test_weighted_sum_within_bound(self):
-        spec, _ = make_manufactured(128, 32)
+        spec, q, _ = make_manufactured(128, 32)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, q)
         d = sol.diagnostics
         assert d["q1_value"] <= d["q1_bound"] + 1e-10
 
     def test_nonconvergence_names_the_mode(self):
         from subdiff.errors import ConvergenceError
-        spec, _ = make_manufactured(64, 32)
+        spec, q, _ = make_manufactured(64, 32)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ConvergenceError, match="mode"):
-                solve_forward(spec, tol=1e-15, max_iter=1)
+                solve_forward(spec, q, tol=1e-15, max_iter=1)
 
 
 class TestRefinementAcrossOrder:
@@ -328,10 +322,10 @@ class TestRefinementAcrossOrder:
         # 1.89 at rho = 0.9); the floor sits 0.2 below it
         errs = []
         for n in (64, 128, 256, 512):
-            spec, u_star = make_quadratic(n, 32, rho=rho)
+            spec, q, u_star = make_quadratic(n, 32, rho=rho)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # constant sigma: q window
-                errs.append(np.max(np.abs(solve_forward(spec).u - u_star)))
+                errs.append(np.max(np.abs(solve_forward(spec, q).u - u_star)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert orders.min() >= 1.0 + rho - 0.2
 
@@ -348,10 +342,10 @@ class TestBlowupShape:
         phi = (math.sqrt(2.0) * np.sin(np.outer(sg.nodes, lam))) @ (1.0 / lam)
         phi[0] = phi[-1] = 0.0
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=rho,
-                           sigma=constant(tg, 1.0), q=constant(tg, 0.0),
+                           sigma=constant(tg, 1.0),
                            f=np.zeros((n + 1, m + 1)), phi=phi, K=K)
         with pytest.warns(UserWarning):
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, constant(tg, 0.0))
         assert sol.diagnostics["q2_fitted_exponent"] <= -rho + 0.15
         assert np.isfinite(sol.diagnostics["q2_weighted_max"])
 
@@ -359,24 +353,25 @@ class TestBlowupShape:
 class TestResidual:
     def test_zero_data_zero_residual(self):
         spec = tiny_spec(n=16, m=8)
+        q = constant(spec.tgrid, 0.1)
         with pytest.warns(UserWarning):
-            sol = solve_forward(spec)
-        assert residual_check(sol, spec) == 0.0
+            sol = solve_forward(spec, q)
+        assert residual_check(sol, spec, q) == 0.0
 
     def test_smooth_manufactured_residual_small(self):
-        spec, _ = make_quadratic(512, 128)
+        spec, q, _ = make_quadratic(512, 128)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_forward(spec)
-        assert residual_check(sol, spec) < 1e-2
+            sol = solve_forward(spec, q)
+        assert residual_check(sol, spec, q) < 1e-2
 
     def test_matches_per_column_l1(self):
         # the shipped forward config: the batched L1 derivative against the
         # per-column direct sum
-        spec, _ = make_quadratic(512, 128)
+        spec, q, _ = make_quadratic(512, 128)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, q)
         nx = spec.sgrid.n_cells
         dcap = np.column_stack([l1_direct(spec.tgrid, sol.u[:, i], spec.rho)
                                 for i in range(1, nx)])
@@ -384,18 +379,18 @@ class TestResidual:
         np.testing.assert_allclose(batched[1:], dcap[1:], rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(dcap[1:])))
         res = (dcap - spec.sigma.values[:, None] * sol.u_xx_diag[:, 1:nx]
-               + spec.q.values[:, None] * sol.u[:, 1:nx] - spec.f[:, 1:nx])
+               + q.values[:, None] * sol.u[:, 1:nx] - spec.f[:, 1:nx])
         want = float(np.max(np.abs(res[1:])))
-        assert residual_check(sol, spec) == pytest.approx(want, rel=1e-12)
+        assert residual_check(sol, spec, q) == pytest.approx(want, rel=1e-12)
 
     def test_residual_decreases_under_refinement(self):
         vals = []
         for n, m in ((128, 32), (256, 64), (512, 128)):
-            spec, _ = make_quadratic(n, m)
+            spec, q, _ = make_quadratic(n, m)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = solve_forward(spec)
-            vals.append(residual_check(sol, spec))
+                sol = solve_forward(spec, q)
+            vals.append(residual_check(sol, spec, q))
         assert vals[0] > vals[1] > vals[2]
 
     def test_linear_manufactured_residual_decreases(self):
@@ -404,27 +399,27 @@ class TestResidual:
         # an O(sqrt(h)) initial layer, so only decay is asserted here
         vals = []
         for n, m in ((128, 32), (256, 64), (512, 128)):
-            spec, _ = make_manufactured(n, m)
+            spec, q, _ = make_manufactured(n, m)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = solve_forward(spec)
-            vals.append(residual_check(sol, spec))
+                sol = solve_forward(spec, q)
+            vals.append(residual_check(sol, spec, q))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 5e-2
 
     def test_fd_residual_within_three_of_spectral(self):
-        spec, _ = make_quadratic(256, 64)
+        spec, q, _ = make_quadratic(256, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_forward(spec)
-        r_spec = residual_check(sol, spec)
-        r_fd = residual_check(solve_fd(spec), spec)
+            sol = solve_forward(spec, q)
+        r_spec = residual_check(sol, spec, q)
+        r_fd = residual_check(solve_fd(spec, q), spec, q)
         assert r_fd <= 3.0 * r_spec
 
     def test_rejects_mismatched_grids(self):
         spec = tiny_spec(n=16, m=8)
         with pytest.warns(UserWarning):
-            sol = solve_forward(spec)
+            sol = solve_forward(spec, constant(spec.tgrid, 0.1))
         other = tiny_spec(n=8, m=8)
         with pytest.raises(GridMismatchError):
-            residual_check(sol, other)
+            residual_check(sol, other, constant(other.tgrid, 0.1))

@@ -35,6 +35,7 @@ def const_mode_spec(n, q_of_t, m=32, K=8, T=0.5, c1=0.05):
     Choosing f_1 = (lam_1^2 sigma + q) c1 balances the equation exactly, so
     the flux trace is constant and every node of the discrete solve is exact:
     recovery errors measured against it are pure iteration error.
+    Returns (spec, q).
     """
     tg, sg = TimeGrid(T, n), SpaceGrid(1.0, m)
     sigma = Profile(tg, 2.0 + np.sin(tg.nodes))
@@ -42,12 +43,13 @@ def const_mode_spec(n, q_of_t, m=32, K=8, T=0.5, c1=0.05):
     lam1 = math.pi
     sh = sine_shape(sg)
     f = ((lam1 ** 2 * sigma.values + qv) * c1)[:, None] * sh[None, :]
-    return ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=sigma,
-                       q=Profile(tg, qv), f=f, phi=c1 * sh, K=K)
+    return (ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=sigma, f=f,
+                        phi=c1 * sh, K=K), Profile(tg, qv))
 
 
 def smooth_mode_spec(n, T=0.5, c0=0.05, rho=0.5):
-    """Single mode following c0 (1 + (t/T)^2): smooth flux, no start-up layer."""
+    """Single mode following c0 (1 + (t/T)^2): smooth flux, no start-up
+    layer.  Returns (spec, q)."""
     tg, sg = TimeGrid(T, n), SpaceGrid(1.0, 16)
     t = tg.nodes
     sigma = Profile(tg, 2.0 + np.sin(t))
@@ -57,31 +59,26 @@ def smooth_mode_spec(n, T=0.5, c0=0.05, rho=0.5):
     u1 = c0 * (1.0 + (t / T) ** 2)
     drho = 2.0 * c0 * t ** (2.0 - rho) / (T ** 2 * math.gamma(3.0 - rho))
     f = (drho + (lam1 ** 2 * sigma.values + qv) * u1)[:, None] * sh[None, :]
-    return ProblemSpec(sgrid=sg, tgrid=tg, rho=rho, sigma=sigma,
-                       q=Profile(tg, qv), f=f, phi=c0 * sh, K=4)
-
-
-def synth(spec, *args, **kwargs):
-    """Flux data of ``spec`` at its own coefficient, on the q-free problem."""
-    return synthesize_data(replace(spec, q=None), spec.q, *args, **kwargs)
+    return (ProblemSpec(sgrid=sg, tgrid=tg, rho=rho, sigma=sigma, f=f,
+                        phi=c0 * sh, K=4), Profile(tg, qv))
 
 
 def bare_spec(n=64, m=16, K=4, phi1=None, T=1.0):
-    """ProblemSpec without q, single-mode datum phi1 (default: flux 1 at x=0)."""
+    """ProblemSpec with single-mode datum phi1 (default: flux 1 at x=0)."""
     tg, sg = TimeGrid(T, n), SpaceGrid(1.0, m)
     if phi1 is None:
         phi1 = 1.0 / (math.pi * math.sqrt(2.0))
     return ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, 1.0),
-                       q=None, f=np.zeros((n + 1, m + 1)),
-                       phi=phi1 * sine_shape(sg), K=K)
+                       f=np.zeros((n + 1, m + 1)), phi=phi1 * sine_shape(sg),
+                       K=K)
 
 
 class TestInverseSpec:
     def test_rejects_spec_with_coefficient(self):
-        spec = const_mode_spec(16, lambda t: np.full_like(t, 0.3))
-        psi = constant(spec.tgrid, 1.0)
-        with pytest.raises(DomainError):
-            InverseSpec(spec=spec, psi=psi, psi0=0.5)
+        # q is the unknown: the problem spec has no place to carry one
+        spec, q = const_mode_spec(16, lambda t: np.full_like(t, 0.3))
+        with pytest.raises(TypeError, match="'q'"):
+            replace(spec, q=q)
 
     def test_rejects_foreign_flux_grid(self):
         spec = bare_spec()
@@ -121,7 +118,7 @@ class TestInverseSpec:
         wide = ProblemSpec(sgrid=spec.sgrid, tgrid=tg, rho=0.5,
                            sigma=Profile(tg, np.full(tg.n_steps + 1, 2.0),
                                          lower=0.5, upper=4.0),
-                           q=None, f=spec.f, phi=spec.phi, K=spec.K)
+                           f=spec.f, phi=spec.phi, K=spec.K)
         inv = InverseSpec(spec=wide, psi=constant(tg, 1.0), psi0=0.5)
         lo, hi = inv.spec.q_window
         assert lo == pytest.approx(-0.5 * math.pi ** 2)
@@ -132,7 +129,8 @@ class TestInverseSpec:
         # a new spec is checked afresh
         spec = bare_spec()
         inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
-        for owner, name, value in ((inv.spec, "q", constant(spec.tgrid, 0.1)),
+        for owner, name, value in ((inv.spec, "sigma",
+                                    constant(spec.tgrid, 2.0)),
                                    (inv, "psi", constant(spec.tgrid, 2.0)),
                                    (inv, "psi0", 2.0)):
             with pytest.raises(FrozenInstanceError):
@@ -169,28 +167,28 @@ class TestComputeQ0:
 
 class TestApplyL:
     def test_fixed_point_property(self):
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             moved = apply_L(inv.q_true, inv).values
         assert np.max(np.abs(moved - inv.q_true.values)) < 1e-5
 
     def test_single_sweep_contracts_toward_truth(self):
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             d0 = np.max(np.abs(inv.q_init.values - inv.q_true.values))
             d1 = np.max(np.abs(apply_L(inv.q_init, inv).values
                                - inv.q_true.values))
         assert d1 < d0
 
     def test_foreign_grid_guess_rejected(self):
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
         with pytest.raises(GridMismatchError):
             apply_L(constant(TimeGrid(0.5, 64), 0.3), inv)
 
@@ -199,7 +197,7 @@ class TestEstimateCT:
     def test_zero_data_zero_estimate(self):
         tg, sg = TimeGrid(1.0, 8), SpaceGrid(1.0, 8)
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                           sigma=constant(tg, 1.0), q=None,
+                           sigma=constant(tg, 1.0),
                            f=np.zeros((9, 9)), phi=np.zeros(9), K=2)
         with pytest.warns(UserWarning):  # flux inconsistent with zero datum
             inv = InverseSpec(spec=spec, psi=constant(tg, 2.0), psi0=1.0)
@@ -216,10 +214,10 @@ class TestEstimateCT:
         assert a > 0.0
 
     def test_matches_direct_formula(self):
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             got = estimate_CT(inv)
         lam = eigenvalues(inv.spec.K, 1.0)
         s_phi = float(np.sum(lam ** 3 * np.abs(inv.spec.phi_k)))
@@ -241,13 +239,13 @@ class TestConditionReport:
 
     def test_constant_sigma_fails_data_window(self):
         # M_sigma = m_sigma makes the strict upper bound negative
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         flat = ProblemSpec(sgrid=spec.sgrid, tgrid=spec.tgrid, rho=0.5,
-                           sigma=constant(spec.tgrid, 2.0), q=spec.q,
+                           sigma=constant(spec.tgrid, 2.0),
                            f=spec.f, phi=spec.phi, K=spec.K)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(flat)
+            inv = synthesize_data(flat, q)
         rep = validate_theorem43(inv)
         assert rep.cond3_rhs < 0.0
         assert not rep.cond3_window
@@ -267,11 +265,11 @@ class TestConditionReport:
              + ((lam[1] ** 2 * sigma.values + qv) * c2)[:, None]
              * sine_shape(sg, 2)[None, :])
         phi = c1 * sine_shape(sg) + c2 * sine_shape(sg, 2)
-        spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=sigma,
-                           q=Profile(tg, qv), f=f, phi=phi, K=8)
+        spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=sigma, f=f,
+                           phi=phi, K=8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, Profile(tg, qv))
         rep = validate_theorem43(inv)
         assert rep.psi_min >= inv.psi0 and rep.cond2_compatible
         assert rep.cond3_window
@@ -280,10 +278,10 @@ class TestConditionReport:
 
 class TestRecoverQ:
     def test_round_trip_constant_coefficient(self):
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert res.recovery_error < 1e-3
         assert res.measured_ratio < 1.0
@@ -293,10 +291,10 @@ class TestRecoverQ:
     def test_sweeps_make_no_sine_transform(self, monkeypatch):
         # the sine coefficients of the data are the spec's, derived once;
         # a sweep swaps q without rebuilding the spec
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
         calls = []
         transform = forward.sine_coefficients
         monkeypatch.setattr(forward, "sine_coefficients",
@@ -305,22 +303,22 @@ class TestRecoverQ:
             warnings.simplefilter("ignore")
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert len(res.iterates) > 1 and calls == []
-        replace(inv.spec, q=res.q)  # the counter sees a spec build
+        replace(inv.spec)  # the counter sees a spec build
         assert len(calls) == 2
 
     def test_round_trip_time_varying_coefficient(self):
-        spec = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)
+        spec, q = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert res.recovery_error < 5e-3
 
     def test_null_coefficient_recovered(self):
-        spec = const_mode_spec(128, lambda t: np.zeros_like(t))
+        spec, q = const_mode_spec(128, lambda t: np.zeros_like(t))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             # force real motion
             inv = replace(inv, q_init=constant(inv.spec.tgrid, 1.0))
             res = recover_q(inv, tol=1e-6, max_iter=300)
@@ -329,10 +327,10 @@ class TestRecoverQ:
     def test_mixed_sweeps_reach_fixed_point(self):
         # mixed residuals need not fall monotonically, so the result is
         # judged as a fixed point of L; plain iteration took 93 sweeps here
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             res = recover_q(inv, tol=1e-6, max_iter=300)
             moved = apply_L(res.q, inv).values
         assert np.max(np.abs(moved - res.q.values)) <= 1e-6
@@ -343,10 +341,10 @@ class TestRecoverQ:
         # sweep k solves to max(1e-10, c r_{k-1}), or to 1e-10 once r_{k-1}
         # is below tol; the first and the last sweep run at 1e-10, so the
         # returned q is an exact image of L
-        spec = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)
+        spec, q = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
         tols = []
         solve = inverse.solve_mode_set
         monkeypatch.setattr(
@@ -384,10 +382,10 @@ class TestRecoverQ:
     def test_clamps_counted_near_window_edge(self):
         # q_true = 4.5 sits just below the window's upper end (about 4.73),
         # and the mixed iterates overshoot it before settling
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 4.5))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 4.5))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         lo, hi = inv.spec.q_window
         assert res.clamp_count > 0
@@ -395,27 +393,27 @@ class TestRecoverQ:
         assert res.recovery_error < 1e-4
 
     def test_iterate_traces_within_data_bound(self):
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             res = recover_q(inv, tol=1e-6, max_iter=300)
         assert max(res.trace_sums) <= res.trace_bound + 1e-10
 
     def test_idempotent_at_truth(self):
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             inv = replace(inv, q_init=inv.q_true)
             res = recover_q(inv, tol=1e-5, max_iter=50)
         assert len(res.iterates) <= 2
 
     def test_nonconvergence_carries_diagnostics(self):
-        spec = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
             with pytest.raises(ConvergenceError) as exc:
                 recover_q(inv, tol=1e-12, max_iter=3)
         assert exc.value.iterations == 3
@@ -425,10 +423,10 @@ class TestRecoverQ:
     def test_fixed_point_defect_shrinks_under_refinement(self):
         defects = []
         for n in (64, 128, 256):
-            spec = smooth_mode_spec(n)
+            spec, q = smooth_mode_spec(n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                inv = synth(spec)
+                inv = synthesize_data(spec, q)
                 moved = apply_L(inv.q_true, inv).values
             defects.append(np.max(np.abs(moved - inv.q_true.values)))
         assert defects[1] < 0.7 * defects[0]
@@ -440,60 +438,50 @@ class TestSynthesizeData:
         with pytest.raises(DomainError):
             synthesize_data(bare_spec(), None)
 
-    def test_refuses_a_spec_that_carries_q(self):
-        # the truth is an argument of its own, so a problem that carries q
-        # would give the coefficient twice
-        spec = const_mode_spec(16, lambda t: np.full_like(t, 0.3))
-        with pytest.raises(DomainError, match="carries its own"):
-            synthesize_data(spec, spec.q)
-
     def test_data_ride_on_the_given_spec(self, monkeypatch):
         # synthesis builds no spec of its own, so it makes no sine
         # transform, and its flux is the forward solve's at q_true bitwise
-        spec = const_mode_spec(64, lambda t: 0.2 + 0.1 * t)
-        clean = replace(spec, q=None)
-        want = flux_at_left(forward.solve_forward(spec).u_k, spec.length)
+        spec, q = const_mode_spec(64, lambda t: 0.2 + 0.1 * t)
+        want = flux_at_left(forward.solve_forward(spec, q).u_k, spec.length)
         calls = []
         transform = forward.sine_coefficients
         monkeypatch.setattr(forward, "sine_coefficients",
                             lambda *a: calls.append(a) or transform(*a))
-        inv = synthesize_data(clean, spec.q)
-        assert inv.spec is clean and inv.q_true is spec.q
+        inv = synthesize_data(spec, q)
+        assert inv.spec is spec and inv.q_true is q
         assert calls == []
         assert np.array_equal(inv.psi.values, want)
 
     def test_warns_on_truth_outside_window(self):
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         hi = spec.q_window[1]
         with pytest.warns(UserWarning, match="admissibility window"):
-            synthesize_data(replace(spec, q=None),
-                            constant(spec.tgrid, hi + 0.5))
+            synthesize_data(spec, constant(spec.tgrid, hi + 0.5))
 
     def test_rejects_negative_noise(self):
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with pytest.raises(DomainError):
-            synth(spec, noise_level=-0.1)
+            synthesize_data(spec, q, noise_level=-0.1)
 
     def test_same_seed_bitwise_identical(self):
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = synth(spec, 0.01, seed=42).psi.values
-            b = synth(spec, 0.01, seed=42).psi.values
-            c = synth(spec, 0.01, seed=43).psi.values
+            a = synthesize_data(spec, q, 0.01, seed=42).psi.values
+            b = synthesize_data(spec, q, 0.01, seed=42).psi.values
+            c = synthesize_data(spec, q, 0.01, seed=43).psi.values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_floor_is_flux_minimum_and_truth_recorded(self):
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synth(spec)
+            inv = synthesize_data(spec, q)
         assert inv.psi0 == pytest.approx(float(inv.psi.values.min()))
-        assert inv.q_true is spec.q
-        assert inv.spec.q is None
+        assert inv.q_true is q
 
     def test_violent_noise_rejected(self):
-        spec = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with pytest.raises(AdmissibilityError):
-            synth(spec, noise_level=2.0, seed=0)
+            synthesize_data(spec, q, noise_level=2.0, seed=0)

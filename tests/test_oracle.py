@@ -36,14 +36,14 @@ class TestWorkspace:
         # the dense step matrix (scale*a_0 + q_n) I + (sigma_n/h^2) T maps
         # computed row n back onto its right-hand side, on the first step and
         # on one in a later history block
-        spec, _ = make_manufactured(128, 16)
+        spec, q, _ = make_manufactured(128, 16)
         ws = FdWorkspace.from_spec(spec)
         M, h = spec.sgrid.n_cells, spec.sgrid.h
         T = 2.0 * np.eye(M - 1) - np.eye(M - 1, k=1) - np.eye(M - 1, k=-1)
-        u = solve_fd(spec).u
+        u = solve_fd(spec, q).u
         for n in (1, 100):
-            sig, q = spec.sigma.values[n], spec.q.values[n]
-            A = (ws.scale * ws.a[0] + q) * np.eye(M - 1) + sig / h ** 2 * T
+            sig, q_n = spec.sigma.values[n], q.values[n]
+            A = (ws.scale * ws.a[0] + q_n) * np.eye(M - 1) + sig / h ** 2 * T
             rhs = ws.history(u[:, 1:M], n, n + 1)[0] + spec.f[n, 1:M]
             assert (np.max(np.abs(A @ u[n, 1:M] - rhs))
                     <= 1e-13 * np.max(np.abs(rhs)))
@@ -74,7 +74,7 @@ class TestWorkspace:
                            ws.scale * ws.a[:4, None] * interior[0])
 
 
-def reference_fd(spec):
+def reference_fd(spec, q):
     """The implicit L1 scheme stepped in physical space: at every step the
     direct memory sum over all past rows, then a dense solve."""
     ws = FdWorkspace.from_spec(spec)
@@ -86,14 +86,15 @@ def reference_fd(spec):
         mem = ws.a[n - 1] * u[0, 1:M]
         for j in range(1, n):
             mem = mem + ws.d[n - 1 - j] * u[j, 1:M]
-        A = ((ws.scale * ws.a[0] + spec.q.values[n]) * np.eye(M - 1)
+        A = ((ws.scale * ws.a[0] + q.values[n]) * np.eye(M - 1)
              + spec.sigma.values[n] / h ** 2 * T)
         u[n, 1:M] = np.linalg.solve(A, ws.scale * mem + spec.f[n, 1:M])
     return u
 
 
-def varying_spec(n, m, q=None, seed=5):
-    """Time-varying sigma and q, random source and nonzero initial row."""
+def varying_spec(n, m, seed=5):
+    """Time-varying sigma and q, random source and nonzero initial row.
+    Returns (spec, q)."""
     rng = np.random.default_rng(seed)
     tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
     t = tg.nodes
@@ -101,10 +102,10 @@ def varying_spec(n, m, q=None, seed=5):
     f[:, 0] = f[:, -1] = 0.0
     phi = np.sin(math.pi * sg.nodes) + 0.3 * np.sin(3.0 * math.pi * sg.nodes)
     phi[0] = phi[-1] = 0.0
-    q_vals = 0.2 + 0.5 * np.cos(5.0 * t) if q is None else q
-    return ProblemSpec(sgrid=sg, tgrid=tg, rho=0.7,
-                       sigma=Profile(tg, 1.0 + 0.5 * np.sin(3.0 * t)),
-                       q=Profile(tg, q_vals), f=f, phi=phi)
+    q_vals = 0.2 + 0.5 * np.cos(5.0 * t)
+    return (ProblemSpec(sgrid=sg, tgrid=tg, rho=0.7,
+                        sigma=Profile(tg, 1.0 + 0.5 * np.sin(3.0 * t)),
+                        f=f, phi=phi), Profile(tg, q_vals))
 
 
 class TestBlockedHistory:
@@ -114,24 +115,24 @@ class TestBlockedHistory:
     @pytest.mark.parametrize("n,m", [(1, 8), (63, 8), (64, 8), (65, 8),
                                      (200, 16), (8, 64)])
     def test_matches_direct_physical_loop(self, n, m):
-        spec = varying_spec(n, m)
-        got, want = solve_fd(spec).u, reference_fd(spec)
+        spec, q = varying_spec(n, m)
+        got, want = solve_fd(spec, q).u, reference_fd(spec, q)
         assert np.array_equal(got[0], spec.phi)
         assert (np.max(np.abs(got - want))
                 <= 1e-12 * np.max(np.abs(want)))
 
     def test_singular_step_in_later_block(self):
         n, m = 128, 4
-        spec = varying_spec(n, m)
+        spec, q = varying_spec(n, m)
         ws = FdWorkspace.from_spec(spec)
         sig = spec.sigma.values[100]
-        q = spec.q.values.copy()
-        q[100] = -(ws.scale * ws.a[0] + sig * ws.mu[0])  # zeroes one divisor
-        spec = varying_spec(n, m, q=q)
+        q_vals = q.values.copy()
+        # zeroes one divisor
+        q_vals[100] = -(ws.scale * ws.a[0] + sig * ws.mu[0])
         with warnings.catch_warnings(), \
                 pytest.raises(SingularSystemError) as exc:
             warnings.simplefilter("error", RuntimeWarning)
-            solve_fd(spec)
+            solve_fd(spec, q.with_values(q_vals))
         assert exc.value.step == 100
         assert "singular step system at step 100" in str(exc.value)
 
@@ -139,13 +140,13 @@ class TestBlockedHistory:
         # finiteness is checked once per block; the error still names the
         # first step whose values overflowed, not the end of its block
         n, m = 128, 4
-        spec = varying_spec(n, m)
+        spec, q = varying_spec(n, m)
         f = spec.f.copy()
         f[100, 1:m] = 1.5e308
         with warnings.catch_warnings(), \
                 pytest.raises(SingularSystemError) as exc:
             warnings.simplefilter("ignore", RuntimeWarning)
-            solve_fd(replace(spec, f=f))
+            solve_fd(replace(spec, f=f), q)
         assert exc.value.step == 100
         assert "non-finite values after step 100" in str(exc.value)
 
@@ -153,7 +154,7 @@ class TestBlockedHistory:
         # a NaN in source row 100 once reached both routes, which told it
         # apart (DomainError from the spectral route, SingularSystemError at
         # step 100 from this one); the spec now refuses it for both
-        spec = varying_spec(128, 4)
+        spec, _ = varying_spec(128, 4)
         f, phi = spec.f.copy(), spec.phi.copy()
         f[100, 1] = np.nan
         phi[2] = np.inf
@@ -163,38 +164,40 @@ class TestBlockedHistory:
 
     def test_dominance_lost_in_second_block(self):
         n, m = 128, 8
-        spec = varying_spec(n, m)
-        assert solve_fd(spec).diagnostics["diagonally_dominant"]
+        spec, q = varying_spec(n, m)
+        assert solve_fd(spec, q).diagnostics["diagonally_dominant"]
         ws = FdWorkspace.from_spec(spec)
-        q = spec.q.values.copy()
-        q[90] = -ws.scale * ws.a[0] - 1.0  # divisors stay >= sigma*mu_0 - 1
-        sol = solve_fd(varying_spec(n, m, q=q))
+        q_vals = q.values.copy()
+        # divisors stay >= sigma*mu_0 - 1
+        q_vals[90] = -ws.scale * ws.a[0] - 1.0
+        sol = solve_fd(spec, q.with_values(q_vals))
         assert not sol.diagnostics["diagonally_dominant"]
         assert np.all(np.isfinite(sol.u))
 
 
 class TestSolveFd:
     def test_zero_data_zero_solution(self):
-        sol = solve_fd(tiny_spec(n=16, m=8))
+        spec = tiny_spec(n=16, m=8)
+        sol = solve_fd(spec, constant(spec.tgrid, 0.1))
         assert np.all(sol.u == 0.0)
         assert sol.diagnostics["diagonally_dominant"]
 
     def test_initial_row_is_datum(self):
-        spec, u_star = make_manufactured(32, 16)
-        sol = solve_fd(spec)
+        spec, q, u_star = make_manufactured(32, 16)
+        sol = solve_fd(spec, q)
         assert np.array_equal(sol.u[0], spec.phi)
         assert np.all(sol.u[:, 0] == 0.0) and np.all(sol.u[:, -1] == 0.0)
 
     def test_manufactured_error_small(self):
-        spec, u_star = make_manufactured(256, 64)
-        sol = solve_fd(spec)
+        spec, q, u_star = make_manufactured(256, 64)
+        sol = solve_fd(spec, q)
         assert np.max(np.abs(sol.u - u_star)) < 1e-3
 
     def test_refinement_monotone(self):
         errs = []
         for n, m in ((128, 32), (256, 64), (512, 128)):
-            spec, u_star = make_manufactured(n, m)
-            errs.append(np.max(np.abs(solve_fd(spec).u - u_star)))
+            spec, q, u_star = make_manufactured(n, m)
+            errs.append(np.max(np.abs(solve_fd(spec, q).u - u_star)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 2e-4
 
@@ -203,8 +206,8 @@ class TestSolveFd:
         # field keeps the source regular so the 2-rho rate is visible
         errs = []
         for n in (16, 32, 64):
-            spec, u_star = make_quadratic(n, 512)
-            errs.append(np.max(np.abs(solve_fd(spec).u - u_star)))
+            spec, q, u_star = make_quadratic(n, 512)
+            errs.append(np.max(np.abs(solve_fd(spec, q).u - u_star)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert orders.min() >= 1.3
 
@@ -214,8 +217,8 @@ class TestSolveFd:
         # M = 512 already pulls the second order to 1.44, so M = 1024
         errs = []
         for n in (16, 32, 64):
-            spec, u_star = make_quadratic(n, m, rho=rho)
-            errs.append(np.max(np.abs(solve_fd(spec).u - u_star)))
+            spec, q, u_star = make_quadratic(n, m, rho=rho)
+            errs.append(np.max(np.abs(solve_fd(spec, q).u - u_star)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert orders.min() >= 2.0 - rho - 0.15
 
@@ -228,13 +231,13 @@ class TestSolveFd:
         f = (1.0 + np.sin(tg.nodes))[:, None] * (x ** 2 * (1.0 - x) ** 2)[None, :]
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                            sigma=Profile(tg, 1.0 + 0.5 * np.sin(tg.nodes)),
-                           q=constant(tg, 0.3), f=f, phi=phi)
-        sol = solve_fd(spec)
+                           f=f, phi=phi)
+        sol = solve_fd(spec, constant(tg, 0.3))
         assert sol.u.min() >= -1e-10
 
     def test_dominance_flag_drops_for_strongly_negative_q(self):
-        spec = tiny_spec(n=16, m=8, q=-5.0)  # scale ~ 4.51, so 4.51 - 5 < 0
-        sol = solve_fd(spec)
+        spec = tiny_spec(n=16, m=8)
+        sol = solve_fd(spec, constant(spec.tgrid, -5.0))  # 4.51 - 5 < 0
         assert not sol.diagnostics["diagonally_dominant"]
 
     def test_singular_step_is_reported(self):
@@ -243,23 +246,19 @@ class TestSolveFd:
         ws_scale = tg.h ** -0.5 / math.gamma(1.5)
         q_bad = -(ws_scale + 2.0 / sg.h ** 2)  # zeroes the 1x1 diagonal
         spec = ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
-                           sigma=constant(tg, 1.0), q=constant(tg, q_bad),
+                           sigma=constant(tg, 1.0),
                            f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
         # raised before the division, so numpy warns of no 0/0
         with warnings.catch_warnings(), \
                 pytest.raises(SingularSystemError) as exc:
             warnings.simplefilter("error", RuntimeWarning)
-            solve_fd(spec)
+            solve_fd(spec, constant(tg, q_bad))
         assert exc.value.step == 1
-
-    def test_refuses_missing_q(self):
-        with pytest.raises(DomainError):
-            solve_fd(tiny_spec(q=None))
 
     def test_refuses_nonpositive_sigma(self):
         # the spec refuses it before solve_fd could see it
         with pytest.raises(AdmissibilityError):
-            solve_fd(tiny_spec(sigma=0.0))
+            solve_fd(tiny_spec(sigma=0.0), constant(TimeGrid(1.0, 8), 0.1))
 
     def test_leaves_scipy_unloaded(self):
         code = ("import sys\n"
@@ -269,8 +268,8 @@ class TestSolveFd:
                 "import numpy as np\n"
                 "tg, sg = TimeGrid(1.0, 8), SpaceGrid(1.0, 8)\n"
                 "solve_fd(ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, "
-                "sigma=constant(tg, 1.0), q=constant(tg, 0.1), "
-                "f=np.ones((9, 9)), phi=np.zeros(9)))\n"
+                "sigma=constant(tg, 1.0), f=np.ones((9, 9)), "
+                "phi=np.zeros(9)), constant(tg, 0.1))\n"
                 "print('scipy' in sys.modules)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(subdiff.__file__).resolve().parents[1]))
@@ -287,17 +286,17 @@ class TestCrossSolver:
     @pytest.mark.parametrize("seed", [7, 21, 99])
     def test_routes_agree_on_sampled_problem(self, seed):
         rng = np.random.default_rng(seed)
-        spec = sample_field_problem(rng, 512, 128)
+        spec, q = sample_field_problem(rng, 512, 128)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            u_spec = solve_forward(spec).u
-        u_fd = solve_fd(spec).u
+            u_spec = solve_forward(spec, q).u
+        u_fd = solve_fd(spec, q).u
         assert np.max(np.abs(u_spec - u_fd)) < 3e-3
 
     def test_routes_agree_on_manufactured_problem(self):
-        spec, _ = make_quadratic(256, 64)
+        spec, q, _ = make_quadratic(256, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            u_spec = solve_forward(spec).u
-        u_fd = solve_fd(spec).u
+            u_spec = solve_forward(spec, q).u
+        u_fd = solve_fd(spec, q).u
         assert np.max(np.abs(u_spec - u_fd)) < 5e-3
