@@ -38,12 +38,13 @@ def default_mode_count(n_cells: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Data of the forward problem, checked once at construction.
+    """Data the forward and the inverse problem share, checked once at
+    construction.
 
-    The spec holds what the forward and the inverse problem share; the
-    reaction coefficient q is the forward solvers' argument and the inverse
-    problem's unknown.  Assumption 1 is owned here: sigma's declared lower
-    bound m_sigma must be positive, and ``q_window`` is the open interval
+    The reaction coefficient q is not part of it: the forward solvers take it
+    as an argument, and the inverse problem recovers it.  Assumption 1 is
+    owned here: sigma's declared lower bound m_sigma must be positive, and
+    ``q_window`` is the open interval
     (-m_sigma lam_1^2, (M_sigma - m_sigma) lam_1^2) for q, with lam_1 = pi/l
     and both sigma bounds the declared ones (``Profile.vmin``/``vmax``), the
     same bounds the mode solver contracts with.  Solvers trust the spec.

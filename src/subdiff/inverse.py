@@ -47,7 +47,7 @@ _GRAM_RCOND = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class InverseSpec:
-    """The problem data of the forward problem, plus flux data.
+    """A problem spec plus flux data, from which q is recovered.
 
     ``psi0`` is the declared positive floor of the observation; data dipping
     below it are rejected at construction, since every division in the
@@ -75,6 +75,8 @@ class InverseSpec:
 
     def __post_init__(self) -> None:
         self.spec.on_grid(self.psi, "flux data")
+        if self.q_true is not None:
+            self.spec.on_grid(self.q_true, "true coefficient")
         if not self.psi0 > 0.0:
             raise AdmissibilityError(
                 f"the flux floor must be positive, got psi0={self.psi0}")

@@ -86,6 +86,13 @@ class TestInverseSpec:
             InverseSpec(spec=spec, psi=constant(TimeGrid(2.0, 64), 1.0),
                         psi0=0.5)
 
+    def test_rejects_foreign_truth_grid(self):
+        # same node count, other horizon: it would be scored node by node
+        spec = bare_spec()
+        with pytest.raises(GridMismatchError, match="true coefficient"):
+            InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5,
+                        q_true=constant(TimeGrid(2.0, 64), 0.3))
+
     def test_rejects_nonpositive_floor(self):
         spec = bare_spec()
         with pytest.raises(AdmissibilityError):

@@ -105,8 +105,8 @@ class TestSineCoefficients:
 
     @pytest.mark.parametrize("m", [8, 128])
     def test_every_retained_mode_round_trips(self, m):
-        # e_{M/2} is nonzero only on the odd nodes, where Simpson's weight
-        # 4h/3 once made its coefficient 4/3 too large
+        # e_{M/2} is nonzero only on the odd nodes, so a quadrature that
+        # weighs them apart from the even ones (Simpson's 4h/3) skews it
         g = SpaceGrid(1.0, m)
         c = sine_coefficients(g, basis(g, m // 2), m // 2)
         np.testing.assert_allclose(c, np.eye(m // 2), rtol=0.0, atol=1e-14)
