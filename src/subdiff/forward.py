@@ -16,13 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, AliasingError, DomainError, GridMismatchError
+from .errors import AdmissibilityError, DomainError, GridMismatchError
 from .frackernel import TimeGrid, caputo_l1
 from .mode_solver import ModeProblem, ModeSolution, solve_mode
 from .profiles import Profile
 from .spectral import (
     SpaceGrid,
     assemble_field,
+    basis,
     eigenvalues,
     sine_coefficients,
     tail_diagnostics,
@@ -83,12 +84,7 @@ class ProblemSpec:
         if self.K is None:
             object.__setattr__(self, "K",
                                default_mode_count(self.sgrid.n_cells))
-        if self.K < 1:
-            raise DomainError(f"need K >= 1, got {self.K}")
-        if self.K > self.sgrid.n_cells // 2:
-            raise AliasingError(
-                f"K={self.K} exceeds the anti-aliasing cap M/2="
-                f"{self.sgrid.n_cells // 2}")
+        basis(self.sgrid, self.K)  # range-checks K
 
         m_s, M_s = self.sigma.vmin, self.sigma.vmax
         if m_s <= 0.0:
