@@ -7,7 +7,8 @@ of the special-function and quadrature layers).
 
 Determinism is part of the contract: identical config and seed must yield
 byte-identical artifacts, so outputs carry no timestamps, hostnames, or any
-other run-local state, and floats are written at full round-trip precision.
+other run-local state.  Every CSV float is its C ``%.17g`` text (17
+significant digits, enough to round-trip), and those bytes are the contract.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .csvfmt import write_rows
 from .errors import (
     AdmissibilityError,
     AliasingError,
@@ -228,11 +230,11 @@ def _jnum(x):
 
 
 def _write_csv(path: Path, header, table: np.ndarray) -> None:
-    """Header line, then one line per table row at round-trip precision."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(r) for r in table.tolist())
+    """Header line, then one line per table row, each float its C ``%.17g``
+    text."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        write_rows(fh, table)
 
 
 def _artifact(value):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifact contents, determinism."""
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -8,9 +9,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subdiff import forward, inverse, mode_solver, profiles
 from subdiff.cli import _build_spec, _profile, _write_csv, main
+from subdiff.csvfmt import BLOCK, write_rows
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid
 from subdiff.inverse import ConditionReport, InverseResult
@@ -234,6 +239,77 @@ class TestCsvWriter:
             w.writerows([format(float(v), ".17g") for v in row] for row in table)
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
+
+
+def oracle_rows(table) -> bytes:
+    """The row-at-a-time ``%.17g`` one-liner the CSV writer replaced."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(row % tuple(r) for r in table.tolist()).encode()
+
+
+def kernel_rows(table) -> bytes:
+    fh = io.BytesIO()
+    write_rows(fh, table)
+    return fh.getvalue()
+
+
+class TestCsvKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.floats()))
+    def test_any_float_table(self, table):
+        assert kernel_rows(table) == oracle_rows(table)
+
+    def test_deterministic_sweeps(self):
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{p}") for p in range(-320, 309)])
+        rng = np.random.default_rng(3)
+        odd = 2 * rng.integers(2 ** 39, 2 ** 52, 4000) + 1
+        bits = rng.integers(0, 2 ** 63, 10 ** 5, dtype=np.uint64)
+        sweeps = {
+            "2^k": twos,
+            "10^p": tens,
+            "10^p up": np.nextafter(tens, np.inf),
+            "10^p down": np.nextafter(tens, -np.inf),
+            "half-integers": np.arange(-5000, 5000) + 0.5,
+            "odd / 2^j": np.ldexp(odd.astype(float), -np.arange(4000) % 64),
+            "bit patterns": bits.view(np.float64),
+        }
+        for name, values in sweeps.items():
+            for v in (values, -values):
+                for table in (v[:, None], v[None, :], v[:v.size // 7 * 7]
+                              .reshape(-1, 7)):
+                    assert kernel_rows(table) == oracle_rows(table), name
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 9), (9, 1), (1, BLOCK + 5), (BLOCK + 1, 1),
+        (2 * (BLOCK // 7) + 3, 7), (BLOCK // 130 + 1, 130)])
+    def test_block_edges(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        table = (rng.normal(size=shape)
+                 * 10.0 ** rng.integers(-12, 12, size=shape))
+        assert kernel_rows(table) == oracle_rows(table)
+
+    def test_special_values_raise_no_warning(self):
+        table = np.array([[np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_rows(table) == oracle_rows(table)
+
+    def test_benchmark_scale_solution(self, tmp_path, repo_root):
+        cfg = shipped("forward", repo_root)
+        cfg["problem"]["n_steps"] = 2048
+        spec = _build_spec(cfg, repo_root)
+        q = _profile(cfg["q"], spec.tgrid, "q", repo_root)
+        with pytest.warns(UserWarning, match="window"):
+            sol = solve_forward(spec, q, **cfg["solver"])
+        table = np.column_stack([spec.tgrid.nodes, sol.u])
+        assert table.shape == (2049, 130)
+        header = ["t"] + [f"u{j}" for j in range(129)]
+        _write_csv(tmp_path / "solution.csv", header, table)
+        assert ((tmp_path / "solution.csv").read_bytes()
+                == (",".join(header) + "\n").encode() + oracle_rows(table))
 
 
 class TestExitCodes:
