@@ -204,7 +204,8 @@ def write_rows(fh, table: np.ndarray) -> None:
     n_rows, n_cols = table.shape
     rows = max(1, BLOCK // n_cols)
     row_end = np.arange(rows * n_cols) % n_cols == n_cols - 1
-    sep = np.where(row_end, ord("\n"), ord(",")).astype("<u8") << 40
+    sep = (np.where(row_end, ord("\n"), ord(",")).astype("<u8")
+           << 8 * (_SEP % 8))
     for start in range(0, n_rows, rows):
         block = table[start:start + rows].ravel()
         out, kept = _layout(block, sep[:block.size], tab)
