@@ -30,14 +30,7 @@ from .inverse import (
     synthesize_data,
     validate_theorem43,
 )
-from .mlf import (
-    MlfParams,
-    eval_mlf,
-    kernel,
-    kernel_mass,
-    relaxation,
-    relaxation_curve,
-)
+from .mlf import mittag_leffler, relaxation, relaxation_curve
 from .mode_solver import ModeProblem, ModeSolution, solve_mode
 from .oracle import FdWorkspace, solve_fd
 from .profiles import (

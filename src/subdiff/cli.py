@@ -39,8 +39,8 @@ from .forward import (ProblemSpec, default_mode_count, residual_check,
                       solve_forward)
 from .frackernel import TimeGrid, build_weights, caputo_l1, convolve
 from .inverse import InverseSpec, recover_q, synthesize_data
-from .mlf import (MlfParams, _mp_branch_cut, eval_mlf, kernel, relaxation,
-                  relaxation_curve)
+from .mlf import _mp_branch_cut, mittag_leffler, relaxation, relaxation_curve
+from .mode_solver import PICARD_MAX_ITER, PICARD_TOL
 from .oracle import solve_fd
 from .profiles import _KINDS, Profile, named_profile
 from .spectral import SpaceGrid, basis
@@ -263,7 +263,8 @@ def _write_json(path: Path, obj) -> None:
 def _run_forward(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "q", "phi", "f", "solver"},
                 "config", required={"problem", "sigma", "q", "phi", "f"})
-    solver = _solver_block(cfg, {"tol": 1e-10, "max_iter": 200})
+    solver = _solver_block(cfg, {"tol": PICARD_TOL,
+                                 "max_iter": PICARD_MAX_ITER})
     spec = _build_spec(cfg, base)
     q = _profile(cfg["q"], spec.tgrid, "q", base)
     sol = solve_forward(spec, q, tol=solver["tol"],
@@ -307,7 +308,8 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
             spec, q_true,
             noise_level=_num(syn, "noise_level", "data.synthetic",
                              default=0.0, lo=0.0),
-            seed=_num(syn, "seed", "data.synthetic", default=0, integer=True))
+            seed=_num(syn, "seed", "data.synthetic", default=0, lo=0,
+                      integer=True))
     else:
         psi = Profile(spec.tgrid,
                       _read_samples_csv(base / data["psi_csv"], spec.tgrid,
@@ -339,7 +341,8 @@ def _run_verify(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "q", "phi", "f", "solver",
                       "verify"}, "config",
                 required={"problem", "sigma", "q", "phi", "f"})
-    solver = _solver_block(cfg, {"tol": 1e-10, "max_iter": 200})
+    solver = _solver_block(cfg, {"tol": PICARD_TOL,
+                                 "max_iter": PICARD_MAX_ITER})
     ver = cfg.get("verify", {})
     _check_keys(ver, {"max_residual", "max_cross_gap"}, "verify")
     max_res = _num(ver, "max_residual", "verify", default=1e-2, lo=0.0)
@@ -385,13 +388,13 @@ def _selftest_mlf():
 
     rng = np.random.default_rng(20250815)
     bad = 0
-    for _ in range(1000):
+    for _ in range(40):
         rho = rng.uniform(0.05, 0.95)
-        z = rng.uniform(0.01, 50.0) * rng.uniform(0.0, 3.0) ** rho
+        z = rng.uniform(0.01, 50.0, 25) * rng.uniform(0.0, 3.0, 25) ** rho
         for beta in (1.0, rho):
-            v = eval_mlf(MlfParams(rho, beta), -z)
-            if not -1e-15 <= v <= 1.0 / math.gamma(beta) + 1e-12:
-                bad += 1
+            v = mittag_leffler(rho, beta, -z)
+            ok = (-1e-15 <= v) & (v <= 1.0 / math.gamma(beta) + 1e-12)
+            bad += int(np.count_nonzero(~ok))
     checks.append(("0 <= E <= 1/Gamma(beta) on 1000 tuples", bad == 0,
                    f"{bad} violations"))
 
@@ -399,7 +402,9 @@ def _selftest_mlf():
     for rho, lam, t in [(0.3, 0.5, 0.7), (0.5, 2.0, 1.0), (0.8, 10.0, 0.4)]:
         h = 1e-5 * t
         fd = (relaxation(rho, lam, t + h) - relaxation(rho, lam, t - h)) / (2 * h)
-        worst = max(worst, abs(kernel(rho, lam, t) + fd) / abs(fd))
+        kernel = (lam * t ** (rho - 1.0)
+                  * float(mittag_leffler(rho, rho, -lam * t ** rho)))
+        worst = max(worst, abs(kernel + fd) / abs(fd))
     checks.append(("kernel = -d/dt relaxation vs central differences",
                    worst <= 1e-6, f"max rel err {worst:.3e}"))
 
@@ -439,11 +444,10 @@ def _selftest_frackernel():
     rho = 0.5
     g2 = TimeGrid(1.0, 1024)
     out = convolve(build_weights(g2, rho, 1.0), g2.nodes)
-    worst = 0.0
-    for i in (256, 512, 1024):
-        s = g2.nodes[i]
-        want = s ** (rho + 1.0) * eval_mlf(MlfParams(rho, rho + 2.0), -s ** rho)
-        worst = max(worst, abs(out[i] - want))
+    nodes = [256, 512, 1024]
+    s = g2.nodes[nodes]
+    want = s ** (rho + 1.0) * mittag_leffler(rho, rho + 2.0, -s ** rho)
+    worst = float(np.max(np.abs(out[nodes] - want)))
     checks.append(("kernel * t convolution matches the series identity",
                    worst <= 5e-4, f"max err {worst:.3e}"))
 

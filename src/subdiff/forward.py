@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, GridMismatchError
 from .frackernel import TimeGrid, caputo_l1
-from .mode_solver import ModeProblem, ModeSolution, solve_mode
+from .mode_solver import (PICARD_MAX_ITER, PICARD_TOL, ModeProblem,
+                          ModeSolution, solve_mode)
 from .profiles import Profile
 from .spectral import (
     SpaceGrid,
@@ -165,8 +166,8 @@ class FieldSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_mode_set(spec: ProblemSpec, q: Profile, tol: float = 1e-10,
-                   max_iter: int = 200,
+def solve_mode_set(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
+                   max_iter: int = PICARD_MAX_ITER,
                    initial: Optional[np.ndarray] = None) -> ModeSolution:
     """Solve the spec's K mode problems at reaction coefficient ``q`` as one
     batch; ``initial`` rows warm-start the iteration."""
@@ -187,8 +188,8 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
     return float(np.polyfit(np.log(t), np.log(y), 1)[0])
 
 
-def solve_forward(spec: ProblemSpec, q: Profile, tol: float = 1e-10,
-                  max_iter: int = 200) -> FieldSolution:
+def solve_forward(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
+                  max_iter: int = PICARD_MAX_ITER) -> FieldSolution:
     """Solve the spec's problem at the reaction coefficient ``q``."""
     report = validate_assumption1(spec, q)
     if not report.cond2_q_in_window:

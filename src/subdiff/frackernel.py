@@ -8,8 +8,10 @@ Two independent discretizations live here:
 
 * ``build_weights`` / ``convolve`` -- product integration for the weakly
   singular Mittag-Leffler kernel.  The kernel factor is integrated exactly
-  per subinterval via the closed-form mass identity, so the quadrature
-  never sees the t -> 0 singularity and is exact on constant integrands.
+  per subinterval: the mass of t^(rho-1) E_{rho,rho}(-lam t^rho) over
+  [a, b] is the relaxation difference (E_{rho,1}(-lam a^rho) -
+  E_{rho,1}(-lam b^rho)) / lam, so the quadrature never sees the t -> 0
+  singularity and is exact on constant integrands.
 
 A uniform grid makes the weight matrix Toeplitz; only its first column is
 stored, together with its real FFT.  ``convolve`` multiplies that cached
@@ -151,8 +153,8 @@ def build_weights(grid: TimeGrid, rho: float,
     lam = np.asarray(lam_eff, dtype=float)
     if not np.all((lam > 0.0) & np.isfinite(lam)):
         raise DomainError(f"lam_eff must be positive, got {lam_eff!r}")
-    if not (0.0 < rho <= 1.0):
-        raise DomainError(f"weights need rho in (0, 1], got {rho!r}")
+    if not (0.0 < rho < 1.0):
+        raise DomainError(f"weights need rho in (0, 1), got {rho!r}")
     if grid.n_steps > MAX_WEIGHT_STEPS:
         raise ResourceError(f"grid has {grid.n_steps} steps, exceeding the "
                             f"cap {MAX_WEIGHT_STEPS}")

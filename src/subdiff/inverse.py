@@ -22,6 +22,7 @@ import numpy as np
 from .errors import AdmissibilityError, ConvergenceError, DomainError
 from .forward import ProblemSpec, solve_forward, solve_mode_set
 from .frackernel import caputo_l1
+from .mode_solver import PICARD_TOL
 from .profiles import Profile, constant
 from .spectral import (
     eigenvalues,
@@ -33,11 +34,9 @@ from .spectral import (
 _COMPAT_RTOL = 1e-6
 #: past residual and image differences that each recovery sweep mixes
 _ANDERSON_DEPTH = 8
-#: the forward solve's own Picard tolerance, at which a sweep evaluates L
-#: as accurately as a standalone forward solve does
-_EXACT_TOL = 1e-10
 #: forcing term: a sweep's forward solve stops at this multiple of the
-#: previous sweep's residual (never below ``_EXACT_TOL``)
+#: previous sweep's residual (never below ``PICARD_TOL``, the forward solve's
+#: own tolerance, at which a sweep evaluates L as a forward solve does)
 _FORCING = 1e-4
 #: Anderson histories whose Gram matrix has an eigenvalue ratio at or below
 #: this take the plain step: the Gram system squares the history's condition
@@ -164,7 +163,7 @@ class InverseResult:
 
 
 def _sweep(inv: InverseSpec, q: Profile, initial: Optional[np.ndarray],
-           tol: float = _EXACT_TOL) -> tuple[Profile, np.ndarray]:
+           tol: float = PICARD_TOL) -> tuple[Profile, np.ndarray]:
     """One application of the map: forward-solve at q to ``tol``, read off
     the update."""
     coeffs = solve_mode_set(inv.spec, q, tol=tol, initial=initial).u_k
@@ -263,22 +262,22 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
 
     Sweep k evaluates the clamped image g_k = L[q_k] and the residual
     f_k = g_k - q_k.  Its forward solve stops at the inner tolerance
-    max(1e-10, ``_FORCING`` * r_{k-1}), r_{k-1} being the previous sweep's
-    sup residual (the first sweep runs at 1e-10): early sweeps, whose
-    residual is large, need no more accuracy from L than a fraction of it
-    (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19 (1982) 400).
-    The recovery stops at the first sweep with sup |f_k| < tol whose inner
-    solve ran at 1e-10, and returns its g_k, so the result is an image of L
-    evaluated as accurately as ``apply_L`` evaluates it; a loose sweep that
-    reaches sup |f_k| < tol is followed by one sweep at 1e-10, whatever tol
-    is.  Otherwise the next iterate is g_k - dG gamma, where gamma solves
-    the least-squares problem min |f_k - dF gamma|_2 over the differences
-    of the last ``_ANDERSON_DEPTH`` residuals (dF) and images (dG) (Walker
-    and Ni, SIAM J. Numer. Anal. 49 (2011) 1715).  A nearly rank-deficient
-    history or a non-finite mixed iterate falls back to the plain step g_k,
-    so the
-    limit is the same fixed point that the paper's contraction argument
-    makes unique.  Images and mixed iterates are clamped nodewise into the
+    max(``PICARD_TOL``, ``_FORCING`` * r_{k-1}), r_{k-1} being the previous
+    sweep's sup residual (the first sweep runs at ``PICARD_TOL``): early
+    sweeps, whose residual is large, need no more accuracy from L than a
+    fraction of it (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19
+    (1982) 400).  The recovery stops at the first sweep with sup |f_k| < tol
+    whose inner solve ran at ``PICARD_TOL``, and returns its g_k, so the
+    result is an image of L evaluated as accurately as ``apply_L`` evaluates
+    it; a loose sweep that reaches sup |f_k| < tol is followed by one sweep
+    at ``PICARD_TOL``, whatever tol is.  Otherwise the next iterate is
+    g_k - dG gamma, where gamma solves the least-squares problem
+    min |f_k - dF gamma|_2 over the differences of the last
+    ``_ANDERSON_DEPTH`` residuals (dF) and images (dG) (Walker and Ni, SIAM
+    J. Numer. Anal. 49 (2011) 1715).  A nearly rank-deficient history or a
+    non-finite mixed iterate falls back to the plain step g_k, so the limit
+    is the same fixed point that the paper's contraction argument makes
+    unique.  Images and mixed iterates are clamped nodewise into the
     admissible window (clamp events are counted, not hidden); each sweep
     warm-starts its forward solve from the previous mode trajectories.
     ``measured_ratio`` is the largest Lipschitz quotient
@@ -302,7 +301,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
     depth = 0
     clamp_count = 0
     warm: Optional[np.ndarray] = None
-    inner_tol = _EXACT_TOL
+    inner_tol = PICARD_TOL
     converged = False
     for it in range(1, max_iter + 1):
         try:
@@ -327,7 +326,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
             np.subtract(f, f_prev, out=stacked[row + 1])
             np.subtract(g, g_prev, out=dG[row])
             depth = min(depth + 1, _ANDERSON_DEPTH)
-        if residuals[-1] < tol and inner_tol == _EXACT_TOL:
+        if residuals[-1] < tol and inner_tol == PICARD_TOL:
             q = image
             converged = True
             break
@@ -341,9 +340,9 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
         clamp_count += touched
         warm = coeffs
         # a residual below tol that did not end the loop came from a loose
-        # solve, so the next sweep confirms it at 1e-10
-        inner_tol = (_EXACT_TOL if residuals[-1] < tol
-                     else max(_EXACT_TOL, _FORCING * residuals[-1]))
+        # solve, so the next sweep confirms it at PICARD_TOL
+        inner_tol = (PICARD_TOL if residuals[-1] < tol
+                     else max(PICARD_TOL, _FORCING * residuals[-1]))
 
     if not converged:
         raise ConvergenceError(
@@ -377,6 +376,8 @@ def synthesize_data(spec: ProblemSpec, q_true: Profile,
     """
     if noise_level < 0.0:
         raise DomainError(f"noise level must be nonnegative, got {noise_level}")
+    if seed < 0:
+        raise DomainError(f"noise seed must be nonnegative, got {seed}")
     psi = flux_at_left(solve_forward(spec, q_true).u_k, spec.length)
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)

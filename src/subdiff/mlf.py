@@ -1,21 +1,20 @@
 """Two-parameter Mittag-Leffler function on the nonpositive real axis.
 
-Everything the time-stepping machinery needs reduces to five callables:
+The time-stepping machinery needs three callables, all on one evaluator:
 
-* ``eval_mlf``    -- E_{rho,beta}(z) for z <= 0,
-* ``relaxation``  -- E_{rho,1}(-lam * t^rho), the fractional relaxation curve,
-* ``relaxation_curve`` -- the same curve for an array of rates and times,
-* ``kernel``      -- lam * t^(rho-1) * E_{rho,rho}(-lam * t^rho),
-* ``kernel_mass`` -- the exact integral of ``kernel`` over [a, b].
+* ``mittag_leffler``   -- E_{rho,beta}(z) at every entry of an array z <= 0,
+* ``relaxation_curve`` -- E_{rho,1}(-lam * t^rho), the fractional relaxation
+  curve, for an array of rates against an array of times,
+* ``relaxation``       -- the same curve at one rate and one time.
 
-The kernel is minus the derivative of the relaxation curve, so its integral
-telescopes into relaxation differences; ``kernel_mass`` uses that closed form
-and never touches the t -> 0 singularity numerically.
+The kernel lam * t^(rho-1) * E_{rho,rho}(-lam * t^rho) is minus the
+derivative of the relaxation curve, so its integral over [a, b] telescopes
+into the relaxation difference at a and b; the weight build uses that
+closed form and never touches the t -> 0 singularity numerically.
 
-Evaluation strategy.  One array evaluator (``_curve``) serves every entry
-point; the scalar functions pass it a one-entry array.  Each entry goes
-through five stages, each taking what the ones before it left: the endpoints
-x = 0 and x = inf and the case rho = beta = 1; the power series
+Evaluation strategy.  One array routine (``_curve``) serves every entry
+point.  Each entry goes through five stages, each taking what the ones
+before it left: the endpoints x = 0 and x = inf; the power series
 (Kahan-compensated) where its cancellation allows the relative target; past
 |z| = Z_SWITCH the asymptotic expansion truncated at its smallest term; the
 branch-cut integral, rescaled so that one fixed Gauss-Legendre rule per
@@ -26,14 +25,13 @@ active and estimate their own error a posteriori; what they cannot reach in
 double precision goes on to the later stages, so the tolerances hold
 everywhere.
 
-Domain: the orders the solvers use, 0 < rho < 1 with any finite beta, and
-rho = beta = 1 (the exponential).  ``MlfParams`` is the one order check.
+Domain: the orders the solvers use, 0 < rho < 1 with any finite beta.
+``_check_order`` is the one order check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,21 +94,12 @@ def _log_rgamma_abs(x: float) -> tuple[float, float]:
     return -lg, sign
 
 
-@dataclass(frozen=True)
-class MlfParams:
-    """Order/parameter pair (rho, beta) of E_{rho,beta}: 0 < rho < 1 with
-    any finite beta, or rho = beta = 1."""
-
-    rho: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rho < 1.0 or self.rho == self.beta == 1.0):
-            raise DomainError(
-                f"order rho must lie in (0, 1), or rho = beta = 1; got "
-                f"rho={self.rho!r}, beta={self.beta!r}")
-        if not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta!r}")
+def _check_order(rho: float, beta: float) -> None:
+    """Refuse (rho, beta) outside 0 < rho < 1 with finite beta."""
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"order rho must lie in (0, 1), got {rho!r}")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta!r}")
 
 
 def _series_curve(rho: float, beta: float, x: np.ndarray
@@ -403,9 +392,7 @@ def _fallback(rho: float, beta: float, x: float) -> float:
 
 def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
     """E_{rho,beta}(-x) at every entry of x >= 0, for (rho, beta) that
-    ``MlfParams`` accepts, through the five stages of the module docstring."""
-    if rho == 1.0 and beta == 1.0:
-        return np.exp(-x)
+    ``_check_order`` accepts, through the five stages of the module docstring."""
     shape, x = x.shape, x.ravel()
     out = np.zeros(x.size)  # the limit at x = inf
     pending = ~np.isinf(x)
@@ -450,28 +437,32 @@ def _accept(out: np.ndarray, pending: np.ndarray, band: np.ndarray,
     pending[where] = False
 
 
-def eval_mlf(params: MlfParams, z: float) -> float:
-    """E_{rho,beta}(z) for z <= 0.
+def mittag_leffler(rho: float, beta: float, z) -> np.ndarray:
+    """E_{rho,beta}(z) at every entry of ``z <= 0`` (-inf allowed), for
+    0 < rho < 1 and finite beta; the result has the shape of ``z``.
 
     Each value meets, by its own error estimate, the gate of the stage that
     took it: 1e-13 relative in the series and asymptotic bands, 1e-12 *
-    max(|v|, 1e-4) in the branch-cut rule, else extended precision.
+    max(|v|, 1e-4) in the branch-cut rule, else extended precision.  No
+    value depends on the other entries of ``z``.
     """
-    if not math.isfinite(z) and not (math.isinf(z) and z < 0):
-        raise DomainError(f"argument must be a nonpositive real, got {z!r}")
-    if z > 0.0:
-        raise DomainError(f"argument must be nonpositive, got {z!r}")
-    return float(_curve(params.rho, params.beta, np.array([-z]))[0])
+    _check_order(rho, beta)
+    z = np.asarray(z, dtype=float)
+    bad = z[~(z <= 0.0)]
+    if bad.size:
+        raise DomainError(
+            f"arguments must be nonpositive reals, got {float(bad[0])!r}")
+    return _curve(rho, beta, -z)
 
 
 def relaxation(rho: float, lam: float, t: float) -> float:
-    """E_{rho,1}(-lam * t^rho); equals 1 at t = 0, decays monotonically."""
+    """E_{rho,1}(-lam * t^rho) at one rate and one time."""
     return float(relaxation_curve(rho, lam, t))
 
 
 def relaxation_curve(rho: float, lam, t) -> np.ndarray:
-    """E_{rho,1}(-lam * t^rho) for 0 < rho <= 1, every rate against every
-    entry of ``t >= 0``.
+    """E_{rho,1}(-lam * t^rho) for 0 < rho < 1, every rate against every
+    entry of ``t >= 0``; equals 1 at t = 0 and decays monotonically.
 
     ``lam`` is one positive rate or an array of them; the result has shape
     ``lam.shape + t.shape``, and all rates go through one evaluation, so each
@@ -481,31 +472,8 @@ def relaxation_curve(rho: float, lam, t) -> np.ndarray:
     if not np.all((lam > 0.0) & (lam < math.inf)):
         raise DomainError(
             f"lam must be positive and finite, got {lam.tolist()!r}")
-    MlfParams(rho, 1.0)
+    _check_order(rho, 1.0)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("times must be nonnegative")
     return _curve(rho, 1.0, np.multiply.outer(lam, t ** rho))
-
-
-def kernel(rho: float, lam: float, t: float) -> float:
-    """lam * t^(rho-1) * E_{rho,rho}(-lam * t^rho), the relaxation kernel.
-
-    Singular (integrably) at t = 0 for rho < 1; t must be positive.
-    """
-    MlfParams(rho, rho)
-    if not (0.0 < lam < math.inf):
-        raise DomainError(f"lam must be positive and finite, got {lam!r}")
-    if not t > 0.0:
-        raise DomainError("kernel is singular at t = 0; need t > 0")
-    x = np.array([lam * t ** rho])
-    return lam * t ** (rho - 1.0) * float(_curve(rho, rho, x)[0])
-
-
-def kernel_mass(rho: float, lam: float, a: float, b: float) -> float:
-    """Exact integral of ``kernel`` over [a, b]:  E(-lam a^rho) - E(-lam b^rho)."""
-    if a < 0.0 or a > b:
-        raise DomainError(f"need 0 <= a <= b, got a={a!r}, b={b!r}")
-    if a == b:
-        return 0.0
-    return relaxation(rho, lam, a) - relaxation(rho, lam, b)

@@ -33,6 +33,11 @@ from .errors import AdmissibilityError, ConvergenceError, DomainError, GridMisma
 from .frackernel import ConvolutionWeights, TimeGrid, build_weights, convolve
 from .profiles import Profile
 
+#: Picard budget of a forward solve: a mode stops once its correction falls
+#: below ``PICARD_TOL``, and a mode still moving after ``PICARD_MAX_ITER``
+#: steps is an error
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 200
 #: correction norms below eps * this factor are noise, not contraction data
 _RATIO_FLOOR = 64.0
 
@@ -74,8 +79,8 @@ class ModeProblem:
             raise DomainError(f"mode index must be >= 1, got {k.min()}")
         if np.any(lam_k <= 0.0):
             raise DomainError(f"eigenvalue must be positive, got {lam_k.min()}")
-        if not (0.0 < self.rho <= 1.0):
-            raise DomainError(f"order must lie in (0, 1], got {self.rho}")
+        if not (0.0 < self.rho < 1.0):
+            raise DomainError(f"order must lie in (0, 1), got {self.rho}")
         for name in ("sigma", "q"):
             prof = getattr(self, name)
             if prof.grid != self.grid:
@@ -146,7 +151,8 @@ class ModeSolution:
     C_k_bound: np.ndarray
 
 
-def solve_mode(p: ModeProblem, tol: float = 1e-10, max_iter: int = 200,
+def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
+               max_iter: int = PICARD_MAX_ITER,
                initial: np.ndarray | None = None) -> ModeSolution:
     """Picard-iterate every mode to its fixed point; the initial guess is the
     homogeneous term.
@@ -204,8 +210,9 @@ def solve_mode(p: ModeProblem, tol: float = 1e-10, max_iter: int = 200,
         contraction_estimate=float(worst_ratio[first]))
 
 
-def decompose_mode(p: ModeProblem, tol: float = 1e-10,
-                   max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def decompose_mode(p: ModeProblem, tol: float = PICARD_TOL,
+                   max_iter: int = PICARD_MAX_ITER
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Split into the zero-initial-datum part V_k and the zero-source part W_k."""
     v = solve_mode(replace(p, phi_k=np.zeros_like(p.phi_k)), tol, max_iter)
     w = solve_mode(replace(p, f_k=np.zeros_like(p.f_k)), tol, max_iter)

@@ -127,6 +127,12 @@ class TestConfigErrors:
         cfg["data"]["psi0"] = 0.1
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
 
+    def test_negative_noise_seed(self, tmp_path, repo_root, capsys):
+        cfg = shipped("inverse", repo_root)
+        cfg["data"]["synthetic"].update(noise_level=1e-6, seed=-1)
+        assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
+        assert "data.synthetic.seed" in capsys.readouterr().err
+
     def test_retired_inverse_solver_keys(self, tmp_path, repo_root, capsys):
         # the inner forward solve always runs at the forward defaults
         for key, value in (("forward_tol", 1e-10), ("forward_max_iter", 200)):

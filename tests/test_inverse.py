@@ -470,6 +470,11 @@ class TestSynthesizeData:
         with pytest.raises(DomainError):
             synthesize_data(spec, q, noise_level=-0.1)
 
+    def test_rejects_negative_seed(self):
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        with pytest.raises(DomainError, match="seed"):
+            synthesize_data(spec, q, noise_level=1e-6, seed=-1)
+
     def test_same_seed_bitwise_identical(self):
         spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():

@@ -25,7 +25,7 @@ from subdiff.mode_solver import (
     solve_mode,
 )
 from subdiff import profiles
-from subdiff.mlf import relaxation
+from subdiff.mlf import relaxation, relaxation_curve
 
 from conftest import sample_mode_problem
 
@@ -53,8 +53,10 @@ class TestModeProblem:
             with pytest.raises(DomainError):
                 make_problem(GRID, rho=rho)
 
-    def test_order_one_allowed(self):
-        make_problem(GRID, rho=1.0)
+    def test_order_one_refused(self):
+        # as ProblemSpec, caputo_l1 and build_weights refuse it
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            make_problem(GRID, rho=1.0)
 
     def test_rejects_foreign_grid(self):
         with pytest.raises(GridMismatchError):
@@ -124,12 +126,15 @@ class TestSolveMode:
         want = phi * relax + (F / lam_eff) * (1.0 - relax)
         assert np.max(np.abs(sol.u_k - want)) < 1e-8
 
-    def test_order_one_ode_closed_form(self):
+    def test_half_order_closed_form_with_bracket(self):
+        # sigma = 1 and q = 0.4 leave the bracket -q nonzero, so Picard has
+        # work to do; u = E_{1/2}(-(pi^2 + q) t^{1/2})
         g = TimeGrid(1.0, 1024)
         c = 0.4
-        p = make_problem(g, rho=1.0, q=profiles.constant(g, c), phi=1.0)
+        p = make_problem(g, rho=0.5, q=profiles.constant(g, c), phi=1.0)
         sol = solve_mode(p, tol=1e-12)
-        want = np.exp(-(math.pi ** 2 + c) * g.nodes)
+        assert sol.iterations[0] > 1
+        want = relaxation_curve(0.5, math.pi ** 2 + c, g.nodes)
         assert np.max(np.abs(sol.u_k - want)) < 5e-3
 
     def test_initial_value_exact(self):
