@@ -3,8 +3,9 @@
 Pipeline: the problem spec expands the data in the sine basis once; the
 solve reports the coefficient assumptions, solves each mode's Volterra
 equation, reassembles the field, and attaches the regularity diagnostics
-(weighted coefficient sums, the short-time second-derivative blow-up shape,
-and the pointwise PDE residual).
+(weighted coefficient sums and the short-time second-derivative blow-up
+shape).  The pointwise PDE residual is a separate check,
+``residual_check``, taken on the K coefficient series of a solution.
 """
 
 from __future__ import annotations
@@ -156,13 +157,16 @@ def validate_assumption1(spec: ProblemSpec, q: Profile) -> AssumptionReport:
 
 @dataclass(eq=False)
 class FieldSolution:
-    """A solved field.  From ``solve_forward``, ``diagnostics`` is the content
-    of the forward command's ``diagnostics.json``: the CLI writes it whole,
-    so only what that artifact reports belongs there."""
+    """A solved field ``u`` (n_steps+1, n_cells+1), rows time nodes.
+
+    ``u_k`` holds the (K, n_steps+1) sine coefficients the field was
+    assembled from, where the route has them (the spectral one); the FD
+    route leaves it None.  From ``solve_forward``, ``diagnostics`` is the
+    content of the forward command's ``diagnostics.json``: the CLI writes it
+    whole, so only what that artifact reports belongs there."""
 
     u: np.ndarray
-    u_xx_diag: Optional[np.ndarray]
-    u_k: Optional[np.ndarray]  # (K, n_steps+1) sine coefficients
+    u_k: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -179,10 +183,11 @@ def solve_mode_set(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
 
 
 def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
-    """Log-log slope of sup_x|u_xx| over the first decade of positive time."""
+    """Log-log slope of sup_x|u_xx| over the first decade of positive time;
+    NaN where fewer than two positive nodes or a zero sup leave no line."""
     n_fit = min(10, tgrid.n_steps)
     y = uxx_sup[1:n_fit + 1]
-    if np.any(y <= 0.0):
+    if n_fit < 2 or np.any(y <= 0.0):
         return math.nan
     t = tgrid.nodes[1:n_fit + 1]
     return float(np.polyfit(np.log(t), np.log(y), 1)[0])
@@ -225,27 +230,29 @@ def solve_forward(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
         "q2_fitted_exponent": _blowup_exponent(spec.tgrid, uxx_sup),
         "init_defect": float(np.max(np.abs(u[0] - spec.phi))),
     }
-    return FieldSolution(u=u, u_xx_diag=u_xx, u_k=coeffs,
-                         diagnostics=diagnostics)
+    return FieldSolution(u=u, u_k=coeffs, diagnostics=diagnostics)
 
 
 def residual_check(sol: FieldSolution, spec: ProblemSpec,
                    q: Profile) -> float:
-    """max over t >= t_1 and interior x of |D^rho u - sigma u_xx + q u - f|."""
+    """max over t >= t_1 and interior x of |D^rho u - sigma u_xx + q u - f|.
+
+    The derivative terms act on the K coefficient series c of the solution:
+    ``sol.u_k``, or for a solution without them (the FD route) the K-mode
+    sine projection of ``sol.u``.  The L1 derivative of each series plus
+    sigma lam_k^2 c is assembled once on the grid, where q u - f is added.
+    """
     spec.on_grid(q)
     u = sol.u
     if u.shape != spec.f.shape:
         raise GridMismatchError("solution and problem grids differ")
-    if sol.u_xx_diag is not None:
-        u_xx = sol.u_xx_diag
-    else:
-        coeffs = sine_coefficients(spec.sgrid, u, spec.K).T
-        lam = eigenvalues(spec.K, spec.length)
-        u_xx = assemble_field(-(lam ** 2)[:, None] * coeffs, spec.sgrid)
-
+    c = sol.u_k
+    if c is None:
+        c = sine_coefficients(spec.sgrid, u, spec.K).T
+    lam = eigenvalues(c.shape[0], spec.length)
+    dcap = caputo_l1(spec.tgrid, c.T, spec.rho)[1:].T
+    stiff = spec.sigma.values[1:] * (lam ** 2)[:, None] * c[:, 1:]
     nx = spec.sgrid.n_cells
-    dcap = caputo_l1(spec.tgrid, u[:, 1:nx], spec.rho)
-    sig = spec.sigma.values[:, None]
-    qv = q.values[:, None]
-    res = dcap - sig * u_xx[:, 1:nx] + qv * u[:, 1:nx] - spec.f[:, 1:nx]
-    return float(np.max(np.abs(res[1:])))
+    res = (assemble_field(dcap + stiff, spec.sgrid)[:, 1:nx]
+           + q.values[1:, None] * u[1:, 1:nx] - spec.f[1:, 1:nx])
+    return float(np.max(np.abs(res)))

@@ -138,6 +138,4 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
     for s in range(1, N + 1, _HISTORY_BLOCK):
         W[s:s + _HISTORY_BLOCK] = W[s:s + _HISTORY_BLOCK] @ ws.V.T
     u[0] = spec.phi
-    return FieldSolution(
-        u=u, u_xx_diag=None, u_k=None,
-        diagnostics={"diagonally_dominant": dominant})
+    return FieldSolution(u=u, diagnostics={"diagonally_dominant": dominant})

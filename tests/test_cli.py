@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -430,6 +433,16 @@ class TestForwardCommand:
         for name in ("solution.csv", "diagnostics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_single_time_step(self, tmp_path):
+        # one positive node leaves no line to fit the blow-up exponent to
+        cfg = small_forward_cfg()
+        cfg["problem"]["n_steps"] = 1
+        code, out = run(tmp_path, "forward", cfg=cfg)
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["q2_fitted_exponent"] is None
+        assert math.isfinite(diag["residual"])
+
 
 class TestInverseCommand:
     def test_shipped_config_recovers_constant(self, tmp_path, repo_root):
@@ -625,6 +638,36 @@ class TestVerifyCommand:
         rep = json.loads((out / "verify.json").read_text())
         assert rep["passed"] is False and rep["residual_ok"] is False
         assert rep["cross_gap_ok"] is True
+
+    def test_byte_identical_reruns(self, tmp_path, repo_root):
+        cfg = (repo_root / CONFIGS["forward"]).read_text()
+        _, a = run(tmp_path, "verify", cfg=cfg, out=tmp_path / "a")
+        _, b = run(tmp_path, "verify", cfg=cfg, out=tmp_path / "b")
+        name = "verify.json"
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_single_time_step(self, tmp_path):
+        # a verdict, not a traceback, however coarse the grid
+        cfg = small_forward_cfg()
+        cfg["problem"]["n_steps"] = 1
+        code, out = run(tmp_path, "verify", cfg=cfg)
+        assert code in (0, 1)
+        rep = json.loads((out / "verify.json").read_text())
+        assert rep["passed"] is (code == 0)
+
+
+class TestImports:
+    def test_cli_loads_neither_mpmath_nor_scipy(self, repo_root):
+        # both are imported where a command needs them, so start-up of
+        # every command stays free of them
+        code = ("import sys\n"
+                "import subdiff.cli\n"
+                "print(sorted({'mpmath', 'scipy'} & set(sys.modules)))\n")
+        env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSelftest:

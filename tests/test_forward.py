@@ -25,9 +25,10 @@ from subdiff.forward import (
 from subdiff.frackernel import TimeGrid, caputo_l1
 from subdiff.oracle import solve_fd
 from subdiff.profiles import Profile, constant
-from subdiff.spectral import SpaceGrid, eigenvalues, sine_coefficients
+from subdiff.spectral import (SpaceGrid, assemble_field, eigenvalues,
+                              sine_coefficients)
 
-from conftest import l1_direct, make_manufactured
+from conftest import l1_direct, make_manufactured, sample_field_problem
 
 
 def tiny_spec(n=8, m=8, sigma=2.0, K=None):
@@ -104,8 +105,7 @@ class TestProblemSpec:
     validate_assumption1,
     solve_forward,
     lambda spec, q: residual_check(
-        FieldSolution(u=np.zeros_like(spec.f), u_xx_diag=None, u_k=None),
-        spec, q),
+        FieldSolution(u=np.zeros_like(spec.f)), spec, q),
     solve_fd,
 ], ids=["validate_assumption1", "solve_forward", "residual_check", "solve_fd"])
 def test_q_on_another_time_grid_is_refused(call):
@@ -378,10 +378,51 @@ class TestResidual:
         batched = caputo_l1(spec.tgrid, sol.u[:, 1:nx], spec.rho)
         np.testing.assert_allclose(batched[1:], dcap[1:], rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(dcap[1:])))
-        res = (dcap - spec.sigma.values[:, None] * sol.u_xx_diag[:, 1:nx]
+        lam = eigenvalues(spec.K, spec.length)
+        u_xx = assemble_field(-(lam ** 2)[:, None] * sol.u_k, spec.sgrid)
+        res = (dcap - spec.sigma.values[:, None] * u_xx[:, 1:nx]
                + q.values[:, None] * sol.u[:, 1:nx] - spec.f[:, 1:nx])
         want = float(np.max(np.abs(res[1:])))
         assert residual_check(sol, spec, q) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rho, K", [(0.1, None), (0.9, None), (0.5, 32)],
+                             ids=["rho0.1", "rho0.9", "K=M/2"])
+    def test_matches_grid_definition(self, rho, K):
+        # the residual formed on the mode series against its definition on
+        # the grid: the per-column direct L1 sum of u, sigma times the
+        # assembled -lam^2 u_k field, q u and f; a sampled problem, so sigma
+        # varies in time, q is not zero and several modes carry weight
+        spec, q = sample_field_problem(np.random.default_rng(5), 256, 64)
+        spec = replace(spec, rho=rho, K=K or spec.K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = solve_forward(spec, q)
+        nx = spec.sgrid.n_cells
+        dcap = np.column_stack([l1_direct(spec.tgrid, sol.u[:, i], rho)
+                                for i in range(1, nx)])
+        lam = eigenvalues(spec.K, spec.length)
+        u_xx = assemble_field(-(lam ** 2)[:, None] * sol.u_k, spec.sgrid)
+        terms = [dcap, -spec.sigma.values[:, None] * u_xx[:, 1:nx],
+                 q.values[:, None] * sol.u[:, 1:nx], -spec.f[:, 1:nx]]
+        terms = [t[1:] for t in terms]
+        want = float(np.max(np.abs(sum(terms))))
+        scale = max(float(np.max(np.abs(t))) for t in terms)
+        got = residual_check(sol, spec, q)
+        assert abs(got - want) <= 64 * np.finfo(float).eps * scale
+
+    def test_projection_path_matches_mode_series(self):
+        # a solution without u_k is projected on K modes; at K = M/2 the
+        # projection's round-off reaches the residual scaled by lam_K^2 sigma
+        spec, q = sample_field_problem(np.random.default_rng(5), 256, 128)
+        spec = replace(spec, K=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = solve_forward(spec, q)
+        got = residual_check(FieldSolution(u=sol.u, u_k=None), spec, q)
+        lam_K = eigenvalues(spec.K, spec.length)[-1]
+        bound = (64 * np.finfo(float).eps * lam_K ** 2 * spec.sigma.vmax
+                 * float(np.max(np.abs(sol.u))))
+        assert abs(got - residual_check(sol, spec, q)) <= bound
 
     def test_residual_decreases_under_refinement(self):
         vals = []

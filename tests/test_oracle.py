@@ -1,5 +1,6 @@
 """Finite-difference reference solver, and its agreement with the spectral route."""
 
+import ast
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import subdiff
+from subdiff import oracle
 from subdiff.errors import AdmissibilityError, DomainError, SingularSystemError
 from subdiff.forward import ProblemSpec, solve_forward
 from subdiff.frackernel import TimeGrid
@@ -282,6 +284,22 @@ class TestSolveFd:
 class TestCrossSolver:
     """The two routes share only the problem container; their agreement on a
     randomly sampled smooth problem is the strongest single check in here."""
+
+    def test_oracle_imports_only_the_problem_types(self):
+        # what the FD route takes from the package is the containers and the
+        # error it raises, never a piece of the spectral solve
+        allowed = {"FieldSolution", "ProblemSpec", "TimeGrid", "Profile",
+                   "SpaceGrid", "SingularSystemError"}
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "subdiff"
+                               for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("subdiff")):
+                names.update(a.name for a in node.names)
+        assert names <= allowed, names - allowed
 
     @pytest.mark.parametrize("seed", [7, 21, 99])
     def test_routes_agree_on_sampled_problem(self, seed):
