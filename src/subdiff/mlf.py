@@ -25,6 +25,16 @@ active and estimate their own error a posteriori; what they cannot reach in
 double precision goes on to the later stages, so the tolerances hold
 everywhere.
 
+The series drops an entry as soon as it can no longer pass its gate, so no
+term is summed for a value that is then thrown away.  For beta >= rho,
+E_{rho,beta}(-x) is completely monotone in x (Schneider, Expo. Math. 14
+(1996) 3), hence 0 < E <= 1/Gamma(beta); a Kahan sum is off by at most
+(2u + O(n u^2)) sum |terms| (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 4.3).  Once sum |terms| exceeds twice
+_REL_TARGET / (4 eps) / Gamma(beta), the sum's own estimate can no longer
+meet _REL_TARGET.  Every entry's arithmetic is its own, so the entries that
+pass and their bits are those of the full sum.
+
 Domain: the orders the solvers use, 0 < rho < 1 with any finite beta.
 ``_check_order`` is the one order check.
 """
@@ -32,6 +42,7 @@ Domain: the orders the solvers use, 0 < rho < 1 with any finite beta.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +57,9 @@ _REL_TARGET = 1e-13
 # the series is not tried once x^(1/rho) exceeds this (its running maximum
 # term outgrows the result beyond care)
 _SERIES_CANCEL_MAX = 34.0
+# sum |terms| / (1/Gamma(beta)) past which a series entry with beta >= rho
+# cannot meet _REL_TARGET (module docstring); twice the exact bound
+_SERIES_EXIT = 2.0 * _REL_TARGET / (4.0 * _EPS)
 # a branch-cut value is accepted at err <= _CUT_REL_TOL * max(|v|, _CUT_FLOOR)
 _CUT_REL_TOL = 1e-12
 _CUT_FLOOR = 1e-4
@@ -70,7 +84,10 @@ _CUT_BLOCK = 1 << 19
 def rgamma(x: float) -> float:
     """Reciprocal gamma, zero at the poles (analytic continuation of 1/Gamma)."""
     if 0.0 < x <= 171.0:
-        return 1.0 / math.gamma(x)
+        try:
+            return 1.0 / math.gamma(x)
+        except OverflowError:  # x < 1/DBL_MAX: x / Gamma(1 + x) rounds to x
+            return x
     try:
         lg, sign = _log_rgamma_abs(x)
         return sign * math.exp(lg)
@@ -105,7 +122,19 @@ def _check_order(rho: float, beta: float) -> None:
 def _series_curve(rho: float, beta: float, x: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Power series of E_{rho,beta}(-x) for x > 0: (values, est. relative
-    errors), the estimate being 4 eps times sum |terms| / |sum|."""
+    errors), the estimate being 4 eps times sum |terms| / |sum|.
+
+    For beta >= rho an entry stops, keeping (nan, inf), once sum |terms|
+    exceeds _SERIES_EXIT / Gamma(beta): with 0 < E <= 1/Gamma(beta)
+    (complete monotonicity, Schneider 1996) and the Kahan sum's error at most
+    (2u + O(n u^2)) sum |terms| (Higham 2002, 4.3), its estimate could no
+    longer meet _REL_TARGET.  Entries that run on are summed as they would be
+    without the exit.
+    """
+    # no exit where 1/Gamma(beta) is subnormal: underflow would then add to
+    # the error bound
+    rg = rgamma(beta) if beta >= rho else 0.0
+    exit_sum = _SERIES_EXIT * rg if rg >= sys.float_info.min else math.inf
     val = np.full(x.shape, math.nan)
     rel = np.full(x.shape, math.inf)
     idx = np.arange(x.size)
@@ -140,7 +169,9 @@ def _series_curve(rho: float, beta: float, x: np.ndarray
             val[fin] = tot
             rel[fin[nonzero]] = (abs_sum[done][nonzero] / np.abs(tot[nonzero])
                                  * 4.0 * _EPS)
-            keep = ~done
+        stop = done | (abs_sum > exit_sum)
+        if np.count_nonzero(stop):
+            keep = ~stop
             idx, lnx, total, comp, abs_sum, small_streak = (
                 a[keep] for a in (idx, lnx, total, comp, abs_sum, small_streak))
     # entries still running after SERIES_MAX_TERMS keep (nan, inf)
@@ -263,10 +294,32 @@ def _cut_edges(rho: float) -> np.ndarray:
     return edges
 
 
+# Nonnegative halves (nodes, weights) of the Gauss-Legendre rules the cut
+# rule uses, the digits of numpy.polynomial.legendre.leggauss, whose rules are
+# exactly symmetric; a table spares every cold process that module's import.
+_GAUSS_HALF = {
+    12: ((0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+          0.7699026741943047, 0.9041172563704748, 0.9815606342467192),
+         (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+          0.16007832854334642, 0.10693932599531907, 0.04717533638651141)),
+    24: ((0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+          0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+          0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+          0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+         (0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+          0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+          0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+          0.04427743881741941, 0.02853138862893356, 0.01234122979998869)),
+}
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], for
+    n = _CUT_N and 2 _CUT_N."""
+    nodes, weights = (np.array(a) for a in _GAUSS_HALF[n])
+    return (np.concatenate((-nodes[::-1], nodes)),
+            np.concatenate((weights[::-1], weights)))
 
 
 @lru_cache(maxsize=32)
@@ -401,9 +454,9 @@ def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
         out[zero] = rgamma(beta)
         pending &= ~zero
 
+    series = pending & (x <= Z_SWITCH)
     with np.errstate(over="ignore"):  # inf fails the test, as it should
-        cancel = np.minimum(x, Z_SWITCH) ** (1.0 / rho)
-    series = pending & (x <= Z_SWITCH) & (cancel <= _SERIES_CANCEL_MAX)
+        series[series] = x[series] ** (1.0 / rho) <= _SERIES_CANCEL_MAX
     if series.any():
         val, rel = _series_curve(rho, beta, x[series])
         ok = np.isfinite(val) & (rel <= _REL_TARGET)

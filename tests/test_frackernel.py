@@ -181,7 +181,8 @@ class TestBuildWeights:
         # the branch-cut band of these grids (rho 0.9 with the stiffnesses of
         # K = 4 modes, rho 0.5 with K = 32) is served by the fixed-node rule,
         # as is ``mittag_leffler`` at x across the series, asymptotic and
-        # branch-cut bands; no quadrature module is ever imported
+        # branch-cut bands; no quadrature module is ever imported, nor
+        # numpy.polynomial for the rule's Gauss-Legendre nodes
         code = ("import math, sys\n"
                 "from subdiff.frackernel import TimeGrid, build_weights\n"
                 "from subdiff.mlf import mittag_leffler\n"
@@ -192,13 +193,14 @@ class TestBuildWeights:
                 "    x = [0.3, 2.0, 4.5, 8.0, 30.0, 500.0]\n"
                 "    for beta in (1.0, rho, 1.3):\n"
                 "        mittag_leffler(rho, beta, [-v for v in x])\n"
-                "print('scipy.integrate' in sys.modules)\n")
+                "print('scipy.integrate' in sys.modules,\n"
+                "      'numpy.polynomial' in sys.modules)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(subdiff.__file__).resolve().parents[1]))
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=300,
                              check=True)
-        assert run.stdout.strip() == "False"
+        assert run.stdout.strip() == "False False"
 
 
 class TestConvolve:

@@ -97,6 +97,17 @@ class TestEvalMlf:
         assert mlf_value(0.3, 2.5, 0.0) == pytest.approx(
             1.0 / math.gamma(2.5), rel=1e-14)
 
+    def test_tiny_beta(self):
+        # Gamma(beta) overflows a double below 1/DBL_MAX; 1/Gamma(beta) = beta
+        # there, and E_{rho,beta}(-x) tends to E_{rho,0}(-x) as beta -> 0
+        assert mlf.rgamma(1e-310) == 1e-310
+        got = mittag_leffler(0.5, 1e-310, [0.0, -1.0])
+        assert got[0] == 1e-310
+        assert got[1] == pytest.approx(mlf_value(0.5, 0.0, -1.0), rel=1e-12)
+        # the series band's early exit takes 1/Gamma(beta) for beta >= rho
+        val, rel = mlf._series_curve(1e-310, 1e-310, np.array([0.5, 2.0]))
+        assert val.shape == rel.shape == (2,)
+
     def test_rejects_positive_argument(self):
         for z in (0.1, [-1.0, 0.1], float("nan"), float("inf")):
             with pytest.raises(DomainError):
@@ -352,6 +363,47 @@ class TestRelaxationCurve:
                 rows * mlf._cut_rule(0.9, 1.0, 2 * mlf._CUT_N)[0].size)
             for a, b in zip(mlf._branch_cut_curve(0.9, 1.0, x), want):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [mlf._CUT_N, 2 * mlf._CUT_N])
+    def test_gauss_legendre_table_is_leggauss(self, n):
+        # the cut rule's table stands in for numpy.polynomial's own rules
+        from numpy.polynomial.legendre import leggauss
+
+        for got, want in zip(mlf._gauss_legendre(n), leggauss(n)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+class TestSeriesExit:
+    """The series band drops an entry once it can no longer pass its gate:
+    that changes which entries run, never a value."""
+
+    X = np.geomspace(1e-4, Z_SWITCH, 401)
+
+    @staticmethod
+    def passed(val, rel):
+        return np.isfinite(val) & (rel <= mlf._REL_TARGET)
+
+    @pytest.mark.parametrize("rho", [0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_same_entries_pass_with_the_same_bits(self, rho, monkeypatch):
+        for beta in (rho, 1.0, rho + 2.0, rho / 2.0, 2.5):
+            val, rel = mlf._series_curve(rho, beta, self.X)
+            with monkeypatch.context() as m:
+                m.setattr(mlf, "_SERIES_EXIT", math.inf)
+                full_val, full_rel = mlf._series_curve(rho, beta, self.X)
+            ok = self.passed(val, rel)
+            assert np.array_equal(ok, self.passed(full_val, full_rel))
+            np.testing.assert_array_equal(val[ok], full_val[ok])
+            np.testing.assert_array_equal(rel[ok], full_rel[ok])
+            # an entry the exit drops keeps (nan, inf); every other entry
+            # ends as the full sum ends it
+            dropped = np.isnan(val) & ~np.isnan(full_val)
+            assert np.all(rel[dropped] == math.inf)
+            np.testing.assert_array_equal(val[~dropped], full_val[~dropped])
+            if beta < rho:
+                assert not dropped.any()
+            elif rho == 0.5:
+                assert dropped.any()
 
 
 class TestExtendedPrecision:
