@@ -37,10 +37,10 @@ from .errors import (
 )
 from .forward import (ProblemSpec, default_mode_count, residual_check,
                       solve_forward)
-from .frackernel import TimeGrid, build_weights, caputo_l1, convolve
+from .frackernel import (MAX_WEIGHT_STEPS, TimeGrid, build_weights, caputo_l1,
+                         convolve)
 from .inverse import InverseSpec, recover_q, synthesize_data
 from .mlf import _mp_branch_cut, mittag_leffler, relaxation, relaxation_curve
-from .mode_solver import PICARD_MAX_ITER, PICARD_TOL
 from .oracle import solve_fd
 from .profiles import _KINDS, Profile, named_profile
 from .spectral import SpaceGrid, basis
@@ -96,8 +96,13 @@ def _num(block, key, where, default=_SENTINEL, lo=None, hi=None,
     return int(v) if integer else float(v)
 
 
-def _read_samples_csv(path: Path, tgrid: TimeGrid, where: str) -> np.ndarray:
-    """Two-column (t, value) CSV, optional header, nodes matching the grid."""
+def _read_samples_csv(base: Path, name, tgrid: TimeGrid,
+                      where: str) -> np.ndarray:
+    """Two-column (t, value) CSV at ``name`` relative to ``base``, optional
+    header, nodes matching the grid."""
+    if not isinstance(name, str):
+        raise ConfigError(f"{where}: expected a file path, got {name!r}")
+    path = base / name
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if r]
@@ -137,7 +142,7 @@ def _profile(cfg, tgrid: TimeGrid, where: str, base: Path) -> Profile:
     kind = cfg["kind"]
     if kind == "csv-samples":
         _check_keys(cfg, {"kind", "path"}, where, required={"path"})
-        return Profile(tgrid, _read_samples_csv(base / cfg["path"], tgrid,
+        return Profile(tgrid, _read_samples_csv(base, cfg["path"], tgrid,
                                                 where))
     params = {k: _num(cfg, k, where) for k in cfg if k != "kind"}
     try:
@@ -146,17 +151,23 @@ def _profile(cfg, tgrid: TimeGrid, where: str, base: Path) -> Profile:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _terms(cfg, where, K):
+def _terms(cfg, where, K, keys):
+    """The block's terms as (where, term, mode) triples: each term an object
+    with exactly ``keys``, its mode one of the K retained."""
     _check_keys(cfg, {"terms"}, where, required={"terms"})
     terms = cfg["terms"]
     if not isinstance(terms, list) or not terms:
         raise ConfigError(f"{where}.terms: expected a nonempty list")
+    out = []
     for i, term in enumerate(terms):
-        mode = _num(term, "mode", f"{where}.terms[{i}]", lo=1, integer=True)
+        at = f"{where}.terms[{i}]"
+        _check_keys(term, keys, at, required=keys)
+        mode = _num(term, "mode", at, lo=1, integer=True)
         if mode > K:
-            raise ConfigError(f"{where}.terms[{i}]: mode {mode} exceeds the "
-                              f"{K} retained modes")
-    return terms
+            raise ConfigError(f"{at}: mode {mode} exceeds the {K} retained "
+                              f"modes")
+        out.append((at, term, mode))
+    return out
 
 
 def _build_spec(cfg, base: Path) -> ProblemSpec:
@@ -165,7 +176,8 @@ def _build_spec(cfg, base: Path) -> ProblemSpec:
                        "n_modes"}, "problem",
                 required={"length", "t_final", "rho", "n_steps", "n_cells"})
     tgrid = TimeGrid(_num(prob, "t_final", "problem", lo=1e-300),
-                     _num(prob, "n_steps", "problem", lo=1, integer=True))
+                     _num(prob, "n_steps", "problem", lo=1,
+                          hi=MAX_WEIGHT_STEPS, integer=True))
     sgrid = SpaceGrid(_num(prob, "length", "problem", lo=1e-300),
                       _num(prob, "n_cells", "problem", lo=2, integer=True))
     rho = _num(prob, "rho", "problem")
@@ -176,38 +188,21 @@ def _build_spec(cfg, base: Path) -> ProblemSpec:
 
     shapes = basis(sgrid, K)
     phi = np.zeros(sgrid.n_cells + 1)
-    for i, term in enumerate(_terms(cfg["phi"], "phi", K)):
-        _check_keys(term, {"mode", "amplitude"}, f"phi.terms[{i}]",
-                    required={"mode", "amplitude"})
-        k = _num(term, "mode", f"phi.terms[{i}]", integer=True)
-        phi += _num(term, "amplitude", f"phi.terms[{i}]") * shapes[k - 1]
+    for at, term, k in _terms(cfg["phi"], "phi", K, {"mode", "amplitude"}):
+        phi += _num(term, "amplitude", at) * shapes[k - 1]
 
     f = np.zeros((tgrid.n_steps + 1, sgrid.n_cells + 1))
-    for i, term in enumerate(_terms(cfg["f"], "f", K)):
-        _check_keys(term, {"mode", "time"}, f"f.terms[{i}]",
-                    required={"mode", "time"})
-        prof = _profile(term["time"], tgrid, f"f.terms[{i}].time", base)
-        k = _num(term, "mode", f"f.terms[{i}]", integer=True)
+    for at, term, k in _terms(cfg["f"], "f", K, {"mode", "time"}):
+        prof = _profile(term["time"], tgrid, f"{at}.time", base)
         f += prof.values[:, None] * shapes[k - 1][None, :]
 
     return ProblemSpec(sgrid=sgrid, tgrid=tgrid, rho=rho, sigma=sigma, f=f,
                        phi=phi, K=K)
 
 
-def _solver_block(cfg, defaults):
-    block = cfg.get("solver", {})
-    _check_keys(block, set(defaults), "solver")
-    out = {}
-    for key, dv in defaults.items():
-        is_int = isinstance(dv, int)
-        out[key] = _num(block, key, "solver", default=dv,
-                        lo=1 if is_int else 1e-300, integer=is_int)
-    return out
-
-
-def _resolved_config(command, cfg, spec, solver, extra=None):
+def _resolved_config(command, cfg, spec, extra):
     """The config with every default materialized, echoed into artifacts."""
-    resolved = {
+    return {
         "command": command,
         "problem": {"length": spec.length, "t_final": spec.t_final,
                     "rho": spec.rho, "n_steps": spec.tgrid.n_steps,
@@ -215,11 +210,7 @@ def _resolved_config(command, cfg, spec, solver, extra=None):
         "sigma": cfg["sigma"],
         "phi": cfg["phi"],
         "f": cfg["f"],
-        "solver": solver,
-    }
-    if extra:
-        resolved.update(extra)
-    return resolved
+    } | extra
 
 
 # --------------------------------------------------------------- outputs ---
@@ -260,24 +251,28 @@ def _write_json(path: Path, obj) -> None:
 
 # -------------------------------------------------------------- commands ---
 
-def _run_forward(cfg, out: Path, base: Path) -> int:
-    _check_keys(cfg, {"problem", "sigma", "q", "phi", "f", "solver"},
-                "config", required={"problem", "sigma", "q", "phi", "f"})
-    solver = _solver_block(cfg, {"tol": PICARD_TOL,
-                                 "max_iter": PICARD_MAX_ITER})
+_FIELD_KEYS = frozenset({"problem", "sigma", "q", "phi", "f"})
+
+
+def _solve_field(cfg, base: Path, keys=_FIELD_KEYS):
+    """What ``forward`` and ``verify`` share: the problem and q read from the
+    config (top-level ``keys``), the spectral solve and its PDE residual."""
+    _check_keys(cfg, keys, "config", required=_FIELD_KEYS)
     spec = _build_spec(cfg, base)
     q = _profile(cfg["q"], spec.tgrid, "q", base)
-    sol = solve_forward(spec, q, tol=solver["tol"],
-                        max_iter=solver["max_iter"])
-    residual = residual_check(sol, spec, q)
+    sol = solve_forward(spec, q)
+    return spec, q, sol, residual_check(sol, spec, q)
 
+
+def _run_forward(cfg, out: Path, base: Path) -> int:
+    spec, _, sol, residual = _solve_field(cfg, base)
     _write_csv(out / "solution.csv",
                ["t"] + [f"u{j}" for j in range(spec.sgrid.n_cells + 1)],
                np.column_stack([spec.tgrid.nodes, sol.u]))
     _write_json(out / "diagnostics.json", _artifact(sol.diagnostics) | {
         "residual": _jnum(residual),
-        "resolved_config": _resolved_config("forward", cfg, spec, solver,
-                                            extra={"q": cfg["q"]}),
+        "resolved_config": _resolved_config("forward", cfg, spec,
+                                            {"q": cfg["q"]}),
     })
     print(f"forward: residual {residual:.6e}; "
           f"wrote {out / 'solution.csv'}, {out / 'diagnostics.json'}")
@@ -287,7 +282,11 @@ def _run_forward(cfg, out: Path, base: Path) -> int:
 def _run_inverse(cfg, out: Path, base: Path) -> int:
     _check_keys(cfg, {"problem", "sigma", "phi", "f", "data", "solver"},
                 "config", required={"problem", "sigma", "phi", "f", "data"})
-    solver = _solver_block(cfg, {"tol": 1e-6, "max_iter": 500})
+    block = cfg.get("solver", {})
+    _check_keys(block, {"tol", "max_iter"}, "solver")
+    solver = {"tol": _num(block, "tol", "solver", default=1e-6, lo=1e-300),
+              "max_iter": _num(block, "max_iter", "solver", default=500, lo=1,
+                               integer=True)}
     spec = _build_spec(cfg, base)
 
     data = cfg["data"]
@@ -312,7 +311,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
                       integer=True))
     else:
         psi = Profile(spec.tgrid,
-                      _read_samples_csv(base / data["psi_csv"], spec.tgrid,
+                      _read_samples_csv(base, data["psi_csv"], spec.tgrid,
                                         "data.psi_csv"))
         psi0 = _num(data, "psi0", "data",
                     default=float(psi.values.min()), lo=1e-300)
@@ -327,7 +326,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
     _write_json(out / "report.json", _artifact(report) | {
         "iterations": len(res.iterates),
         "resolved_config": _resolved_config(
-            "inverse", cfg, spec, solver, extra={"data": data}),
+            "inverse", cfg, spec, {"solver": solver, "data": data}),
     })
     err = ("" if res.recovery_error is None
            else f"; recovery error {res.recovery_error:.6e}")
@@ -338,21 +337,12 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
 
 
 def _run_verify(cfg, out: Path, base: Path) -> int:
-    _check_keys(cfg, {"problem", "sigma", "q", "phi", "f", "solver",
-                      "verify"}, "config",
-                required={"problem", "sigma", "q", "phi", "f"})
-    solver = _solver_block(cfg, {"tol": PICARD_TOL,
-                                 "max_iter": PICARD_MAX_ITER})
     ver = cfg.get("verify", {})
     _check_keys(ver, {"max_residual", "max_cross_gap"}, "verify")
     max_res = _num(ver, "max_residual", "verify", default=1e-2, lo=0.0)
     max_gap = _num(ver, "max_cross_gap", "verify", default=5e-3, lo=0.0)
 
-    spec = _build_spec(cfg, base)
-    q = _profile(cfg["q"], spec.tgrid, "q", base)
-    sol = solve_forward(spec, q, tol=solver["tol"],
-                        max_iter=solver["max_iter"])
-    residual = residual_check(sol, spec, q)
+    spec, q, sol, residual = _solve_field(cfg, base, _FIELD_KEYS | {"verify"})
     gap = float(np.max(np.abs(sol.u - solve_fd(spec, q).u)))
     res_ok, gap_ok = residual <= max_res, gap <= max_gap
 
@@ -361,8 +351,8 @@ def _run_verify(cfg, out: Path, base: Path) -> int:
         "cross_gap": gap, "max_cross_gap": max_gap, "cross_gap_ok": gap_ok,
         "passed": res_ok and gap_ok,
         "resolved_config": _resolved_config(
-            "verify", cfg, spec, solver,
-            extra={"q": cfg["q"], "verify": {"max_residual": max_res,
+            "verify", cfg, spec, {"q": cfg["q"],
+                                  "verify": {"max_residual": max_res,
                                              "max_cross_gap": max_gap}}),
     })
     print(f"verify: residual {residual:.6e} (<= {max_res:g}: {res_ok}), "

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, GridMismatchError
 from .frackernel import TimeGrid, caputo_l1
-from .mode_solver import (PICARD_MAX_ITER, PICARD_TOL, ModeProblem,
-                          ModeSolution, solve_mode)
+from .mode_solver import PICARD_TOL, ModeProblem, ModeSolution, solve_mode
 from .profiles import Profile
 from .spectral import (
     SpaceGrid,
@@ -92,7 +91,11 @@ class ProblemSpec:
         if m_s <= 0.0:
             raise AdmissibilityError(
                 f"sigma must be strictly positive; lower bound is {m_s}")
-        lam1sq = (math.pi / self.length) ** 2
+        try:
+            lam1sq = (math.pi / self.length) ** 2
+        except OverflowError:
+            raise DomainError(f"length {self.length} is too small: "
+                              f"(pi/l)^2 overflows") from None
         object.__setattr__(self, "q_window",
                            (-m_s * lam1sq, (M_s - m_s) * lam1sq))
         object.__setattr__(self, "phi_k",
@@ -161,9 +164,10 @@ class FieldSolution:
 
     ``u_k`` holds the (K, n_steps+1) sine coefficients the field was
     assembled from, where the route has them (the spectral one); the FD
-    route leaves it None.  From ``solve_forward``, ``diagnostics`` is the
-    content of the forward command's ``diagnostics.json``: the CLI writes it
-    whole, so only what that artifact reports belongs there."""
+    route leaves it None and ``diagnostics`` empty.  From ``solve_forward``,
+    ``diagnostics`` is the content of the forward command's
+    ``diagnostics.json``: the CLI writes it whole, so only what that artifact
+    reports belongs there."""
 
     u: np.ndarray
     u_k: Optional[np.ndarray] = None
@@ -171,7 +175,6 @@ class FieldSolution:
 
 
 def solve_mode_set(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
-                   max_iter: int = PICARD_MAX_ITER,
                    initial: Optional[np.ndarray] = None) -> ModeSolution:
     """Solve the spec's K mode problems at reaction coefficient ``q`` as one
     batch; ``initial`` rows warm-start the iteration."""
@@ -179,7 +182,7 @@ def solve_mode_set(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
                     lam_k=eigenvalues(spec.K, spec.length), rho=spec.rho,
                     sigma=spec.sigma, q=q, f_k=spec.f_k, phi_k=spec.phi_k,
                     grid=spec.tgrid)
-    return solve_mode(p, tol=tol, max_iter=max_iter, initial=initial)
+    return solve_mode(p, tol=tol, initial=initial)
 
 
 def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
@@ -193,9 +196,9 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
     return float(np.polyfit(np.log(t), np.log(y), 1)[0])
 
 
-def solve_forward(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
-                  max_iter: int = PICARD_MAX_ITER) -> FieldSolution:
-    """Solve the spec's problem at the reaction coefficient ``q``."""
+def solve_forward(spec: ProblemSpec, q: Profile) -> FieldSolution:
+    """Solve the spec's problem at the reaction coefficient ``q``, each mode
+    to the Picard budget ``PICARD_TOL``/``PICARD_MAX_ITER``."""
     report = validate_assumption1(spec, q)
     if not report.cond2_q_in_window:
         warnings.warn(
@@ -203,7 +206,7 @@ def solve_forward(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
             f"{report.q_window}; the forward solve proceeds on the measured "
             f"contraction alone", stacklevel=2)
 
-    solution = solve_mode_set(spec, q, tol=tol, max_iter=max_iter)
+    solution = solve_mode_set(spec, q)
     coeffs = solution.u_k
     lam = eigenvalues(spec.K, spec.length)
     u = assemble_field(coeffs, spec.sgrid)

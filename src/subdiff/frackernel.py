@@ -68,9 +68,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
-    def __len__(self) -> int:
-        return self.n_steps + 1
-
 
 def caputo_l1(grid: TimeGrid, samples, rho: float) -> np.ndarray:
     """L1 Caputo derivative approximants at t_1..t_N.

@@ -152,7 +152,6 @@ class ModeSolution:
 
 
 def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
-               max_iter: int = PICARD_MAX_ITER,
                initial: np.ndarray | None = None) -> ModeSolution:
     """Picard-iterate every mode to its fixed point; the initial guess is the
     homogeneous term.
@@ -160,8 +159,8 @@ def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
     A mode whose correction falls below ``tol`` is frozen and later steps
     leave it out.  ``initial`` overrides the guess, a row per mode (useful
     for warm starts across an outer iteration); convergence does not depend
-    on it.  If a mode is still moving after ``max_iter`` steps, the error
-    names the first such mode, with its last correction.
+    on it.  If a mode is still moving after ``PICARD_MAX_ITER`` steps, the
+    error names the first such mode, with its last correction.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -180,7 +179,7 @@ def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
     prev_update = np.full(n_modes, math.inf)
     floor = _RATIO_FLOOR * np.finfo(float).eps
     active, sub = np.arange(n_modes), p
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         u_next = picard_step(sub, u[active])
         update = np.max(np.abs(u_next - u[active]), axis=1)
         scale = np.maximum(1.0, np.max(np.abs(u_next), axis=1))
@@ -205,17 +204,16 @@ def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
     first = active[0]
     raise ConvergenceError(
         f"mode {p.k[first]}: Picard iteration did not reach tol={tol} in "
-        f"{max_iter} iterations",
-        iterations=max_iter, last_update=float(prev_update[first]),
+        f"{PICARD_MAX_ITER} iterations",
+        iterations=PICARD_MAX_ITER, last_update=float(prev_update[first]),
         contraction_estimate=float(worst_ratio[first]))
 
 
-def decompose_mode(p: ModeProblem, tol: float = PICARD_TOL,
-                   max_iter: int = PICARD_MAX_ITER
+def decompose_mode(p: ModeProblem, tol: float = PICARD_TOL
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Split into the zero-initial-datum part V_k and the zero-source part W_k."""
-    v = solve_mode(replace(p, phi_k=np.zeros_like(p.phi_k)), tol, max_iter)
-    w = solve_mode(replace(p, f_k=np.zeros_like(p.f_k)), tol, max_iter)
+    v = solve_mode(replace(p, phi_k=np.zeros_like(p.phi_k)), tol)
+    w = solve_mode(replace(p, f_k=np.zeros_like(p.f_k)), tol)
     return v.u_k, w.u_k
 
 

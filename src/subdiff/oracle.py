@@ -79,14 +79,6 @@ class FdWorkspace:
         return cls(tgrid=tg, sgrid=spec.sgrid, rho=spec.rho, scale=scale,
                    a=a, d=d, mu=mu, V=V)
 
-    def dominant(self, q_n: float) -> bool:
-        """Strict diagonal dominance of the step system.
-
-        diag - |off-diag sum| = scale*a_0 + q_n, so dominance can only fail
-        for q(t_n) below -scale*a_0 (strongly negative).
-        """
-        return self.scale * self.a[0] + q_n > 0.0
-
     def history(self, rows: np.ndarray, n: int, stop: int) -> np.ndarray:
         """L1 memory of rows 0..n-1 on steps n..stop-1, one row per step.
 
@@ -106,8 +98,6 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
     ws = FdWorkspace.from_spec(spec)
     N, M = spec.tgrid.n_steps, spec.sgrid.n_cells
     sig, qv = spec.sigma.values, q.values
-
-    dominant = bool(np.all(ws.dominant(qv[1:])))
 
     u = np.zeros((N + 1, M + 1))
     W = u[:, 1:M]  # writable view: eigenbasis coefficients while stepping
@@ -138,4 +128,4 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
     for s in range(1, N + 1, _HISTORY_BLOCK):
         W[s:s + _HISTORY_BLOCK] = W[s:s + _HISTORY_BLOCK] @ ws.V.T
     u[0] = spec.phi
-    return FieldSolution(u=u, diagnostics={"diagonally_dominant": dominant})
+    return FieldSolution(u=u)

@@ -107,12 +107,10 @@ _KINDS = {
 
 def named_profile(grid: TimeGrid, kind: str, **params: float) -> Profile:
     """Dispatch for the analytic profile kinds the run configuration accepts."""
-    try:
-        fn, required, optional = _KINDS[kind]
-    except KeyError:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DomainError(
-            f"unknown profile kind {kind!r}; expected one of {sorted(_KINDS)}"
-        ) from None
+            f"unknown profile kind {kind!r}; expected one of {sorted(_KINDS)}")
+    fn, required, optional = _KINDS[kind]
     unknown = set(params) - set(required) - set(optional)
     if unknown:
         raise DomainError(f"profile kind {kind!r} got unknown parameters "

@@ -80,12 +80,60 @@ class TestConfigErrors:
         assert code == 2
         assert "sigmas" in capsys.readouterr().err
 
-    def test_unknown_nested_solver_key(self, tmp_path, capsys):
-        cfg = small_forward_cfg()
+    def test_unknown_nested_solver_key(self, tmp_path, repo_root, capsys):
+        cfg = shipped("inverse", repo_root)
         cfg["solver"] = {"tol": 1e-8, "tolerance": 1e-8}
-        code, _ = run(tmp_path, "forward", cfg=cfg)
+        code, _ = run(tmp_path, "inverse", cfg=cfg)
         assert code == 2
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forward", "verify"])
+    def test_field_commands_refuse_a_solver_block(self, tmp_path, capsys,
+                                                  command):
+        # their solves always run at the Picard budget of the mode solver
+        cfg = small_forward_cfg()
+        cfg["solver"] = {"tol": 1e-10, "max_iter": 200}
+        assert run(tmp_path, command, cfg=cfg)[0] == 2
+        assert ("config: unknown keys ['solver']"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("block,bad,named", [
+        ("phi", {"terms": [1]}, "phi.terms[0]: expected an object"),
+        ("f", {"terms": [{"mode": 1, "time": {"kind": "constant",
+                                               "value": 1.0}}, None]},
+         "f.terms[1]: expected an object"),
+        ("q", {"kind": ["constant"], "value": 0.1}, "unknown profile kind"),
+        ("sigma", {"kind": "csv-samples", "path": 3},
+         "sigma: expected a file path, got 3"),
+        ("data", {"psi_csv": 3}, "data.psi_csv: expected a file path"),
+    ], ids=["term-not-object", "later-term-not-object", "kind-list",
+            "path-number", "psi-csv-number"])
+    def test_value_of_the_wrong_json_type(self, tmp_path, capsys, block, bad,
+                                          named):
+        cfg = small_forward_cfg()
+        command = "forward"
+        if block == "data":
+            del cfg["q"]
+            command = "inverse"
+        cfg[block] = bad
+        assert run(tmp_path, command, cfg=cfg)[0] == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_steps", [16385, 2 ** 63])
+    def test_step_count_above_the_weight_cap(self, tmp_path, capsys,
+                                             n_steps):
+        # refused while the config is read, before any array is built
+        cfg = small_forward_cfg()
+        cfg["problem"].update(n_steps=n_steps, n_cells=1024)
+        assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+        assert (f"problem.n_steps: {n_steps} exceeds the maximum 16384"
+                in capsys.readouterr().err)
+
+    def test_length_whose_eigenvalue_overflows(self, tmp_path, capsys):
+        cfg = small_forward_cfg()
+        cfg["problem"]["length"] = 1e-200
+        assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+        assert "length 1e-200 is too small" in capsys.readouterr().err
 
     def test_unknown_profile_kind(self, tmp_path, capsys):
         cfg = small_forward_cfg()
@@ -179,12 +227,15 @@ class TestConfigErrors:
         ("problem", "t_final", "-Infinity"),
         ("solver", "tol", "NaN"),
     ])
-    def test_non_finite_number(self, tmp_path, capsys, block, key, literal):
+    def test_non_finite_number(self, tmp_path, repo_root, capsys, block, key,
+                               literal):
         # json accepts these literals; they are bad configuration, not a
-        # failed check or a stalled solve
-        cfg = small_forward_cfg()
+        # failed check or a stalled solve; only inverse has a solver block
+        command = "inverse" if block == "solver" else "forward"
+        cfg = (shipped(command, repo_root) if command == "inverse"
+               else small_forward_cfg())
         cfg.setdefault(block, {})[key] = "@"
-        code, _ = run(tmp_path, "forward",
+        code, _ = run(tmp_path, command,
                       cfg=json.dumps(cfg).replace('"@"', literal))
         assert code == 2
         assert f"{block}.{key}: expected a finite number" in (
@@ -312,7 +363,7 @@ class TestCsvKernel:
         spec = _build_spec(cfg, repo_root)
         q = _profile(cfg["q"], spec.tgrid, "q", repo_root)
         with pytest.warns(UserWarning, match="window"):
-            sol = solve_forward(spec, q, **cfg["solver"])
+            sol = solve_forward(spec, q)
         table = np.column_stack([spec.tgrid.nodes, sol.u])
         assert table.shape == (2049, 130)
         header = ["t"] + [f"u{j}" for j in range(129)]
@@ -342,11 +393,11 @@ class TestExitCodes:
         assert run(tmp_path, "forward", cfg=cfg)[0] == 2
         assert "sigma: declared lower bound" in capsys.readouterr().err
 
-    def test_forward_nonconvergence_names_the_mode(self, tmp_path, capsys):
-        cfg = small_forward_cfg()
-        cfg["solver"] = {"tol": 1e-15, "max_iter": 2}
-        assert run(tmp_path, "forward", cfg=cfg)[0] == 4
-        assert ("mode 1: Picard iteration did not reach tol=1e-15 in 2 "
+    def test_forward_nonconvergence_names_the_mode(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 2)
+        assert run(tmp_path, "forward", cfg=small_forward_cfg())[0] == 4
+        assert ("mode 1: Picard iteration did not reach tol=1e-10 in 2 "
                 "iterations") in capsys.readouterr().err
 
     def test_singular_fd_step_is_inadmissible(self, tmp_path):
@@ -413,9 +464,9 @@ class TestForwardCommand:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["residual"] <= 1e-2
         assert diag["init_defect"] <= 1e-12
-        # defaults materialize into the echoed config
-        assert diag["resolved_config"]["solver"] == {"tol": 1e-10,
-                                                     "max_iter": 200}
+        # defaults materialize into the echoed config, which has no solver
+        # block: the forward solve has no settings
+        assert "solver" not in diag["resolved_config"]
         assert diag["resolved_config"]["problem"]["n_modes"] == 32
 
         rows = (out / "solution.csv").read_text().splitlines()
@@ -463,6 +514,16 @@ class TestInverseCommand:
         rows = (out / "recovered_q.csv").read_text().splitlines()
         q = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.max(np.abs(q - 0.3)) <= 1e-3
+
+    def test_solver_defaults_echoed(self, tmp_path, repo_root):
+        cfg = shipped("inverse", repo_root)
+        cfg["problem"].update(n_steps=64, n_cells=32, n_modes=8)
+        del cfg["solver"]
+        code, out = run(tmp_path, "inverse", cfg=cfg)
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["resolved_config"]["solver"] == {"tol": 1e-6,
+                                                    "max_iter": 500}
 
     def test_synthetic_data_share_one_spec(self, tmp_path, repo_root,
                                           monkeypatch):

@@ -249,6 +249,14 @@ class TestSolveForward:
         assert sol.diagnostics["init_defect"] < 1e-9
         assert np.max(np.abs(sol.u[0] - spec.phi)) < 1e-9
 
+    def test_refuses_a_length_whose_eigenvalue_overflows(self):
+        # (pi/l)^2 is past the float range at l = 1e-200
+        n, m = 8, 8
+        tg, sg = TimeGrid(1.0, n), SpaceGrid(1e-200, m)
+        with pytest.raises(DomainError, match="length 1e-200 is too small"):
+            ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, 1.0),
+                        f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
+
     def test_refuses_nonpositive_sigma(self):
         # the spec owns Assumption 1, so no solver ever sees such data
         n, m = 8, 8
@@ -305,13 +313,16 @@ class TestSolveForward:
         d = sol.diagnostics
         assert d["q1_value"] <= d["q1_bound"] + 1e-10
 
-    def test_nonconvergence_names_the_mode(self):
+    def test_nonconvergence_names_the_mode(self, monkeypatch):
+        from subdiff import mode_solver
         from subdiff.errors import ConvergenceError
         spec, q, _ = make_manufactured(64, 32)
+        monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(ConvergenceError, match="mode"):
-                solve_forward(spec, q, tol=1e-15, max_iter=1)
+            with pytest.raises(ConvergenceError, match="mode") as exc:
+                solve_forward(spec, q)
+        assert exc.value.iterations == 1
 
 
 class TestRefinementAcrossOrder:

@@ -24,7 +24,7 @@ from subdiff.mode_solver import (
     picard_step,
     solve_mode,
 )
-from subdiff import profiles
+from subdiff import mode_solver, profiles
 from subdiff.mlf import relaxation, relaxation_curve
 
 from conftest import sample_mode_problem
@@ -175,11 +175,12 @@ class TestSolveMode:
             sol = solve_mode(p)
             assert sol.contraction_estimate <= sol.C_k_bound + 0.05
 
-    def test_nonconvergence_reports_diagnostics(self):
+    def test_nonconvergence_reports_diagnostics(self, monkeypatch):
         p = make_problem(GRID, sigma=profiles.affine(GRID, 1.0, 1.0),
                          f=profiles.constant(GRID, 1.0))
+        monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as exc:
-            solve_mode(p, tol=1e-14, max_iter=3)
+            solve_mode(p, tol=1e-14)
         assert exc.value.iterations == 3
         assert exc.value.last_update > 0.0
 
@@ -293,14 +294,15 @@ class TestBatchedSolve:
         with pytest.raises(GridMismatchError):
             solve_mode(batch, initial=cold.u_k[:2])
 
-    def test_nonconvergence_names_first_unconverged_mode(self):
+    def test_nonconvergence_names_first_unconverged_mode(self, monkeypatch):
         g = TimeGrid(1.0, 64)
         # modes 1 and 2 carry no data and stop after one step
         batch = make_batch(g, self.KS, data_from=3)
+        monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="^mode 3: ") as exc:
-            solve_mode(batch, tol=1e-15, max_iter=3)
+            solve_mode(batch, tol=1e-15)
         with pytest.raises(ConvergenceError) as alone:
-            solve_mode(batch.take([2]), tol=1e-15, max_iter=3)
+            solve_mode(batch.take([2]), tol=1e-15)
         assert str(exc.value) == str(alone.value)
         assert exc.value.iterations == 3
         assert exc.value.last_update == alone.value.last_update > 0.0

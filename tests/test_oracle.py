@@ -60,12 +60,6 @@ class TestWorkspace:
         assert np.max(np.abs(np.abs(ws.V.T @ V) - np.eye(m - 1))) <= 1e-13
         assert np.max(np.abs(ws.V.T @ ws.V - np.eye(m - 1))) <= 1e-13
 
-    def test_dominance_threshold(self):
-        ws = FdWorkspace.from_spec(tiny_spec(n=16, m=8))
-        assert ws.dominant(0.0)
-        assert ws.dominant(-ws.scale + 1e-9)
-        assert not ws.dominant(-ws.scale - 1e-9)
-
     def test_first_step_history_is_initial_row(self):
         ws = FdWorkspace.from_spec(tiny_spec(n=4, m=4))
         interior = np.arange(20.0).reshape(5, 4)
@@ -164,16 +158,16 @@ class TestBlockedHistory:
             with pytest.raises(DomainError, match="must be finite"):
                 replace(spec, **bad)
 
-    def test_dominance_lost_in_second_block(self):
+    def test_steps_on_past_lost_dominance(self):
+        # q(t_90) below -scale*a_0 costs the step system its diagonal
+        # dominance in the second block; the divisors stay >= sigma*mu_0 - 1,
+        # so the stepping goes on to a finite field
         n, m = 128, 8
         spec, q = varying_spec(n, m)
-        assert solve_fd(spec, q).diagnostics["diagonally_dominant"]
         ws = FdWorkspace.from_spec(spec)
         q_vals = q.values.copy()
-        # divisors stay >= sigma*mu_0 - 1
         q_vals[90] = -ws.scale * ws.a[0] - 1.0
         sol = solve_fd(spec, q.with_values(q_vals))
-        assert not sol.diagnostics["diagonally_dominant"]
         assert np.all(np.isfinite(sol.u))
 
 
@@ -182,7 +176,6 @@ class TestSolveFd:
         spec = tiny_spec(n=16, m=8)
         sol = solve_fd(spec, constant(spec.tgrid, 0.1))
         assert np.all(sol.u == 0.0)
-        assert sol.diagnostics["diagonally_dominant"]
 
     def test_initial_row_is_datum(self):
         spec, q, u_star = make_manufactured(32, 16)
@@ -236,11 +229,6 @@ class TestSolveFd:
                            f=f, phi=phi)
         sol = solve_fd(spec, constant(tg, 0.3))
         assert sol.u.min() >= -1e-10
-
-    def test_dominance_flag_drops_for_strongly_negative_q(self):
-        spec = tiny_spec(n=16, m=8)
-        sol = solve_fd(spec, constant(spec.tgrid, -5.0))  # 4.51 - 5 < 0
-        assert not sol.diagnostics["diagonally_dominant"]
 
     def test_singular_step_is_reported(self):
         n, m = 4, 2

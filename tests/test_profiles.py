@@ -106,6 +106,8 @@ def test_named_dispatch():
                                frequency=1.0)
     with pytest.raises(DomainError):
         profiles.named_profile(GRID, "quadratic", a=1.0)
+    with pytest.raises(DomainError, match="unknown profile kind"):
+        profiles.named_profile(GRID, ["constant"], value=1.0)
     with pytest.raises(DomainError):
         profiles.named_profile(GRID, "constant", value=1.0, slope=2.0)
     with pytest.raises(DomainError):
