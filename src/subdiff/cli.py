@@ -2,8 +2,13 @@
 
 Commands: ``forward`` (solve and dump the field plus diagnostics),
 ``inverse`` (recover the reaction coefficient from flux data), ``verify``
-(run both solver routes against thresholds), ``selftest`` (identity suites
-of the special-function and quadrature layers).
+(run both solver routes against fixed thresholds), ``selftest`` (identity
+suites of the special-function and quadrature layers).
+
+A config holds the problem and its data only: ``problem``, ``sigma``,
+``phi``, ``f``, plus ``q`` (``forward``, ``verify``) or ``data``
+(``inverse``).  Solver budgets and verify thresholds are constants, so no
+config key sets them, and unknown keys are refused.
 
 Determinism is part of the contract: identical config and seed must yield
 byte-identical artifacts, so outputs carry no timestamps, hostnames, or any
@@ -46,6 +51,10 @@ from .profiles import _KINDS, Profile, named_profile
 from .spectral import SpaceGrid, basis
 
 _SENTINEL = object()
+#: ``verify`` passes when the spectral residual and the cross-route gap are
+#: at most these
+MAX_RESIDUAL = 1e-2
+MAX_CROSS_GAP = 5e-3
 
 
 # ---------------------------------------------------------------- config ---
@@ -200,17 +209,15 @@ def _build_spec(cfg, base: Path) -> ProblemSpec:
                        phi=phi, K=K)
 
 
-def _resolved_config(command, cfg, spec, extra):
-    """The config with every default materialized, echoed into artifacts."""
-    return {
+def _resolved_config(command, cfg, spec):
+    """The config echoed into artifacts: every block verbatim, ``problem``
+    with its defaults materialized."""
+    return cfg | {
         "command": command,
         "problem": {"length": spec.length, "t_final": spec.t_final,
                     "rho": spec.rho, "n_steps": spec.tgrid.n_steps,
                     "n_cells": spec.sgrid.n_cells, "n_modes": spec.K},
-        "sigma": cfg["sigma"],
-        "phi": cfg["phi"],
-        "f": cfg["f"],
-    } | extra
+    }
 
 
 # --------------------------------------------------------------- outputs ---
@@ -254,10 +261,10 @@ def _write_json(path: Path, obj) -> None:
 _FIELD_KEYS = frozenset({"problem", "sigma", "q", "phi", "f"})
 
 
-def _solve_field(cfg, base: Path, keys=_FIELD_KEYS):
+def _solve_field(cfg, base: Path):
     """What ``forward`` and ``verify`` share: the problem and q read from the
-    config (top-level ``keys``), the spectral solve and its PDE residual."""
-    _check_keys(cfg, keys, "config", required=_FIELD_KEYS)
+    config, the spectral solve and its PDE residual."""
+    _check_keys(cfg, _FIELD_KEYS, "config", required=_FIELD_KEYS)
     spec = _build_spec(cfg, base)
     q = _profile(cfg["q"], spec.tgrid, "q", base)
     sol = solve_forward(spec, q)
@@ -271,8 +278,7 @@ def _run_forward(cfg, out: Path, base: Path) -> int:
                np.column_stack([spec.tgrid.nodes, sol.u]))
     _write_json(out / "diagnostics.json", _artifact(sol.diagnostics) | {
         "residual": _jnum(residual),
-        "resolved_config": _resolved_config("forward", cfg, spec,
-                                            {"q": cfg["q"]}),
+        "resolved_config": _resolved_config("forward", cfg, spec),
     })
     print(f"forward: residual {residual:.6e}; "
           f"wrote {out / 'solution.csv'}, {out / 'diagnostics.json'}")
@@ -280,24 +286,16 @@ def _run_forward(cfg, out: Path, base: Path) -> int:
 
 
 def _run_inverse(cfg, out: Path, base: Path) -> int:
-    _check_keys(cfg, {"problem", "sigma", "phi", "f", "data", "solver"},
-                "config", required={"problem", "sigma", "phi", "f", "data"})
-    block = cfg.get("solver", {})
-    _check_keys(block, {"tol", "max_iter"}, "solver")
-    solver = {"tol": _num(block, "tol", "solver", default=1e-6, lo=1e-300),
-              "max_iter": _num(block, "max_iter", "solver", default=500, lo=1,
-                               integer=True)}
+    keys = {"problem", "sigma", "phi", "f", "data"}
+    _check_keys(cfg, keys, "config", required=keys)
     spec = _build_spec(cfg, base)
 
     data = cfg["data"]
-    _check_keys(data, {"psi_csv", "psi0", "synthetic"}, "data")
+    _check_keys(data, {"psi_csv", "synthetic"}, "data")
     if ("synthetic" in data) == ("psi_csv" in data):
         raise ConfigError("data: exactly one of 'synthetic' or 'psi_csv' "
                           "must be given")
     if "synthetic" in data:
-        if "psi0" in data:
-            raise ConfigError("data.psi0 only applies to csv data; the "
-                              "synthetic floor is the flux minimum")
         syn = data["synthetic"]
         _check_keys(syn, {"q_true", "noise_level", "seed"}, "data.synthetic",
                     required={"q_true"})
@@ -310,14 +308,11 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
             seed=_num(syn, "seed", "data.synthetic", default=0, lo=0,
                       integer=True))
     else:
-        psi = Profile(spec.tgrid,
-                      _read_samples_csv(base, data["psi_csv"], spec.tgrid,
-                                        "data.psi_csv"))
-        psi0 = _num(data, "psi0", "data",
-                    default=float(psi.values.min()), lo=1e-300)
-        inv = InverseSpec(spec=spec, psi=psi, psi0=psi0)
+        inv = InverseSpec(spec=spec, psi=Profile(
+            spec.tgrid, _read_samples_csv(base, data["psi_csv"], spec.tgrid,
+                                          "data.psi_csv")))
 
-    res = recover_q(inv, tol=solver["tol"], max_iter=solver["max_iter"])
+    res = recover_q(inv)
 
     _write_csv(out / "recovered_q.csv", ["t", "q"],
                np.column_stack([spec.tgrid.nodes, res.q.values]))
@@ -325,8 +320,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
               if f.name != "q"}  # q is recovered_q.csv
     _write_json(out / "report.json", _artifact(report) | {
         "iterations": len(res.iterates),
-        "resolved_config": _resolved_config(
-            "inverse", cfg, spec, {"solver": solver, "data": data}),
+        "resolved_config": _resolved_config("inverse", cfg, spec),
     })
     err = ("" if res.recovery_error is None
            else f"; recovery error {res.recovery_error:.6e}")
@@ -337,12 +331,8 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
 
 
 def _run_verify(cfg, out: Path, base: Path) -> int:
-    ver = cfg.get("verify", {})
-    _check_keys(ver, {"max_residual", "max_cross_gap"}, "verify")
-    max_res = _num(ver, "max_residual", "verify", default=1e-2, lo=0.0)
-    max_gap = _num(ver, "max_cross_gap", "verify", default=5e-3, lo=0.0)
-
-    spec, q, sol, residual = _solve_field(cfg, base, _FIELD_KEYS | {"verify"})
+    max_res, max_gap = MAX_RESIDUAL, MAX_CROSS_GAP
+    spec, q, sol, residual = _solve_field(cfg, base)
     gap = float(np.max(np.abs(sol.u - solve_fd(spec, q).u)))
     res_ok, gap_ok = residual <= max_res, gap <= max_gap
 
@@ -350,10 +340,7 @@ def _run_verify(cfg, out: Path, base: Path) -> int:
         "residual": residual, "max_residual": max_res, "residual_ok": res_ok,
         "cross_gap": gap, "max_cross_gap": max_gap, "cross_gap_ok": gap_ok,
         "passed": res_ok and gap_ok,
-        "resolved_config": _resolved_config(
-            "verify", cfg, spec, {"q": cfg["q"],
-                                  "verify": {"max_residual": max_res,
-                                             "max_cross_gap": max_gap}}),
+        "resolved_config": _resolved_config("verify", cfg, spec),
     })
     print(f"verify: residual {residual:.6e} (<= {max_res:g}: {res_ok}), "
           f"cross gap {gap:.6e} (<= {max_gap:g}: {gap_ok}); "

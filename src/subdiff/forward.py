@@ -31,6 +31,11 @@ from .spectral import (
 )
 
 _ENDPOINT_TOL = 1e-12
+#: cap on the largest eigenvalue products the solve, its diagnostics and the
+#: inverse traces form, lam_K^3 sqrt(2/l) and lam_K^2 M_sigma: the square
+#: root of the largest double, so that such a product still fits after
+#: meeting a coefficient or a sum over modes as large as itself
+_MAX_SCALE = math.sqrt(np.finfo(float).max)
 
 
 def default_mode_count(n_cells: int) -> int:
@@ -49,7 +54,9 @@ class ProblemSpec:
     ``q_window`` is the open interval
     (-m_sigma lam_1^2, (M_sigma - m_sigma) lam_1^2) for q, with lam_1 = pi/l
     and both sigma bounds the declared ones (``Profile.vmin``/``vmax``), the
-    same bounds the mode solver contracts with.  Solvers trust the spec.
+    same bounds the mode solver contracts with.  A length so small that
+    lam_K^3 sqrt(2/l) or lam_K^2 M_sigma exceeds ``_MAX_SCALE`` is refused
+    (``DomainError``).  Solvers trust the spec.
 
     The sine coefficients of the data are derived here once: ``phi_k`` (K,)
     of the initial datum and ``f_k`` (K, n_steps+1) of the source, rows
@@ -85,17 +92,22 @@ class ProblemSpec:
         if self.K is None:
             object.__setattr__(self, "K",
                                default_mode_count(self.sgrid.n_cells))
-        basis(self.sgrid, self.K)  # range-checks K
 
         m_s, M_s = self.sigma.vmin, self.sigma.vmax
         if m_s <= 0.0:
             raise AdmissibilityError(
                 f"sigma must be strictly positive; lower bound is {m_s}")
-        try:
-            lam1sq = (math.pi / self.length) ** 2
-        except OverflowError:
-            raise DomainError(f"length {self.length} is too small: "
-                              f"(pi/l)^2 overflows") from None
+        # products, not powers: a float product overflows to inf, where a
+        # power raises
+        lam_K = math.pi * self.K / self.length
+        if not max(lam_K * lam_K * lam_K * math.sqrt(2.0 / self.length),
+                   lam_K * lam_K * M_s) <= _MAX_SCALE:
+            raise DomainError(
+                f"length {self.length} is too small for {self.K} modes: "
+                f"lam_K^3 sqrt(2/l) or lam_K^2 M_sigma exceeds "
+                f"{_MAX_SCALE:.3g}")
+        basis(self.sgrid, self.K)  # range-checks K
+        lam1sq = (math.pi / self.length) ** 2
         object.__setattr__(self, "q_window",
                            (-m_s * lam1sq, (M_s - m_s) * lam1sq))
         object.__setattr__(self, "phi_k",

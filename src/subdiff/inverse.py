@@ -7,7 +7,9 @@ gives a self-map whose fixed point is the coefficient.  The fixed point is
 reached by Anderson-mixed sweeps from a neutral initial guess, each sweep
 re-solving the forward problem at the current iterate, with the measured
 Lipschitz quotient of the map reported against the data-dependent
-contraction estimate C(T).
+contraction estimate C(T).  The sweep budget is a constant of the module
+(``RECOVERY_TOL``, ``RECOVERY_MAX_SWEEPS``), not a setting: the map's
+contraction, which the data fix, decides convergence.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from .spectral import (
     third_trace_at_left,
 )
 
+#: recovery budget: the sweeps stop once sup |L[q] - q| falls below
+#: ``RECOVERY_TOL``, and a recovery still moving after
+#: ``RECOVERY_MAX_SWEEPS`` sweeps is an error
+RECOVERY_TOL = 1e-6
+RECOVERY_MAX_SWEEPS = 300
 _COMPAT_RTOL = 1e-6
 #: past residual and image differences that each recovery sweep mixes
 _ANDERSON_DEPTH = 8
@@ -48,14 +55,15 @@ _GRAM_RCOND = math.sqrt(np.finfo(float).eps)
 class InverseSpec:
     """A problem spec plus flux data, from which q is recovered.
 
-    ``psi0`` is the declared positive floor of the observation; data dipping
-    below it are rejected at construction, since every division in the
-    recovery map runs through psi.  ``q_true`` is optional and only used for
-    scoring synthetic runs.  The spec is immutable: a changed field means a
-    new spec (``dataclasses.replace``), checked and derived afresh.
+    The flux must be positive at every node, since every division in the
+    recovery map runs through psi; data that are not are rejected at
+    construction.  ``q_true`` is optional and only used for scoring
+    synthetic runs.  The spec is immutable: a changed field means a new spec
+    (``dataclasses.replace``), checked and derived afresh.
 
     Construction derives the data-only quantities once, from the sine
-    coefficients ``phi_k`` and ``f_k`` that the problem spec carries: ``q0``,
+    coefficients ``phi_k`` and ``f_k`` that the problem spec carries:
+    ``psi0``, the flux floor min psi that C(T) divides by; ``q0``,
     the data part (f_x(0,t) - D^rho psi)/psi of the recovery map, whose first
     node, where the L1 derivative has no value, is the quadratic
     extrapolation from t_1..t_3 (the iteration only reads q on solver nodes,
@@ -68,22 +76,17 @@ class InverseSpec:
 
     spec: ProblemSpec
     psi: Profile
-    psi0: float
-    q_init: Optional[Profile] = None
     q_true: Optional[Profile] = None
 
     def __post_init__(self) -> None:
         self.spec.on_grid(self.psi, "flux data")
         if self.q_true is not None:
             self.spec.on_grid(self.q_true, "true coefficient")
-        if not self.psi0 > 0.0:
+        psi0 = float(self.psi.values.min())
+        if not psi0 > 0.0:
             raise AdmissibilityError(
-                f"the flux floor must be positive, got psi0={self.psi0}")
-        pmin = float(self.psi.values.min())
-        if pmin < self.psi0:
-            raise AdmissibilityError(
-                f"flux data reaches {pmin}, below the declared floor "
-                f"{self.psi0}")
+                f"flux data reach {psi0}; the recovery needs a positive "
+                f"flux at every node")
 
         spec, tg, pv = self.spec, self.spec.tgrid, self.psi.values
 
@@ -108,13 +111,7 @@ class InverseSpec:
                        / math.gamma(spec.rho + 1.0) * tail.f_sum
                        + tail.phi_sum)
 
-        if self.q_init is None:
-            lo, hi = spec.q_window
-            object.__setattr__(self, "q_init",
-                               constant(tg, max(0.0, 0.5 * (lo + hi))))
-        else:
-            spec.on_grid(self.q_init, "initial guess")
-        for name, value in (("compat_defect", compat_defect),
+        for name, value in (("psi0", psi0), ("compat_defect", compat_defect),
                             ("compatible", compatible),
                             ("q0", Profile(tg, q0)),
                             ("trace_bound", trace_bound)):
@@ -185,10 +182,11 @@ def estimate_CT(inv: InverseSpec) -> float:
     """Data-dependent contraction estimate for the recovery map.
 
     (l M_sigma T^rho) / (sqrt(6) psi0 Gamma(rho+1)) *
-    (T^rho/Gamma(rho+1) * S_f + S_phi), with S_f and S_phi the cubically
-    weighted coefficient sums of the source and the initial datum.  A value
-    below 1 certifies geometric convergence; at or above 1 the guarantee is
-    void (warned, not raised -- the measured ratio still rules the run).
+    (T^rho/Gamma(rho+1) * S_f + S_phi), with psi0 = min psi the flux floor
+    and S_f and S_phi the cubically weighted coefficient sums of the source
+    and the initial datum.  A value below 1 certifies geometric
+    convergence; at or above 1 the guarantee is void (warned, not raised --
+    the measured ratio still rules the run).
     """
     spec = inv.spec
     head = spec.t_final ** spec.rho / math.gamma(spec.rho + 1.0)
@@ -213,9 +211,7 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
     raises: each condition carries its margin and the caller decides.
     """
     spec = inv.spec
-    pv = inv.psi.values
-    psi_min = float(pv.min())
-    deriv = float(np.max(np.abs(np.diff(pv)))) / spec.tgrid.h
+    deriv = float(np.max(np.abs(np.diff(inv.psi.values)))) / spec.tgrid.h
 
     head_T = spec.t_final ** spec.rho
     g = head_T * inv.q0.values[1:]
@@ -228,7 +224,7 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
         ct = estimate_CT(inv)
 
     return ConditionReport(
-        psi_min=psi_min, psi_deriv_max=deriv,
+        psi_min=inv.psi0, psi_deriv_max=deriv,
         compat_defect=inv.compat_defect, cond2_compatible=inv.compatible,
         cond3_low=lo, cond3_high=hi, cond3_rhs=rhs, cond3_window=cond3,
         CT=ct, cond4_contraction=ct < 1.0)
@@ -256,9 +252,12 @@ def _anderson_step(g: np.ndarray, stacked: np.ndarray,
     return mixed if np.all(np.isfinite(mixed)) else g
 
 
-def recover_q(inv: InverseSpec, tol: float = 1e-6,
-              max_iter: int = 500) -> InverseResult:
+def recover_q(inv: InverseSpec) -> InverseResult:
     """Find the fixed point of q -> L[q] by Anderson-mixed sweeps.
+
+    The sweeps start from the constant max(0, midpoint of the q window) and
+    run to the module's budget, read at call time: tol = ``RECOVERY_TOL``,
+    at most ``RECOVERY_MAX_SWEEPS`` sweeps.
 
     Sweep k evaluates the clamped image g_k = L[q_k] and the residual
     f_k = g_k - q_k.  Its forward solve stops at the inner tolerance
@@ -270,7 +269,7 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
     whose inner solve ran at ``PICARD_TOL``, and returns its g_k, so the
     result is an image of L evaluated as accurately as ``apply_L`` evaluates
     it; a loose sweep that reaches sup |f_k| < tol is followed by one sweep
-    at ``PICARD_TOL``, whatever tol is.  Otherwise the next iterate is
+    at ``PICARD_TOL``.  Otherwise the next iterate is
     g_k - dG gamma, where gamma solves the least-squares problem
     min |f_k - dF gamma|_2 over the differences of the last
     ``_ANDERSON_DEPTH`` residuals (dF) and images (dG) (Walker and Ni, SIAM
@@ -286,11 +285,12 @@ def recover_q(inv: InverseSpec, tol: float = 1e-6,
     is reported, not enforced, because the measured contraction is the
     decisive evidence.
     """
+    tol, max_iter = RECOVERY_TOL, RECOVERY_MAX_SWEEPS
     report = validate_theorem43(inv)
     lo, hi = inv.spec.q_window
     lam3 = eigenvalues(inv.spec.K, inv.spec.length) ** 3
 
-    q = inv.q_init
+    q = constant(inv.spec.tgrid, max(0.0, 0.5 * (lo + hi)))
     residuals: list = []
     trace_sums: list = []
     measured_ratio = 0.0
@@ -371,8 +371,9 @@ def synthesize_data(spec: ProblemSpec, q_true: Profile,
     its flux trace as data on that same spec.
 
     Noise is multiplicative uniform (level * U(-1,1) per node) so small
-    levels keep the trace positive; the generator is seeded, making the
-    synthesized data bitwise reproducible.
+    levels keep the trace positive (``InverseSpec`` refuses one that is
+    not); the generator is seeded, making the synthesized data bitwise
+    reproducible.
     """
     if noise_level < 0.0:
         raise DomainError(f"noise level must be nonnegative, got {noise_level}")
@@ -382,10 +383,4 @@ def synthesize_data(spec: ProblemSpec, q_true: Profile,
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         psi *= 1.0 + noise_level * rng.uniform(-1.0, 1.0, psi.shape)
-    floor = float(psi.min())
-    if floor <= 0.0:
-        raise AdmissibilityError(
-            f"synthesized flux reaches {floor}; positivity of the "
-            f"observation fails for these data")
-    return InverseSpec(spec=spec, psi=Profile(spec.tgrid, psi), psi0=floor,
-                       q_true=q_true)
+    return InverseSpec(spec=spec, psi=Profile(spec.tgrid, psi), q_true=q_true)

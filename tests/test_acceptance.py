@@ -230,8 +230,7 @@ class TestAcceptance:
             warnings.simplefilter("ignore")
             ct = estimate_CT(invs["const"])
 
-        runs = {label: recover_q(inv, tol=1e-5, max_iter=600)
-                for label, inv in invs.items()}
+        runs = {label: recover_q(inv) for label, inv in invs.items()}
         err_c, ratio_c = runs["const"].recovery_error, runs["const"].measured_ratio
         err_a, ratio_a = runs["affine"].recovery_error, runs["affine"].measured_ratio
         elapsed = time.monotonic() - t0

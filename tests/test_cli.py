@@ -80,12 +80,13 @@ class TestConfigErrors:
         assert code == 2
         assert "sigmas" in capsys.readouterr().err
 
-    def test_unknown_nested_solver_key(self, tmp_path, repo_root, capsys):
+    def test_unknown_nested_key(self, tmp_path, repo_root, capsys):
         cfg = shipped("inverse", repo_root)
-        cfg["solver"] = {"tol": 1e-8, "tolerance": 1e-8}
+        cfg["data"]["synthetic"]["tolerance"] = 1e-8
         code, _ = run(tmp_path, "inverse", cfg=cfg)
         assert code == 2
-        assert "tolerance" in capsys.readouterr().err
+        assert ("data.synthetic: unknown keys ['tolerance']"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["forward", "verify"])
     def test_field_commands_refuse_a_solver_block(self, tmp_path, capsys,
@@ -95,6 +96,14 @@ class TestConfigErrors:
         cfg["solver"] = {"tol": 1e-10, "max_iter": 200}
         assert run(tmp_path, command, cfg=cfg)[0] == 2
         assert ("config: unknown keys ['solver']"
+                in capsys.readouterr().err)
+
+    def test_verify_refuses_a_verify_block(self, tmp_path, capsys):
+        # its thresholds are constants: it takes the keys forward takes
+        cfg = small_forward_cfg()
+        cfg["verify"] = {"max_residual": 1e-2, "max_cross_gap": 5e-3}
+        assert run(tmp_path, "verify", cfg=cfg)[0] == 2
+        assert ("config: unknown keys ['verify']"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("block,bad,named", [
@@ -135,6 +144,25 @@ class TestConfigErrors:
         assert run(tmp_path, "forward", cfg=cfg)[0] == 2
         assert "length 1e-200 is too small" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["forward", "verify", "inverse"])
+    def test_tiny_lengths_run_clean_or_are_refused(self, tmp_path, command):
+        # small lengths used to overflow in the solve, its diagnostics or
+        # the inverse traces (from 1e-80 down on this 4-mode problem) and
+        # run on to a garbage residual; each length now either runs without
+        # a RuntimeWarning or exits 2 before the solve
+        cfg = small_forward_cfg()
+        if command == "inverse":
+            del cfg["q"]
+            cfg["data"] = {"synthetic": {"q_true": {"kind": "constant",
+                                                    "value": 0.3}}}
+        codes = {}
+        for e in range(-200, -49):
+            cfg["problem"]["length"] = float(f"1e{e}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                codes[e] = run(tmp_path, command, cfg=cfg)[0]
+        assert {e: c for e, c in codes.items() if c not in (0, 2)} == {}
+
     def test_unknown_profile_kind(self, tmp_path, capsys):
         cfg = small_forward_cfg()
         cfg["q"] = {"kind": "gaussian", "value": 1.0}
@@ -173,10 +201,19 @@ class TestConfigErrors:
         del cfg["data"]["psi_csv"], cfg["data"]["synthetic"]
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
 
-    def test_psi0_rejected_for_synthetic_data(self, tmp_path, repo_root):
+    def test_psi0_rejected_for_synthetic_data(self, tmp_path, repo_root,
+                                              capsys):
         cfg = shipped("inverse", repo_root)
         cfg["data"]["psi0"] = 0.1
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
+        assert "data: unknown keys ['psi0']" in capsys.readouterr().err
+
+    def test_psi0_rejected_for_csv_data(self, tmp_path, repo_root, capsys):
+        # the flux floor is the data's minimum, never a setting
+        cfg = shipped("inverse", repo_root)
+        cfg["data"] = {"psi_csv": "psi.csv", "psi0": 0.1}
+        assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
+        assert "data: unknown keys ['psi0']" in capsys.readouterr().err
 
     def test_negative_noise_seed(self, tmp_path, repo_root, capsys):
         cfg = shipped("inverse", repo_root)
@@ -185,12 +222,15 @@ class TestConfigErrors:
         assert "data.synthetic.seed" in capsys.readouterr().err
 
     def test_retired_inverse_solver_keys(self, tmp_path, repo_root, capsys):
-        # the inner forward solve always runs at the forward defaults
-        for key, value in (("forward_tol", 1e-10), ("forward_max_iter", 200)):
+        # the recovery runs at its fixed budget and its inner forward solves
+        # at the Picard budget, so the whole solver block is retired
+        for key, value in (("tol", 1e-6), ("max_iter", 300),
+                           ("forward_tol", 1e-10), ("forward_max_iter", 200)):
             cfg = shipped("inverse", repo_root)
             cfg["solver"] = {key: value}
             assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
-            assert key in capsys.readouterr().err
+            assert ("config: unknown keys ['solver']"
+                    in capsys.readouterr().err)
 
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -225,16 +265,18 @@ class TestConfigErrors:
         ("problem", "n_steps", "Infinity"),
         ("problem", "n_cells", "NaN"),
         ("problem", "t_final", "-Infinity"),
-        ("solver", "tol", "NaN"),
+        ("data.synthetic", "noise_level", "NaN"),
     ])
     def test_non_finite_number(self, tmp_path, repo_root, capsys, block, key,
                                literal):
         # json accepts these literals; they are bad configuration, not a
-        # failed check or a stalled solve; only inverse has a solver block
-        command = "inverse" if block == "solver" else "forward"
-        cfg = (shipped(command, repo_root) if command == "inverse"
-               else small_forward_cfg())
-        cfg.setdefault(block, {})[key] = "@"
+        # failed check or a stalled solve
+        if block == "data.synthetic":
+            command, cfg = "inverse", shipped("inverse", repo_root)
+            cfg["data"]["synthetic"][key] = "@"
+        else:
+            command, cfg = "forward", small_forward_cfg()
+            cfg[block][key] = "@"
         code, _ = run(tmp_path, command,
                       cfg=json.dumps(cfg).replace('"@"', literal))
         assert code == 2
@@ -430,11 +472,13 @@ class TestExitCodes:
             assert ("source and initial datum must be finite"
                     in capsys.readouterr().err)
 
-    def test_starved_inverse_iteration(self, tmp_path, repo_root):
+    def test_starved_inverse_iteration(self, tmp_path, repo_root, capsys,
+                                       monkeypatch):
+        monkeypatch.setattr(inverse, "RECOVERY_MAX_SWEEPS", 2)
         cfg = shipped("inverse", repo_root)
         cfg["problem"].update(n_steps=64, n_cells=32, n_modes=8)
-        cfg["solver"] = {"tol": 1e-12, "max_iter": 2}
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 4
+        assert "recovery stalled after 2 sweeps" in capsys.readouterr().err
 
     def test_out_of_memory_is_config_error(self, tmp_path, capsys,
                                            monkeypatch):
@@ -515,15 +559,16 @@ class TestInverseCommand:
         q = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.max(np.abs(q - 0.3)) <= 1e-3
 
-    def test_solver_defaults_echoed(self, tmp_path, repo_root):
+    def test_resolved_config_echoes_the_config(self, tmp_path, repo_root):
+        # every block verbatim, problem with its mode count materialized
         cfg = shipped("inverse", repo_root)
-        cfg["problem"].update(n_steps=64, n_cells=32, n_modes=8)
-        del cfg["solver"]
+        cfg["problem"].update(n_steps=64, n_cells=32)
+        del cfg["problem"]["n_modes"]
         code, out = run(tmp_path, "inverse", cfg=cfg)
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
-        assert rep["resolved_config"]["solver"] == {"tol": 1e-6,
-                                                    "max_iter": 500}
+        assert rep["resolved_config"] == cfg | {
+            "command": "inverse", "problem": cfg["problem"] | {"n_modes": 8}}
 
     def test_synthetic_data_share_one_spec(self, tmp_path, repo_root,
                                           monkeypatch):
@@ -556,8 +601,8 @@ class TestInverseCommand:
         # so at most one sweep is added to the plain exit rule's count;
         # tightening the inner solve step by step took 39 sweeps at both
         # tolerances, against 26 and 32
+        monkeypatch.setattr(inverse, "RECOVERY_TOL", tol)
         cfg = shipped("inverse", repo_root)
-        cfg["solver"]["tol"] = tol
         steps = []
         step = mode_solver.picard_step
         monkeypatch.setattr(mode_solver, "picard_step",
@@ -596,7 +641,7 @@ class TestInverseCommand:
                          json.loads((out / "report.json").read_text())))
         (q_loose, rep_loose), (q_exact, rep_exact) = runs
         ratio = max(rep_loose["measured_ratio"], rep_exact["measured_ratio"])
-        tol = cfg["solver"]["tol"]
+        tol = inverse.RECOVERY_TOL
         assert np.max(np.abs(q_loose - q_exact)) <= 2.0 * tol / (1.0 - ratio)
 
     def test_time_varying_q_refines_away_from_t0(self, tmp_path, repo_root):
@@ -644,7 +689,7 @@ class TestInverseCommand:
                                      "amplitude": 0.4934802200544679,
                                      "frequency": 1.0}},
             ]},
-            "data": {"psi_csv": "psi.csv", "psi0": 0.2},
+            "data": {"psi_csv": "psi.csv"},
         }
         code, out = run(tmp_path, "inverse", cfg=cfg)
         assert code == 0
@@ -687,16 +732,21 @@ class TestVerifyCommand:
         assert code == 0
         rep = json.loads((out / "verify.json").read_text())
         assert rep["passed"] is True
+        assert rep["max_residual"] == 1e-2 and rep["max_cross_gap"] == 5e-3
         assert rep["residual"] <= rep["max_residual"]
         assert rep["cross_gap"] <= rep["max_cross_gap"]
+        assert "verify" not in rep["resolved_config"]
 
-    def test_fails_on_unreachable_threshold(self, tmp_path, repo_root):
+    def test_fails_on_unreachable_threshold(self, tmp_path, repo_root,
+                                            monkeypatch):
+        # the thresholds are read at call time
+        monkeypatch.setattr("subdiff.cli.MAX_RESIDUAL", 1e-9)
         cfg = shipped("forward", repo_root)
         cfg["problem"].update(n_steps=256, n_cells=64, n_modes=16)
-        cfg["verify"] = {"max_residual": 1e-9}
         code, out = run(tmp_path, "verify", cfg=cfg)
         assert code == 1
         rep = json.loads((out / "verify.json").read_text())
+        assert rep["max_residual"] == 1e-9
         assert rep["passed"] is False and rep["residual_ok"] is False
         assert rep["cross_gap_ok"] is True
 

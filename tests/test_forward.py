@@ -257,6 +257,24 @@ class TestSolveForward:
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, 1.0),
                         f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1))
 
+    @pytest.mark.parametrize("length,sigma,ok", [
+        (1e-43, 1.0, True),    # lam_4^3 sqrt(2/l) = 8.9e153
+        (1e-44, 1.0, False),   # 2.8e157
+        (1.0, 1e150, True),    # lam_4^2 M_sigma = 1.6e152
+        (1.0, 1e153, False),   # 1.6e155
+    ])
+    def test_caps_the_eigenvalue_products(self, length, sigma, ok):
+        # both products stay below sqrt(max double), about 1.34e154
+        n, m = 8, 8
+        tg, sg = TimeGrid(1.0, n), SpaceGrid(length, m)
+        args = dict(sgrid=sg, tgrid=tg, rho=0.5, sigma=constant(tg, sigma),
+                    f=np.zeros((n + 1, m + 1)), phi=np.zeros(m + 1), K=4)
+        if ok:
+            ProblemSpec(**args)
+        else:
+            with pytest.raises(DomainError, match="too small for 4 modes"):
+                ProblemSpec(**args)
+
     def test_refuses_nonpositive_sigma(self):
         # the spec owns Assumption 1, so no solver ever sees such data
         n, m = 8, 8

@@ -83,41 +83,47 @@ class TestInverseSpec:
     def test_rejects_foreign_flux_grid(self):
         spec = bare_spec()
         with pytest.raises(GridMismatchError):
-            InverseSpec(spec=spec, psi=constant(TimeGrid(2.0, 64), 1.0),
-                        psi0=0.5)
+            InverseSpec(spec=spec, psi=constant(TimeGrid(2.0, 64), 1.0))
 
     def test_rejects_foreign_truth_grid(self):
         # same node count, other horizon: it would be scored node by node
         spec = bare_spec()
         with pytest.raises(GridMismatchError, match="true coefficient"):
-            InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5,
+            InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0),
                         q_true=constant(TimeGrid(2.0, 64), 0.3))
 
     def test_rejects_nonpositive_floor(self):
+        # the floor is the flux minimum; a flux that crosses zero at the
+        # end of the horizon has a negative one
         spec = bare_spec()
-        with pytest.raises(AdmissibilityError):
-            InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.0)
-
-    def test_rejects_flux_below_floor(self):
-        spec = bare_spec()
-        psi = Profile(spec.tgrid, 1.0 - 0.8 * spec.tgrid.nodes)
-        with pytest.raises(AdmissibilityError):
-            InverseSpec(spec=spec, psi=psi, psi0=0.5)
+        psi = Profile(spec.tgrid, 1.0 - 2.0 * spec.tgrid.nodes)
+        with pytest.raises(AdmissibilityError, match="positive flux"):
+            InverseSpec(spec=spec, psi=psi)
 
     def test_degenerate_flux_rejected_even_with_tiny_floor(self):
         spec = bare_spec(phi1=0.0)
         with pytest.raises(AdmissibilityError):
-            InverseSpec(spec=spec, psi=constant(spec.tgrid, 0.0), psi0=1e-30)
+            InverseSpec(spec=spec, psi=constant(spec.tgrid, 0.0))
 
     def test_warns_on_incompatible_start(self):
         spec = bare_spec(phi1=0.0)
         with pytest.warns(UserWarning, match="t=0"):
-            InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
+            InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0))
 
-    def test_default_guess_is_clipped_window_midpoint(self):
-        spec = bare_spec()  # sigma = 1: window (-pi^2, 0), midpoint < 0
-        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
-        assert np.all(inv.q_init.values == 0.0)
+    def test_default_guess_is_clipped_window_midpoint(self, monkeypatch):
+        # sigma = 1: window (-pi^2, 0), midpoint < 0, so the first sweep
+        # solves at q = 0
+        spec = bare_spec()
+        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0))
+        seen = []
+        solve = inverse.solve_mode_set
+        monkeypatch.setattr(inverse, "solve_mode_set",
+                            lambda s, q, **k: seen.append(q)
+                            or solve(s, q, **k))
+        monkeypatch.setattr(inverse, "RECOVERY_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError):
+            recover_q(inv)
+        assert np.all(seen[0].values == 0.0)
 
     def test_window_honours_declared_sigma_bounds(self):
         spec = bare_spec()
@@ -126,7 +132,7 @@ class TestInverseSpec:
                            sigma=Profile(tg, np.full(tg.n_steps + 1, 2.0),
                                          lower=0.5, upper=4.0),
                            f=spec.f, phi=spec.phi, K=spec.K)
-        inv = InverseSpec(spec=wide, psi=constant(tg, 1.0), psi0=0.5)
+        inv = InverseSpec(spec=wide, psi=constant(tg, 1.0))
         lo, hi = inv.spec.q_window
         assert lo == pytest.approx(-0.5 * math.pi ** 2)
         assert hi == pytest.approx(3.5 * math.pi ** 2)
@@ -135,30 +141,30 @@ class TestInverseSpec:
         # derived data cannot go stale: a changed field is a new spec, and
         # a new spec is checked afresh
         spec = bare_spec()
-        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
+        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0))
         for owner, name, value in ((inv.spec, "sigma",
                                     constant(spec.tgrid, 2.0)),
-                                   (inv, "psi", constant(spec.tgrid, 2.0)),
-                                   (inv, "psi0", 2.0)):
+                                   (inv, "psi", constant(spec.tgrid, 2.0))):
             with pytest.raises(FrozenInstanceError):
                 setattr(owner, name, value)
-        assert replace(inv, psi0=0.8).psi0 == 0.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # flux 0.8 disagrees with phi
+            assert replace(inv, psi=constant(spec.tgrid, 0.8)).psi0 == 0.8
         with pytest.raises(AdmissibilityError):
-            replace(inv, psi0=2.0)  # above the data
+            replace(inv, psi=constant(spec.tgrid, -1.0))
 
 
 class TestComputeQ0:
     def test_constant_flux_zero_sourcefree_estimate(self):
         spec = bare_spec()
-        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
+        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0))
         assert np.max(np.abs(inv.q0.values)) == 0.0
 
     def test_linear_flux_closed_form(self):
         # D^0.5(1+t) = t^0.5/Gamma(1.5) and the L1 rule is exact on linears
         spec = bare_spec(n=512)
         t = spec.tgrid.nodes
-        inv = InverseSpec(spec=spec, psi=Profile(spec.tgrid, 1.0 + t),
-                          psi0=1.0)
+        inv = InverseSpec(spec=spec, psi=Profile(spec.tgrid, 1.0 + t))
         q0 = inv.q0.values
         want = -np.sqrt(t[1:]) / (math.gamma(1.5) * (1.0 + t[1:]))
         assert np.max(np.abs(q0[1:] - want)) < 1e-12
@@ -166,8 +172,7 @@ class TestComputeQ0:
     def test_first_node_is_quadratic_extrapolation(self):
         spec = bare_spec(n=512)
         inv = InverseSpec(spec=spec,
-                          psi=Profile(spec.tgrid, 1.0 + spec.tgrid.nodes),
-                          psi0=1.0)
+                          psi=Profile(spec.tgrid, 1.0 + spec.tgrid.nodes))
         q0 = inv.q0.values
         assert q0[0] == pytest.approx(3.0 * (q0[1] - q0[2]) + q0[3])
 
@@ -186,8 +191,9 @@ class TestApplyL:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            d0 = np.max(np.abs(inv.q_init.values - inv.q_true.values))
-            d1 = np.max(np.abs(apply_L(inv.q_init, inv).values
+            start = constant(spec.tgrid, 0.0)  # recover_q's first iterate
+            d0 = np.max(np.abs(start.values - inv.q_true.values))
+            d1 = np.max(np.abs(apply_L(start, inv).values
                                - inv.q_true.values))
         assert d1 < d0
 
@@ -207,16 +213,18 @@ class TestEstimateCT:
                            sigma=constant(tg, 1.0),
                            f=np.zeros((9, 9)), phi=np.zeros(9), K=2)
         with pytest.warns(UserWarning):  # flux inconsistent with zero datum
-            inv = InverseSpec(spec=spec, psi=constant(tg, 2.0), psi0=1.0)
+            inv = InverseSpec(spec=spec, psi=constant(tg, 2.0))
         assert estimate_CT(inv) == 0.0
 
     def test_doubling_floor_halves_estimate(self):
+        # the floor is min psi, and the trace bound reads only phi and f
         spec = bare_spec()
-        psi = constant(spec.tgrid, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = estimate_CT(InverseSpec(spec=spec, psi=psi, psi0=0.25))
-            b = estimate_CT(InverseSpec(spec=spec, psi=psi, psi0=0.5))
+            a = estimate_CT(InverseSpec(spec=spec,
+                                        psi=constant(spec.tgrid, 0.25)))
+            b = estimate_CT(InverseSpec(spec=spec,
+                                        psi=constant(spec.tgrid, 0.5)))
         assert a == pytest.approx(2.0 * b)
         assert a > 0.0
 
@@ -238,11 +246,11 @@ class TestEstimateCT:
 class TestConditionReport:
     def test_compatible_start_zero_defect(self):
         spec = bare_spec()  # datum tuned so phi_x(0) = 1 = psi(0)
-        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0), psi0=0.5)
+        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0))
         rep = validate_theorem43(inv)
         assert rep.cond2_compatible
         assert rep.compat_defect < 1e-12
-        assert rep.psi_min >= inv.psi0
+        assert rep.psi_min == inv.psi0 == 1.0
 
     def test_constant_sigma_fails_data_window(self):
         # M_sigma = m_sigma makes the strict upper bound negative
@@ -278,7 +286,7 @@ class TestConditionReport:
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, Profile(tg, qv))
         rep = validate_theorem43(inv)
-        assert rep.psi_min >= inv.psi0 and rep.cond2_compatible
+        assert rep.psi_min == inv.psi0 > 0.0 and rep.cond2_compatible
         assert rep.cond3_window
         assert 0.0 <= rep.cond3_low and rep.cond3_high < rep.cond3_rhs
 
@@ -289,7 +297,7 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            res = recover_q(inv, tol=1e-6, max_iter=300)
+            res = recover_q(inv)
         assert res.recovery_error < 1e-3
         assert res.measured_ratio < 1.0
         assert res.clamp_count == 0
@@ -308,7 +316,7 @@ class TestRecoverQ:
                             lambda *a: calls.append(a) or transform(*a))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = recover_q(inv, tol=1e-6, max_iter=300)
+            res = recover_q(inv)
         assert len(res.iterates) > 1 and calls == []
         replace(inv.spec)  # the counter sees a spec build
         assert len(calls) == 2
@@ -318,17 +326,20 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            res = recover_q(inv, tol=1e-6, max_iter=300)
+            res = recover_q(inv)
         assert res.recovery_error < 5e-3
 
     def test_null_coefficient_recovered(self):
         spec, q = const_mode_spec(128, lambda t: np.zeros_like(t))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inv = synthesize_data(spec, q)
-            # force real motion
-            inv = replace(inv, q_init=constant(inv.spec.tgrid, 1.0))
-            res = recover_q(inv, tol=1e-6, max_iter=300)
+            # a declared upper bound on sigma puts the q window's midpoint,
+            # where the recovery starts, at 1, so it must move
+            wide = replace(spec, sigma=Profile(
+                spec.tgrid, spec.sigma.values, upper=4.0 + 2.0 / math.pi ** 2))
+            inv = synthesize_data(wide, q)
+            assert 0.5 * sum(wide.q_window) == pytest.approx(1.0)
+            res = recover_q(inv)
         assert res.recovery_error < 1e-4
 
     def test_mixed_sweeps_reach_fixed_point(self):
@@ -338,7 +349,7 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            res = recover_q(inv, tol=1e-6, max_iter=300)
+            res = recover_q(inv)
             moved = apply_L(res.q, inv).values
         assert np.max(np.abs(moved - res.q.values)) <= 1e-6
         assert 0.0 < res.measured_ratio < 1.0
@@ -358,11 +369,11 @@ class TestRecoverQ:
             inverse, "solve_mode_set",
             lambda *a, tol=1e-10, **k: tols.append(tol) or solve(
                 *a, tol=tol, **k))
-        res = recover_q(inv, tol=1e-6, max_iter=300)
+        res = recover_q(inv)
         sweeps = tols[:len(res.iterates)]
         assert len(tols) == len(sweeps) + 1  # the final cold solve
         assert sweeps[0] == sweeps[-1] == 1e-10
-        assert sweeps[1:] == [1e-10 if r < 1e-6
+        assert sweeps[1:] == [1e-10 if r < inverse.RECOVERY_TOL
                               else max(1e-10, inverse._FORCING * r)
                               for r in res.iterates[:-1]]
         assert max(sweeps) > 1e-6  # early sweeps do run loose
@@ -393,7 +404,7 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            res = recover_q(inv, tol=1e-6, max_iter=300)
+            res = recover_q(inv)
         lo, hi = inv.spec.q_window
         assert res.clamp_count > 0
         assert np.all((lo <= res.q.values) & (res.q.values <= hi))
@@ -404,25 +415,27 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            res = recover_q(inv, tol=1e-6, max_iter=300)
+            res = recover_q(inv)
         assert max(res.trace_sums) <= res.trace_bound + 1e-10
 
     def test_idempotent_at_truth(self):
-        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        # the recovery starts at q = 0 (the window's midpoint is negative)
+        spec, q = const_mode_spec(128, np.zeros_like)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            inv = replace(inv, q_init=inv.q_true)
-            res = recover_q(inv, tol=1e-5, max_iter=50)
+            res = recover_q(inv)
         assert len(res.iterates) <= 2
 
-    def test_nonconvergence_carries_diagnostics(self):
+    def test_nonconvergence_carries_diagnostics(self, monkeypatch):
+        # the sweep budget is read at call time
         spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
+        monkeypatch.setattr(inverse, "RECOVERY_MAX_SWEEPS", 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
             with pytest.raises(ConvergenceError) as exc:
-                recover_q(inv, tol=1e-12, max_iter=3)
+                recover_q(inv)
         assert exc.value.iterations == 3
         assert exc.value.last_update > 0.0
         assert 0.0 < exc.value.contraction_estimate < 1.0
@@ -495,5 +508,5 @@ class TestSynthesizeData:
 
     def test_violent_noise_rejected(self):
         spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(AdmissibilityError, match="positive flux"):
             synthesize_data(spec, q, noise_level=2.0, seed=0)
