@@ -108,24 +108,28 @@ def _num(block, key, where, default=_SENTINEL, lo=None, hi=None,
 def _read_samples_csv(base: Path, name, tgrid: TimeGrid,
                       where: str) -> np.ndarray:
     """Two-column (t, value) CSV at ``name`` relative to ``base``, optional
-    header, nodes matching the grid."""
+    header, nodes matching the grid; a UTF-8 byte order mark is skipped."""
     if not isinstance(name, str):
         raise ConfigError(f"{where}: expected a file path, got {name!r}")
     path = base / name
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh) if r]
     except UnicodeDecodeError as e:
         raise ConfigError(f"{where}: {path}: not UTF-8 text: {e}") from e
-    if rows and rows[0] and not _is_float(rows[0][0]):
+    if rows and not _is_float(rows[0][0]):
         rows = rows[1:]
     if len(rows) != tgrid.n_steps + 1:
         raise ConfigError(
             f"{where}: {path} has {len(rows)} sample rows, need "
             f"{tgrid.n_steps + 1}")
+    short = next((r for r in rows if len(r) < 2), None)
+    if short is not None:
+        raise ConfigError(f"{where}: {path}: sample row {short!r} has fewer "
+                          f"than two cells (t, value)")
     try:
         data = np.array([[float(c) for c in r[:2]] for r in rows])
-    except (ValueError, IndexError) as e:
+    except ValueError as e:
         raise ConfigError(f"{where}: {path}: {e}") from e
     if not np.allclose(data[:, 0], tgrid.nodes,
                        atol=1e-9 * max(1.0, tgrid.t_final), rtol=0.0):

@@ -34,7 +34,9 @@ _ENDPOINT_TOL = 1e-12
 #: cap on the largest eigenvalue products the solve, its diagnostics and the
 #: inverse traces form, lam_K^3 sqrt(2/l) and lam_K^2 M_sigma: the square
 #: root of the largest double, so that such a product still fits after
-#: meeting a coefficient or a sum over modes as large as itself
+#: meeting a coefficient or a sum over modes as large as itself; its
+#: reciprocal floors lam_1^2 m_sigma, so that no rate lam_k^2 sigma the
+#: mode solver divides by underflows
 _MAX_SCALE = math.sqrt(np.finfo(float).max)
 
 
@@ -50,13 +52,14 @@ class ProblemSpec:
 
     The reaction coefficient q is not part of it: the forward solvers take it
     as an argument, and the inverse problem recovers it.  Assumption 1 is
-    owned here: sigma's declared lower bound m_sigma must be positive, and
+    owned here: sigma's smallest sample m_sigma must be positive, and
     ``q_window`` is the open interval
     (-m_sigma lam_1^2, (M_sigma - m_sigma) lam_1^2) for q, with lam_1 = pi/l
-    and both sigma bounds the declared ones (``Profile.vmin``/``vmax``), the
-    same bounds the mode solver contracts with.  A length so small that
+    and m_sigma, M_sigma sigma's sampled extrema (``Profile.vmin``/``vmax``),
+    the same bounds the mode solver contracts with.  A length so small that
     lam_K^3 sqrt(2/l) or lam_K^2 M_sigma exceeds ``_MAX_SCALE`` is refused
-    (``DomainError``).  Solvers trust the spec.
+    (``DomainError``), and so is a length so large, or a sigma so small, that
+    lam_1^2 m_sigma falls below 1/``_MAX_SCALE``.  Solvers trust the spec.
 
     The sine coefficients of the data are derived here once: ``phi_k`` (K,)
     of the initial datum and ``f_k`` (K, n_steps+1) of the source, rows
@@ -96,7 +99,8 @@ class ProblemSpec:
         m_s, M_s = self.sigma.vmin, self.sigma.vmax
         if m_s <= 0.0:
             raise AdmissibilityError(
-                f"sigma must be strictly positive; lower bound is {m_s}")
+                f"sigma must be strictly positive; its smallest sample is "
+                f"{m_s}")
         # products, not powers: a float product overflows to inf, where a
         # power raises
         lam_K = math.pi * self.K / self.length
@@ -106,8 +110,12 @@ class ProblemSpec:
                 f"length {self.length} is too small for {self.K} modes: "
                 f"lam_K^3 sqrt(2/l) or lam_K^2 M_sigma exceeds "
                 f"{_MAX_SCALE:.3g}")
-        basis(self.sgrid, self.K)  # range-checks K
         lam1sq = (math.pi / self.length) ** 2
+        if not lam1sq * m_s >= 1.0 / _MAX_SCALE:
+            raise DomainError(
+                f"length {self.length} is too large for sigma's minimum "
+                f"{m_s}: lam_1^2 m_sigma is below {1.0 / _MAX_SCALE:.3g}")
+        basis(self.sgrid, self.K)  # range-checks K
         object.__setattr__(self, "q_window",
                            (-m_s * lam1sq, (M_s - m_s) * lam1sq))
         object.__setattr__(self, "phi_k",
@@ -148,7 +156,7 @@ class AssumptionReport:
 
 
 def validate_assumption1(spec: ProblemSpec, q: Profile) -> AssumptionReport:
-    """Declared bounds of sigma and of the reaction coefficient ``q`` against
+    """Sampled extrema of sigma and of the reaction coefficient ``q`` against
     the spec's admissibility window.
 
     The q window uses strict inequalities: a constant sigma yields the window

@@ -276,8 +276,9 @@ def recover_q(inv: InverseSpec) -> InverseResult:
     J. Numer. Anal. 49 (2011) 1715).  A nearly rank-deficient history or a
     non-finite mixed iterate falls back to the plain step g_k, so the limit
     is the same fixed point that the paper's contraction argument makes
-    unique.  Images and mixed iterates are clamped nodewise into the
-    admissible window (clamp events are counted, not hidden); each sweep
+    unique.  Images and mixed iterates are clamped nodewise into the spec's
+    q window, which sigma's sampled extrema fix (clamp events are counted,
+    not hidden); each sweep
     warm-starts its forward solve from the previous mode trajectories.
     ``measured_ratio`` is the largest Lipschitz quotient
     sup |g_k - g_{k-1}| / sup |q_k - q_{k-1}| over steps longer than tol.
@@ -336,7 +337,7 @@ def recover_q(inv: InverseSpec) -> InverseResult:
             stacked[0] = f
             nxt = _anderson_step(g, stacked[:depth + 1], dG[:depth])
         q_prev, f_prev, g_prev = q.values, f, g
-        q, touched = image.with_values(nxt).clamped(lo, hi)
+        q, touched = Profile(image.grid, nxt).clamped(lo, hi)
         clamp_count += touched
         warm = coeffs
         # a residual below tol that did not end the loop came from a loose

@@ -7,10 +7,11 @@ integral equation
              + int_0^t K_{lam_eff}(t-s) [ f_k(s)
                  + (lam_k^2 (M_sigma - sigma(s)) - q(s)) u_k(s) ] ds
 
-with lam_eff = lam_k^2 M_sigma and K the Mittag-Leffler kernel.  The map on
-the right is a contraction whose constant C_k is computable from the data
-bounds, so plain Picard iteration converges geometrically; the solver
-measures the actual correction ratios and reports them next to the bound.
+with lam_eff = lam_k^2 M_sigma, M_sigma the largest sample of sigma, and K
+the Mittag-Leffler kernel.  The map on the right is a contraction whose
+constant C_k is computable from the samples of sigma and q, so plain Picard
+iteration converges geometrically; the solver measures the actual correction
+ratios and reports them next to the bound.
 
 The modes of one problem share the time grid, rho, sigma and q, so they are
 solved as one batch: a (K, N+1) array iterated by one loop, on weights that
@@ -87,7 +88,7 @@ class ModeProblem:
                 raise GridMismatchError(f"{name} lives on a different time grid")
         if self.sigma.vmin <= 0.0:
             raise AdmissibilityError(
-                f"sigma must be strictly positive; lower bound is "
+                f"sigma must be strictly positive; its smallest sample is "
                 f"{self.sigma.vmin}")
 
     @cached_property
@@ -220,8 +221,10 @@ def decompose_mode(p: ModeProblem, tol: float = PICARD_TOL
 def apriori_bounds(p: ModeProblem) -> tuple[np.ndarray, np.ndarray]:
     """Analytic envelopes: |V_k| and |W_k| under the worst-case coefficients.
 
-    Both use the damping lam_k^2 m_sigma + n_q, the slowest decay any
-    admissible coefficient pair can produce.
+    Both use the damping lam_k^2 m_sigma + n_q, with m_sigma and n_q the
+    smallest samples of sigma and q: the slowest decay that coefficients
+    bounded below by them can produce.  The envelopes only grow as those
+    minima fall.
     """
     lam_slow = tuple(sq * p.sigma.vmin + p.q.vmin for sq in p._lam_sq)
     if min(lam_slow) <= 0.0:

@@ -1,9 +1,9 @@
 """Time-dependent coefficient profiles on a uniform grid.
 
-A Profile is a sampled function of time plus (optionally) declared lower and
-upper bounds.  Declared bounds let a caller assert prior knowledge (e.g. the
-admissible range of a reaction coefficient) that is wider than the sampled
-extrema; when absent, the nodewise extrema stand in.
+A Profile is a sampled function of time and nothing more: its bounds
+``vmin``/``vmax`` are the sampled extrema, the tightest constants m <= p(t)
+<= M valid on the grid, so every reader of a coefficient's bounds reads the
+same numbers.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .frackernel import TimeGrid
 class Profile:
     grid: TimeGrid
     values: np.ndarray
-    lower: float | None = None
-    upper: float | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -34,26 +32,14 @@ class Profile:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.lower is not None and _overshoots(self.lower, v.min()):
-            raise DomainError(
-                f"declared lower bound {self.lower} exceeds sampled minimum "
-                f"{v.min()}")
-        if self.upper is not None and _overshoots(-self.upper, -v.max()):
-            raise DomainError(
-                f"declared upper bound {self.upper} is below sampled maximum "
-                f"{v.max()}")
 
     @property
     def vmin(self) -> float:
-        return float(self.values.min() if self.lower is None else self.lower)
+        return float(self.values.min())
 
     @property
     def vmax(self) -> float:
-        return float(self.values.max() if self.upper is None else self.upper)
-
-    def with_values(self, values) -> "Profile":
-        """Same grid, new samples; declared bounds are dropped, not inherited."""
-        return Profile(self.grid, np.asarray(values, dtype=float))
+        return float(self.values.max())
 
     def clamped(self, lo: float, hi: float) -> tuple["Profile", int]:
         """Clamp nodewise into [lo, hi]; returns (profile, #nodes touched)."""
@@ -64,18 +50,8 @@ class Profile:
         return Profile(self.grid, clipped), touched
 
 
-def _overshoots(bound: float, extreme: float) -> bool:
-    """Whether a declared lower bound lies above the sampled minimum by more
-    than round-off: by over 1e-12, or onto the other side of zero (a bound
-    that makes a sampled zero or negative value read as positive).  An upper
-    bound is checked negated, against the negated maximum."""
-    return bound > extreme and (bound > extreme + 1e-12
-                                or np.sign(bound) != np.sign(extreme))
-
-
 def constant(grid: TimeGrid, value: float) -> Profile:
-    return Profile(grid, np.full(grid.n_steps + 1, float(value)),
-                   lower=value, upper=value)
+    return Profile(grid, np.full(grid.n_steps + 1, float(value)))
 
 
 def affine(grid: TimeGrid, intercept: float, slope: float) -> Profile:

@@ -64,7 +64,7 @@ def rel_or_abs_err(got: float, want: float) -> float:
 
 
 def sample_mode_problem(rng, *, n_steps: int = 64, sign: int | None = None,
-                        declare_gaps: bool = False):
+                        with_comparison: bool = False):
     """Random admissible per-mode problem.
 
     The admissibility window for q comes from the sigma bounds:
@@ -72,17 +72,24 @@ def sample_mode_problem(rng, *, n_steps: int = 64, sign: int | None = None,
     well inside it, and keeps the contraction constant below ~0.65 by
     budgeting the sigma-variation and q contributions jointly.
 
-    ``sign=+1/-1`` makes phi_k and f_k sign-definite.  ``declare_gaps``
-    widens the *declared* coefficient bounds beyond the sampled extrema so
-    envelope comparisons have structural margin (the envelopes are built
-    from declared bounds, so a solution can brush a tight envelope to
-    within discretization error otherwise).
+    ``sign=+1/-1`` makes phi_k and f_k sign-definite.  ``with_comparison``
+    returns ``(problem, comparison)``: the comparison has the same data with
+    sigma and q shifted down, sigma's smallest sample to 0.8 m_sigma and
+    q's by a tenth of q's range (kept above -0.95 lam_1^2 0.8 m_sigma, so
+    the envelope damping stays positive).  Envelopes only grow as those
+    minima fall, so the comparison's envelopes bound the problem's solution
+    with structural margin; the problem's own can be brushed to within
+    discretization error.  With the comparison, q is budgeted against sigma
+    widened to [0.8 m_sigma, 1.2 M_sigma] and the horizon against
+    1.2 lam_k^2 (a + b).
 
     The horizon is chosen so that lam_eff * t_1^rho stays well below 1:
     comparisons against nodewise analytic facts are only meaningful when the
     grid resolves the initial decay layer, otherwise the first few nodes
     carry O(1) relative discretization error and every tolerance is noise.
     """
+    from dataclasses import replace
+
     from subdiff.frackernel import TimeGrid
     from subdiff.mode_solver import ModeProblem
     from subdiff.profiles import Profile
@@ -97,38 +104,27 @@ def sample_mode_problem(rng, *, n_steps: int = 64, sign: int | None = None,
     w_s = float(rng.uniform(0.5, 3.0))
 
     z1 = float(rng.uniform(0.05, 0.5))
-    mu_cap = lam_k ** 2 * (a + b) * (1.2 if declare_gaps else 1.0)
+    mu_cap = lam_k ** 2 * (a + b) * (1.2 if with_comparison else 1.0)
     t_final = n_steps * (z1 / mu_cap) ** (1.0 / rho)
     grid = TimeGrid(t_final, n_steps)
     t = grid.nodes
     sigma_vals = a + b * np.sin(w_s * t)
     m_act, big_act = float(sigma_vals.min()), float(sigma_vals.max())
-    if declare_gaps:
-        sig_lo, sig_hi = 0.8 * m_act, 1.2 * big_act
+    if with_comparison:
+        m_wide, big_wide = 0.8 * m_act, 1.2 * big_act
     else:
-        sig_lo = sig_hi = None
-    sigma = Profile(grid, sigma_vals, lower=sig_lo, upper=sig_hi)
+        m_wide, big_wide = m_act, big_act
 
-    m_decl = sig_lo if sig_lo is not None else m_act
-    big_decl = sig_hi if sig_hi is not None else big_act
     lam1sq = (math.pi / length) ** 2
     # joint budget: sigma variation uses 2b/(a+b) of the contraction budget,
     # q gets most of what is left (relative to the smallest eigenvalue)
     slack = 0.65 - 2.0 * b / (a + b)
-    qcap = 0.85 * min(slack * lam1sq * big_decl,
-                      lam1sq * min(m_decl, big_act - m_act))
+    qcap = 0.85 * min(slack * lam1sq * big_wide,
+                      lam1sq * min(m_wide, big_act - m_act))
     c0 = float(rng.uniform(-0.5, 0.5)) * qcap
     c1 = float(rng.uniform(0.0, 0.9)) * (qcap - abs(c0))
     w_q = float(rng.uniform(0.5, 3.0))
     q_vals = c0 + c1 * np.sin(w_q * t)
-    if declare_gaps:
-        span = max(1e-3, float(q_vals.max() - q_vals.min()))
-        q_lo = float(q_vals.min()) - 0.1 * span
-        q_hi = float(q_vals.max()) + 0.1 * span
-        q_lo = max(q_lo, -0.95 * lam1sq * m_decl)
-    else:
-        q_lo = q_hi = None
-    q = Profile(grid, q_vals, lower=q_lo, upper=q_hi)
 
     f0 = float(rng.normal(0.0, 1.0))
     f1 = float(rng.normal(0.0, 1.0))
@@ -139,8 +135,17 @@ def sample_mode_problem(rng, *, n_steps: int = 64, sign: int | None = None,
         f_vals = sign * np.abs(f_vals)
         phi_k = sign * abs(phi_k)
 
-    return ModeProblem(k=k, lam_k=lam_k, rho=rho, sigma=sigma, q=q,
-                       f_k=f_vals, phi_k=phi_k, grid=grid)
+    p = ModeProblem(k=k, lam_k=lam_k, rho=rho, sigma=Profile(grid, sigma_vals),
+                    q=Profile(grid, q_vals), f_k=f_vals, phi_k=phi_k,
+                    grid=grid)
+    if not with_comparison:
+        return p
+    span = max(1e-3, float(q_vals.max() - q_vals.min()))
+    q_lo = max(float(q_vals.min()) - 0.1 * span, -0.95 * lam1sq * m_wide)
+    comparison = replace(
+        p, sigma=Profile(grid, sigma_vals - (m_act - m_wide)),
+        q=Profile(grid, q_vals - (float(q_vals.min()) - q_lo)))
+    return p, comparison
 
 
 def l1_direct(grid, u, rho: float) -> np.ndarray:

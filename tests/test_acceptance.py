@@ -167,9 +167,9 @@ class TestAcceptance:
         rng = np.random.default_rng(1004)
         worst = -np.inf
         for _ in range(100):
-            p = sample_mode_problem(rng, declare_gaps=True)
+            p, comparison = sample_mode_problem(rng, with_comparison=True)
             v, w = decompose_mode(p, tol=1e-12)
-            v_bound, w_bound = apriori_bounds(p)
+            v_bound, w_bound = apriori_bounds(comparison)
             worst = max(worst, float(np.max(np.abs(v) - v_bound)),
                         float(np.max(np.abs(w) - w_bound)))
         assert worst <= 1e-10

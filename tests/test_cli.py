@@ -16,13 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from subdiff import forward, inverse, mode_solver, profiles
+from subdiff import forward, inverse, mode_solver
 from subdiff.cli import _build_spec, _profile, _write_csv, main
 from subdiff.csvfmt import BLOCK, write_rows
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid
 from subdiff.inverse import ConditionReport, InverseResult
-from subdiff.profiles import Profile
 from subdiff.spectral import TailReport
 
 CONFIGS = {
@@ -51,6 +50,18 @@ def repo_root():
     import subdiff
     from pathlib import Path
     return Path(subdiff.__file__).resolve().parents[2]
+
+
+def csv_inverse_cfg():
+    """A 4-step inverse problem whose flux data the caller adds."""
+    return {
+        "problem": {"length": 1.0, "t_final": 0.5, "rho": 0.5,
+                    "n_steps": 4, "n_cells": 8, "n_modes": 2},
+        "sigma": {"kind": "constant", "value": 1.0},
+        "phi": {"terms": [{"mode": 1, "amplitude": 0.05}]},
+        "f": {"terms": [{"mode": 1, "time": {"kind": "constant",
+                                             "value": 1.0}}]},
+    }
 
 
 def small_forward_cfg():
@@ -143,6 +154,16 @@ class TestConfigErrors:
         cfg["problem"]["length"] = 1e-200
         assert run(tmp_path, "forward", cfg=cfg)[0] == 2
         assert "length 1e-200 is too small" in capsys.readouterr().err
+
+    def test_length_whose_eigenvalue_underflows(self, tmp_path, capsys):
+        # lam_1^2 m_sigma = 2e-319 is subnormal; such a run used to exit 0
+        # with every contraction bound inf, and is now refused with the
+        # length and sigma's minimum named
+        cfg = small_forward_cfg()
+        cfg["problem"]["length"] = 1e160
+        assert run(tmp_path, "forward", cfg=cfg)[0] == 2
+        assert ("length 1e+160 is too large for sigma's minimum 2.0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["forward", "verify", "inverse"])
     def test_tiny_lengths_run_clean_or_are_refused(self, tmp_path, command):
@@ -243,18 +264,40 @@ class TestConfigErrors:
 
     def test_samples_csv_not_utf8(self, tmp_path, capsys):
         (tmp_path / "psi.csv").write_bytes(b"\xff\xfe,1\n")
-        cfg = {
-            "problem": {"length": 1.0, "t_final": 0.5, "rho": 0.5,
-                        "n_steps": 4, "n_cells": 8, "n_modes": 2},
-            "sigma": {"kind": "constant", "value": 1.0},
-            "phi": {"terms": [{"mode": 1, "amplitude": 0.05}]},
-            "f": {"terms": [{"mode": 1, "time": {"kind": "constant",
-                                                 "value": 1.0}}]},
-            "data": {"psi_csv": "psi.csv"},
-        }
+        cfg = csv_inverse_cfg()
+        cfg["data"] = {"psi_csv": "psi.csv"}
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
         err = capsys.readouterr().err
         assert "data.psi_csv" in err and "psi.csv" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("block", ["data", "sigma"])
+    def test_one_column_samples_csv(self, tmp_path, capsys, block):
+        # a row without its value cell used to end in an IndexError
+        tg = TimeGrid(0.5, 4)
+        (tmp_path / "s.csv").write_text(
+            "t\n" + "".join(f"{t:.17g}\n" for t in tg.nodes))
+        cfg = csv_inverse_cfg()
+        if block == "sigma":
+            cfg["sigma"] = {"kind": "csv-samples", "path": "s.csv"}
+            cfg["data"] = {"synthetic": {"q_true": {"kind": "constant",
+                                                    "value": 0.3}}}
+        else:
+            cfg["data"] = {"psi_csv": "s.csv"}
+        assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "s.csv" in err and "fewer than two cells" in err
+
+    def test_samples_csv_with_byte_order_mark(self, tmp_path):
+        # the mark is not part of the first sample, so a header-less file
+        # keeps all of its rows
+        tg = TimeGrid(0.5, 4)
+        psi = math.pi * math.sqrt(2.0) * 0.05
+        rows = "".join(f"{t:.17g},{psi:.17g}\n" for t in tg.nodes)
+        (tmp_path / "psi.csv").write_text(rows, encoding="utf-8-sig")
+        cfg = csv_inverse_cfg()
+        cfg["data"] = {"psi_csv": "psi.csv"}
+        assert run(tmp_path, "inverse", cfg=cfg)[0] == 0
 
     def test_fractional_step_count(self, tmp_path):
         cfg = small_forward_cfg()
@@ -419,21 +462,6 @@ class TestExitCodes:
         cfg = small_forward_cfg()
         cfg["sigma"] = {"kind": "constant", "value": -1.0}
         assert run(tmp_path, "forward", cfg=cfg)[0] == 3
-
-    def test_sigma_bound_across_zero_is_config_error(self, tmp_path, capsys,
-                                                     monkeypatch):
-        # no shipped profile kind declares a bound off its samples, so a
-        # stand-in kind does: lower bound 5e-13 over a node at -5e-13
-        def dipping(grid, value):
-            values = np.full(grid.n_steps + 1, value)
-            values[3] = -5e-13
-            return Profile(grid, values, lower=5e-13)
-        monkeypatch.setitem(profiles._KINDS, "constant",
-                            (dipping, ("value",), ()))
-        cfg = small_forward_cfg()
-        cfg["sigma"] = {"kind": "constant", "value": 1.0}
-        assert run(tmp_path, "forward", cfg=cfg)[0] == 2
-        assert "sigma: declared lower bound" in capsys.readouterr().err
 
     def test_forward_nonconvergence_names_the_mode(self, tmp_path, capsys,
                                                    monkeypatch):

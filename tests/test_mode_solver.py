@@ -163,7 +163,7 @@ class TestSolveMode:
         f = profiles.affine(g, 0.5, 1.0)
         base = make_problem(g, sigma=sig, f=f, phi=0.8)
         scaled = make_problem(
-            g, sigma=sig, f=f.with_values(3.7 * f.values), phi=3.7 * 0.8)
+            g, sigma=sig, f=profiles.Profile(g, 3.7 * f.values), phi=3.7 * 0.8)
         a = solve_mode(base, tol=1e-13)
         b = solve_mode(scaled, tol=1e-13)
         np.testing.assert_allclose(b.u_k, 3.7 * a.u_k, rtol=1e-10, atol=1e-12)
@@ -229,14 +229,17 @@ class TestAprioriBounds:
     def test_envelopes_hold_on_random_problems(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
-            p = sample_mode_problem(rng, declare_gaps=True)
+            p, comparison = sample_mode_problem(rng, with_comparison=True)
             v, w = decompose_mode(p, tol=1e-12)
-            v_b, w_b = apriori_bounds(p)
+            v_b, w_b = apriori_bounds(comparison)
             assert np.all(np.abs(v) <= v_b + 1e-10)
             assert np.all(np.abs(w) <= w_b + 1e-10)
 
     def test_degenerate_damping_rejected(self):
-        q = profiles.Profile(GRID, np.full(65, -2.0), lower=-15.0)
+        # one node at -15 sets n_q, and lam_1^2 m_sigma + n_q < 0
+        q_vals = np.full(65, -2.0)
+        q_vals[40] = -15.0
+        q = profiles.Profile(GRID, q_vals)
         p = make_problem(GRID, q=q)
         with pytest.raises(DomainError):
             apriori_bounds(p)

@@ -128,7 +128,7 @@ class TestBlockedHistory:
         with warnings.catch_warnings(), \
                 pytest.raises(SingularSystemError) as exc:
             warnings.simplefilter("error", RuntimeWarning)
-            solve_fd(spec, q.with_values(q_vals))
+            solve_fd(spec, Profile(q.grid, q_vals))
         assert exc.value.step == 100
         assert "singular step system at step 100" in str(exc.value)
 
@@ -167,7 +167,7 @@ class TestBlockedHistory:
         ws = FdWorkspace.from_spec(spec)
         q_vals = q.values.copy()
         q_vals[90] = -ws.scale * ws.a[0] - 1.0
-        sol = solve_fd(spec, q.with_values(q_vals))
+        sol = solve_fd(spec, Profile(q.grid, q_vals))
         assert np.all(np.isfinite(sol.u))
 
 
