@@ -389,7 +389,8 @@ def _selftest_mlf():
     checks.append(("kernel = -d/dt relaxation vs central differences",
                    worst <= 1e-6, f"max rel err {worst:.3e}"))
 
-    # x = 10 t^0.9 crosses the band that only the branch cut covers
+    # x = 10 t^0.9 crosses the band that only the branch cut covers, where
+    # the order's table interpolates the cut rule's values
     t = np.linspace(0.0, 1.0, 129)
     got = relaxation_curve(0.9, 10.0, t)
     worst = float(max(abs(got[i] / _mp_branch_cut(0.9, 1.0, 10.0 * t[i] ** 0.9)

@@ -12,9 +12,10 @@ derivative of the relaxation curve, so its integral over [a, b] telescopes
 into the relaxation difference at a and b; the weight build uses that
 closed form and never touches the t -> 0 singularity numerically.
 
-Evaluation strategy.  One array routine (``_curve``) serves every entry
-point.  Each entry goes through five stages, each taking what the ones
-before it left: the endpoints x = 0 and x = inf; the power series
+Evaluation strategy.  One array routine (``_curve``) serves
+``mittag_leffler`` and every relaxation entry the table below does not.
+Each entry goes through five stages, each taking what the ones before it
+left: the endpoints x = 0 and x = inf; the power series
 (Kahan-compensated) where its cancellation allows the relative target; past
 |z| = Z_SWITCH the asymptotic expansion truncated at its smallest term; the
 branch-cut integral, rescaled so that one fixed Gauss-Legendre rule per
@@ -34,6 +35,21 @@ Algorithms, 2nd ed., 4.3).  Once sum |terms| exceeds twice
 _REL_TARGET / (4 eps) / Gamma(beta), the sum's own estimate can no longer
 meet _REL_TARGET.  Every entry's arithmetic is its own, so the entries that
 pass and their bits are those of the full sum.
+
+The relaxation curve (beta = 1 only) takes every x in the fixed range
+[_TABLE_X_MIN, _TABLE_X_MAX] = [0.25, 65536] from one table per order
+(``_relaxation_table``): a piecewise Chebyshev interpolant of
+log E_{rho,1}(-x) in u = log x, 80 panels of degree 16, evaluated by
+Clenshaw's recurrence.  E_{rho,1}(-x) is completely monotone, so log E is
+smooth in u and one table serves every rate.  The table's nodes go through
+the four double-precision stages only, never the extended-precision one,
+and the interpolant is checked at one more point per panel against them.
+An order where a node is left unserved, or a check point deviates by more
+than _TABLE_REL_TOL = 5e-14 relative, gets no table, and all its entries
+take the five stages as ``mittag_leffler``'s do; so the table never adds an
+extended-precision evaluation.  x = 0, x = inf and the entries outside the
+range take the five stages at every order.  The range does not depend on
+the entries of a call, so every value depends on (rho, x) alone.
 
 Domain: the orders the solvers use, 0 < rho < 1 with any finite beta.
 ``_check_order`` is the one order check.
@@ -79,6 +95,17 @@ _CUT_W_MIN = 1e-12
 _CUT_TAIL_EXP = 42.0
 # entries x nodes evaluated at a time (4 MB of doubles)
 _CUT_BLOCK = 1 << 19
+
+# Relaxation table: the fixed x range it serves, split into _TABLE_PANELS
+# equal panels in u = log x, each interpolated at degree _TABLE_DEGREE
+_TABLE_X_MIN = 0.25
+_TABLE_X_MAX = 65536.0
+_TABLE_PANELS = 80
+_TABLE_DEGREE = 16
+_TABLE_U_MIN = math.log(_TABLE_X_MIN)
+_TABLE_WIDTH = (math.log(_TABLE_X_MAX) - _TABLE_U_MIN) / _TABLE_PANELS
+# an order whose check points deviate from the bands by more gets no table
+_TABLE_REL_TOL = 5e-14
 
 
 def rgamma(x: float) -> float:
@@ -447,6 +474,17 @@ def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
     """E_{rho,beta}(-x) at every entry of x >= 0, for (rho, beta) that
     ``_check_order`` accepts, through the five stages of the module docstring."""
     shape, x = x.shape, x.ravel()
+    out, pending = _bands(rho, beta, x)
+    for i in np.flatnonzero(pending):
+        out[i] = _fallback(rho, beta, float(x[i]))
+    return out.reshape(shape)
+
+
+def _bands(rho: float, beta: float, x: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The first four stages of ``_curve`` on a flat x >= 0: (values,
+    pending), pending marking the entries no double-precision band served
+    (their values are 0)."""
     out = np.zeros(x.size)  # the limit at x = inf
     pending = ~np.isinf(x)
     zero = x == 0.0
@@ -476,10 +514,7 @@ def _curve(rho: float, beta: float, x: np.ndarray) -> np.ndarray:
         ok = np.isfinite(val) & (err <= _CUT_REL_TOL
                                  * np.maximum(np.abs(val), _CUT_FLOOR))
         _accept(out, pending, cut, _raise_beta(rho, b0, m, xc, val), ok)
-
-    for i in np.flatnonzero(pending):
-        out[i] = _fallback(rho, beta, float(x[i]))
-    return out.reshape(shape)
+    return out, pending
 
 
 def _accept(out: np.ndarray, pending: np.ndarray, band: np.ndarray,
@@ -488,6 +523,55 @@ def _accept(out: np.ndarray, pending: np.ndarray, band: np.ndarray,
     where = np.flatnonzero(band)[ok]
     out[where] = val[ok]
     pending[where] = False
+
+
+@lru_cache(maxsize=32)
+def _relaxation_table(rho: float) -> np.ndarray | None:
+    """Chebyshev coefficients of log E_{rho,1}(-x) in u = log x on every
+    panel of the table's range, row k for T_k, one column per panel; None
+    where the order gets no table.
+
+    Each panel's nodes are the n = _TABLE_DEGREE + 1 Chebyshev points of the
+    first kind, s_j = cos(pi (j + 1/2) / n) on [-1, 1], and the coefficients
+    are their log values times the cosine matrix of the discrete cosine
+    transform.  Values come from ``_bands`` alone.  The order gets no table
+    where a node or check point is left pending, or where the interpolant
+    deviates from the bands by more than _TABLE_REL_TOL relative at a check
+    point: one per panel, at the extremum s = -cos(pi / n) of T_n next to the
+    left edge, where the leading interpolation error term peaks.
+    """
+    n = _TABLE_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    s = np.append(np.cos(theta), -math.cos(math.pi / n))
+    left = _TABLE_U_MIN + _TABLE_WIDTH * np.arange(_TABLE_PANELS)
+    x = np.exp(left[:, None] + 0.5 * _TABLE_WIDTH * (s + 1.0))
+    val, pending = _bands(rho, 1.0, x.ravel())
+    if pending.any() or not np.all(val > 0.0):
+        return None
+    val = val.reshape(x.shape)
+    cosines = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    cosines[0] *= 0.5
+    # einsum without optimize keeps BLAS, and its thread count, out of the bits
+    coef = np.einsum("kj,pj->kp", cosines, np.log(val[:, :n]))
+    check = _table_curve(coef, x[:, n])
+    if not np.all(np.abs(check / val[:, n] - 1.0) <= _TABLE_REL_TOL):
+        return None
+    coef.setflags(write=False)
+    return coef
+
+
+def _table_curve(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """E_{rho,1}(-x) from the table ``coef`` at every entry of x in
+    [_TABLE_X_MIN, _TABLE_X_MAX]: Clenshaw's recurrence on each entry's
+    panel, with one gather per coefficient."""
+    y = (np.log(x) - _TABLE_U_MIN) / _TABLE_WIDTH
+    panel = np.minimum(y.astype(np.intp), _TABLE_PANELS - 1)
+    s = 2.0 * (y - panel) - 1.0
+    s2 = s + s
+    b1, b2 = coef[-1][panel], 0.0
+    for c in coef[-2:0:-1]:
+        b1, b2 = c[panel] + s2 * b1 - b2, b1
+    return np.exp(coef[0][panel] + s * b1 - b2)
 
 
 def mittag_leffler(rho: float, beta: float, z) -> np.ndarray:
@@ -518,8 +602,14 @@ def relaxation_curve(rho: float, lam, t) -> np.ndarray:
     entry of ``t >= 0``; equals 1 at t = 0 and decays monotonically.
 
     ``lam`` is one positive rate or an array of them; the result has shape
-    ``lam.shape + t.shape``, and all rates go through one evaluation, so each
-    band's term loop runs once for the whole set.
+    ``lam.shape + t.shape``, and all rates go through one evaluation.  Every
+    x = lam t^rho in the fixed range [_TABLE_X_MIN, _TABLE_X_MAX] is served
+    by the order's table, built on first use, within _TABLE_REL_TOL of the
+    bands; x = 0, x = inf, the entries outside the range and every entry of
+    an order the table refuses (module docstring) go through ``_curve``,
+    each band's term loop once for the whole set.  The range does not depend
+    on the call, so each value depends on (rho, x) alone: batch, per-rate
+    and one-entry calls give the same bits.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam > 0.0) & (lam < math.inf)):
@@ -529,4 +619,12 @@ def relaxation_curve(rho: float, lam, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("times must be nonnegative")
-    return _curve(rho, 1.0, np.multiply.outer(lam, t ** rho))
+    x = np.multiply.outer(lam, t ** rho)
+    inside = (x >= _TABLE_X_MIN) & (x <= _TABLE_X_MAX)
+    coef = _relaxation_table(rho) if inside.any() else None
+    if coef is None:
+        return _curve(rho, 1.0, x)
+    out = np.empty(x.shape)
+    out[inside] = _table_curve(coef, x[inside])
+    out[~inside] = _curve(rho, 1.0, x[~inside])
+    return out

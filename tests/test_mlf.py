@@ -12,7 +12,9 @@ from scipy.integrate import quad
 
 from subdiff import mlf
 from subdiff.errors import DomainError
+from subdiff.frackernel import TimeGrid
 from subdiff.mlf import Z_SWITCH, mittag_leffler, relaxation, relaxation_curve
+from subdiff.spectral import eigenvalues
 
 from conftest import mlf_reference, rel_or_abs_err, series_guard_digits
 
@@ -203,7 +205,8 @@ class TestRelaxation:
 
 class TestRelaxationCurve:
     # lam 0.5 keeps x = lam t^rho in the series band, 10 sweeps x through the
-    # fallback band [1.5, 10], 1000 reaches far into the asymptotic band
+    # fallback band [1.5, 10], 1000 reaches far into the asymptotic band; in
+    # [0.25, 65536] the values come from the order's table
     T = np.linspace(0.0, 1.0, 257)
 
     # node indices a factor 4 apart in t, so each band is reached
@@ -298,11 +301,11 @@ class TestRelaxationCurve:
                             lambda rho_, beta, x: calls.append(x) or math.nan)
         cut_rho_min = mlf._CUT_RHO_MIN
         monkeypatch.setattr(mlf, "_CUT_RHO_MIN", 1.0)
-        relaxation_curve(rho, 10.0, self.T)
+        mittag_leffler(rho, 1.0, -10.0 * self.T ** rho)
         left, calls[:] = np.array(calls), []
         monkeypatch.setattr(mlf, "_CUT_RHO_MIN", cut_rho_min)
         monkeypatch.setattr(mlf, "_CUT_X_MAX", 3.0)
-        relaxation_curve(rho, 10.0, self.T)
+        mittag_leffler(rho, 1.0, -10.0 * self.T ** rho)
 
         inside = (left >= mlf._CUT_X_MIN) & (left <= 3.0)
         assert inside.any() and not inside.all()
@@ -330,7 +333,7 @@ class TestRelaxationCurve:
 
         monkeypatch.setattr(mlf, "_branch_cut_curve", half_rejected)
         monkeypatch.setattr(mlf, "_fallback", stub)
-        got = relaxation_curve(rho, lam, self.T)
+        got = mittag_leffler(rho, 1.0, -lam * self.T ** rho)
         rejected = np.array(seen[::2])
         assert rejected.size
         np.testing.assert_array_equal(calls, rejected)
@@ -372,6 +375,108 @@ class TestRelaxationCurve:
         for got, want in zip(mlf._gauss_legendre(n), leggauss(n)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+class TestRelaxationTable:
+    """The per-order table that serves ``relaxation_curve`` on its x range."""
+
+    X_MIN, X_MAX = mlf._TABLE_X_MIN, mlf._TABLE_X_MAX
+    # orders with a table, from the cut rule's floor to near 1
+    SERVED = [0.01, 0.1, 0.5, 0.9, 0.99, 0.999]
+
+    @staticmethod
+    def at(rho, x):
+        """E_{rho,1}(-x) through ``relaxation_curve``: rates x at t = 1."""
+        return relaxation_curve(rho, np.asarray(x, dtype=float), 1.0)
+
+    @pytest.mark.parametrize("rho", SERVED)
+    def test_matches_reference(self, rho):
+        assert mlf._relaxation_table(rho) is not None
+        x = np.geomspace(self.X_MIN, self.X_MAX, 9)
+        # at small rho x^(1/rho) overflows in the reference's series guard,
+        # which then picks the branch-cut integral, as it should
+        with np.errstate(over="ignore"):
+            want = [reference(rho, 1.0, v) for v in x]
+        np.testing.assert_allclose(self.at(rho, x), want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("rho", SERVED)
+    def test_within_its_tolerance_of_the_bands(self, rho):
+        # the build checks one point per panel; here every panel is sampled
+        # about fifty times
+        x = np.geomspace(self.X_MIN, self.X_MAX, 4001)
+        bands, pending = mlf._bands(rho, 1.0, x)
+        assert not pending.any()
+        dev = np.abs(self.at(rho, x) / bands - 1.0)
+        assert dev.max() <= mlf._TABLE_REL_TOL
+
+    @pytest.mark.parametrize("rho", [0.9999, 1.0 - 1e-6])
+    def test_refused_orders_take_the_bands(self, rho):
+        assert mlf._relaxation_table(rho) is None
+        x = np.geomspace(self.X_MIN, self.X_MAX, 201)
+        np.testing.assert_array_equal(self.at(rho, x),
+                                      mittag_leffler(rho, 1.0, -x))
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_one_entry_calls_equal_batch_entries(self, rho):
+        # rates on both sides of both edges and inside, at t = 0, 1 and inf,
+        # so x = 0, the rate and inf; with the table cold and warm
+        lams = np.array([1e-3, np.nextafter(self.X_MIN, 0.0), self.X_MIN,
+                         np.nextafter(self.X_MIN, 1.0), 3.7, 1234.5,
+                         np.nextafter(self.X_MAX, 0.0), self.X_MAX,
+                         np.nextafter(self.X_MAX, np.inf), 1e6])
+        t = np.array([0.0, 1.0, np.inf])
+        mlf._relaxation_table.cache_clear()
+        batch = relaxation_curve(rho, lams, t)
+        np.testing.assert_array_equal(relaxation_curve(rho, lams, t), batch)
+        for i, lam in enumerate(lams):
+            np.testing.assert_array_equal(relaxation_curve(rho, lam, t),
+                                          batch[i])
+            for j, s in enumerate(t):
+                assert relaxation(rho, lam, s) == batch[i, j]
+                mlf._relaxation_table.cache_clear()
+                assert relaxation(rho, lam, s) == batch[i, j]
+        # outside the range the values are those of mittag_leffler
+        outside = (lams < self.X_MIN) | (lams > self.X_MAX)
+        np.testing.assert_array_equal(batch[outside, 1],
+                                      mittag_leffler(rho, 1.0, -lams[outside]))
+        np.testing.assert_array_equal(batch[:, 0], 1.0)
+        np.testing.assert_array_equal(batch[:, 2], 0.0)
+
+    def test_the_build_never_reaches_the_fallback(self, monkeypatch):
+        # at this order the bands leave entries to extended precision, so
+        # the table is refused, and its build adds no fallback call
+        rho = 1.0 - 1e-7
+        calls = []
+        monkeypatch.setattr(mlf, "_fallback",
+                            lambda rho_, beta, x: calls.append(x) or 0.5)
+        lam = (np.arange(1, 5) * math.pi) ** 2
+        t = np.linspace(0.0, 1.0, 65)
+        mlf._relaxation_table.cache_clear()
+        relaxation_curve(rho, lam, t)
+        via_table, calls[:] = len(calls), []
+        mittag_leffler(rho, 1.0, -np.multiply.outer(lam, t ** rho))
+        assert len(calls) > 0
+        assert via_table == len(calls)
+        assert mlf._relaxation_table(rho) is None
+
+    def test_cut_rule_serves_only_table_nodes(self, monkeypatch):
+        # the verify-rho09 benchmark's curve (rho = 0.9, the shipped forward
+        # config's sigma = 1 at K = 4 modes, N = 2048 steps): its entries lie
+        # in the table's range or in the series band below it, so only the
+        # table's nodes and check points reach the cut rule, where without
+        # the table 3512 of its 8196 entries did
+        entries = []
+        cut_curve = mlf._branch_cut_curve
+
+        def counted(rho_, beta, x):
+            entries.append(x.size)
+            return cut_curve(rho_, beta, x)
+
+        monkeypatch.setattr(mlf, "_branch_cut_curve", counted)
+        lam_eff = [lam ** 2 for lam in eigenvalues(4, 1.0).tolist()]
+        mlf._relaxation_table.cache_clear()
+        relaxation_curve(0.9, np.array(lam_eff), TimeGrid(1.0, 2048).nodes)
+        assert 0 < sum(entries) <= mlf._TABLE_PANELS * (mlf._TABLE_DEGREE + 1)
 
 
 class TestSeriesExit:
