@@ -337,7 +337,10 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
 def _run_verify(cfg, out: Path, base: Path) -> int:
     max_res, max_gap = MAX_RESIDUAL, MAX_CROSS_GAP
     spec, q, sol, residual = _solve_field(cfg, base)
-    gap = float(np.max(np.abs(sol.u - solve_fd(spec, q).u)))
+    # |fd - u| is |u - fd| exactly; taken in the FD field's own storage
+    gap_field = solve_fd(spec, q).u
+    gap_field -= sol.u
+    gap = float(np.max(np.abs(gap_field, out=gap_field)))
     res_ok, gap_ok = residual <= max_res, gap <= max_gap
 
     _write_json(out / "verify.json", {

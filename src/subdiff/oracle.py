@@ -6,13 +6,27 @@ terms are taken at the new time level, so every step solves (scale a_0 + q_n)
 I + (sigma_n / h^2) T over the interior nodes, with T the fixed [-1, 2, -1]
 stencil, diagonalised in closed form.  The scheme steps the coefficients of
 the interior rows in T's eigenbasis, where each step is one division, and
-maps them back to physical space at the end.  Its L1 memory sum is split at
-blocks of ``_HISTORY_BLOCK`` steps: the rows before a block reach all of its
-steps through one matrix product, and each step adds only the rows of its own
-block.  The split keeps the terms of the direct sum, so the result is exact
-up to round-off.  Shares nothing with the spectral route beyond the problem
-container, which is the point: agreement between the two is evidence, not
-tautology.
+maps them back to physical space at the end.
+
+The L1 memory sum is marched by the causal divide-and-conquer split of
+Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532).  The
+eigenbasis columns do not couple, so every product serves all of them at
+once.  Steps go in blocks of ``_HISTORY_BLOCK``, and block b >= 1 starts a
+dyadic right half of (b & -b) blocks: before it is stepped, the rows of the
+equally long left half reach all of that right half through one
+``FdWorkspace.history`` call, the far field.  That call is a Toeplitz matrix
+product while either side has at most ``_FFT_MIN`` rows and a real-FFT
+convolution above that, ``_FFT_COLUMNS`` columns at a time.  Inside a block
+the same split runs on leaves of ``_LEAF`` steps through views of one cached
+Toeplitz matrix, and a leaf is stepped one row at a time.  Every earlier row
+reaches every step exactly once, so the march keeps every term of the direct
+sum, at O(M N log^2 N) cost.  Each product adds into the not-yet-stepped
+rows of the field, which hold their steps' right-hand sides until they are
+divided.  The matrix products only reorder the sum; the FFT far field adds
+round-off of order eps log N against the sum of the absolute terms.
+
+Shares nothing with the spectral route beyond the problem container, which
+is the point: agreement between the two is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SingularSystemError
 from .forward import FieldSolution, ProblemSpec
@@ -28,8 +43,14 @@ from .frackernel import TimeGrid
 from .profiles import Profile
 from .spectral import SpaceGrid
 
-#: steps per history block: the far field of a block is one matrix product
+#: steps per history block, which holds the divisors and their checks
 _HISTORY_BLOCK = 64
+#: steps per leaf of a block, stepped one row at a time
+_LEAF = 8
+#: a history product with more rows than this on both sides goes by FFT
+_FFT_MIN = 256
+#: eigenbasis columns per FFT batch, so the padded spectra stay small
+_FFT_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -43,6 +64,9 @@ class FdWorkspace:
     ``mu`` and ``V`` are the eigenvalues (over h^2) and eigenvectors of the
     interior stencil T = tridiag(-1, 2, -1), in closed form: mu_j h^2 =
     4 sin^2(j pi/2M) and V_ij = sqrt(2/M) sin(i j pi/M), j ascending.
+    ``near`` holds the weights inside a history block: scale d_{i-c-1},
+    the weight of its row c on its step i, below the diagonal, and 1 on it,
+    so that step i's row also picks up the step's own right-hand side.
     """
 
     tgrid: TimeGrid
@@ -53,6 +77,7 @@ class FdWorkspace:
     d: np.ndarray
     mu: np.ndarray
     V: np.ndarray
+    near: np.ndarray
 
     @classmethod
     def from_spec(cls, spec: ProblemSpec) -> "FdWorkspace":
@@ -74,22 +99,50 @@ class FdWorkspace:
         V = math.sqrt(2.0 / M) * np.sin(np.outer(j, j) % (2 * M)
                                         * (math.pi / M))
         mu = lam / spec.sgrid.h ** 2
-        for arr in (a, d, mu, V):
+        i = np.arange(min(_HISTORY_BLOCK, tg.n_steps))
+        lag = i[:, None] - i - 1
+        near = (np.where(lag >= 0, scale * d[np.maximum(lag, 0)], 0.0)
+                + np.eye(len(i)))
+        for arr in (a, d, mu, V, near):
             arr.setflags(write=False)
         return cls(tgrid=tg, sgrid=spec.sgrid, rho=spec.rho, scale=scale,
-                   a=a, d=d, mu=mu, V=V)
+                   a=a, d=d, mu=mu, V=V, near=near)
 
-    def history(self, rows: np.ndarray, n: int, stop: int) -> np.ndarray:
-        """L1 memory of rows 0..n-1 on steps n..stop-1, one row per step.
+    def history(self, rows: np.ndarray, n: int, stop: int, start: int = 0,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """L1 memory of rows start..n-1 on steps n..stop-1, one row per step.
 
         Step m weighs row 0 by a_{m-1} and row j >= 1 by d_{m-1-j}; the
-        weights of rows 1..n-1 form a Toeplitz block, so the memory of all
-        the steps is one matrix product.
+        weights of rows max(start, 1)..n-1 form a Toeplitz block, so the
+        memory of all the steps is one product: a matrix product while either
+        side has at most ``_FFT_MIN`` rows, else a real-FFT convolution,
+        ``_FFT_COLUMNS`` columns at a time.  Given ``out``, the memory is
+        added to it in place.
         """
-        steps = np.arange(n, stop)
-        toeplitz = self.d[steps[:, None] - np.arange(2, n + 1)]
-        h = self.a[steps - 1, None] * rows[0] + toeplitz @ rows[1:n]
-        return self.scale * h
+        if out is None:
+            out = np.zeros((stop - n, rows.shape[1]))
+        if start == 0:
+            out += self.scale * self.a[n - 1:stop - 1, None] * rows[0]
+        j = max(start, 1)
+        width, count = n - j, stop - n
+        if min(width, count) <= _FFT_MIN:
+            toeplitz = sliding_window_view(self.d[:width + count - 1], width)
+            out += (self.scale * toeplitz[:, ::-1]) @ rows[j:n]
+            return out
+        # the steps read outputs width-1..width+count-2 of the convolution;
+        # at a size of at least width+count-1, the lags past those and the
+        # circular wrap land only on outputs outside them
+        size = 1 << (width + count - 2).bit_length()
+        kernel = self.scale * np.fft.rfft(self.d[:size], size)
+        for c in range(0, out.shape[1], _FFT_COLUMNS):
+            cols = slice(c, c + _FFT_COLUMNS)
+            # a batch is transposed so that each transform reads contiguous
+            # memory
+            spec = np.fft.rfft(np.ascontiguousarray(rows[j:n, cols].T), size)
+            spec *= kernel
+            out[:, cols] += np.fft.irfft(spec, size)[
+                :, width - 1:width - 1 + count].T
+        return out
 
 
 def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
@@ -100,20 +153,35 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
     sig, qv = spec.sigma.values, q.values
 
     u = np.zeros((N + 1, M + 1))
-    W = u[:, 1:M]  # writable view: eigenbasis coefficients while stepping
+    # writable view: eigenbasis coefficients while stepping; a row not yet
+    # stepped accumulates its step's right-hand side
+    W = u[:, 1:M]
     W[0] = spec.phi[1:M] @ ws.V
-    for s in range(1, N + 1, _HISTORY_BLOCK):
+    for b, s in enumerate(range(1, N + 1, _HISTORY_BLOCK)):
+        if b:
+            # far field: block b starts the right half of a dyadic pair
+            half = (b & -b) * _HISTORY_BLOCK
+            end = min(s + half, N + 1)
+            ws.history(W, s, end, start=s - half, out=W[s:end])
         stop = min(s + _HISTORY_BLOCK, N + 1)
         # the block's divisors in the eigenbasis: it steps up to its first
         # singular step, if any, and raises there before dividing by it
         div = ws.scale * ws.a[0] + sig[s:stop, None] * ws.mu + qv[s:stop, None]
         bad = np.flatnonzero(~np.all(np.isfinite(div) & (div != 0.0), axis=1))
         e = s + int(bad[0]) if bad.size else stop
-        block = ws.history(W, s, e) + spec.f[s:e, 1:M] @ ws.V
-        for n in range(s, e):
-            if n > s:
-                block[n - s] += ws.scale * (ws.d[n - s - 1::-1] @ W[s:n])
-            W[n] = block[n - s] / div[n - s]
+        W[s:e] += spec.f[s:e, 1:M] @ ws.V
+        W[s:e] += ws.scale * ws.a[s - 1:e - 1, None] * W[0]
+        for leaf, p in enumerate(range(s, e, _LEAF)):
+            if leaf:
+                # near field: the same split on the block's leaves
+                half = (leaf & -leaf) * _LEAF
+                end = min(p + half, e)
+                W[p:end] += ws.near[half:half + end - p, :half] @ W[p - half:p]
+            # near's 1 on the diagonal picks up row n's right-hand side
+            for n in range(p, min(p + _LEAF, e)):
+                i = n - s
+                np.divide(ws.near[i, p - s:i + 1] @ W[p:n + 1], div[i],
+                          out=W[n])
         # checked once per block: the rows before this block are finite, so
         # the block's first non-finite row is the first non-finite step
         rows = np.flatnonzero(~np.all(np.isfinite(W[s:e]), axis=1))

@@ -50,6 +50,42 @@ class TestWorkspace:
             assert (np.max(np.abs(A @ u[n, 1:M] - rhs))
                     <= 1e-13 * np.max(np.abs(rhs)))
 
+    def test_step_system_at_every_step_past_fft_far_field(self):
+        # the same step equation on every step of a run whose far field went
+        # through the FFT (rows 1..512 on steps 513..1024)
+        spec, q = varying_spec(1100, 8)
+        ws = FdWorkspace.from_spec(spec)
+        M, h = spec.sgrid.n_cells, spec.sgrid.h
+        T = 2.0 * np.eye(M - 1) - np.eye(M - 1, k=1) - np.eye(M - 1, k=-1)
+        u = solve_fd(spec, q).u
+        for n in range(1, spec.tgrid.n_steps + 1):
+            sig, q_n = spec.sigma.values[n], q.values[n]
+            A = (ws.scale * ws.a[0] + q_n) * np.eye(M - 1) + sig / h ** 2 * T
+            rhs = ws.history(u[:, 1:M], n, n + 1)[0] + spec.f[n, 1:M]
+            assert (np.max(np.abs(A @ u[n, 1:M] - rhs))
+                    <= 1e-13 * np.max(np.abs(rhs))), n
+
+    @pytest.mark.parametrize("n,stop,start", [(513, 1025, 1), (1025, 1400, 1),
+                                              (700, 1000, 0), (300, 1300, 40)])
+    def test_fft_history_matches_direct_sum(self, n, stop, start):
+        # both sides past _FFT_MIN rows: the convolution by FFT, wrapped
+        # circularly, against the direct sum of each step's weighted rows
+        spec, _ = varying_spec(1400, 8)
+        ws = FdWorkspace.from_spec(spec)
+        rows = np.random.default_rng(3).normal(size=(stop, 7))
+        j = np.arange(max(start, 1), n)
+        want = np.array([ws.d[m - 1 - j] @ rows[j] for m in range(n, stop)])
+        if start == 0:
+            want += ws.a[n - 1:stop - 1, None] * rows[0]
+        want *= ws.scale
+        assert min(n - max(start, 1), stop - n) > oracle._FFT_MIN
+        got = ws.history(rows, n, stop, start)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # added in place into a given array
+        out = np.ones_like(want)
+        assert ws.history(rows, n, stop, start, out=out) is out
+        assert np.max(np.abs(out - 1.0 - want)) <= 1e-12 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("m", [2, 4, 8, 34])
     def test_closed_form_eigensystem_matches_eigh(self, m):
         ws = FdWorkspace.from_spec(tiny_spec(n=4, m=m))
@@ -109,7 +145,7 @@ class TestBlockedHistory:
     stencil's eigenbasis; it must equal the direct physical-space loop."""
 
     @pytest.mark.parametrize("n,m", [(1, 8), (63, 8), (64, 8), (65, 8),
-                                     (200, 16), (8, 64)])
+                                     (200, 16), (8, 64), (513, 8), (1100, 4)])
     def test_matches_direct_physical_loop(self, n, m):
         spec, q = varying_spec(n, m)
         got, want = solve_fd(spec, q).u, reference_fd(spec, q)
@@ -117,34 +153,37 @@ class TestBlockedHistory:
         assert (np.max(np.abs(got - want))
                 <= 1e-12 * np.max(np.abs(want)))
 
-    def test_singular_step_in_later_block(self):
-        n, m = 128, 4
+    # step 1000 of 1100 lies in the right half that the FFT far field reached
+    @pytest.mark.parametrize("n,step", [(128, 100), (1100, 1000)])
+    def test_singular_step_in_later_block(self, n, step):
+        m = 4
         spec, q = varying_spec(n, m)
         ws = FdWorkspace.from_spec(spec)
-        sig = spec.sigma.values[100]
+        sig = spec.sigma.values[step]
         q_vals = q.values.copy()
         # zeroes one divisor
-        q_vals[100] = -(ws.scale * ws.a[0] + sig * ws.mu[0])
+        q_vals[step] = -(ws.scale * ws.a[0] + sig * ws.mu[0])
         with warnings.catch_warnings(), \
                 pytest.raises(SingularSystemError) as exc:
             warnings.simplefilter("error", RuntimeWarning)
             solve_fd(spec, Profile(q.grid, q_vals))
-        assert exc.value.step == 100
-        assert "singular step system at step 100" in str(exc.value)
+        assert exc.value.step == step
+        assert f"singular step system at step {step}" in str(exc.value)
 
-    def test_overflow_in_later_block(self):
+    @pytest.mark.parametrize("n,step", [(128, 100), (1100, 1000)])
+    def test_overflow_in_later_block(self, n, step):
         # finiteness is checked once per block; the error still names the
         # first step whose values overflowed, not the end of its block
-        n, m = 128, 4
+        m = 4
         spec, q = varying_spec(n, m)
         f = spec.f.copy()
-        f[100, 1:m] = 1.5e308
+        f[step, 1:m] = 1.5e308
         with warnings.catch_warnings(), \
                 pytest.raises(SingularSystemError) as exc:
             warnings.simplefilter("ignore", RuntimeWarning)
             solve_fd(replace(spec, f=f), q)
-        assert exc.value.step == 100
-        assert "non-finite values after step 100" in str(exc.value)
+        assert exc.value.step == step
+        assert f"non-finite values after step {step}" in str(exc.value)
 
     def test_non_finite_data_refused_where_they_enter(self):
         # a NaN in source row 100 once reached both routes, which told it
@@ -172,8 +211,10 @@ class TestBlockedHistory:
 
 
 class TestSolveFd:
-    def test_zero_data_zero_solution(self):
-        spec = tiny_spec(n=16, m=8)
+    # n = 1100 takes the far field through the FFT
+    @pytest.mark.parametrize("n", [16, 1100])
+    def test_zero_data_zero_solution(self, n):
+        spec = tiny_spec(n=n, m=8)
         sol = solve_fd(spec, constant(spec.tgrid, 0.1))
         assert np.all(sol.u == 0.0)
 
