@@ -199,18 +199,18 @@ def _build_spec(cfg, base: Path) -> ProblemSpec:
 
     sigma = _profile(cfg["sigma"], tgrid, "sigma", base)
 
-    shapes = basis(sgrid, K)
-    phi = np.zeros(sgrid.n_cells + 1)
+    basis(sgrid, K)  # range-checks K before the coefficients are allocated
+    # each term adds into its mode's coefficient, so the spec's coefficients
+    # are the term sums exactly
+    phi_k = np.zeros(K)
     for at, term, k in _terms(cfg["phi"], "phi", K, {"mode", "amplitude"}):
-        phi += _num(term, "amplitude", at) * shapes[k - 1]
+        phi_k[k - 1] += _num(term, "amplitude", at)
 
-    f = np.zeros((tgrid.n_steps + 1, sgrid.n_cells + 1))
+    f_k = np.zeros((K, tgrid.n_steps + 1))
     for at, term, k in _terms(cfg["f"], "f", K, {"mode", "time"}):
-        prof = _profile(term["time"], tgrid, f"{at}.time", base)
-        f += prof.values[:, None] * shapes[k - 1][None, :]
+        f_k[k - 1] += _profile(term["time"], tgrid, f"{at}.time", base).values
 
-    return ProblemSpec(sgrid=sgrid, tgrid=tgrid, rho=rho, sigma=sigma, f=f,
-                       phi=phi, K=K)
+    return ProblemSpec.from_modes(sgrid, tgrid, rho, sigma, phi_k, f_k)
 
 
 def _resolved_config(command, cfg, spec):

@@ -1,6 +1,7 @@
 """Forward solve of the subdiffusion problem on (0,l) x (0,T].
 
-Pipeline: the problem spec expands the data in the sine basis once; the
+Pipeline: the problem spec expands the data in the sine basis once, or
+takes their sine coefficients as given (``ProblemSpec.from_modes``); the
 solve reports the coefficient assumptions, solves each mode's Volterra
 equation, reassembles the field, and attaches the regularity diagnostics
 (weighted coefficient sums and the short-time second-derivative blow-up
@@ -40,6 +41,11 @@ _ENDPOINT_TOL = 1e-12
 _MAX_SCALE = math.sqrt(np.finfo(float).max)
 
 
+def _require_finite(f: np.ndarray, phi: np.ndarray) -> None:
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(phi))):
+        raise DomainError("source and initial datum must be finite")
+
+
 def default_mode_count(n_cells: int) -> int:
     """Sine modes kept when none are requested: a quarter of the cells, 1..64."""
     return min(64, max(1, n_cells // 4))
@@ -63,7 +69,8 @@ class ProblemSpec:
 
     The sine coefficients of the data are derived here once: ``phi_k`` (K,)
     of the initial datum and ``f_k`` (K, n_steps+1) of the source, rows
-    modes and columns time nodes.
+    modes and columns time nodes.  ``from_modes`` builds a spec the other
+    way round, from those coefficients, which it keeps exactly as given.
     """
 
     sgrid: SpaceGrid
@@ -75,8 +82,6 @@ class ProblemSpec:
     K: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho < 1.0):
-            raise DomainError(f"order must lie in (0, 1), got {self.rho}")
         nt, nx = self.tgrid.n_steps + 1, self.sgrid.n_cells + 1
         f = np.asarray(self.f, dtype=float)
         if f.shape != (nt, nx):
@@ -87,15 +92,54 @@ class ProblemSpec:
         if phi.shape != (nx,):
             raise GridMismatchError(
                 f"initial datum {phi.shape} does not match {nx} space nodes")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(phi))):
-            raise DomainError("source and initial datum must be finite")
+        _require_finite(f, phi)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "phi", phi)
-        self.on_grid(self.sigma, "sigma")
         if self.K is None:
             object.__setattr__(self, "K",
                                default_mode_count(self.sgrid.n_cells))
+        self._admit()
+        object.__setattr__(self, "phi_k",
+                           sine_coefficients(self.sgrid, phi, self.K))
+        object.__setattr__(self, "f_k",
+                           sine_coefficients(self.sgrid, f, self.K).T)
 
+    @classmethod
+    def from_modes(cls, sgrid: SpaceGrid, tgrid: TimeGrid, rho: float,
+                   sigma: Profile, phi_k, f_k) -> "ProblemSpec":
+        """The spec whose data have the sine coefficients ``phi_k`` (K,) and
+        ``f_k`` (K, n_steps+1), kept exactly as given; K is their number of
+        modes.  The grid fields ``phi`` and ``f`` are their sums over the
+        sine basis, one product each, and the checks are the grid
+        constructor's: among them, that those fields are finite."""
+        phi_k = np.asarray(phi_k, dtype=float)
+        f_k = np.asarray(f_k, dtype=float)
+        nt = tgrid.n_steps + 1
+        if phi_k.ndim != 1 or f_k.shape != (phi_k.size, nt):
+            raise GridMismatchError(
+                f"mode coefficients {phi_k.shape} and {f_k.shape} do not "
+                f"match (K,) and (K, {nt})")
+        spec = cls.__new__(cls)
+        for name, value in (("sgrid", sgrid), ("tgrid", tgrid), ("rho", rho),
+                            ("sigma", sigma), ("K", phi_k.size),
+                            ("phi_k", phi_k), ("f_k", f_k)):
+            object.__setattr__(spec, name, value)
+        spec._admit()
+        shapes = basis(sgrid, spec.K)
+        phi, f = phi_k @ shapes, f_k.T @ shapes
+        # a coefficient that is not finite makes its field so, and a finite
+        # one can still overflow on the shapes
+        _require_finite(f, phi)
+        object.__setattr__(spec, "phi", phi)
+        object.__setattr__(spec, "f", f)
+        return spec
+
+    def _admit(self) -> None:
+        """The checks on order, sigma, K and length that both constructors
+        make; sets ``q_window``."""
+        if not (0.0 < self.rho < 1.0):
+            raise DomainError(f"order must lie in (0, 1), got {self.rho}")
+        self.on_grid(self.sigma, "sigma")
         m_s, M_s = self.sigma.vmin, self.sigma.vmax
         if m_s <= 0.0:
             raise AdmissibilityError(
@@ -118,10 +162,6 @@ class ProblemSpec:
         basis(self.sgrid, self.K)  # range-checks K
         object.__setattr__(self, "q_window",
                            (-m_s * lam1sq, (M_s - m_s) * lam1sq))
-        object.__setattr__(self, "phi_k",
-                           sine_coefficients(self.sgrid, phi, self.K))
-        object.__setattr__(self, "f_k",
-                           sine_coefficients(self.sgrid, f, self.K).T)
 
     def on_grid(self, prof: Profile, name: str = "q") -> None:
         """Refuse a ``prof`` that is not a time profile on the spec's grid."""
@@ -262,8 +302,9 @@ def residual_check(sol: FieldSolution, spec: ProblemSpec,
 
     The derivative terms act on the K coefficient series c of the solution:
     ``sol.u_k``, or for a solution without them (the FD route) the K-mode
-    sine projection of ``sol.u``.  The L1 derivative of each series plus
-    sigma lam_k^2 c is assembled once on the grid, where q u - f is added.
+    sine projection of ``sol.u``.  The L1 derivative of each series (0 for
+    a series that is 0 throughout, without an L1 sum) plus sigma lam_k^2 c
+    is assembled once on the grid, where q u - f is added.
     """
     spec.on_grid(q)
     u = sol.u
@@ -273,7 +314,11 @@ def residual_check(sol: FieldSolution, spec: ProblemSpec,
     if c is None:
         c = sine_coefficients(spec.sgrid, u, spec.K).T
     lam = eigenvalues(c.shape[0], spec.length)
-    dcap = caputo_l1(spec.tgrid, c.T, spec.rho)[1:].T
+    # a series that is 0 throughout has derivative 0
+    dcap = np.zeros((c.shape[0], spec.tgrid.n_steps))
+    rows = np.any(c != 0.0, axis=1)
+    if rows.any():
+        dcap[rows] = caputo_l1(spec.tgrid, c[rows].T, spec.rho)[1:].T
     stiff = spec.sigma.values[1:] * (lam ** 2)[:, None] * c[:, 1:]
     nx = spec.sgrid.n_cells
     res = (assemble_field(dcap + stiff, spec.sgrid)[:, 1:nx]

@@ -18,7 +18,10 @@ solved as one batch: a (K, N+1) array iterated by one loop, on weights that
 one Mittag-Leffler evaluation builds.  Each mode stops at its own
 convergence, so a batch gives every mode the values, iteration count and
 contraction estimate that a solve of that mode alone gives; a single mode is
-a one-row batch.
+a one-row batch.  A mode without data (phi_k and every f_k sample exactly 0)
+has u_k = 0 exactly, so it is not solved: it leaves the batch before the
+first step, and the weights are built for the stiffnesses of the other
+modes alone.
 """
 
 from __future__ import annotations
@@ -115,11 +118,17 @@ class ModeProblem:
         return (np.array(self._lam_sq)[:, None]
                 * (self.sigma.vmax - self.sigma.values) - self.q.values)
 
+    def restrict(self, rows: np.ndarray) -> "ModeProblem":
+        """The modes at ``rows`` as a batch of their own, whose weights are
+        built for their own stiffnesses when first needed."""
+        return replace(self, k=self.k[rows], lam_k=self.lam_k[rows],
+                       f_k=self.f_k[rows], phi_k=self.phi_k[rows])
+
     def take(self, rows: np.ndarray) -> "ModeProblem":
-        """The modes at ``rows`` as a batch of their own, on this batch's
-        weights (no new build)."""
-        sub = replace(self, k=self.k[rows], lam_k=self.lam_k[rows],
-                      f_k=self.f_k[rows], phi_k=self.phi_k[rows])
+        """The modes at ``rows`` as a batch of their own, on rows cut from
+        this batch's weights: this builds this batch's weights for all its
+        modes first, unless they are cached already."""
+        sub = self.restrict(rows)
         sub.__dict__["weights"] = self.weights.take(rows)  # seeds the cache
         return sub
 
@@ -160,18 +169,42 @@ def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
     A mode whose correction falls below ``tol`` is frozen and later steps
     leave it out.  ``initial`` overrides the guess, a row per mode (useful
     for warm starts across an outer iteration); convergence does not depend
-    on it.  If a mode is still moving after ``PICARD_MAX_ITER`` steps, the
-    error names the first such mode, with its last correction.
+    on it.  A mode without data is not solved: its row is exactly 0, with 0
+    iterations and contraction estimate 0, and only its bound C_k is
+    computed (and warned about).  If a mode is still moving after
+    ``PICARD_MAX_ITER`` steps, the error names the first such mode, with its
+    last correction.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     c_bound = contraction_bound(p)
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != p.f_k.shape:
+            raise GridMismatchError("initial guess does not match the grid")
+    live = np.flatnonzero((p.phi_k != 0.0) | np.any(p.f_k != 0.0, axis=1))
+    if live.size == p.k.size:
+        u, iterations, worst_ratio = _iterate(p, tol, initial)
+    else:
+        u = np.zeros(p.f_k.shape)
+        iterations = np.zeros(p.k.size, dtype=int)
+        worst_ratio = np.zeros(p.k.size)
+        if live.size:
+            u[live], iterations[live], worst_ratio[live] = _iterate(
+                p.restrict(live), tol,
+                None if initial is None else initial[live])
+    return ModeSolution(u_k=u, iterations=iterations,
+                        contraction_estimate=worst_ratio, C_k_bound=c_bound)
+
+
+def _iterate(p: ModeProblem, tol: float, initial: np.ndarray | None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_mode``'s Picard loop over every mode of ``p``: the rows, the
+    iteration counts and the largest measured correction ratios."""
     if initial is None:
         u = p.phi_k[:, None] * p.weights.relax
     else:
         u = np.array(initial, dtype=float)
-        if u.shape != p.f_k.shape:
-            raise GridMismatchError("initial guess does not match the grid")
     n_modes = p.k.size
     iterations = np.zeros(n_modes, dtype=int)
     worst_ratio = np.zeros(n_modes)
@@ -198,9 +231,7 @@ def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
             u[finished, 0] = p.phi_k[finished]
             active = active[~done]
             if active.size == 0:
-                return ModeSolution(u_k=u, iterations=iterations,
-                                    contraction_estimate=worst_ratio,
-                                    C_k_bound=c_bound)
+                return u, iterations, worst_ratio
             sub = p.take(active)
     first = active[0]
     raise ConvergenceError(

@@ -22,7 +22,7 @@ from subdiff.csvfmt import BLOCK, write_rows
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid
 from subdiff.inverse import ConditionReport, InverseResult
-from subdiff.spectral import TailReport
+from subdiff.spectral import TailReport, basis
 
 CONFIGS = {
     "forward": "configs/forward_manufactured.json",
@@ -337,6 +337,64 @@ class TestConfigDefaults:
             assert spec.K == replace(spec, K=None).K
 
 
+class TestModalData:
+    """The CLI hands the config's terms to the solver as exact sine
+    coefficients, and the modes without data are never solved."""
+
+    @staticmethod
+    def term_sums(cfg, spec, repo_root):
+        """The config's terms added up per mode, in config order, and each
+        term's grid field, as the sine shapes make it."""
+        shapes = basis(spec.sgrid, spec.K)
+        phi_k, f_k = np.zeros(spec.K), np.zeros(spec.f_k.shape)
+        phi_terms, f_terms = [], []
+        for term in cfg["phi"]["terms"]:
+            phi_k[term["mode"] - 1] += term["amplitude"]
+            phi_terms.append(term["amplitude"] * shapes[term["mode"] - 1])
+        for term in cfg["f"]["terms"]:
+            values = _profile(term["time"], spec.tgrid, "f", repo_root).values
+            f_k[term["mode"] - 1] += values
+            f_terms.append(values[:, None] * shapes[term["mode"] - 1])
+        return phi_k, f_k, phi_terms, f_terms
+
+    @pytest.mark.parametrize("which", sorted(CONFIGS))
+    def test_spec_carries_the_term_sums(self, which, repo_root):
+        cfg = shipped(which, repo_root)
+        spec = _build_spec(cfg, repo_root)
+        phi_k, f_k, phi_terms, f_terms = self.term_sums(cfg, spec, repo_root)
+        assert np.array_equal(spec.phi_k, phi_k)
+        assert np.array_equal(spec.f_k, f_k)
+        used = {t["mode"] - 1 for b in ("phi", "f") for t in cfg[b]["terms"]}
+        unused = sorted(set(range(spec.K)) - used)
+        assert unused and np.all(spec.phi_k[unused] == 0.0)
+        assert np.all(spec.f_k[unused] == 0.0)
+        # the grid fields are the term sums the sine shapes make, up to the
+        # order of the additions: each route rounds once per term added and
+        # once per product, so they differ by at most 2 (terms + 1) eps
+        # times the sum of the terms' magnitudes, node by node
+        eps = np.finfo(float).eps
+        for field, terms in ((spec.phi, phi_terms), (spec.f, f_terms)):
+            bound = 2 * (len(terms) + 1) * eps * sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(field - sum(terms)) <= bound)
+
+    @pytest.mark.parametrize("command, which", [
+        ("forward", "forward"), ("verify", "forward"),
+        ("inverse", "inverse")])
+    def test_only_modes_with_data_get_weights(self, tmp_path, repo_root,
+                                              monkeypatch, command, which):
+        # both shipped configs put their data on mode 1 alone, so every
+        # weight build is for that one stiffness
+        built = []
+        build = mode_solver.build_weights
+        monkeypatch.setattr(mode_solver, "build_weights",
+                            lambda *a: built.append(a[2]) or build(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _ = run(tmp_path, command, cfg=shipped(which, repo_root))
+        assert code == 0
+        assert built and all(len(lam) == 1 for lam in built)
+
+
 class TestReportBlocks:
     def test_keys_are_dataclass_fields_plus_verdict(self, tmp_path, repo_root):
         # each artifact is its result object written whole
@@ -600,14 +658,15 @@ class TestInverseCommand:
 
     def test_synthetic_data_share_one_spec(self, tmp_path, repo_root,
                                           monkeypatch):
-        # the q-free spec carries the synthesis and the recovery: the data
-        # are transformed once each, phi and f
+        # the q-free spec carries the synthesis and the recovery, and the
+        # CLI builds it from the config's mode coefficients: no sine
+        # transform is made at all, where a rebuilt grid spec would make two
         calls = []
         transform = forward.sine_coefficients
         monkeypatch.setattr(forward, "sine_coefficients",
                             lambda *a: calls.append(a) or transform(*a))
         code, _ = run(tmp_path, "inverse", cfg=shipped("inverse", repo_root))
-        assert code == 0 and len(calls) == 2
+        assert code == 0 and calls == []
 
     def test_sweeps_solve_loosely_while_the_residual_is_large(
             self, tmp_path, repo_root, monkeypatch):

@@ -25,7 +25,7 @@ from subdiff.forward import (
 from subdiff.frackernel import TimeGrid, caputo_l1
 from subdiff.oracle import solve_fd
 from subdiff.profiles import Profile, constant
-from subdiff.spectral import (SpaceGrid, assemble_field, eigenvalues,
+from subdiff.spectral import (SpaceGrid, assemble_field, basis, eigenvalues,
                               sine_coefficients)
 
 from conftest import l1_direct, make_manufactured, sample_field_problem
@@ -99,6 +99,95 @@ class TestProblemSpec:
             ProblemSpec(sgrid=sg, tgrid=tg, rho=0.5,
                         sigma=constant(other, 1.0),
                         f=np.zeros((5, 5)), phi=np.zeros(5))
+
+
+class TestFromModes:
+    """``ProblemSpec.from_modes`` keeps the coefficients it is given and
+    refuses what the grid constructor refuses, with the same errors."""
+
+    TG, SG = TimeGrid(1.0, 8), SpaceGrid(1.0, 8)
+
+    def both(self, phi_k, f_k, length=1.0, sigma=2.0, rho=0.5):
+        """The modal spec and the grid spec of the same data, or the error
+        each raises."""
+        sg = SpaceGrid(length, self.SG.n_cells)
+        sig = constant(self.TG, sigma)
+        # the sine shapes without basis()'s own K check, so that the grid
+        # constructor meets every fault itself
+        k = np.arange(1, len(phi_k) + 1)
+        shapes = math.sqrt(2.0 / length) * np.sin(
+            math.pi * np.outer(k, sg.nodes) / length)
+
+        def modal():
+            return ProblemSpec.from_modes(sg, self.TG, rho, sig, phi_k, f_k)
+
+        def grid():
+            return ProblemSpec(sgrid=sg, tgrid=self.TG, rho=rho, sigma=sig,
+                               f=f_k.T @ shapes, phi=phi_k @ shapes,
+                               K=len(phi_k))
+
+        out = []
+        for build in (modal, grid):
+            try:
+                out.append(build())
+            except Exception as e:  # noqa: BLE001 - compared below
+                out.append(e)
+        return out
+
+    def test_keeps_the_coefficients(self):
+        rng = np.random.default_rng(2)
+        phi_k, f_k = rng.normal(size=3), rng.normal(size=(3, 9))
+        spec = ProblemSpec.from_modes(self.SG, self.TG, 0.5,
+                                      constant(self.TG, 1.0), phi_k, f_k)
+        assert spec.K == 3
+        assert np.array_equal(spec.phi_k, phi_k)
+        assert np.array_equal(spec.f_k, f_k)
+        shapes = basis(self.SG, 3)
+        assert np.array_equal(spec.phi, phi_k @ shapes)
+        assert np.array_equal(spec.f, f_k.T @ shapes)
+        assert spec.phi[0] == spec.phi[-1] == 0.0
+        assert np.all(spec.f[:, [0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.7e308],
+                             ids=["nan", "inf", "-inf", "overflow"])
+    @pytest.mark.parametrize("where", ["phi", "f"])
+    def test_refuses_data_that_are_not_finite(self, bad, where):
+        phi_k, f_k = np.ones(2), np.ones((2, 9))
+        if where == "phi":
+            phi_k[1] = bad
+        else:
+            f_k[1, 4] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            modal, grid = self.both(phi_k, f_k)
+        assert isinstance(modal, DomainError)
+        assert str(modal) == "source and initial datum must be finite"
+        assert type(grid) is type(modal) and str(grid) == str(modal)
+
+    @pytest.mark.parametrize("phi_shape, f_shape", [
+        ((2,), (3, 9)), ((2,), (2, 8)), ((2, 1), (2, 9)), ((2,), (9, 2))])
+    def test_refuses_wrong_shapes(self, phi_shape, f_shape):
+        with pytest.raises(GridMismatchError, match="mode coefficients"):
+            ProblemSpec.from_modes(self.SG, self.TG, 0.5,
+                                   constant(self.TG, 1.0), np.ones(phi_shape),
+                                   np.ones(f_shape))
+
+    @pytest.mark.parametrize("length, sigma, K", [
+        (1e-52, 2.0, 2), (1e160, 2.0, 2), (1.0, 1e-310, 2)],
+        ids=["too-short", "too-long", "sigma-too-small"])
+    def test_refuses_lengths_out_of_range(self, length, sigma, K):
+        modal, grid = self.both(np.ones(K), np.ones((K, 9)), length=length,
+                                sigma=sigma)
+        assert isinstance(modal, DomainError) and "length" in str(modal)
+        assert type(grid) is type(modal) and str(grid) == str(modal)
+
+    @pytest.mark.parametrize("kw, K, error", [
+        ({"rho": 1.0}, 2, DomainError),
+        ({"sigma": -1.0}, 2, AdmissibilityError),
+        ({}, 5, AliasingError)], ids=["order", "sigma", "aliased"])
+    def test_refuses_what_the_grid_constructor_refuses(self, kw, K, error):
+        modal, grid = self.both(np.ones(K), np.ones((K, 9)), **kw)
+        assert isinstance(modal, error)
+        assert type(grid) is type(modal) and str(grid) == str(modal)
 
 
 @pytest.mark.parametrize("call", [
@@ -400,15 +489,23 @@ class TestResidual:
         want = float(np.max(np.abs(res[1:])))
         assert residual_check(sol, spec, q) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("rho, K", [(0.1, None), (0.9, None), (0.5, 32)],
-                             ids=["rho0.1", "rho0.9", "K=M/2"])
-    def test_matches_grid_definition(self, rho, K):
+    @pytest.mark.parametrize("rho, K, sparse", [
+        (0.1, None, False), (0.9, None, False), (0.5, 32, False),
+        (0.5, None, True)], ids=["rho0.1", "rho0.9", "K=M/2", "odd-modes-0"])
+    def test_matches_grid_definition(self, rho, K, sparse):
         # the residual formed on the mode series against its definition on
         # the grid: the per-column direct L1 sum of u, sigma times the
         # assembled -lam^2 u_k field, q u and f; a sampled problem, so sigma
         # varies in time, q is not zero and several modes carry weight
         spec, q = sample_field_problem(np.random.default_rng(5), 256, 64)
         spec = replace(spec, rho=rho, K=K or spec.K)
+        if sparse:
+            # modes 1, 3, 5, ... without data: their series are 0 between
+            # series that are not
+            even = np.arange(spec.K) % 2 == 1
+            spec = ProblemSpec.from_modes(
+                spec.sgrid, spec.tgrid, rho, spec.sigma, spec.phi_k * even,
+                spec.f_k * even[:, None])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sol = solve_forward(spec, q)

@@ -248,8 +248,8 @@ class TestAprioriBounds:
 def make_batch(grid, ks, *, data_from=1, q=None):
     """Modes ``ks`` of one problem with varying sigma.  Mode k's data scale
     like 10^-k, so against an absolute tolerance the modes converge at
-    different iterations; modes below ``data_from`` carry no data and
-    converge in one step."""
+    different iterations; modes below ``data_from`` carry no data, so they
+    are not solved: their rows are 0 and take 0 iterations."""
     t = grid.nodes
     sigma = profiles.sinusoidal_offset(grid, 1.5, 0.4)
     q = q if q is not None else profiles.affine(grid, 0.3, -0.5)
@@ -299,7 +299,7 @@ class TestBatchedSolve:
 
     def test_nonconvergence_names_first_unconverged_mode(self, monkeypatch):
         g = TimeGrid(1.0, 64)
-        # modes 1 and 2 carry no data and stop after one step
+        # modes 1 and 2 carry no data and are not solved
         batch = make_batch(g, self.KS, data_from=3)
         monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="^mode 3: ") as exc:
@@ -330,6 +330,50 @@ class TestBatchedSolve:
         assert texts == [
             f"mode {k}: contraction bound {bounds[k - 1]:.4f} >= 1; "
             f"Picard iteration may not converge" for k in (1, 2)]
+
+    def test_rows_without_data_are_not_solved(self, monkeypatch):
+        g = TimeGrid(1.0, 200)
+        batch = make_batch(g, self.KS, data_from=3)
+        alone = make_batch(g, self.KS[2:])
+        built = []
+        build = mode_solver.build_weights
+        monkeypatch.setattr(mode_solver, "build_weights",
+                            lambda *a: built.append(a[2]) or build(*a))
+        sol = solve_mode(batch, tol=1e-12)
+        # the live rows iterate on weights built for their own stiffnesses,
+        # never on rows cut from a build for the whole batch
+        assert built == [alone.lam_eff]
+        want = solve_mode(alone, tol=1e-12)
+        assert np.array_equal(sol.u_k[2:], want.u_k)
+        assert np.array_equal(sol.iterations[2:], want.iterations)
+        assert np.array_equal(sol.contraction_estimate[2:],
+                              want.contraction_estimate)
+        assert np.all(sol.u_k[:2] == 0.0)
+        assert sol.iterations[:2].tolist() == [0, 0]
+        assert sol.contraction_estimate[:2].tolist() == [0.0, 0.0]
+        # the bound is computed for every mode
+        assert np.array_equal(sol.C_k_bound, contraction_bound(batch))
+
+    def test_warm_start_leaves_rows_without_data_at_zero(self):
+        g = TimeGrid(1.0, 64)
+        batch = make_batch(g, self.KS, data_from=3)
+        cold = solve_mode(batch, tol=1e-12)
+        warm = solve_mode(batch, tol=1e-12, initial=cold.u_k + 1e-3)
+        assert np.all(warm.u_k[:2] == 0.0)
+        np.testing.assert_allclose(warm.u_k, cold.u_k, atol=1e-11)
+
+    def test_batch_without_data_builds_no_weights(self, monkeypatch):
+        g = TimeGrid(1.0, 64)
+        batch = make_batch(g, self.KS, data_from=7)
+        built = []
+        monkeypatch.setattr(mode_solver, "build_weights",
+                            lambda *a: built.append(a))
+        sol = solve_mode(batch)
+        assert built == []
+        assert np.all(sol.u_k == 0.0) and sol.u_k.shape == batch.f_k.shape
+        assert np.all(sol.iterations == 0)
+        assert np.all(sol.contraction_estimate == 0.0)
+        assert np.array_equal(sol.C_k_bound, contraction_bound(batch))
 
     def test_rejects_mismatched_rows(self):
         g = TimeGrid(1.0, 16)

@@ -74,8 +74,8 @@ def test_traced_worker_records_weight_builds_and_picard_steps(tmp_path):
 
 def test_traced_inverse_sweeps_and_sine_transforms(tmp_path):
     # one sweep span per recovery sweep plus the closing cold solve; the
-    # data's sine transforms are made when the CLI builds its problem specs,
-    # never per sweep
+    # CLI hands the data over as mode coefficients, so no sine transform is
+    # made, per sweep or otherwise
     cfg = json.loads((CONFIGS / "inverse_synthetic.json").read_text(
         encoding="utf-8"))
     cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
@@ -85,4 +85,4 @@ def test_traced_inverse_sweeps_and_sine_transforms(tmp_path):
     names = [span[0] for span in record["trace"]["spans"]]
     assert report["iterations"] > 1
     assert names.count("inverse.sweep") == report["iterations"] + 1
-    assert 1 <= names.count("spectral.sine_coefficients") <= 6
+    assert names.count("spectral.sine_coefficients") == 0
