@@ -41,6 +41,11 @@ _ENDPOINT_TOL = 1e-12
 _MAX_SCALE = math.sqrt(np.finfo(float).max)
 
 
+def _require_order(rho: float) -> None:
+    if not (0.0 < rho < 1.0):
+        raise DomainError(f"order must lie in (0, 1), got {rho}")
+
+
 def _require_finite(f: np.ndarray, phi: np.ndarray) -> None:
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(phi))):
         raise DomainError("source and initial datum must be finite")
@@ -71,6 +76,9 @@ class ProblemSpec:
     of the initial datum and ``f_k`` (K, n_steps+1) of the source, rows
     modes and columns time nodes.  ``from_modes`` builds a spec the other
     way round, from those coefficients, which it keeps exactly as given.
+    ``dataclasses.replace`` on any spec runs this constructor, so it returns
+    a spec whose coefficients are projected from the grid fields, with
+    round-off on the modes ``from_modes`` kept at exactly 0.
     """
 
     sgrid: SpaceGrid
@@ -82,6 +90,7 @@ class ProblemSpec:
     K: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require_order(self.rho)
         nt, nx = self.tgrid.n_steps + 1, self.sgrid.n_cells + 1
         f = np.asarray(self.f, dtype=float)
         if f.shape != (nt, nx):
@@ -110,8 +119,16 @@ class ProblemSpec:
         """The spec whose data have the sine coefficients ``phi_k`` (K,) and
         ``f_k`` (K, n_steps+1), kept exactly as given; K is their number of
         modes.  The grid fields ``phi`` and ``f`` are their sums over the
-        sine basis, one product each, and the checks are the grid
-        constructor's: among them, that those fields are finite."""
+        sine basis, one product each.
+
+        The checks are the grid constructor's, made in its order (order,
+        shapes, finiteness, then sigma, length and K), so that data with
+        several faults raise the same error as well: a coefficient that is
+        not finite stands for a field that is not.  The one exception is a
+        finite coefficient whose field overflows, which is found after the
+        other checks.  ``dataclasses.replace`` on the result returns a
+        grid-projected spec (see the class docstring)."""
+        _require_order(rho)
         phi_k = np.asarray(phi_k, dtype=float)
         f_k = np.asarray(f_k, dtype=float)
         nt = tgrid.n_steps + 1
@@ -119,6 +136,7 @@ class ProblemSpec:
             raise GridMismatchError(
                 f"mode coefficients {phi_k.shape} and {f_k.shape} do not "
                 f"match (K,) and (K, {nt})")
+        _require_finite(f_k, phi_k)
         spec = cls.__new__(cls)
         for name, value in (("sgrid", sgrid), ("tgrid", tgrid), ("rho", rho),
                             ("sigma", sigma), ("K", phi_k.size),
@@ -127,18 +145,14 @@ class ProblemSpec:
         spec._admit()
         shapes = basis(sgrid, spec.K)
         phi, f = phi_k @ shapes, f_k.T @ shapes
-        # a coefficient that is not finite makes its field so, and a finite
-        # one can still overflow on the shapes
-        _require_finite(f, phi)
+        _require_finite(f, phi)  # a finite coefficient can overflow
         object.__setattr__(spec, "phi", phi)
         object.__setattr__(spec, "f", f)
         return spec
 
     def _admit(self) -> None:
-        """The checks on order, sigma, K and length that both constructors
-        make; sets ``q_window``."""
-        if not (0.0 < self.rho < 1.0):
-            raise DomainError(f"order must lie in (0, 1), got {self.rho}")
+        """The checks on sigma, length and K that both constructors make
+        after order, shapes and finiteness; sets ``q_window``."""
         self.on_grid(self.sigma, "sigma")
         m_s, M_s = self.sigma.vmin, self.sigma.vmax
         if m_s <= 0.0:

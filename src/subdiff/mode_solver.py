@@ -183,16 +183,12 @@ def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
         if initial.shape != p.f_k.shape:
             raise GridMismatchError("initial guess does not match the grid")
     live = np.flatnonzero((p.phi_k != 0.0) | np.any(p.f_k != 0.0, axis=1))
-    if live.size == p.k.size:
-        u, iterations, worst_ratio = _iterate(p, tol, initial)
-    else:
-        u = np.zeros(p.f_k.shape)
-        iterations = np.zeros(p.k.size, dtype=int)
-        worst_ratio = np.zeros(p.k.size)
-        if live.size:
-            u[live], iterations[live], worst_ratio[live] = _iterate(
-                p.restrict(live), tol,
-                None if initial is None else initial[live])
+    u = np.zeros(p.f_k.shape)
+    iterations = np.zeros(p.k.size, dtype=int)
+    worst_ratio = np.zeros(p.k.size)
+    if live.size:
+        u[live], iterations[live], worst_ratio[live] = _iterate(
+            p.restrict(live), tol, None if initial is None else initial[live])
     return ModeSolution(u_k=u, iterations=iterations,
                         contraction_estimate=worst_ratio, C_k_bound=c_bound)
 

@@ -189,6 +189,32 @@ class TestFromModes:
         assert isinstance(modal, error)
         assert type(grid) is type(modal) and str(grid) == str(modal)
 
+    @pytest.mark.parametrize("kw, K, first", [
+        ({"rho": 1.0}, 2, "order must lie"),
+        ({"length": 1e-52}, 2, "must be finite"),
+        ({"sigma": -1.0}, 2, "must be finite"),
+        ({}, 5, "must be finite")], ids=["order", "too-short", "sigma",
+                                         "aliased"])
+    def test_two_faults_raise_the_same_error(self, kw, K, first):
+        # non-finite data plus one other fault: both constructors check the
+        # order first and finiteness before the rest
+        phi_k = np.ones(K)
+        phi_k[0] = math.nan
+        modal, grid = self.both(phi_k, np.ones((K, 9)), **kw)
+        assert isinstance(modal, DomainError) and first in str(modal)
+        assert type(grid) is type(modal) and str(grid) == str(modal)
+
+    def test_replace_projects_the_grid_fields(self):
+        # replace() runs the grid constructor: the coefficients it returns
+        # are the projection of the fields, not the ones from_modes kept
+        phi_k, f_k = np.array([1.0, 0.0, 0.0]), np.zeros((3, 9))
+        spec = ProblemSpec.from_modes(self.SG, self.TG, 0.5,
+                                      constant(self.TG, 1.0), phi_k, f_k)
+        other = replace(spec, rho=0.6)
+        assert np.array_equal(other.phi, spec.phi)
+        assert np.array_equal(other.phi_k,
+                              sine_coefficients(self.SG, spec.phi, 3))
+
 
 @pytest.mark.parametrize("call", [
     validate_assumption1,
