@@ -328,7 +328,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
     })
     err = ("" if res.recovery_error is None
            else f"; recovery error {res.recovery_error:.6e}")
-    print(f"inverse: {len(res.iterates)} sweeps, ratio "
+    print(f"inverse: fixed-point residual {res.iterates[0]:.3e}, ratio "
           f"{res.measured_ratio:.4f}, flux defect {res.flux_defect:.3e}{err}; "
           f"wrote {out / 'recovered_q.csv'}, {out / 'report.json'}")
     return 0
@@ -491,7 +491,8 @@ def main(argv: Optional[list] = None) -> int:
         runner = {"forward": _run_forward, "inverse": _run_inverse,
                   "verify": _run_verify}[args.command]
         return runner(cfg, out, base)
-    except ConfigError as e:
+    except (ConfigError, DomainError, GridMismatchError, AliasingError,
+            ResourceError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (AdmissibilityError, SingularSystemError) as e:
@@ -500,10 +501,6 @@ def main(argv: Optional[list] = None) -> int:
     except ConvergenceError as e:
         print(f"failed to converge: {e}", file=sys.stderr)
         return 4
-    except (DomainError, GridMismatchError, AliasingError,
-            ResourceError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except MemoryError:
         print("config error: the problem does not fit in memory; reduce "
               "n_steps, n_cells or n_modes", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, GridMismatchError
 from .frackernel import TimeGrid, caputo_l1
-from .mode_solver import PICARD_TOL, ModeProblem, ModeSolution, solve_mode
+from .mode_solver import ModeProblem, ModeSolution, solve_mode
 from .profiles import Profile
 from .spectral import (
     SpaceGrid,
@@ -248,15 +248,18 @@ class FieldSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_mode_set(spec: ProblemSpec, q: Profile, tol: float = PICARD_TOL,
-                   initial: Optional[np.ndarray] = None) -> ModeSolution:
+def mode_problem(spec: ProblemSpec, q: Profile) -> ModeProblem:
+    """The spec's K mode problems at reaction coefficient ``q``, one batch."""
+    return ModeProblem(k=np.arange(1, spec.K + 1),
+                       lam_k=eigenvalues(spec.K, spec.length), rho=spec.rho,
+                       sigma=spec.sigma, q=q, f_k=spec.f_k, phi_k=spec.phi_k,
+                       grid=spec.tgrid)
+
+
+def solve_mode_set(spec: ProblemSpec, q: Profile) -> ModeSolution:
     """Solve the spec's K mode problems at reaction coefficient ``q`` as one
-    batch; ``initial`` rows warm-start the iteration."""
-    p = ModeProblem(k=np.arange(1, spec.K + 1),
-                    lam_k=eigenvalues(spec.K, spec.length), rho=spec.rho,
-                    sigma=spec.sigma, q=q, f_k=spec.f_k, phi_k=spec.phi_k,
-                    grid=spec.tgrid)
-    return solve_mode(p, tol=tol, initial=initial)
+    batch, to the Picard budget."""
+    return solve_mode(mode_problem(spec, q))
 
 
 def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:

@@ -3,28 +3,28 @@
 The observation is the left-boundary derivative trace psi(t) = u_x(0, t).
 Differentiating the solution series at x = 0 turns the PDE into a pointwise
 identity linking q, psi, and the third-derivative trace; solving it for q
-gives a self-map whose fixed point is the coefficient.  The fixed point is
-reached by Anderson-mixed sweeps from a neutral initial guess, each sweep
-re-solving the forward problem at the current iterate, with the measured
-Lipschitz quotient of the map reported against the data-dependent
-contraction estimate C(T).  The sweep budget is a constant of the module
-(``RECOVERY_TOL``, ``RECOVERY_MAX_SWEEPS``), not a setting: the map's
-contraction, which the data fix, decides convergence.
+gives a self-map L whose fixed point is the coefficient.  L is causal: its
+value at t_n reads q only at t_0..t_n, and q_n only through the last step
+of the product integration, so the fixed point is found node by node, one
+scalar equation each, in a single march (``recover_q``).  The measured
+per-step contraction of the map is reported against the data-dependent
+contraction estimate C(T).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConvergenceError, DomainError
-from .forward import ProblemSpec, solve_forward, solve_mode_set
+from .errors import AdmissibilityError, DomainError
+from .forward import ProblemSpec, mode_problem, solve_forward, solve_mode_set
 from .frackernel import caputo_l1
-from .mode_solver import PICARD_TOL
 from .profiles import Profile, constant
 from .spectral import (
     eigenvalues,
@@ -33,22 +33,10 @@ from .spectral import (
     third_trace_at_left,
 )
 
-#: recovery budget: the sweeps stop once sup |L[q] - q| falls below
-#: ``RECOVERY_TOL``, and a recovery still moving after
-#: ``RECOVERY_MAX_SWEEPS`` sweeps is an error
-RECOVERY_TOL = 1e-6
-RECOVERY_MAX_SWEEPS = 300
 _COMPAT_RTOL = 1e-6
-#: past residual and image differences that each recovery sweep mixes
-_ANDERSON_DEPTH = 8
-#: forcing term: a sweep's forward solve stops at this multiple of the
-#: previous sweep's residual (never below ``PICARD_TOL``, the forward solve's
-#: own tolerance, at which a sweep evaluates L as a forward solve does)
-_FORCING = 1e-4
-#: Anderson histories whose Gram matrix has an eigenvalue ratio at or below
-#: this take the plain step: the Gram system squares the history's condition
-#: number, so this bounds the relative error of gamma near sqrt(eps)
-_GRAM_RCOND = math.sqrt(np.finfo(float).eps)
+#: nodes a leaf of the march solves one by one; longer stretches split in
+#: two, and the first half's history reaches the second by one FFT product
+_LEAF = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +54,7 @@ class InverseSpec:
     ``psi0``, the flux floor min psi that C(T) divides by; ``q0``,
     the data part (f_x(0,t) - D^rho psi)/psi of the recovery map, whose first
     node, where the L1 derivative has no value, is the quadratic
-    extrapolation from t_1..t_3 (the iteration only reads q on solver nodes,
+    extrapolation from t_1..t_3 (the recovery only reads q on solver nodes,
     and the extrapolation matches the scheme's accuracy); ``compat_defect``,
     the mismatch |u_x(0, 0) - psi(0)| of datum and flux, and ``compatible``,
     whether it lies within the relative compatibility tolerance; and
@@ -148,22 +136,21 @@ class InverseResult:
     that artifact reports belongs here."""
 
     q: Profile
-    iterates: list  # sup-norm fixed-point residual per sweep
+    iterates: list  # the check's sup |clamp(L[q]) - q|, one entry
     measured_ratio: float
     CT_bound: float
     condition_report: ConditionReport
     clamp_count: int
     flux_defect: float
-    trace_sums: list  # max_t sum_k lam^3 |u_k| at each sweep
+    trace_sums: list  # the check's max_t sum_k lam^3 |u_k|, one entry
     trace_bound: float
     recovery_error: Optional[float] = None
 
 
-def _sweep(inv: InverseSpec, q: Profile, initial: Optional[np.ndarray],
-           tol: float = PICARD_TOL) -> tuple[Profile, np.ndarray]:
-    """One application of the map: forward-solve at q to ``tol``, read off
-    the update."""
-    coeffs = solve_mode_set(inv.spec, q, tol=tol, initial=initial).u_k
+def _sweep(inv: InverseSpec, q: Profile) -> tuple[Profile, np.ndarray]:
+    """One application of the map: forward-solve at q, read off the image
+    and the mode coefficients it came from."""
+    coeffs = solve_mode_set(inv.spec, q).u_k
     trace3 = third_trace_at_left(coeffs, inv.spec.length)
     new = (inv.q0.values
            + inv.spec.sigma.values / inv.psi.values * trace3)
@@ -171,11 +158,9 @@ def _sweep(inv: InverseSpec, q: Profile, initial: Optional[np.ndarray],
 
 
 def apply_L(q_current: Profile, inv: InverseSpec) -> Profile:
-    """Recovery map L: q0 plus the third-trace correction (sigma/psi) u_xxx(0,t).
-
-    A single call is one sweep.
-    """
-    return _sweep(inv, q_current, None)[0]
+    """Recovery map L: q0 plus the third-trace correction (sigma/psi) u_xxx(0,t),
+    from a forward solve at ``q_current``."""
+    return _sweep(inv, q_current)[0]
 
 
 def estimate_CT(inv: InverseSpec) -> float:
@@ -230,139 +215,155 @@ def validate_theorem43(inv: InverseSpec) -> ConditionReport:
         CT=ct, cond4_contraction=ct < 1.0)
 
 
-def _anderson_step(g: np.ndarray, stacked: np.ndarray,
-                   dG: np.ndarray) -> np.ndarray:
-    """The mixed iterate g - sum_j gamma_j dG_j, or the plain step g.
+def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
+    """q with q_n = clamp(L[q]_n) at every node, marched node by node, and
+    the largest |G_n'(q_n)| over the nodes inside the q window.
 
-    ``stacked`` holds the residual f in row 0 and the residual differences
-    dF_j in the rows below; the rows dG_j of ``dG`` are the matching image
-    differences.  gamma minimises |f - sum_j gamma_j dF_j|_2 through its
-    Gram system, whose matrix dF_i . dF_j and right-hand side dF_i . f are
-    read off one product of ``stacked`` with itself.  A Gram matrix whose
-    eigenvalue ratio is at most ``_GRAM_RCOND`` (a history too close to
-    rank-deficient for gamma to be accurate) or a non-finite mixed iterate
-    gives the plain step.
+    With c_k = column_k[1]/2, D_k = 1 - c_k lam_k^2 (M_sigma - sigma_n) and
+    H_k the terms of u_{k,n} that do not read t_n, u_{k,n} = (H_k + c_k
+    f_{k,n}) / (D_k + c_k q_n), so the condition at t_n is x = G_n(x) =
+    q0_n + sum_k A_k / (D_k + c_k x), A_k = (sigma_n/psi_n) gamma_k (H_k +
+    c_k f_{k,n}), gamma_k = -sqrt(2/l) lam_k^3; as c_k < 1/(2 lam_k^2
+    M_sigma), each denominator exceeds 1/2 on the window.  Newton steps on
+    x - G_n(x) start at q_{n-1}, stay clamped to the window and stop once a
+    step, or the next one as the curvature predicts it, is at most 4 eps
+    times the window's width, or once a step fails to shrink; where
+    1 - G_n' is not positive they are plain steps x -> G_n(x).  G_n' is
+    read at the last iterate evaluated.  At t_0, u = phi.
+
+    H comes from the divide-and-conquer split of Hairer, Lubich and
+    Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532): a stretch solves
+    its first half, adds that half's history to the second by one FFT
+    product over the modes with data, on the weights ``solve_mode`` builds
+    for them, and solves the second; stretches of ``_LEAF`` nodes or fewer
+    step node by node on plain floats.
     """
-    prod = stacked @ stacked.T
-    w, v = np.linalg.eigh(prod[1:, 1:])
-    if not w[0] > _GRAM_RCOND * w[-1]:
-        return g
-    gamma = v @ (v.T @ prod[1:, 0] / w)
-    mixed = g - gamma @ dG
-    return mixed if np.all(np.isfinite(mixed)) else g
+    spec = inv.spec
+    # plain floats: the leaves step on them
+    lo, hi = map(float, spec.q_window)
+    tol = 4.0 * sys.float_info.epsilon * (hi - lo)
+    # at q = 0 the bracket lam_k^2 (M_sigma - sigma) - q is a itself
+    p = mode_problem(spec, constant(spec.tgrid, 0.0))
+    p = p.restrict(p.live)
+    col, a, f = p.weights.column, p.bracket, p.f_k
+    c = (0.5 * col[:, 1]).tolist()
+    gamma = -math.sqrt(2.0 / spec.length) * p.lam_k ** 3
+    q0 = inv.q0.values.tolist()
+
+    base = p.phi_k[:, None] * p.weights.relax  # gains the far history
+    g = np.empty_like(base)  # f + (a - q) u, the integrand
+    q = np.empty(spec.tgrid.n_steps + 1)
+    denom = 1.0 - np.array(c)[:, None] * a  # D, a row per mode
+    weight = gamma[:, None] * (spec.sigma.values / inv.psi.values)
+    q[0] = min(max(q0[0] + float(weight[:, 0] @ p.phi_k), lo), hi)
+    g[:, 0] = f[:, 0] + (a[:, 0] - q[0]) * p.phi_k
+    worst = 0.0
+
+    def leaf(start: int, stop: int) -> None:
+        nonlocal worst
+        width = stop - start - 1
+        # crev[k][width - i:width] weighs the leaf's trapezoid averages
+        # g-bar_j, j = start-1..n-2, for node n = start + i
+        crev = col[:, width + 1:1:-1].tolist()
+        near: list = [[] for _ in c]
+        rows = zip(*(v[:, start:stop].T.tolist()
+                     for v in (base, f, a, denom, weight)))
+        g_prev = g[:, start - 1].tolist()
+        g_new = []
+        x = float(q[start - 1])
+        for i, (h_n, f_n, a_n, D, w_n) in enumerate(rows):
+            n = start + i
+            # H_k + c_k f_{k,n}: far history, near history, c_k g_{k,n-1}
+            num = [h + sum(map(operator.mul, cr[width - i:width], gb))
+                   + ck * (gp + fk)
+                   for h, cr, gb, ck, gp, fk in
+                   zip(h_n, crev, near, c, g_prev, f_n)]
+            A = list(map(operator.mul, w_n, num))
+            last = math.inf
+            while True:
+                G = dG = d2G = 0.0
+                for Ak, Dk, ck in zip(A, D, c):
+                    r = 1.0 / (Dk + ck * x)
+                    t = Ak * r
+                    cr = ck * r
+                    G += t
+                    dG += t * cr
+                    d2G += t * cr * cr
+                slope = 1.0 + dG
+                step = (x - q0[n] - G) / (slope if slope > 0.0 else 1.0)
+                nxt = min(max(x - step, lo), hi)
+                moved = abs(nxt - x)
+                if not moved < last:  # also ends a step that is not a number
+                    break
+                x = nxt
+                if moved <= tol or abs(d2G) * step * step <= tol * slope:
+                    break
+                last = moved
+            if lo < x < hi:
+                worst = max(worst, abs(dG))
+            q[n] = x
+            g_n = [fk + (ak - x) * v / (Dk + ck * x)
+                   for fk, ak, v, Dk, ck in zip(f_n, a_n, num, D, c)]
+            for gb, gp, gn in zip(near, g_prev, g_n):
+                gb.append(0.5 * (gp + gn))
+            g_prev = g_n
+            g_new.append(g_n)
+        g[:, start:stop] = np.array(g_new).T
+
+    def history(start: int, mid: int, stop: int) -> None:
+        # g-bar_j for j = start-1..mid-2 onto the nodes mid..stop-1, which
+        # meet the weights column[2..stop-start]; a period of stop-start-1
+        # keeps the wrap-around off the entries read
+        size = 1 << (stop - start - 2).bit_length()
+        avg = 0.5 * (g[:, start - 1:mid - 1] + g[:, start:mid])
+        conv = np.fft.irfft(np.fft.rfft(avg, size) * np.fft.rfft(
+            col[:, 2:stop - start + 1], size), size)
+        base[:, mid:stop] += conv[:, mid - start - 1:stop - start - 1]
+
+    def solve(start: int, stop: int) -> None:
+        if stop - start <= _LEAF:
+            leaf(start, stop)
+            return
+        mid = (start + stop) // 2
+        solve(start, mid)
+        history(start, mid, stop)
+        solve(mid, stop)
+
+    solve(1, q.size)
+    return q, worst
 
 
 def recover_q(inv: InverseSpec) -> InverseResult:
-    """Find the fixed point of q -> L[q] by Anderson-mixed sweeps.
+    """Find the fixed point of q -> clamp(L[q]) by one causal march.
 
-    The sweeps start from the constant max(0, midpoint of the q window) and
-    run to the module's budget, read at call time: tol = ``RECOVERY_TOL``,
-    at most ``RECOVERY_MAX_SWEEPS`` sweeps.
-
-    Sweep k evaluates the clamped image g_k = L[q_k] and the residual
-    f_k = g_k - q_k.  Its forward solve stops at the inner tolerance
-    max(``PICARD_TOL``, ``_FORCING`` * r_{k-1}), r_{k-1} being the previous
-    sweep's sup residual (the first sweep runs at ``PICARD_TOL``): early
-    sweeps, whose residual is large, need no more accuracy from L than a
-    fraction of it (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal. 19
-    (1982) 400).  The recovery stops at the first sweep with sup |f_k| < tol
-    whose inner solve ran at ``PICARD_TOL``, and returns its g_k, so the
-    result is an image of L evaluated as accurately as ``apply_L`` evaluates
-    it; a loose sweep that reaches sup |f_k| < tol is followed by one sweep
-    at ``PICARD_TOL``.  Otherwise the next iterate is
-    g_k - dG gamma, where gamma solves the least-squares problem
-    min |f_k - dF gamma|_2 over the differences of the last
-    ``_ANDERSON_DEPTH`` residuals (dF) and images (dG) (Walker and Ni, SIAM
-    J. Numer. Anal. 49 (2011) 1715).  A nearly rank-deficient history or a
-    non-finite mixed iterate falls back to the plain step g_k, so the limit
-    is the same fixed point that the paper's contraction argument makes
-    unique.  Images and mixed iterates are clamped nodewise into the spec's
-    q window, which sigma's sampled extrema fix (clamp events are counted,
-    not hidden); each sweep
-    warm-starts its forward solve from the previous mode trajectories.
-    ``measured_ratio`` is the largest Lipschitz quotient
-    sup |g_k - g_{k-1}| / sup |q_k - q_{k-1}| over steps longer than tol.
-    The flux floor holds by construction of ``inv``; every other condition
-    is reported, not enforced, because the measured contraction is the
-    decisive evidence.
+    Node n solves one scalar equation for q_n given q_0..q_{n-1}
+    (``_march``); a root outside the spec's q window is clamped to its end,
+    and ``clamp_count`` counts the nodes at either end.  ``measured_ratio``
+    is the largest |1 - F_n'(q_n)| over the other nodes, the local
+    contraction of each node's equation.  One forward solve at the result,
+    as ``apply_L`` makes it, checks it: ``iterates`` holds its residual
+    sup |clamp(L[q]) - q|, and ``trace_sums`` and ``flux_defect`` come from
+    its coefficients.  Only the flux floor is enforced (by ``inv``).
     """
-    tol, max_iter = RECOVERY_TOL, RECOVERY_MAX_SWEEPS
     report = validate_theorem43(inv)
     lo, hi = inv.spec.q_window
+    values, measured_ratio = _march(inv)
+    q = Profile(inv.spec.tgrid, values)
+
+    image, coeffs = _sweep(inv, q)
+    residual = float(np.max(np.abs(image.clamped(lo, hi)[0].values - values)))
     lam3 = eigenvalues(inv.spec.K, inv.spec.length) ** 3
-
-    q = constant(inv.spec.tgrid, max(0.0, 0.5 * (lo + hi)))
-    residuals: list = []
-    trace_sums: list = []
-    measured_ratio = 0.0
-    # row 0 the current residual, rows 1.. the residual differences, in
-    # ring order; dG row j pairs with stacked row j + 1
-    stacked = np.empty((_ANDERSON_DEPTH + 1, q.values.size))
-    dG = np.empty((_ANDERSON_DEPTH, q.values.size))
-    depth = 0
-    clamp_count = 0
-    warm: Optional[np.ndarray] = None
-    inner_tol = PICARD_TOL
-    converged = False
-    for it in range(1, max_iter + 1):
-        try:
-            image, coeffs = _sweep(inv, q, warm, inner_tol)
-        except ConvergenceError as e:
-            raise ConvergenceError(
-                f"forward solve failed inside sweep {it}: {e}",
-                iterations=e.iterations, last_update=e.last_update,
-                contraction_estimate=e.contraction_estimate) from e
-        trace_sums.append(float(np.max(lam3 @ np.abs(coeffs))))
-        image, touched = image.clamped(lo, hi)
-        clamp_count += touched
-        g = image.values
-        f = g - q.values
-        residuals.append(float(np.max(np.abs(f))))
-        if it > 1:
-            step = float(np.max(np.abs(q.values - q_prev)))
-            if step > tol:
-                measured_ratio = max(
-                    measured_ratio, float(np.max(np.abs(g - g_prev))) / step)
-            row = (it - 2) % _ANDERSON_DEPTH
-            np.subtract(f, f_prev, out=stacked[row + 1])
-            np.subtract(g, g_prev, out=dG[row])
-            depth = min(depth + 1, _ANDERSON_DEPTH)
-        if residuals[-1] < tol and inner_tol == PICARD_TOL:
-            q = image
-            converged = True
-            break
-
-        nxt = g
-        if depth:
-            stacked[0] = f
-            nxt = _anderson_step(g, stacked[:depth + 1], dG[:depth])
-        q_prev, f_prev, g_prev = q.values, f, g
-        q, touched = Profile(image.grid, nxt).clamped(lo, hi)
-        clamp_count += touched
-        warm = coeffs
-        # a residual below tol that did not end the loop came from a loose
-        # solve, so the next sweep confirms it at PICARD_TOL
-        inner_tol = (PICARD_TOL if residuals[-1] < tol
-                     else max(PICARD_TOL, _FORCING * residuals[-1]))
-
-    if not converged:
-        raise ConvergenceError(
-            f"recovery stalled after {max_iter} sweeps: last residual "
-            f"{residuals[-1]:.3g}, measured ratio {measured_ratio:.3g}, "
-            f"contraction estimate {report.CT:.3g}",
-            iterations=max_iter, last_update=residuals[-1],
-            contraction_estimate=measured_ratio)
-
-    # a cold solve, as solve_forward makes it, without the field assembly
-    flux = flux_at_left(solve_mode_set(inv.spec, q).u_k, inv.spec.length)
+    flux = flux_at_left(coeffs, inv.spec.length)
     flux_defect = float(np.max(np.abs(flux - inv.psi.values)))
     err = (None if inv.q_true is None
-           else float(np.max(np.abs(q.values - inv.q_true.values))))
+           else float(np.max(np.abs(values - inv.q_true.values))))
 
     return InverseResult(
-        q=q, iterates=residuals, measured_ratio=measured_ratio,
-        CT_bound=report.CT, condition_report=report, clamp_count=clamp_count,
-        flux_defect=flux_defect, trace_sums=trace_sums,
+        q=q, iterates=[residual], measured_ratio=measured_ratio,
+        CT_bound=report.CT, condition_report=report,
+        clamp_count=int(np.count_nonzero((values == lo) | (values == hi))),
+        flux_defect=flux_defect,
+        trace_sums=[float(np.max(lam3 @ np.abs(coeffs)))],
         trace_bound=inv.trace_bound, recovery_error=err)
 
 

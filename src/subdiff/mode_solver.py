@@ -112,6 +112,13 @@ class ModeProblem:
         return build_weights(self.grid, self.rho, self.lam_eff)
 
     @cached_property
+    def live(self) -> np.ndarray:
+        """Indices of the modes with data, phi_k or some f_k sample nonzero;
+        every other mode has u_k = 0 exactly."""
+        return np.flatnonzero((self.phi_k != 0.0)
+                              | np.any(self.f_k != 0.0, axis=1))
+
+    @cached_property
     def bracket(self) -> np.ndarray:
         """lam_k^2 (M_sigma - sigma(t)) - q(t), the factor on u_k under the
         integral, a row per mode."""
@@ -161,46 +168,36 @@ class ModeSolution:
     C_k_bound: np.ndarray
 
 
-def solve_mode(p: ModeProblem, tol: float = PICARD_TOL,
-               initial: np.ndarray | None = None) -> ModeSolution:
-    """Picard-iterate every mode to its fixed point; the initial guess is the
-    homogeneous term.
+def solve_mode(p: ModeProblem, tol: float = PICARD_TOL) -> ModeSolution:
+    """Picard-iterate every mode to its fixed point from the homogeneous
+    term.
 
     A mode whose correction falls below ``tol`` is frozen and later steps
-    leave it out.  ``initial`` overrides the guess, a row per mode (useful
-    for warm starts across an outer iteration); convergence does not depend
-    on it.  A mode without data is not solved: its row is exactly 0, with 0
-    iterations and contraction estimate 0, and only its bound C_k is
-    computed (and warned about).  If a mode is still moving after
-    ``PICARD_MAX_ITER`` steps, the error names the first such mode, with its
-    last correction.
+    leave it out.  A mode without data (outside ``p.live``) is not solved:
+    its row is exactly 0, with 0 iterations and contraction estimate 0, and
+    only its bound C_k is computed (and warned about).  If a mode is still
+    moving after ``PICARD_MAX_ITER`` steps, the error names the first such
+    mode, with its last correction.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     c_bound = contraction_bound(p)
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape != p.f_k.shape:
-            raise GridMismatchError("initial guess does not match the grid")
-    live = np.flatnonzero((p.phi_k != 0.0) | np.any(p.f_k != 0.0, axis=1))
+    live = p.live
     u = np.zeros(p.f_k.shape)
     iterations = np.zeros(p.k.size, dtype=int)
     worst_ratio = np.zeros(p.k.size)
     if live.size:
         u[live], iterations[live], worst_ratio[live] = _iterate(
-            p.restrict(live), tol, None if initial is None else initial[live])
+            p.restrict(live), tol)
     return ModeSolution(u_k=u, iterations=iterations,
                         contraction_estimate=worst_ratio, C_k_bound=c_bound)
 
 
-def _iterate(p: ModeProblem, tol: float, initial: np.ndarray | None
+def _iterate(p: ModeProblem, tol: float
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``solve_mode``'s Picard loop over every mode of ``p``: the rows, the
     iteration counts and the largest measured correction ratios."""
-    if initial is None:
-        u = p.phi_k[:, None] * p.weights.relax
-    else:
-        u = np.array(initial, dtype=float)
+    u = p.phi_k[:, None] * p.weights.relax
     n_modes = p.k.size
     iterations = np.zeros(n_modes, dtype=int)
     worst_ratio = np.zeros(n_modes)

@@ -7,10 +7,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from subdiff import forward, inverse
-from subdiff.errors import AdmissibilityError, ConvergenceError, DomainError, GridMismatchError
+from subdiff import forward, mode_solver
+from subdiff.errors import AdmissibilityError, DomainError, GridMismatchError
 from subdiff.forward import ProblemSpec
 from subdiff.frackernel import TimeGrid
+from subdiff.mode_solver import PICARD_TOL
 from subdiff.inverse import (
     InverseSpec,
     apply_L,
@@ -110,21 +111,6 @@ class TestInverseSpec:
         with pytest.warns(UserWarning, match="t=0"):
             InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0))
 
-    def test_default_guess_is_clipped_window_midpoint(self, monkeypatch):
-        # sigma = 1: window (-pi^2, 0), midpoint < 0, so the first sweep
-        # solves at q = 0
-        spec = bare_spec()
-        inv = InverseSpec(spec=spec, psi=constant(spec.tgrid, 1.0))
-        seen = []
-        solve = inverse.solve_mode_set
-        monkeypatch.setattr(inverse, "solve_mode_set",
-                            lambda s, q, **k: seen.append(q)
-                            or solve(s, q, **k))
-        monkeypatch.setattr(inverse, "RECOVERY_MAX_SWEEPS", 1)
-        with pytest.raises(ConvergenceError):
-            recover_q(inv)
-        assert np.all(seen[0].values == 0.0)
-
     def test_specs_are_frozen(self):
         # derived data cannot go stale: a changed field is a new spec, and
         # a new spec is checked afresh
@@ -179,7 +165,7 @@ class TestApplyL:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
-            start = constant(spec.tgrid, 0.0)  # recover_q's first iterate
+            start = constant(spec.tgrid, 0.0)
             d0 = np.max(np.abs(start.values - inv.q_true.values))
             d1 = np.max(np.abs(apply_L(start, inv).values
                                - inv.q_true.values))
@@ -305,7 +291,7 @@ class TestRecoverQ:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = recover_q(inv)
-        assert len(res.iterates) > 1 and calls == []
+        assert calls == []
         replace(inv.spec)  # the counter sees a spec build
         assert len(calls) == 2
 
@@ -319,9 +305,9 @@ class TestRecoverQ:
 
     def test_null_coefficient_recovered(self):
         spec, q = const_mode_spec(128, lambda t: np.zeros_like(t))
-        # sigma rising from 2 to 4 + 2/pi^2 puts the q window's midpoint,
-        # where the recovery starts, at 1, so it must move; the source is
-        # rebalanced so that the first mode still sits at c1 = 0.05
+        # sigma rising from 2 to 4 + 2/pi^2 puts the q window's midpoint at
+        # 1, well away from the truth; the source is rebalanced so that the
+        # first mode still sits at c1 = 0.05
         tg = spec.tgrid
         sigma = 2.0 + (2.0 + 2.0 / math.pi ** 2) * tg.nodes / tg.t_final
         wide = replace(spec, sigma=Profile(tg, sigma),
@@ -335,72 +321,66 @@ class TestRecoverQ:
         assert res.recovery_error < 1e-4
 
     def test_mixed_sweeps_reach_fixed_point(self):
-        # mixed residuals need not fall monotonically, so the result is
-        # judged as a fixed point of L; plain iteration took 93 sweeps here
+        # the march solves each node's equation to round-off, so the check
+        # sweep finds a fixed point of clamp o L to its own Picard floor
         spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
             res = recover_q(inv)
             moved = apply_L(res.q, inv).values
-        assert np.max(np.abs(moved - res.q.values)) <= 1e-6
+        assert np.max(np.abs(moved - res.q.values)) <= 1e-8
+        assert res.iterates == [float(np.max(np.abs(moved - res.q.values)))]
         assert 0.0 < res.measured_ratio < 1.0
-        assert len(res.iterates) <= 93 // 2
 
-    def test_final_sweep_solves_at_the_forward_tolerance(self, monkeypatch):
-        # sweep k solves to max(1e-10, c r_{k-1}), or to 1e-10 once r_{k-1}
-        # is below tol; the first and the last sweep run at 1e-10, so the
-        # returned q is an exact image of L
-        spec, q = const_mode_spec(128, lambda t: 0.2 + 0.1 * t)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            inv = synthesize_data(spec, q)
-        tols = []
-        solve = inverse.solve_mode_set
-        monkeypatch.setattr(
-            inverse, "solve_mode_set",
-            lambda *a, tol=1e-10, **k: tols.append(tol) or solve(
-                *a, tol=tol, **k))
-        res = recover_q(inv)
-        sweeps = tols[:len(res.iterates)]
-        assert len(tols) == len(sweeps) + 1  # the final cold solve
-        assert sweeps[0] == sweeps[-1] == 1e-10
-        assert sweeps[1:] == [1e-10 if r < inverse.RECOVERY_TOL
-                              else max(1e-10, inverse._FORCING * r)
-                              for r in res.iterates[:-1]]
-        assert max(sweeps) > 1e-6  # early sweeps do run loose
-
-    def test_anderson_step_solves_the_least_squares_problem(self):
-        rng = np.random.default_rng(3)
-        g, stacked, dG = rng.normal(size=50), rng.normal(size=(4, 50)), \
-            rng.normal(size=(3, 50))
-        gamma = np.linalg.lstsq(stacked[1:].T, stacked[0], rcond=None)[0]
-        got = inverse._anderson_step(g, stacked, dG)
-        assert np.max(np.abs(got - (g - gamma @ dG))) < 1e-12
-
-    @pytest.mark.parametrize("gap", [0.0, 1e-9])
-    def test_rank_deficient_history_takes_the_plain_step(self, gap):
-        # two difference rows equal or 1e-9 apart: the Gram system would
-        # square a condition number of 1e9 or more, past what gamma can be
-        # trusted with
-        rng = np.random.default_rng(3)
-        g, f, d, e = rng.normal(size=(4, 50))
-        stacked = np.array([f, d, rng.normal(size=50), d + gap * e])
-        assert inverse._anderson_step(g, stacked,
-                                      rng.normal(size=(3, 50))) is g
-
-    def test_clamps_counted_near_window_edge(self):
-        # q_true = 4.5 sits just below the window's upper end (about 4.73),
-        # and the mixed iterates overshoot it before settling
-        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 4.5))
+    def test_truth_above_the_window_recovers_its_upper_end(self):
+        # q_true = 6 lies above the window's upper end (about 4.73): every
+        # node's root does, so every node is clamped to that end
+        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 6.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
             res = recover_q(inv)
-        lo, hi = inv.spec.q_window
-        assert res.clamp_count > 0
-        assert np.all((lo <= res.q.values) & (res.q.values <= hi))
-        assert res.recovery_error < 1e-4
+        hi = inv.spec.q_window[1]
+        assert hi < 6.0
+        assert np.all(res.q.values == hi)
+        assert res.clamp_count == spec.tgrid.n_steps + 1
+        assert res.measured_ratio == 0.0  # no node inside the window
+
+    def test_live_modes_apart_reach_the_clamped_fixed_point(self,
+                                                            monkeypatch):
+        # data on modes 1, 2 and 4 of K = 8, each at its own equilibrium;
+        # modes 3 and 5-8 carry none.  The result is a fixed point of
+        # clamp o L up to the check's own Picard floor: a correction below
+        # PICARD_TOL per mode, carried to q by (sigma/psi) sqrt(2/l) lam^3
+        n, K = 256, 8
+        tg, sg = TimeGrid(0.5, n), SpaceGrid(1.0, 32)
+        sigma = Profile(tg, 2.0 + np.sin(tg.nodes))
+        q_true = Profile(tg, 0.3 + 0.4 * tg.nodes)
+        lam = eigenvalues(K, 1.0)
+        live = [0, 1, 3]
+        amp = np.zeros(K)
+        amp[live] = [0.05, 0.01, -0.002]
+        f_k = (lam[:, None] ** 2 * sigma.values + q_true.values) * amp[:, None]
+        spec = ProblemSpec.from_modes(sg, tg, 0.5, sigma, amp, f_k)
+        built = []
+        build = mode_solver.build_weights
+        monkeypatch.setattr(mode_solver, "build_weights",
+                            lambda g, rho, lam_eff: built.append(lam_eff)
+                            or build(g, rho, lam_eff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inv = synthesize_data(spec, q_true)
+            res = recover_q(inv)
+            moved = apply_L(res.q, inv).clamped(*spec.q_window)[0].values
+        floor = (PICARD_TOL * float(np.max(sigma.values / inv.psi.values))
+                 * math.sqrt(2.0) * float(np.sum(lam[live] ** 3)))
+        assert np.max(np.abs(moved - res.q.values)) <= floor
+        assert res.iterates[0] <= floor
+        assert 0.0 < res.measured_ratio < 1.0 and res.clamp_count == 0
+        # synthesis, march and check share the weights of the live modes
+        assert len(built) >= 3
+        assert set(built) == {tuple((lam[live] ** 2 * sigma.vmax).tolist())}
 
     def test_iterate_traces_within_data_bound(self):
         spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
@@ -411,26 +391,16 @@ class TestRecoverQ:
         assert max(res.trace_sums) <= res.trace_bound + 1e-10
 
     def test_idempotent_at_truth(self):
-        # the recovery starts at q = 0 (the window's midpoint is negative)
+        # at q_true = 0 the discrete map moves the truth by 5.9e-7 (at t_0),
+        # and the march lands as close
         spec, q = const_mode_spec(128, np.zeros_like)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
             res = recover_q(inv)
-        assert len(res.iterates) <= 2
-
-    def test_nonconvergence_carries_diagnostics(self, monkeypatch):
-        # the sweep budget is read at call time
-        spec, q = const_mode_spec(128, lambda t: np.full_like(t, 0.3))
-        monkeypatch.setattr(inverse, "RECOVERY_MAX_SWEEPS", 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            inv = synthesize_data(spec, q)
-            with pytest.raises(ConvergenceError) as exc:
-                recover_q(inv)
-        assert exc.value.iterations == 3
-        assert exc.value.last_update > 0.0
-        assert 0.0 < exc.value.contraction_estimate < 1.0
+            moved = apply_L(q, inv).values
+        assert res.recovery_error <= 1e-6
+        assert res.recovery_error <= 1.01 * np.max(np.abs(moved))
 
     def test_fixed_point_defect_shrinks_under_refinement(self):
         defects = []

@@ -184,14 +184,6 @@ class TestSolveMode:
         assert exc.value.iterations == 3
         assert exc.value.last_update > 0.0
 
-    def test_warm_start_same_fixed_point(self):
-        p = make_problem(GRID, sigma=profiles.sinusoidal_offset(GRID, 1.5, 0.4),
-                         f=profiles.constant(GRID, 1.0), phi=0.2)
-        cold = solve_mode(p, tol=1e-12)
-        warm = solve_mode(p, tol=1e-12, initial=cold.u_k + 1e-3)
-        np.testing.assert_allclose(warm.u_k, cold.u_k, atol=1e-11)
-
-
 class TestDecompose:
     def test_zero_source_gives_zero_v(self):
         p = make_problem(GRID, phi=1.3)
@@ -288,15 +280,6 @@ class TestBatchedSolve:
         assert np.array_equal(solve_mode(fresh).u_k,
                               solve_mode(batch.take([3])).u_k)
 
-    def test_warm_start_rows(self):
-        g = TimeGrid(1.0, 64)
-        batch = make_batch(g, self.KS)
-        cold = solve_mode(batch, tol=1e-12)
-        warm = solve_mode(batch, tol=1e-12, initial=cold.u_k + 1e-3)
-        np.testing.assert_allclose(warm.u_k, cold.u_k, atol=1e-11)
-        with pytest.raises(GridMismatchError):
-            solve_mode(batch, initial=cold.u_k[:2])
-
     def test_nonconvergence_names_first_unconverged_mode(self, monkeypatch):
         g = TimeGrid(1.0, 64)
         # modes 1 and 2 carry no data and are not solved
@@ -353,14 +336,6 @@ class TestBatchedSolve:
         assert sol.contraction_estimate[:2].tolist() == [0.0, 0.0]
         # the bound is computed for every mode
         assert np.array_equal(sol.C_k_bound, contraction_bound(batch))
-
-    def test_warm_start_leaves_rows_without_data_at_zero(self):
-        g = TimeGrid(1.0, 64)
-        batch = make_batch(g, self.KS, data_from=3)
-        cold = solve_mode(batch, tol=1e-12)
-        warm = solve_mode(batch, tol=1e-12, initial=cold.u_k + 1e-3)
-        assert np.all(warm.u_k[:2] == 0.0)
-        np.testing.assert_allclose(warm.u_k, cold.u_k, atol=1e-11)
 
     def test_batch_without_data_builds_no_weights(self, monkeypatch):
         g = TimeGrid(1.0, 64)
