@@ -136,7 +136,10 @@ class InverseResult:
     that artifact reports belongs here."""
 
     q: Profile
-    iterates: list  # the check's sup |clamp(L[q]) - q|, one entry
+    # the check's sup |clamp(L[q]) - q|, one entry: the check solve's own
+    # Picard floor, which grows with sum_k lam_k^3 over the live modes, not
+    # the accuracy of the march
+    iterates: list
     measured_ratio: float
     CT_bound: float
     condition_report: ConditionReport
@@ -342,7 +345,8 @@ def recover_q(inv: InverseSpec) -> InverseResult:
     is the largest |1 - F_n'(q_n)| over the other nodes, the local
     contraction of each node's equation.  One forward solve at the result,
     as ``apply_L`` makes it, checks it: ``iterates`` holds its residual
-    sup |clamp(L[q]) - q|, and ``trace_sums`` and ``flux_defect`` come from
+    sup |clamp(L[q]) - q|, which is that solve's Picard floor rather than
+    the march's accuracy, and ``trace_sums`` and ``flux_defect`` come from
     its coefficients.  Only the flux floor is enforced (by ``inv``).
     """
     report = validate_theorem43(inv)

@@ -8,22 +8,29 @@ stencil, diagonalised in closed form.  The scheme steps the coefficients of
 the interior rows in T's eigenbasis, where each step is one division, and
 maps them back to physical space at the end.
 
+sigma and q depend on time only, so the eigenbasis columns do not couple,
+and a column without data stays 0: ``solve_fd`` steps only the columns its
+data excite (the cut and its bound are in its docstring), while the
+divisors and the singular-step check cover every column.
+
 The L1 memory sum is marched by the causal divide-and-conquer split of
-Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532).  The
-eigenbasis columns do not couple, so every product serves all of them at
-once.  Steps go in blocks of ``_HISTORY_BLOCK``, and block b >= 1 starts a
-dyadic right half of (b & -b) blocks: before it is stepped, the rows of the
-equally long left half reach all of that right half through one
-``FdWorkspace.history`` call, the far field.  That call is a Toeplitz matrix
-product while either side has at most ``_FFT_MIN`` rows and a real-FFT
-convolution above that, ``_FFT_COLUMNS`` columns at a time.  Inside a block
-the same split runs on leaves of ``_LEAF`` steps through views of one cached
-Toeplitz matrix, and a leaf is stepped one row at a time.  Every earlier row
-reaches every step exactly once, so the march keeps every term of the direct
-sum, at O(M N log^2 N) cost.  Each product adds into the not-yet-stepped
-rows of the field, which hold their steps' right-hand sides until they are
-divided.  The matrix products only reorder the sum; the FFT far field adds
-round-off of order eps log N against the sum of the absolute terms.
+Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532).
+Every product serves all the stepped columns at once.  Steps go in blocks
+of ``_HISTORY_BLOCK``, and block b >= 1 starts a dyadic right half of
+(b & -b) blocks: before it is stepped, the rows of the equally long left
+half reach all of that right half through one ``FdWorkspace.history`` call,
+the far field.  That call is a Toeplitz matrix product while either side has
+at most ``_FFT_MIN`` rows and a real-FFT convolution above that,
+``_FFT_COLUMNS`` columns at a time.  Inside a block the same split runs on
+leaves of ``_LEAF`` steps through views of one cached Toeplitz matrix, and a
+leaf is stepped one row at a time.  Every earlier row reaches every step
+exactly once, so the march keeps every term of the direct sum, at
+O(k N log^2 N) cost for k stepped columns; the products into and out of the
+eigenbasis cost O(N M^2) and O(N M k).  Each product adds into the
+not-yet-stepped rows, which hold their steps' sources and right-hand sides
+until they are divided.  The matrix products only reorder the sum; the FFT
+far field adds round-off of order eps log N against the sum of the absolute
+terms.
 
 Shares nothing with the spectral route beyond the problem container, which
 is the point: agreement between the two is evidence, not tautology.
@@ -51,6 +58,13 @@ _LEAF = 8
 _FFT_MIN = 256
 #: eigenbasis columns per FFT batch, so the padded spectra stay small
 _FFT_COLUMNS = 16
+#: an eigenbasis column is stepped only if its data exceed this multiple of
+#: the largest column's: well above the round-off that a low mode's samples
+#: leave in the columns of the others (0.3-1.6 eps at M = 128 to 4096)
+_COLUMN_CUT = 64.0 * np.finfo(float).eps
+#: rows per product into and out of the eigenbasis, so that the products'
+#: temporaries stay small
+_TRANSFORM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -146,45 +160,69 @@ class FdWorkspace:
 
 
 def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
-    """Step the spec's problem at the reaction coefficient ``q``."""
+    """Step the spec's problem at the reaction coefficient ``q``.
+
+    The initial row and every source row are mapped into the eigenbasis
+    first, and a column is stepped only if its size, its largest coefficient
+    over those rows, exceeds ``_COLUMN_CUT`` times the largest size, or is
+    not finite, so that an overflow still raises at its own step.  The other
+    columns are left at 0.  Where sigma_n mu_j + q_n >= 0, the L1
+    scheme's maximum principle keeps column j within its size times
+    1 + Gamma(1-rho) T^rho, so leaving all of them at 0 moves the field by at
+    most sqrt(M-1) (1 + Gamma(1-rho) T^rho) ``_COLUMN_CUT`` times the
+    largest size.  The divisors and the singular-step check cover every
+    column, with the same step numbers and messages.
+    """
     spec.on_grid(q)
     ws = FdWorkspace.from_spec(spec)
     N, M = spec.tgrid.n_steps, spec.sgrid.n_cells
     sig, qv = spec.sigma.values, q.values
 
     u = np.zeros((N + 1, M + 1))
-    # writable view: eigenbasis coefficients while stepping; a row not yet
-    # stepped accumulates its step's right-hand side
+    # eigenbasis coefficients of the data, written into the interior block
+    # by block; each column's size is its largest magnitude over the rows
     W = u[:, 1:M]
     W[0] = spec.phi[1:M] @ ws.V
+    for s in range(1, N + 1, _TRANSFORM_ROWS):
+        W[s:s + _TRANSFORM_ROWS] = spec.f[s:s + _TRANSFORM_ROWS, 1:M] @ ws.V
+    size = np.maximum(W.max(axis=0), -W.min(axis=0))
+    keep = np.flatnonzero(~np.isfinite(size)
+                          | (size > _COLUMN_CUT * size.max()))
+    if keep.size == M - 1:
+        keep = slice(None)
+    # the kept columns, a view that steps in place when they are all of
+    # them; a row not yet stepped holds its source and accumulates its
+    # right-hand side
+    C, V = W[:, keep], ws.V[:, keep]
     for b, s in enumerate(range(1, N + 1, _HISTORY_BLOCK)):
         if b:
             # far field: block b starts the right half of a dyadic pair
             half = (b & -b) * _HISTORY_BLOCK
             end = min(s + half, N + 1)
-            ws.history(W, s, end, start=s - half, out=W[s:end])
+            ws.history(C, s, end, start=s - half, out=C[s:end])
         stop = min(s + _HISTORY_BLOCK, N + 1)
         # the block's divisors in the eigenbasis: it steps up to its first
         # singular step, if any, and raises there before dividing by it
         div = ws.scale * ws.a[0] + sig[s:stop, None] * ws.mu + qv[s:stop, None]
         bad = np.flatnonzero(~np.all(np.isfinite(div) & (div != 0.0), axis=1))
         e = s + int(bad[0]) if bad.size else stop
-        W[s:e] += spec.f[s:e, 1:M] @ ws.V
-        W[s:e] += ws.scale * ws.a[s - 1:e - 1, None] * W[0]
+        div = div[:, keep]
+        C[s:e] += ws.scale * ws.a[s - 1:e - 1, None] * C[0]
         for leaf, p in enumerate(range(s, e, _LEAF)):
             if leaf:
                 # near field: the same split on the block's leaves
                 half = (leaf & -leaf) * _LEAF
                 end = min(p + half, e)
-                W[p:end] += ws.near[half:half + end - p, :half] @ W[p - half:p]
-            # near's 1 on the diagonal picks up row n's right-hand side
+                C[p:end] += ws.near[half:half + end - p, :half] @ C[p - half:p]
+            # near's 1 on the diagonal picks up row n's right-hand side;
+            # np.dot costs less per call than @ on these small products
             for n in range(p, min(p + _LEAF, e)):
                 i = n - s
-                np.divide(ws.near[i, p - s:i + 1] @ W[p:n + 1], div[i],
-                          out=W[n])
+                np.divide(np.dot(ws.near[i, p - s:i + 1], C[p:n + 1]), div[i],
+                          out=C[n])
         # checked once per block: the rows before this block are finite, so
         # the block's first non-finite row is the first non-finite step
-        rows = np.flatnonzero(~np.all(np.isfinite(W[s:e]), axis=1))
+        rows = np.flatnonzero(~np.all(np.isfinite(C[s:e]), axis=1))
         if rows.size:
             n = s + int(rows[0])
             raise SingularSystemError(
@@ -193,7 +231,7 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
             raise SingularSystemError(
                 f"singular step system at step {e}", step=e)
 
-    for s in range(1, N + 1, _HISTORY_BLOCK):
-        W[s:s + _HISTORY_BLOCK] = W[s:s + _HISTORY_BLOCK] @ ws.V.T
+    for s in range(1, N + 1, _TRANSFORM_ROWS):
+        W[s:s + _TRANSFORM_ROWS] = np.dot(C[s:s + _TRANSFORM_ROWS], V.T)
     u[0] = spec.phi
     return FieldSolution(u=u)

@@ -124,15 +124,22 @@ def reference_fd(spec, q):
     return u
 
 
-def varying_spec(n, m, seed=5):
-    """Time-varying sigma and q, random source and nonzero initial row.
+def varying_spec(n, m, seed=5, modes=()):
+    """Time-varying sigma and q and a nonzero initial row; a random source,
+    or with ``modes`` given an initial row and a source that are sums of
+    those sine modes (a mode above M aliases onto a grid column below it).
     Returns (spec, q)."""
     rng = np.random.default_rng(seed)
     tg, sg = TimeGrid(1.0, n), SpaceGrid(1.0, m)
     t = tg.nodes
-    f = rng.normal(0.0, 1.0, (n + 1, m + 1))
+    if not modes:
+        f = rng.normal(0.0, 1.0, (n + 1, m + 1))
+        phi = (np.sin(math.pi * sg.nodes)
+               + 0.3 * np.sin(3.0 * math.pi * sg.nodes))
+    else:
+        phi = sum(np.sin(k * math.pi * sg.nodes) / k for k in modes)
+        f = (1.0 + np.cos(7.0 * t))[:, None] * phi
     f[:, 0] = f[:, -1] = 0.0
-    phi = np.sin(math.pi * sg.nodes) + 0.3 * np.sin(3.0 * math.pi * sg.nodes)
     phi[0] = phi[-1] = 0.0
     q_vals = 0.2 + 0.5 * np.cos(5.0 * t)
     return (ProblemSpec(sgrid=sg, tgrid=tg, rho=0.7,
@@ -144,10 +151,16 @@ class TestBlockedHistory:
     """``solve_fd`` splits the memory sum at history blocks and steps in the
     stencil's eigenbasis; it must equal the direct physical-space loop."""
 
-    @pytest.mark.parametrize("n,m", [(1, 8), (63, 8), (64, 8), (65, 8),
-                                     (200, 16), (8, 64), (513, 8), (1100, 4)])
-    def test_matches_direct_physical_loop(self, n, m):
-        spec, q = varying_spec(n, m)
+    # data on one mode, on three, and on mode 19 > M = 16, which the grid
+    # sees as column 13; 513 steps take the far field through the FFT
+    @pytest.mark.parametrize("n,m,modes", [
+        pytest.param(n, m, modes, id="-".join(map(str, (n, m) + modes)))
+        for n, m, modes in [
+            (1, 8, ()), (63, 8, ()), (64, 8, ()), (65, 8, ()), (200, 16, ()),
+            (8, 64, ()), (513, 8, ()), (1100, 4, ()), (200, 16, (1,)),
+            (200, 16, (1, 3, 6)), (200, 16, (19,)), (513, 8, (2,))]])
+    def test_matches_direct_physical_loop(self, n, m, modes):
+        spec, q = varying_spec(n, m, modes=modes)
         got, want = solve_fd(spec, q).u, reference_fd(spec, q)
         assert np.array_equal(got[0], spec.phi)
         assert (np.max(np.abs(got - want))
@@ -185,6 +198,26 @@ class TestBlockedHistory:
         assert exc.value.step == step
         assert f"non-finite values after step {step}" in str(exc.value)
 
+    @pytest.mark.parametrize("n,step", [(128, 100), (1100, 1000)])
+    def test_overflowing_column_raises_at_its_step(self, n, step):
+        # a source row whose transform overflows in one column alone, on
+        # data that excite another: the other columns' sizes stay finite,
+        # the overflowing column is stepped, and it raises where it enters
+        m = 8
+        spec, q = varying_spec(n, m, modes=(1,))
+        V = FdWorkspace.from_spec(spec).V
+        f = spec.f.copy()
+        f[step, 1:m] = 1e308 * np.sign(V[:, 3])
+        with np.errstate(over="ignore"):
+            coeffs = f[step, 1:m] @ V
+        assert np.sum(~np.isfinite(coeffs)) == 1
+        with warnings.catch_warnings(), \
+                pytest.raises(SingularSystemError) as exc:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solve_fd(replace(spec, f=f), q)
+        assert exc.value.step == step
+        assert f"non-finite values after step {step}" in str(exc.value)
+
     def test_non_finite_data_refused_where_they_enter(self):
         # a NaN in source row 100 once reached both routes, which told it
         # apart (DomainError from the spectral route, SingularSystemError at
@@ -208,6 +241,60 @@ class TestBlockedHistory:
         q_vals[90] = -ws.scale * ws.a[0] - 1.0
         sol = solve_fd(spec, Profile(q.grid, q_vals))
         assert np.all(np.isfinite(sol.u))
+
+
+def stepped_widths(monkeypatch):
+    """The number of eigenbasis columns of every ``FdWorkspace.history``
+    call, recorded as ``solve_fd`` makes them."""
+    widths = []
+    history = FdWorkspace.history
+
+    def recorded(self, rows, *args, **kwargs):
+        widths.append(rows.shape[1])
+        return history(self, rows, *args, **kwargs)
+
+    monkeypatch.setattr(FdWorkspace, "history", recorded)
+    return widths
+
+
+class TestExcitedColumns:
+    """``solve_fd`` steps only the eigenbasis columns its data excite."""
+
+    @pytest.mark.parametrize("modes,width", [((3,), 1), ((1, 3, 6), 3),
+                                             ((19,), 1), ((), 15)])
+    def test_history_width_is_the_excited_columns(self, monkeypatch, modes,
+                                                  width):
+        # single-mode data step one column, dense grid data all M - 1
+        widths = stepped_widths(monkeypatch)
+        solve_fd(*varying_spec(200, 16, modes=modes))
+        assert widths and set(widths) == {width}
+
+    # 1e-17 of the largest column, and just under the cut
+    @pytest.mark.parametrize("rel", [1e-17, 0.9 * oracle._COLUMN_CUT])
+    def test_column_below_cut_moves_field_within_bound(self, monkeypatch,
+                                                       rel):
+        # mode 1 through the initial row, and a source on column 5 alone at
+        # ``rel`` of column 1's size: solved together, column 5 is left at
+        # 0, and the field differs from the sum of the two solved apart (each
+        # the largest column of its own data) by at most the stated bound
+        # sqrt(M-1) (1 + Gamma(1-rho) T^rho) _COLUMN_CUT * largest size,
+        # which holds as sigma mu_j + q >= 0 here
+        n, m = 200, 16
+        spec, q = varying_spec(n, m, modes=(1,))
+        V = FdWorkspace.from_spec(spec).V
+        big = replace(spec, f=np.zeros_like(spec.f))
+        largest = np.max(np.abs(big.phi[1:m] @ V))
+        f = np.zeros_like(spec.f)
+        f[1:, 1:m] = rel * largest * V[:, 4]
+        widths = stepped_widths(monkeypatch)
+        u = solve_fd(replace(big, f=f), q).u
+        assert set(widths) == {1}
+        alone = solve_fd(replace(big, f=f, phi=np.zeros(m + 1)), q).u
+        assert np.max(np.abs(alone)) > 0.0
+        bound = (math.sqrt(m - 1)
+                 * (1.0 + math.gamma(1.0 - spec.rho) * spec.t_final ** spec.rho)
+                 * oracle._COLUMN_CUT * largest)
+        assert np.max(np.abs(u - (solve_fd(big, q).u + alone))) <= bound
 
 
 class TestSolveFd:
