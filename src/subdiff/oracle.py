@@ -162,16 +162,10 @@ class FdWorkspace:
 def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
     """Step the spec's problem at the reaction coefficient ``q``.
 
-    The initial row and every source row are mapped into the eigenbasis
-    first, and a column is stepped only if its size, its largest coefficient
-    over those rows, exceeds ``_COLUMN_CUT`` times the largest size, or is
-    not finite, so that an overflow still raises at its own step.  The other
-    columns are left at 0.  Where sigma_n mu_j + q_n >= 0, the L1
-    scheme's maximum principle keeps column j within its size times
-    1 + Gamma(1-rho) T^rho, so leaving all of them at 0 moves the field by at
-    most sqrt(M-1) (1 + Gamma(1-rho) T^rho) ``_COLUMN_CUT`` times the
-    largest size.  The divisors and the singular-step check cover every
-    column, with the same step numbers and messages.
+    Only the eigenbasis columns whose data exceed ``_COLUMN_CUT`` times the
+    largest column's, or are not finite, are stepped.  Leaving the others at
+    0 moves the field by at most sqrt(M-1) (1 + Gamma(1-rho) T^rho) times
+    the cut where sigma_n mu_j + q_n >= 0.
     """
     spec.on_grid(q)
     ws = FdWorkspace.from_spec(spec)
@@ -186,6 +180,11 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
     for s in range(1, N + 1, _TRANSFORM_ROWS):
         W[s:s + _TRANSFORM_ROWS] = spec.f[s:s + _TRANSFORM_ROWS, 1:M] @ ws.V
     size = np.maximum(W.max(axis=0), -W.min(axis=0))
+    # a column whose size is not finite is stepped, so that an overflow
+    # still raises at its own step.  The bound on the rest is the L1
+    # scheme's maximum principle: where every divisor is at least scale a_0,
+    # |w_n| <= |w_0| + Gamma(1-rho) t_n^rho max|f| in each column, and
+    # |V w|_inf <= |w|_2 gives the sqrt(M-1)
     keep = np.flatnonzero(~np.isfinite(size)
                           | (size > _COLUMN_CUT * size.max()))
     if keep.size == M - 1:
