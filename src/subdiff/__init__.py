@@ -4,7 +4,6 @@ from .errors import (
     AdmissibilityError,
     AliasingError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     GridMismatchError,
     ResourceError,

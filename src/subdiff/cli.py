@@ -7,8 +7,8 @@ suites of the special-function and quadrature layers).
 
 A config holds the problem and its data only: ``problem``, ``sigma``,
 ``phi``, ``f``, plus ``q`` (``forward``, ``verify``) or ``data``
-(``inverse``).  Solver budgets and verify thresholds are constants, so no
-config key sets them, and unknown keys are refused.
+(``inverse``).  The solvers have no budgets and the verify thresholds are
+constants, so no config key sets them, and unknown keys are refused.
 
 Determinism is part of the contract: identical config and seed must yield
 byte-identical artifacts, so outputs carry no timestamps, hostnames, or any
@@ -34,7 +34,6 @@ from .errors import (
     AdmissibilityError,
     AliasingError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     GridMismatchError,
     ResourceError,
@@ -498,9 +497,6 @@ def main(argv: Optional[list] = None) -> int:
     except (AdmissibilityError, SingularSystemError) as e:
         print(f"inadmissible problem: {e}", file=sys.stderr)
         return 3
-    except ConvergenceError as e:
-        print(f"failed to converge: {e}", file=sys.stderr)
-        return 4
     except MemoryError:
         print("config error: the problem does not fit in memory; reduce "
               "n_steps, n_cells or n_modes", file=sys.stderr)

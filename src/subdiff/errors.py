@@ -19,18 +19,6 @@ class AdmissibilityError(SubdiffError):
     """Problem data violates the admissibility conditions required to solve."""
 
 
-class ConvergenceError(SubdiffError):
-    """An iteration hit its limit before reaching the requested tolerance."""
-
-    def __init__(self, message: str, *, iterations: int | None = None,
-                 last_update: float | None = None,
-                 contraction_estimate: float | None = None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last_update = last_update
-        self.contraction_estimate = contraction_estimate
-
-
 class GridMismatchError(SubdiffError, ValueError):
     """Operands live on different grids."""
 

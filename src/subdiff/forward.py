@@ -258,8 +258,19 @@ def mode_problem(spec: ProblemSpec, q: Profile) -> ModeProblem:
 
 def solve_mode_set(spec: ProblemSpec, q: Profile) -> ModeSolution:
     """Solve the spec's K mode problems at reaction coefficient ``q`` as one
-    batch, to the Picard budget."""
+    batch, by one causal march (``solve_mode``); no field is assembled."""
     return solve_mode(mode_problem(spec, q))
+
+
+def check_window(spec: ProblemSpec, q: Profile) -> AssumptionReport:
+    """``validate_assumption1``, warning where ``q`` leaves the spec's
+    admissibility window."""
+    report = validate_assumption1(spec, q)
+    if not report.cond2_q_in_window:
+        warnings.warn(
+            f"reaction coefficient leaves the admissibility window "
+            f"{report.q_window}; the solve proceeds", stacklevel=3)
+    return report
 
 
 def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
@@ -274,15 +285,10 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
 
 
 def solve_forward(spec: ProblemSpec, q: Profile) -> FieldSolution:
-    """Solve the spec's problem at the reaction coefficient ``q``, each mode
-    to the Picard budget ``PICARD_TOL``/``PICARD_MAX_ITER``."""
-    report = validate_assumption1(spec, q)
-    if not report.cond2_q_in_window:
-        warnings.warn(
-            f"reaction coefficient leaves the admissibility window "
-            f"{report.q_window}; the forward solve proceeds on the measured "
-            f"contraction alone", stacklevel=2)
-
+    """Solve the spec's problem at the reaction coefficient ``q``: the modes
+    by one causal march (``solve_mode_set``), then the field and its
+    diagnostics.  A ``q`` outside the window is warned about, then solved."""
+    report = check_window(spec, q)
     solution = solve_mode_set(spec, q)
     coeffs = solution.u_k
     lam = eigenvalues(spec.K, spec.length)
@@ -301,7 +307,6 @@ def solve_forward(spec: ProblemSpec, q: Profile) -> FieldSolution:
     diagnostics = {
         "assumption1": report,
         "contraction_bounds": solution.C_k_bound.tolist(),
-        "picard_iterations": solution.iterations.tolist(),
         "tail_p2": tail2,
         "tail_p3": tail3,
         "q1_value": q1_value,

@@ -26,7 +26,7 @@ builds them, and ``convolve`` applies them with one FFT pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -119,12 +119,6 @@ class ConvolutionWeights:
     column: np.ndarray = field(repr=False, compare=False)
     relax: np.ndarray = field(repr=False, compare=False)
     spectrum: np.ndarray = field(repr=False, compare=False)
-
-    def take(self, rows: np.ndarray) -> "ConvolutionWeights":
-        """The rows ``rows`` of tuple-built weights, as weights of their own."""
-        return replace(self, lam_eff=tuple(np.take(self.lam_eff, rows).tolist()),
-                       column=self.column[rows], relax=self.relax[rows],
-                       spectrum=self.spectrum[rows])
 
 
 @lru_cache(maxsize=128)

@@ -23,8 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError
-from .forward import ProblemSpec, mode_problem, solve_forward, solve_mode_set
+# ``solve_forward`` stays bound here because bench/tracer.py wraps it under
+# this name; synthesis solves the modes alone
+from .forward import (ProblemSpec, check_window, mode_problem,  # noqa: F401
+                      solve_forward, solve_mode_set)
 from .frackernel import caputo_l1
+from .mode_solver import march
 from .profiles import Profile, constant
 from .spectral import (
     eigenvalues,
@@ -36,6 +40,7 @@ from .spectral import (
 _COMPAT_RTOL = 1e-6
 #: nodes a leaf of the march solves one by one; longer stretches split in
 #: two, and the first half's history reaches the second by one FFT product
+#: (``mode_solver.march``)
 _LEAF = 32
 
 
@@ -136,9 +141,9 @@ class InverseResult:
     that artifact reports belongs here."""
 
     q: Profile
-    # the check's sup |clamp(L[q]) - q|, one entry: the check solve's own
-    # Picard floor, which grows with sum_k lam_k^3 over the live modes, not
-    # the accuracy of the march
+    # the check's sup |clamp(L[q]) - q|, one entry: the synthesis, the march
+    # and the check solve the same discrete system exactly, so it reads at
+    # round-off
     iterates: list
     measured_ratio: float
     CT_bound: float
@@ -234,11 +239,9 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
     1 - G_n' is not positive they are plain steps x -> G_n(x).  G_n' is
     read at the last iterate evaluated.  At t_0, u = phi.
 
-    H comes from the divide-and-conquer split of Hairer, Lubich and
-    Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532): a stretch solves
-    its first half, adds that half's history to the second by one FFT
-    product over the modes with data, on the weights ``solve_mode`` builds
-    for them, and solves the second; stretches of ``_LEAF`` nodes or fewer
+    H comes from the divide-and-conquer split of ``mode_solver.march``,
+    one FFT product per split over the modes with data, on the weights
+    ``solve_mode`` builds for them; its leaves of ``_LEAF`` nodes or fewer
     step node by node on plain floats.
     """
     spec = inv.spec
@@ -313,26 +316,7 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
             g_new.append(g_n)
         g[:, start:stop] = np.array(g_new).T
 
-    def history(start: int, mid: int, stop: int) -> None:
-        # g-bar_j for j = start-1..mid-2 onto the nodes mid..stop-1, which
-        # meet the weights column[2..stop-start]; a period of stop-start-1
-        # keeps the wrap-around off the entries read
-        size = 1 << (stop - start - 2).bit_length()
-        avg = 0.5 * (g[:, start - 1:mid - 1] + g[:, start:mid])
-        conv = np.fft.irfft(np.fft.rfft(avg, size) * np.fft.rfft(
-            col[:, 2:stop - start + 1], size), size)
-        base[:, mid:stop] += conv[:, mid - start - 1:stop - start - 1]
-
-    def solve(start: int, stop: int) -> None:
-        if stop - start <= _LEAF:
-            leaf(start, stop)
-            return
-        mid = (start + stop) // 2
-        solve(start, mid)
-        history(start, mid, stop)
-        solve(mid, stop)
-
-    solve(1, q.size)
+    march(col, base, g, leaf, _LEAF)
     return q, worst
 
 
@@ -345,9 +329,10 @@ def recover_q(inv: InverseSpec) -> InverseResult:
     is the largest |1 - F_n'(q_n)| over the other nodes, the local
     contraction of each node's equation.  One forward solve at the result,
     as ``apply_L`` makes it, checks it: ``iterates`` holds its residual
-    sup |clamp(L[q]) - q|, which is that solve's Picard floor rather than
-    the march's accuracy, and ``trace_sums`` and ``flux_defect`` come from
-    its coefficients.  Only the flux floor is enforced (by ``inv``).
+    sup |clamp(L[q]) - q|, a round-off check, since that solve marches the
+    same discrete system exactly, and ``trace_sums`` and ``flux_defect``
+    come from its coefficients.  Only the flux floor is enforced (by
+    ``inv``).
     """
     report = validate_theorem43(inv)
     lo, hi = inv.spec.q_window
@@ -373,8 +358,9 @@ def recover_q(inv: InverseSpec) -> InverseResult:
 
 def synthesize_data(spec: ProblemSpec, q_true: Profile,
                     noise_level: float = 0.0, seed: int = 0) -> InverseSpec:
-    """Forward-solve ``spec`` at the known coefficient ``q_true`` and package
-    its flux trace as data on that same spec.
+    """Solve the modes of ``spec`` at the known coefficient ``q_true`` and
+    package their flux trace as data on that same spec; a ``q_true`` outside
+    the admissibility window is warned about, as ``solve_forward`` does.
 
     Noise is multiplicative uniform (level * U(-1,1) per node) so small
     levels keep the trace positive (``InverseSpec`` refuses one that is
@@ -385,7 +371,8 @@ def synthesize_data(spec: ProblemSpec, q_true: Profile,
         raise DomainError(f"noise level must be nonnegative, got {noise_level}")
     if seed < 0:
         raise DomainError(f"noise seed must be nonnegative, got {seed}")
-    psi = flux_at_left(solve_forward(spec, q_true).u_k, spec.length)
+    check_window(spec, q_true)
+    psi = flux_at_left(solve_mode_set(spec, q_true).u_k, spec.length)
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
         psi *= 1.0 + noise_level * rng.uniform(-1.0, 1.0, psi.shape)

@@ -1,4 +1,4 @@
-"""Batched Volterra solve of the sine modes by Picard iteration.
+"""Batched causal solve of the sine modes.
 
 Each sine mode k obeys a fractional Cauchy problem that is equivalent to the
 integral equation
@@ -8,42 +8,38 @@ integral equation
                  + (lam_k^2 (M_sigma - sigma(s)) - q(s)) u_k(s) ] ds
 
 with lam_eff = lam_k^2 M_sigma, M_sigma the largest sample of sigma, and K
-the Mittag-Leffler kernel.  The map on the right is a contraction whose
-constant C_k is computable from the samples of sigma and q, so plain Picard
-iteration converges geometrically; the solver measures the actual correction
-ratios and reports them next to the bound.
+the Mittag-Leffler kernel.  The map on the right (``picard_step``) is a
+contraction with a constant C_k computable from the samples of sigma and q
+(``contraction_bound``): the paper's existence proof.  The solver does not
+iterate it.  Product integration reads u_n only through the last step, so
+with q known the discrete equation is lower-triangular and linear, and one
+causal march (``march``) solves it up to round-off, with no tolerance and
+no contraction condition; a step whose divisor vanishes is singular.
 
 The modes of one problem share the time grid, rho, sigma and q, so they are
-solved as one batch: a (K, N+1) array iterated by one loop, on weights that
-one Mittag-Leffler evaluation builds.  Each mode stops at its own
-convergence, so a batch gives every mode the values, iteration count and
-contraction estimate that a solve of that mode alone gives; a single mode is
-a one-row batch.  A mode without data (phi_k and every f_k sample exactly 0)
-has u_k = 0 exactly, so it is not solved: it leaves the batch before the
-first step, and the weights are built for the stiffnesses of the other
-modes alone.
+solved as one batch, a (K, N+1) array, on weights that one Mittag-Leffler
+evaluation builds; a single mode is a one-row batch.  A mode without data
+(phi_k and every f_k sample exactly 0) has u_k = 0 exactly, so it is not
+solved: it leaves the batch, and the weights are built for the stiffnesses
+of the other modes alone.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConvergenceError, DomainError, GridMismatchError
+from .errors import (AdmissibilityError, DomainError, GridMismatchError,
+                     SingularSystemError)
 from .frackernel import ConvolutionWeights, TimeGrid, build_weights, convolve
 from .profiles import Profile
 
-#: Picard budget of a forward solve: a mode stops once its correction falls
-#: below ``PICARD_TOL``, and a mode still moving after ``PICARD_MAX_ITER``
-#: steps is an error
-PICARD_TOL = 1e-10
-PICARD_MAX_ITER = 200
-#: correction norms below eps * this factor are noise, not contraction data
-_RATIO_FLOOR = 64.0
+#: nodes a forward leaf solves by one batched linear solve
+_LEAF = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +127,6 @@ class ModeProblem:
         return replace(self, k=self.k[rows], lam_k=self.lam_k[rows],
                        f_k=self.f_k[rows], phi_k=self.phi_k[rows])
 
-    def take(self, rows: np.ndarray) -> "ModeProblem":
-        """The modes at ``rows`` as a batch of their own, on rows cut from
-        this batch's weights: this builds this batch's weights for all its
-        modes first, unless they are cached already."""
-        sub = self.restrict(rows)
-        sub.__dict__["weights"] = self.weights.take(rows)  # seeds the cache
-        return sub
-
 
 def contraction_bound(p: ModeProblem) -> np.ndarray:
     """C_k = max_t |lam_k^2 (M_sigma - sigma(t)) - q(t)| / (lam_k^2 M_sigma),
@@ -146,8 +134,9 @@ def contraction_bound(p: ModeProblem) -> np.ndarray:
     c = np.max(np.abs(p.bracket), axis=1) / np.array(p.lam_eff)
     for k, ck in zip(p.k[c >= 1.0].tolist(), c[c >= 1.0].tolist()):
         warnings.warn(
-            f"mode {k}: contraction bound {ck:.4f} >= 1; Picard iteration "
-            f"may not converge", stacklevel=2)
+            f"mode {k}: contraction bound {ck:.4f} >= 1; the contraction "
+            f"argument for the solution's existence does not cover it",
+            stacklevel=2)
     return c
 
 
@@ -159,86 +148,118 @@ def picard_step(p: ModeProblem, current: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeSolution:
-    """Per mode: the trajectory (a row of ``u_k``), the Picard iterations it
-    took, its largest measured correction ratio and its bound C_k."""
+    """Per mode: the trajectory (a row of ``u_k``) and its bound C_k."""
 
     u_k: np.ndarray
-    iterations: np.ndarray
-    contraction_estimate: np.ndarray
     C_k_bound: np.ndarray
 
 
-def solve_mode(p: ModeProblem, tol: float = PICARD_TOL) -> ModeSolution:
-    """Picard-iterate every mode to its fixed point from the homogeneous
-    term.
+def march(column: np.ndarray, base: np.ndarray, g: np.ndarray,
+          leaf: Callable[[int, int], None], leaf_nodes: int) -> None:
+    """Drive a causal product-integration system over nodes 1..N by the
+    divide-and-conquer split of Hairer, Lubich and Schlichte (SIAM J. Sci.
+    Stat. Comput. 6 (1985) 532).
 
-    A mode whose correction falls below ``tol`` is frozen and later steps
-    leave it out.  A mode without data (outside ``p.live``) is not solved:
-    its row is exactly 0, with 0 iterations and contraction estimate 0, and
-    only its bound C_k is computed (and warned about).  If a mode is still
-    moving after ``PICARD_MAX_ITER`` steps, the error names the first such
-    mode, with its last correction.
+    Node n of row k reads base[k, n] + sum_{j<n} column[k, n-j] g-bar_j,
+    g-bar_j = (g[k, j] + g[k, j+1]) / 2 with g the integrand, g[:, 0] given.
+    ``leaf(start, stop)`` fills ``g[:, start:stop]`` from ``g[:, start-1]``
+    and ``base[:, start:stop]``, which then hold every term with j <= start
+    - 2.  A longer stretch solves its first half, adds g-bar_j, j = start-1
+    ..mid-2, to the second half's base by one FFT product, and solves the
+    second half; each span's kernel spectrum is computed once per march.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    spectra: dict = {}
+
+    def history(start: int, mid: int, stop: int) -> None:
+        # the averages meet the weights column[2..span]; a period of
+        # span-1 keeps the wrap-around off the entries read
+        span = stop - start
+        size = 1 << (span - 2).bit_length()
+        if span not in spectra:
+            spectra[span] = np.fft.rfft(column[:, 2:span + 1], size)
+        avg = 0.5 * (g[:, start - 1:mid - 1] + g[:, start:mid])
+        conv = np.fft.irfft(np.fft.rfft(avg, size) * spectra[span], size)
+        base[:, mid:stop] += conv[:, mid - start - 1:span - 1]
+
+    def solve(start: int, stop: int) -> None:
+        if stop - start <= leaf_nodes:
+            leaf(start, stop)
+            return
+        mid = (start + stop) // 2
+        solve(start, mid)
+        history(start, mid, stop)
+        solve(mid, stop)
+
+    solve(1, base.shape[1])
+
+
+def _march_rows(p: ModeProblem) -> np.ndarray:
+    """The rows u_k of every mode of ``p``, by one march of forward leaves.
+
+    On a leaf of L nodes from ``start``, with b the bracket, g = f + b u and
+    E the lower-triangular Toeplitz matrix of e_0 = column[1]/2 and e_d =
+    (column[d] + column[d+1])/2, the nodes solve (I - E diag(b)) u = base +
+    column[1..L]/2 g_{start-1} + E f, one batched solve over the modes; the
+    divisors 1 - e_0 b_n are all checked before the march starts.
+    """
+    col, b, f = p.weights.column, p.bracket, p.f_k
+    # column[0] is 0, so every e_0 below comes out as this column[1]/2
+    div = 1.0 - 0.5 * col[:, 1:2] * b[:, 1:]
+    bad = np.argwhere(~(np.isfinite(div) & (div != 0.0)).T)  # node order
+    if bad.size:
+        n, row = bad[0].tolist()
+        raise SingularSystemError(
+            f"mode {p.k[row]}: singular step at node {n + 1}, where "
+            f"1 - column[1]/2 b = {div[row, n]}", step=n + 1)
+    u = np.empty(f.shape)
+    u[:, 0] = p.phi_k
+    base = p.phi_k[:, None] * p.weights.relax  # gains the far history
+    g = np.empty(f.shape)
+    g[:, 0] = f[:, 0] + b[:, 0] * p.phi_k
+    near: dict = {}  # E per leaf length, a (modes, L, L) stack
+
+    def leaf(start: int, stop: int) -> None:
+        L = stop - start
+        if L not in near:
+            e = 0.5 * (col[:, :L] + col[:, 1:L + 1])
+            lag = np.subtract.outer(np.arange(L), np.arange(L))
+            near[L] = np.where(lag >= 0, e[:, np.maximum(lag, 0)], 0.0)
+        E = near[L]
+        fs, bs = f[:, start:stop], b[:, start:stop]
+        # E f as a sum along each row rather than a stacked product, whose
+        # rounding varies with the row's place in memory: a mode's row is
+        # then the same floats in any batch
+        rhs = (base[:, start:stop]
+               + 0.5 * col[:, 1:L + 1] * g[:, start - 1:start]
+               + (E * fs[:, None]).sum(axis=-1))
+        u[:, start:stop] = np.linalg.solve(np.eye(L) - E * bs[:, None],
+                                           rhs[..., None])[..., 0]
+        g[:, start:stop] = fs + bs * u[:, start:stop]
+
+    march(col, base, g, leaf, _LEAF)
+    return u
+
+
+def solve_mode(p: ModeProblem) -> ModeSolution:
+    """Solve every mode's discrete equation by one causal march.
+
+    A mode without data (outside ``p.live``) is not solved: its row is
+    exactly 0, and only its bound C_k is computed (and warned about).  A
+    singular step raises ``SingularSystemError`` naming the first such
+    node, and the first mode singular there.
+    """
     c_bound = contraction_bound(p)
-    live = p.live
     u = np.zeros(p.f_k.shape)
-    iterations = np.zeros(p.k.size, dtype=int)
-    worst_ratio = np.zeros(p.k.size)
+    live = p.live
     if live.size:
-        u[live], iterations[live], worst_ratio[live] = _iterate(
-            p.restrict(live), tol)
-    return ModeSolution(u_k=u, iterations=iterations,
-                        contraction_estimate=worst_ratio, C_k_bound=c_bound)
+        u[live] = _march_rows(p.restrict(live))
+    return ModeSolution(u_k=u, C_k_bound=c_bound)
 
 
-def _iterate(p: ModeProblem, tol: float
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_mode``'s Picard loop over every mode of ``p``: the rows, the
-    iteration counts and the largest measured correction ratios."""
-    u = p.phi_k[:, None] * p.weights.relax
-    n_modes = p.k.size
-    iterations = np.zeros(n_modes, dtype=int)
-    worst_ratio = np.zeros(n_modes)
-    # the last correction of each mode; inf before the first makes the first
-    # ratio 0, which leaves the estimate as it is
-    prev_update = np.full(n_modes, math.inf)
-    floor = _RATIO_FLOOR * np.finfo(float).eps
-    active, sub = np.arange(n_modes), p
-    for it in range(1, PICARD_MAX_ITER + 1):
-        u_next = picard_step(sub, u[active])
-        update = np.max(np.abs(u_next - u[active]), axis=1)
-        scale = np.maximum(1.0, np.max(np.abs(u_next), axis=1))
-        prev = prev_update[active]
-        measured = prev > floor * scale
-        worst_ratio[active[measured]] = np.fmax(
-            worst_ratio[active[measured]], update[measured] / prev[measured])
-        u[active] = u_next
-        prev_update[active] = update
-        done = update < tol
-        if done.any():
-            finished = active[done]
-            iterations[finished] = it
-            # exact by construction; pin against roundoff
-            u[finished, 0] = p.phi_k[finished]
-            active = active[~done]
-            if active.size == 0:
-                return u, iterations, worst_ratio
-            sub = p.take(active)
-    first = active[0]
-    raise ConvergenceError(
-        f"mode {p.k[first]}: Picard iteration did not reach tol={tol} in "
-        f"{PICARD_MAX_ITER} iterations",
-        iterations=PICARD_MAX_ITER, last_update=float(prev_update[first]),
-        contraction_estimate=float(worst_ratio[first]))
-
-
-def decompose_mode(p: ModeProblem, tol: float = PICARD_TOL
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def decompose_mode(p: ModeProblem) -> tuple[np.ndarray, np.ndarray]:
     """Split into the zero-initial-datum part V_k and the zero-source part W_k."""
-    v = solve_mode(replace(p, phi_k=np.zeros_like(p.phi_k)), tol)
-    w = solve_mode(replace(p, f_k=np.zeros_like(p.f_k)), tol)
+    v = solve_mode(replace(p, phi_k=np.zeros_like(p.phi_k)))
+    w = solve_mode(replace(p, f_k=np.zeros_like(p.f_k)))
     return v.u_k, w.u_k
 
 

@@ -74,7 +74,8 @@ class FdWorkspace:
     ``a`` are the L1 weights a_m = (m+1)^{1-rho} - m^{1-rho}; the history
     weights d_m = a_m - a_{m+1} are positive and the summation-by-parts form
     keeps the right-hand side a weighted sum of past interior rows, linear in
-    the rows, so it holds unchanged for their eigenbasis coefficients.
+    the rows, so it holds unchanged for their eigenbasis coefficients;
+    ``scaled_d`` is scale d_m, which the history's matrix products read.
     ``mu`` and ``V`` are the eigenvalues (over h^2) and eigenvectors of the
     interior stencil T = tridiag(-1, 2, -1), in closed form: mu_j h^2 =
     4 sin^2(j pi/2M) and V_ij = sqrt(2/M) sin(i j pi/M), j ascending.
@@ -89,6 +90,7 @@ class FdWorkspace:
     scale: float
     a: np.ndarray
     d: np.ndarray
+    scaled_d: np.ndarray
     mu: np.ndarray
     V: np.ndarray
     near: np.ndarray
@@ -100,6 +102,7 @@ class FdWorkspace:
         m = np.arange(tg.n_steps + 1, dtype=float)
         a = (m + 1.0) ** (1.0 - spec.rho) - m ** (1.0 - spec.rho)
         d = a[:-1] - a[1:]
+        scaled_d = scale * d
         M = spec.sgrid.n_cells
         j = np.arange(1, M)
         # 4 sin^2(j pi/2M) = 2 - 2 cos(j pi/M): the squared sine keeps the
@@ -115,12 +118,12 @@ class FdWorkspace:
         mu = lam / spec.sgrid.h ** 2
         i = np.arange(min(_HISTORY_BLOCK, tg.n_steps))
         lag = i[:, None] - i - 1
-        near = (np.where(lag >= 0, scale * d[np.maximum(lag, 0)], 0.0)
+        near = (np.where(lag >= 0, scaled_d[np.maximum(lag, 0)], 0.0)
                 + np.eye(len(i)))
-        for arr in (a, d, mu, V, near):
+        for arr in (a, d, scaled_d, mu, V, near):
             arr.setflags(write=False)
         return cls(tgrid=tg, sgrid=spec.sgrid, rho=spec.rho, scale=scale,
-                   a=a, d=d, mu=mu, V=V, near=near)
+                   a=a, d=d, scaled_d=scaled_d, mu=mu, V=V, near=near)
 
     def history(self, rows: np.ndarray, n: int, stop: int, start: int = 0,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -140,8 +143,11 @@ class FdWorkspace:
         j = max(start, 1)
         width, count = n - j, stop - n
         if min(width, count) <= _FFT_MIN:
-            toeplitz = sliding_window_view(self.d[:width + count - 1], width)
-            out += (self.scale * toeplitz[:, ::-1]) @ rows[j:n]
+            # a window over the scaled weights, copied: a product on the
+            # reversed view would leave BLAS and change the rounding
+            toeplitz = sliding_window_view(self.scaled_d[:width + count - 1],
+                                           width)
+            out += np.ascontiguousarray(toeplitz[:, ::-1]) @ rows[j:n]
             return out
         # the steps read outputs width-1..width+count-2 of the convolution;
         # at a size of at least width+count-1, the lags past those and the

@@ -55,15 +55,18 @@ def basis(sgrid: SpaceGrid, K: int) -> np.ndarray:
     """Read-only (K, n_cells + 1) array; row k-1 holds e_k at the grid nodes.
 
     K is capped at M/2 so that the top retained mode is resolved by the grid.
+    The sine of pi k x_i / l = pi k i / M is taken with k i reduced mod 2M in
+    integers, so every argument is below 2 pi and off by a few eps, not by
+    k eps: the rows stay orthogonal on the grid to a few eps.
     """
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
     if K > sgrid.n_cells // 2:
         raise AliasingError(
             f"K={K} exceeds the anti-aliasing cap M/2={sgrid.n_cells // 2}")
-    k = np.arange(1, K + 1)[:, None]
-    e = (math.sqrt(2.0 / sgrid.length)
-         * np.sin(math.pi * k * sgrid.nodes / sgrid.length))
+    M = sgrid.n_cells
+    ki = np.outer(np.arange(1, K + 1), np.arange(M + 1)) % (2 * M)
+    e = math.sqrt(2.0 / sgrid.length) * np.sin(ki * (math.pi / M))
     # Dirichlet endpoints are zero analytically; make them zero exactly so
     # assembled fields honor the boundary to the last bit.
     e[:, 0] = 0.0

@@ -154,6 +154,38 @@ def sample_mode_problem(rng, *, n_steps: int = 64, sign: int | None = None,
     return p, comparison
 
 
+def picard_ratio(p, u, rng, steps: int = 6, size: float = 1e-3) -> float:
+    """Largest correction ratio max|u_{j+1} - u_j| / max|u_j - u_{j-1}| of
+    the paper's map (``picard_step``), iterated ``steps`` times from the
+    solution ``u`` of ``p`` plus a random perturbation of ``size`` times
+    max|u|.  The map is affine, so the ratios measure its linear part, which
+    the contraction bound C_k dominates.  A ratio is taken only while the
+    last correction exceeds 64 eps max(1, max|u_j|), as below that it
+    measures round-off."""
+    from subdiff.mode_solver import picard_step
+
+    floor = 64.0 * np.finfo(float).eps
+    v = u + size * float(np.max(np.abs(u))) * rng.normal(size=u.shape)
+    prev, worst = 0.0, 0.0
+    for _ in range(steps):
+        nxt = picard_step(p, v)
+        update = float(np.max(np.abs(nxt - v)))
+        if prev > floor * max(1.0, float(np.max(np.abs(nxt)))):
+            worst = max(worst, update / prev)
+        prev, v = update, nxt
+    return worst
+
+
+def zero_divisor_bracket(c: float) -> float:
+    """A bracket value b next to 1/c with 1 - c b exactly 0, so that a step
+    of the forward march whose first weight is 2c is singular."""
+    b = 1.0 / c
+    for x in b + np.spacing(b) * np.array([0, -1, 1, -2, 2, -3, 3]):
+        if 1.0 - c * float(x) == 0.0:
+            return float(x)
+    raise AssertionError(f"no double next to 1/{c} zeroes 1 - c b")
+
+
 def l1_direct(grid, u, rho: float) -> np.ndarray:
     """L1 Caputo derivative of one series with the history sum taken directly."""
     n = grid.n_steps

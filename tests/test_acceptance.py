@@ -36,7 +36,8 @@ from subdiff.mode_solver import apriori_bounds, decompose_mode, solve_mode
 from subdiff.profiles import affine, constant, sinusoidal_offset
 from subdiff.spectral import SpaceGrid
 
-from conftest import make_manufactured, sample_field_problem, sample_mode_problem
+from conftest import (make_manufactured, picard_ratio, sample_field_problem,
+                      sample_mode_problem)
 from test_forward import make_quadratic
 
 
@@ -130,19 +131,23 @@ class TestAcceptance:
                           sigma=constant(g, 2.0), q=constant(g, 0.0),
                           f_k=np.zeros(1025), phi_k=0.9, grid=g)
         relax = np.array([relaxation(0.5, lam_eff, t) for t in g.nodes])
-        hom_err = sup(solve_mode(hom, tol=1e-12).u_k, 0.9 * relax)
+        hom_err = sup(solve_mode(hom).u_k, 0.9 * relax)
 
         src = replace(hom, f_k=np.full(1025, 1.2), phi_k=0.5)
         want = 0.5 * relax + (1.2 / lam_eff) * (1.0 - relax)
-        src_err = sup(solve_mode(src, tol=1e-12).u_k, want)
+        src_err = sup(solve_mode(src).u_k, want)
         assert hom_err <= 1e-8 and src_err <= 1e-8
 
+        # the solver marches instead of iterating, so the paper's map is
+        # iterated here, from a perturbed solution, and its correction
+        # ratios are held against C_k
         rng = np.random.default_rng(1002)
         worst_gap = -np.inf
         for _ in range(100):
-            sol = solve_mode(sample_mode_problem(rng))
-            worst_gap = max(worst_gap, float(
-                sol.contraction_estimate[0] - sol.C_k_bound[0]))
+            p = sample_mode_problem(rng)
+            sol = solve_mode(p)
+            worst_gap = max(worst_gap, picard_ratio(p, sol.u_k, rng)
+                            - float(sol.C_k_bound[0]))
         assert worst_gap <= 0.05
 
         elapsed = time.monotonic() - t0
@@ -168,7 +173,7 @@ class TestAcceptance:
         worst = -np.inf
         for _ in range(100):
             p, comparison = sample_mode_problem(rng, with_comparison=True)
-            v, w = decompose_mode(p, tol=1e-12)
+            v, w = decompose_mode(p)
             v_bound, w_bound = apriori_bounds(comparison)
             worst = max(worst, float(np.max(np.abs(v) - v_bound)),
                         float(np.max(np.abs(w) - w_bound)))

@@ -325,7 +325,7 @@ class TestSolveForward:
         assert spec.K == 64
         with pytest.warns(UserWarning):  # constant sigma closes the q window
             sol = solve_forward(spec, q)
-        assert len(sol.diagnostics["picard_iterations"]) == 64
+        assert len(sol.diagnostics["contraction_bounds"]) == 64
         assert np.max(np.abs(sol.u - u_star)) <= max_gap
         assert np.max(np.abs(sol.u - solve_fd(spec, q).u)) <= max_gap
 
@@ -431,17 +431,6 @@ class TestSolveForward:
             sol = solve_forward(spec, q)
         d = sol.diagnostics
         assert d["q1_value"] <= d["q1_bound"] + 1e-10
-
-    def test_nonconvergence_names_the_mode(self, monkeypatch):
-        from subdiff import mode_solver
-        from subdiff.errors import ConvergenceError
-        spec, q, _ = make_manufactured(64, 32)
-        monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ConvergenceError, match="mode") as exc:
-                solve_forward(spec, q)
-        assert exc.value.iterations == 1
 
 
 class TestRefinementAcrossOrder:

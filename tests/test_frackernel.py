@@ -305,13 +305,6 @@ class TestBatchedWeights:
             assert np.array_equal(batch.relax[i], one.relax)
             assert np.array_equal(batch.spectrum[i], one.spectrum)
 
-    def test_take_keeps_rows_and_stiffnesses(self):
-        g = TimeGrid(1.0, 40)
-        batch = build_weights(g, 0.7, self.LAMS)
-        sub = batch.take(np.array([1, 3]))
-        assert sub.lam_eff == (self.LAMS[1], self.LAMS[3])
-        assert np.array_equal(sub.spectrum, batch.spectrum[[1, 3]])
-
     @pytest.mark.parametrize("n", [8, 300, 4096])
     def test_batched_convolve_equals_per_row_calls(self, n):
         # n = 8 stays inside the direct block, 4096 goes well past it

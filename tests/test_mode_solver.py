@@ -1,19 +1,20 @@
-"""Batched mode solver: closed forms, contraction, sign, envelopes; a
-single mode is a one-row batch."""
+"""Batched mode solver: closed forms, contraction, sign, envelopes, the
+causal march and its singular steps; a single mode is a one-row batch."""
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from subdiff.errors import (
     AdmissibilityError,
-    ConvergenceError,
     DomainError,
     GridMismatchError,
+    SingularSystemError,
 )
 from subdiff.frackernel import TimeGrid, build_weights
 from subdiff.mode_solver import (
@@ -27,7 +28,7 @@ from subdiff.mode_solver import (
 from subdiff import mode_solver, profiles
 from subdiff.mlf import relaxation, relaxation_curve
 
-from conftest import sample_mode_problem
+from conftest import picard_ratio, sample_mode_problem, zero_divisor_bracket
 
 
 def make_problem(grid, *, rho=0.5, lam_k=math.pi, sigma=None, q=None,
@@ -110,7 +111,6 @@ class TestSolveMode:
     def test_homogeneous_constant_coefficients(self):
         p = make_problem(GRID, sigma=profiles.constant(GRID, 2.0), phi=0.9)
         sol = solve_mode(p)
-        assert sol.iterations == 1
         assert sol.u_k[0, 0] == 0.9
         w = build_weights(GRID, p.rho, p.lam_eff)
         np.testing.assert_allclose(sol.u_k, 0.9 * w.relax, rtol=1e-14)
@@ -120,20 +120,19 @@ class TestSolveMode:
         F, phi, Ms = 1.2, 0.5, 2.0
         p = make_problem(g, sigma=profiles.constant(g, Ms),
                          f=profiles.constant(g, F), phi=phi)
-        sol = solve_mode(p, tol=1e-12)
+        sol = solve_mode(p)
         lam_eff = math.pi ** 2 * Ms
         relax = np.array([relaxation(0.5, lam_eff, t) for t in g.nodes])
         want = phi * relax + (F / lam_eff) * (1.0 - relax)
         assert np.max(np.abs(sol.u_k - want)) < 1e-8
 
     def test_half_order_closed_form_with_bracket(self):
-        # sigma = 1 and q = 0.4 leave the bracket -q nonzero, so Picard has
-        # work to do; u = E_{1/2}(-(pi^2 + q) t^{1/2})
+        # sigma = 1 and q = 0.4 leave the bracket -q nonzero, so the
+        # leaves' systems couple their nodes; u = E_{1/2}(-(pi^2 + q) t^{1/2})
         g = TimeGrid(1.0, 1024)
         c = 0.4
         p = make_problem(g, rho=0.5, q=profiles.constant(g, c), phi=1.0)
-        sol = solve_mode(p, tol=1e-12)
-        assert sol.iterations[0] > 1
+        sol = solve_mode(p)
         want = relaxation_curve(0.5, math.pi ** 2 + c, g.nodes)
         assert np.max(np.abs(sol.u_k - want)) < 5e-3
 
@@ -164,25 +163,52 @@ class TestSolveMode:
         base = make_problem(g, sigma=sig, f=f, phi=0.8)
         scaled = make_problem(
             g, sigma=sig, f=profiles.Profile(g, 3.7 * f.values), phi=3.7 * 0.8)
-        a = solve_mode(base, tol=1e-13)
-        b = solve_mode(scaled, tol=1e-13)
+        a = solve_mode(base)
+        b = solve_mode(scaled)
         np.testing.assert_allclose(b.u_k, 3.7 * a.u_k, rtol=1e-10, atol=1e-12)
 
     def test_contraction_ratios_within_bound(self):
+        # the paper's map, iterated from a perturbed march solution: its
+        # correction ratios stay within C_k (plus the discrete slack)
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = sample_mode_problem(rng)
             sol = solve_mode(p)
-            assert sol.contraction_estimate <= sol.C_k_bound + 0.05
+            ratio = picard_ratio(p, sol.u_k, rng)
+            assert ratio <= sol.C_k_bound[0] + 0.05
 
-    def test_nonconvergence_reports_diagnostics(self, monkeypatch):
-        p = make_problem(GRID, sigma=profiles.affine(GRID, 1.0, 1.0),
-                         f=profiles.constant(GRID, 1.0))
-        monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError) as exc:
-            solve_mode(p, tol=1e-14)
-        assert exc.value.iterations == 3
-        assert exc.value.last_update > 0.0
+    def test_rows_are_a_fixed_point_of_the_map(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            p = sample_mode_problem(rng)
+            u = solve_mode(p).u_k
+            assert (np.max(np.abs(picard_step(p, u) - u))
+                    <= 1e-13 * np.max(np.abs(u)))
+
+    def test_benign_large_q_is_solved(self):
+        # q far above the window only damps the solution: the bound C_k is
+        # far above 1, and the march solves it all the same
+        for c in (20.0, 200.0):
+            p = make_problem(GRID, q=profiles.constant(GRID, c), phi=1.0)
+            with pytest.warns(UserWarning, match="contraction bound"):
+                sol = solve_mode(p)
+            u = sol.u_k[0]
+            assert sol.C_k_bound[0] > 1.0 and u[0] == 1.0
+            assert np.all(np.abs(u) <= 1.0)
+            assert (np.max(np.abs(picard_step(p, sol.u_k) - sol.u_k))
+                    <= 1e-13)
+
+    def test_zero_divisor_is_a_singular_step(self):
+        # sigma constant makes the bracket -q; q_5 = -1/c with c =
+        # column[1]/2, to the ulp that makes 1 - c b_5 exactly 0
+        c = 0.5 * make_problem(GRID).weights.column[0, 1]
+        q = np.zeros(65)
+        q[5] = -zero_divisor_bracket(c)
+        p = make_problem(GRID, q=profiles.Profile(GRID, q), k=3)
+        with pytest.raises(SingularSystemError,
+                           match="^mode 3: singular step at node 5") as exc:
+            solve_mode(p)
+        assert exc.value.step == 5
 
 class TestDecompose:
     def test_zero_source_gives_zero_v(self):
@@ -200,10 +226,9 @@ class TestDecompose:
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = sample_mode_problem(rng)
-            tol = 1e-11
-            v, w = decompose_mode(p, tol=tol)
-            u = solve_mode(p, tol=tol).u_k
-            assert np.max(np.abs(v + w - u)) < 2 * tol * 10
+            v, w = decompose_mode(p)
+            u = solve_mode(p).u_k
+            assert np.max(np.abs(v + w - u)) <= 1e-13 * np.max(np.abs(u))
 
 
 class TestAprioriBounds:
@@ -222,7 +247,7 @@ class TestAprioriBounds:
         rng = np.random.default_rng(11)
         for _ in range(15):
             p, comparison = sample_mode_problem(rng, with_comparison=True)
-            v, w = decompose_mode(p, tol=1e-12)
+            v, w = decompose_mode(p)
             v_b, w_b = apriori_bounds(comparison)
             assert np.all(np.abs(v) <= v_b + 1e-10)
             assert np.all(np.abs(w) <= w_b + 1e-10)
@@ -239,9 +264,8 @@ class TestAprioriBounds:
 
 def make_batch(grid, ks, *, data_from=1, q=None):
     """Modes ``ks`` of one problem with varying sigma.  Mode k's data scale
-    like 10^-k, so against an absolute tolerance the modes converge at
-    different iterations; modes below ``data_from`` carry no data, so they
-    are not solved: their rows are 0 and take 0 iterations."""
+    like 10^-k, so the rows span several orders of magnitude; modes below
+    ``data_from`` carry no data, so they are not solved: their rows are 0."""
     t = grid.nodes
     sigma = profiles.sinusoidal_offset(grid, 1.5, 0.4)
     q = q if q is not None else profiles.affine(grid, 0.3, -0.5)
@@ -260,40 +284,45 @@ class TestBatchedSolve:
     KS = np.arange(1, 7)
 
     def test_rows_equal_one_row_solves(self):
+        # 200 steps make four leaves of 50 nodes and three history splits
         g = TimeGrid(1.0, 200)
         batch = make_batch(g, self.KS)
-        sol = solve_mode(batch, tol=1e-12)
-        # the rows converge at different iterations, so rows freeze early
-        assert len(set(sol.iterations.tolist())) > 1
+        sol = solve_mode(batch)
         for i in range(len(self.KS)):
-            one = solve_mode(batch.take([i]), tol=1e-12)
+            one = solve_mode(batch.restrict([i]))
             assert np.array_equal(sol.u_k[i], one.u_k[0])
-            assert sol.iterations[i] == one.iterations[0]
-            assert sol.contraction_estimate[i] == one.contraction_estimate[0]
             assert sol.C_k_bound[i] == one.C_k_bound[0]
 
-    def test_take_matches_a_fresh_one_mode_problem(self):
+    def test_restrict_matches_a_fresh_one_mode_problem(self):
         g = TimeGrid(1.0, 64)
         batch = make_batch(g, self.KS)
         fresh = make_batch(g, self.KS[3:4])
-        assert fresh.lam_eff == batch.take([3]).lam_eff
+        assert fresh.lam_eff == batch.restrict([3]).lam_eff
         assert np.array_equal(solve_mode(fresh).u_k,
-                              solve_mode(batch.take([3])).u_k)
+                              solve_mode(batch.restrict([3])).u_k)
 
-    def test_nonconvergence_names_first_unconverged_mode(self, monkeypatch):
+    def test_singular_step_names_first_singular_mode(self):
+        # q_7 = -1/c_3, c_k = column_k[1]/2, makes mode 3's divisor at node 7
+        # exactly 0 and every later mode's there nonzero; modes 1 and 2
+        # carry no data and are not solved
         g = TimeGrid(1.0, 64)
-        # modes 1 and 2 carry no data and are not solved
         batch = make_batch(g, self.KS, data_from=3)
-        monkeypatch.setattr(mode_solver, "PICARD_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError, match="^mode 3: ") as exc:
-            solve_mode(batch, tol=1e-15)
-        with pytest.raises(ConvergenceError) as alone:
-            solve_mode(batch.take([2]), tol=1e-15)
+        c = 0.5 * batch.restrict([2]).weights.column[0, 1]
+        a = batch.bracket[2, 7] + batch.q.values[7]  # lam^2 (M - sigma_7)
+        q = batch.q.values.copy()
+        for q7 in (a - 1.0 / c, *np.nextafter(a - 1.0 / c, [-np.inf, np.inf])):
+            q[7] = q7
+            trial = replace(batch, q=profiles.Profile(g, q))
+            if 1.0 - c * trial.bracket[2, 7] == 0.0:
+                break
+        assert 1.0 - c * trial.bracket[2, 7] == 0.0
+        with pytest.raises(SingularSystemError,
+                           match="^mode 3: singular step at node 7") as exc:
+            solve_mode(trial)
+        with pytest.raises(SingularSystemError) as alone:
+            solve_mode(trial.restrict([2]))
         assert str(exc.value) == str(alone.value)
-        assert exc.value.iterations == 3
-        assert exc.value.last_update == alone.value.last_update > 0.0
-        assert (exc.value.contraction_estimate
-                == alone.value.contraction_estimate)
+        assert exc.value.step == alone.value.step == 7
 
     def test_contraction_warnings_per_mode(self):
         g = TimeGrid(1.0, 64)
@@ -307,12 +336,13 @@ class TestBatchedSolve:
         for i in range(len(self.KS)):
             with warnings.catch_warnings(record=True) as one:
                 warnings.simplefilter("always")
-                assert contraction_bound(batch.take([i]))[0] == bounds[i]
+                assert contraction_bound(batch.restrict([i]))[0] == bounds[i]
             want += [str(w.message) for w in one]
         assert texts == want
         assert texts == [
-            f"mode {k}: contraction bound {bounds[k - 1]:.4f} >= 1; "
-            f"Picard iteration may not converge" for k in (1, 2)]
+            f"mode {k}: contraction bound {bounds[k - 1]:.4f} >= 1; the "
+            f"contraction argument for the solution's existence does not "
+            f"cover it" for k in (1, 2)]
 
     def test_rows_without_data_are_not_solved(self, monkeypatch):
         g = TimeGrid(1.0, 200)
@@ -322,18 +352,13 @@ class TestBatchedSolve:
         build = mode_solver.build_weights
         monkeypatch.setattr(mode_solver, "build_weights",
                             lambda *a: built.append(a[2]) or build(*a))
-        sol = solve_mode(batch, tol=1e-12)
-        # the live rows iterate on weights built for their own stiffnesses,
+        sol = solve_mode(batch)
+        # the live rows march on weights built for their own stiffnesses,
         # never on rows cut from a build for the whole batch
         assert built == [alone.lam_eff]
-        want = solve_mode(alone, tol=1e-12)
+        want = solve_mode(alone)
         assert np.array_equal(sol.u_k[2:], want.u_k)
-        assert np.array_equal(sol.iterations[2:], want.iterations)
-        assert np.array_equal(sol.contraction_estimate[2:],
-                              want.contraction_estimate)
         assert np.all(sol.u_k[:2] == 0.0)
-        assert sol.iterations[:2].tolist() == [0, 0]
-        assert sol.contraction_estimate[:2].tolist() == [0.0, 0.0]
         # the bound is computed for every mode
         assert np.array_equal(sol.C_k_bound, contraction_bound(batch))
 
@@ -346,8 +371,6 @@ class TestBatchedSolve:
         sol = solve_mode(batch)
         assert built == []
         assert np.all(sol.u_k == 0.0) and sol.u_k.shape == batch.f_k.shape
-        assert np.all(sol.iterations == 0)
-        assert np.all(sol.contraction_estimate == 0.0)
         assert np.array_equal(sol.C_k_bound, contraction_bound(batch))
 
     def test_rejects_mismatched_rows(self):

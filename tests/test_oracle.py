@@ -269,6 +269,24 @@ class TestExcitedColumns:
         solve_fd(*varying_spec(200, 16, modes=modes))
         assert widths and set(widths) == {width}
 
+    @pytest.mark.parametrize("k", [512, 1024, 2048])
+    def test_one_high_mode_steps_one_column(self, monkeypatch, k):
+        # the spec's grid fields sample sin(pi k i/M) with k i reduced mod
+        # 2M, as the eigenbasis does, so one mode's data leave round-off
+        # far below the cut in the other columns; 65 steps make one far
+        # field call, after the first block
+        m = 4096
+        tg, sg = TimeGrid(1.0, 65), SpaceGrid(1.0, m)
+        phi_k = np.zeros(k)
+        phi_k[-1] = 1.0
+        f_k = np.zeros((k, 66))
+        f_k[-1] = 1.0 + tg.nodes
+        spec = ProblemSpec.from_modes(sg, tg, 0.5, constant(tg, 1.0), phi_k,
+                                      f_k)
+        widths = stepped_widths(monkeypatch)
+        solve_fd(spec, constant(tg, 0.1))
+        assert widths and set(widths) == {1}
+
     # 1e-17 of the largest column, and just under the cut
     @pytest.mark.parametrize("rel", [1e-17, 0.9 * oracle._COLUMN_CUT])
     def test_column_below_cut_moves_field_within_bound(self, monkeypatch,

@@ -80,10 +80,18 @@ class TestSineCoefficients:
         g = SpaceGrid(1.5, 64)
         e = basis(g, 32)
         assert e.shape == (32, 65) and not e.flags.writeable
+        i = np.arange(65)
         for k in (1, 7, 32):
-            want = math.sqrt(2.0 / 1.5) * np.sin(k * math.pi * g.nodes / 1.5)
+            # pi k x_i / l = pi k i / M, with k i reduced mod 2M exactly
+            want = (math.sqrt(2.0 / 1.5)
+                    * np.sin((k * i % 128) * (math.pi / 64)))
             want[0] = want[-1] = 0.0
             np.testing.assert_array_equal(e[k - 1], want)
+            # the sines sampled at float arguments, which round by up to
+            # about eps pi k (1.6e-14 at k = 32)
+            np.testing.assert_allclose(
+                e[k - 1], math.sqrt(2.0 / 1.5)
+                * np.sin(k * math.pi * g.nodes / 1.5), rtol=0.0, atol=1e-13)
 
     def test_aliasing_cap(self):
         g = SpaceGrid(1.0, 16)

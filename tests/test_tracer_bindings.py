@@ -60,23 +60,25 @@ def traced_run(tmp_path, command, cfg) -> dict:
     return record
 
 
-def test_traced_worker_records_weight_builds_and_picard_steps(tmp_path):
+def test_traced_worker_records_weight_builds_and_mode_solves(tmp_path):
     # the weight-build span keys each call by its arguments, so this also
-    # checks that they stay hashable
+    # checks that they stay hashable; the modes are marched, so the paper's
+    # map is never applied
     cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
     cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
     record = traced_run(tmp_path, "forward", cfg)
     names = [span[0] for span in record["trace"]["spans"]]
     assert names.count("frackernel.build_weights") >= 1
-    assert names.count("mode_solver.picard_step") >= 1
+    assert names.count("mode_solver.solve_mode") == 1
+    assert names.count("mode_solver.picard_step") == 0
     assert record["trace"]["weights"]["calls"] >= 1
 
 
 def test_traced_inverse_sweeps_and_sine_transforms(tmp_path):
-    # the march solves no forward problem through the sweep binding, so the
-    # one sweep span is the check solve at the result, which the report
-    # counts as its one iteration; the CLI hands the data over as mode
-    # coefficients, so no sine transform is made
+    # synthesis solves its modes through the sweep binding, and the march
+    # solves none, so the other sweep span is the check solve at the
+    # result, which the report counts as its one iteration; the CLI hands
+    # the data over as mode coefficients, so no sine transform is made
     cfg = json.loads((CONFIGS / "inverse_synthetic.json").read_text(
         encoding="utf-8"))
     cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
@@ -85,5 +87,5 @@ def test_traced_inverse_sweeps_and_sine_transforms(tmp_path):
         encoding="utf-8"))
     names = [span[0] for span in record["trace"]["spans"]]
     assert report["iterations"] == 1
-    assert names.count("inverse.sweep") == report["iterations"]
+    assert names.count("inverse.sweep") == 1 + report["iterations"]
     assert names.count("spectral.sine_coefficients") == 0

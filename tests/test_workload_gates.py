@@ -5,7 +5,8 @@ at workload sizes and the ``report.json``/``verify.json`` fields the
 benchmark reads.  A change that fails them fails every benchmark operation,
 so each workload runs here once, at seed 1301, through the CLI entry point.
 The module is executed from its source text, so nothing is written under
-``bench/``.
+``bench/``.  On the same configs, and on the shipped ones, the modes the
+forward solve marches are a fixed point of the paper's map to round-off.
 """
 
 import json
@@ -13,9 +14,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from subdiff.cli import main
+from subdiff.cli import _build_spec, _profile, main
+from subdiff.forward import mode_problem
+from subdiff.mode_solver import picard_step, solve_mode
 
 REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = REPO / "bench" / "workloads.py"
@@ -44,3 +48,25 @@ def test_workload_passes_its_gates(tmp_path, name):
     assert main(workloads.cli_args(w, config, out)) == 0
     accuracy, problems = workloads.check(w, cfg, out)
     assert problems == [], accuracy
+
+
+SHIPPED = ("forward_manufactured.json", "inverse_synthetic.json")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS) + list(SHIPPED))
+def test_march_rows_are_a_fixed_point_of_the_map(name):
+    # the march solves the discrete system exactly, so one application of
+    # the map moves its rows by round-off only (about 1e-15 relative)
+    configs = REPO / "configs"
+    if name in SHIPPED:
+        cfg = json.loads((configs / name).read_text(encoding="utf-8"))
+    else:
+        cfg = workloads.make_config(workloads.WORKLOADS[name], 1301, configs)
+    spec = _build_spec(cfg, configs)
+    q_cfg = cfg["q"] if "q" in cfg else cfg["data"]["synthetic"]["q_true"]
+    p = mode_problem(spec, _profile(q_cfg, spec.tgrid, "q", configs))
+    u = solve_mode(p).u_k
+    assert np.any(u != 0.0)
+    assert (np.max(np.abs(picard_step(p, u) - u))
+            <= 1e-13 * np.max(np.abs(u)))
