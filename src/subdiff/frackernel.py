@@ -13,14 +13,16 @@ Two independent discretizations live here:
   E_{rho,1}(-lam b^rho)) / lam, so the quadrature never sees the t -> 0
   singularity and is exact on constant integrands.
 
-A uniform grid makes the weight matrix Toeplitz; only its first column is
-stored, together with its real FFT.  ``convolve`` multiplies that cached
-spectrum with the spectrum of the series, O(N log N) per call, and sums the
-first ``_DIRECT_BLOCK`` outputs directly: FFT round-off is absolute, of order
-eps * ||w||_1 * ||g||_inf, so only a direct sum keeps the early entries exact
-(zero stays zero, constants stay exact) on every grid.  Weights for several
-stiffnesses are one batch with a row each: one Mittag-Leffler evaluation
-builds them, and ``convolve`` applies them with one FFT pair.
+A uniform grid makes the weights Toeplitz.  ``_build_cached`` alone decides
+the rule, today the trapezoid average of g on each subinterval, as ``head``
+and ``fold`` (``ConvolutionWeights``); ``convolve`` and both causal marches
+read them.  ``convolve`` takes the Toeplitz part as one real-FFT product,
+O(N log N) per call, and sums the first ``_DIRECT_BLOCK`` outputs directly:
+FFT round-off is absolute, of order eps * ||w||_1 * ||g||_inf, so only a
+direct sum keeps the early entries exact (zero stays zero, constants stay
+exact) on every grid.  Weights for several stiffnesses are one batch with a
+row each: one Mittag-Leffler evaluation builds them, and ``convolve``
+applies them with one FFT pair.
 """
 
 from __future__ import annotations
@@ -103,14 +105,13 @@ def caputo_l1(grid: TimeGrid, samples, rho: float) -> np.ndarray:
 class ConvolutionWeights:
     """Product-integration weights for the kernel at stiffness ``lam_eff``.
 
-    ``w[n][j] = integral over [t_j, t_{j+1}] of
-    (t_n - s)^(rho-1) E_{rho,rho}(-lam_eff (t_n - s)^rho) ds / 1`` -- stored
-    through the Toeplitz first column ``column[m] = w[n][n-m]`` (uniform
-    grid).  ``relax[n] = E_{rho,1}(-lam_eff t_n^rho)`` rides along since the
-    same evaluations produce it, and ``spectrum`` is the real FFT of
-    ``column[1:]`` at ``_fft_size(n_steps)`` points, which ``convolve`` reuses.
-    ``lam_eff`` is one stiffness or a tuple of them; a tuple gives every
-    array one row per stiffness.
+    ``column[m]`` is the kernel's mass over [(m-1)h, mh], ``column[0] = 0``.
+    Node n weighs the integrand's g_0 by ``head[n]`` and g_i, i >= 1, by
+    ``fold[n-i]``: today head[n] = column[n]/2 and fold[d] = (column[d] +
+    column[d+1])/2, the trapezoid average of g on each subinterval.
+    ``relax[n] = E_{rho,1}(-lam_eff t_n^rho)`` rides along since the same
+    evaluations produce it.  ``lam_eff`` is one stiffness or a tuple of
+    them; a tuple gives every array one row per stiffness.
     """
 
     rho: float
@@ -118,7 +119,8 @@ class ConvolutionWeights:
     grid: TimeGrid
     column: np.ndarray = field(repr=False, compare=False)
     relax: np.ndarray = field(repr=False, compare=False)
-    spectrum: np.ndarray = field(repr=False, compare=False)
+    head: np.ndarray = field(repr=False, compare=False)
+    fold: np.ndarray = field(repr=False, compare=False)
 
 
 @lru_cache(maxsize=128)
@@ -129,11 +131,13 @@ def _build_cached(rho: float, lam_eff: float | tuple,
     column = np.zeros(relax.shape)
     # mass of the kernel over [(m-1)h, mh]
     column[..., 1:] = -np.diff(relax, axis=-1) / lam[..., None]
-    spectrum = np.fft.rfft(column[..., 1:], _fft_size(grid.n_steps), axis=-1)
-    for a in (column, relax, spectrum):
+    # the trapezoid average of g on each subinterval
+    head = 0.5 * column
+    fold = 0.5 * (column[..., :-1] + column[..., 1:])
+    for a in (column, relax, head, fold):
         a.setflags(write=False)
     return ConvolutionWeights(rho=rho, lam_eff=lam_eff, grid=grid,
-                              column=column, relax=relax, spectrum=spectrum)
+                              column=column, relax=relax, head=head, fold=fold)
 
 
 def build_weights(grid: TimeGrid, rho: float,
@@ -153,30 +157,28 @@ def build_weights(grid: TimeGrid, rho: float,
 
 
 def convolve(weights: ConvolutionWeights, g) -> np.ndarray:
-    """c[n] = sum_{j<n} w[n][j] * (g_j + g_{j+1})/2, with c[0] = 0, along
-    the last axis; ``g`` has one row per row of the weights.
+    """c[n] = head[n] g_0 + sum_{i=1..n} fold[n-i] g_i along the last axis;
+    ``g`` has one row per row of the weights.
 
     Exact when g is constant: the weights integrate the kernel itself.  The
-    sum runs through the cached weight spectrum, one batched FFT pair for
-    all rows, with an absolute round-off of order eps * ||column||_1 *
-    ||g||_inf, except on the first ``_DIRECT_BLOCK`` entries of each row,
-    which are summed directly.
+    sum runs through one batched FFT pair for all rows, with an absolute
+    round-off of order eps * ||fold||_1 * ||g||_inf, except on the first
+    ``_DIRECT_BLOCK`` entries of each row, which are summed directly.
     """
     gv = np.asarray(g, dtype=float)
-    if gv.shape != weights.column.shape:
+    if gv.shape != weights.head.shape:
         raise GridMismatchError(
             f"series of shape {gv.shape} does not match weights of shape "
-            f"{weights.column.shape} ({weights.grid.n_steps + 1} nodes)")
+            f"{weights.head.shape} ({weights.grid.n_steps + 1} nodes)")
     n = weights.grid.n_steps
-    gbar = 0.5 * (gv[..., :-1] + gv[..., 1:])
     size = _fft_size(n)
-    out = np.empty(gv.shape)
-    out[..., 0] = 0.0
-    spec = np.fft.rfft(gbar, size, axis=-1)
-    spec *= weights.spectrum
-    out[..., 1:] = np.fft.irfft(spec, size, axis=-1)[..., :n]
+    spec = np.fft.rfft(weights.fold, size, axis=-1)
+    spec *= np.fft.rfft(gv[..., 1:], size, axis=-1)
+    conv = np.fft.irfft(spec, size, axis=-1)[..., :n]
     m = min(n, _DIRECT_BLOCK)
     for row in np.ndindex(gv.shape[:-1]):
-        out[row][1:m + 1] = np.convolve(weights.column[row][1:m + 1],
-                                        gbar[row][:m])[:m]
+        conv[row][:m] = np.convolve(weights.fold[row][:m],
+                                    gv[row][1:m + 1])[:m]
+    out = weights.head * gv[..., :1]
+    out[..., 1:] += conv
     return out

@@ -227,8 +227,8 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
     """q with q_n = clamp(L[q]_n) at every node, marched node by node, and
     the largest |G_n'(q_n)| over the nodes inside the q window.
 
-    With c_k = column_k[1]/2, D_k = 1 - c_k lam_k^2 (M_sigma - sigma_n) and
-    H_k the terms of u_{k,n} that do not read t_n, u_{k,n} = (H_k + c_k
+    With c_k = fold_k[0], D_k = 1 - c_k lam_k^2 (M_sigma - sigma_n) and H_k
+    the terms of u_{k,n} that do not read t_n, u_{k,n} = (H_k + c_k
     f_{k,n}) / (D_k + c_k q_n), so the condition at t_n is x = G_n(x) =
     q0_n + sum_k A_k / (D_k + c_k x), A_k = (sigma_n/psi_n) gamma_k (H_k +
     c_k f_{k,n}), gamma_k = -sqrt(2/l) lam_k^3; as c_k < 1/(2 lam_k^2
@@ -242,7 +242,8 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
     H comes from the divide-and-conquer split of ``mode_solver.march``,
     one FFT product per split over the modes with data, on the weights
     ``solve_mode`` builds for them; its leaves of ``_LEAF`` nodes or fewer
-    step node by node on plain floats.
+    step node by node on plain floats, each node adding the leaf's earlier
+    g_{k,j} under fold_k[n-j] to the history ``march`` hands it.
     """
     spec = inv.spec
     # plain floats: the leaves step on them
@@ -251,12 +252,12 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
     # at q = 0 the bracket lam_k^2 (M_sigma - sigma) - q is a itself
     p = mode_problem(spec, constant(spec.tgrid, 0.0))
     p = p.restrict(p.live)
-    col, a, f = p.weights.column, p.bracket, p.f_k
-    c = (0.5 * col[:, 1]).tolist()
+    w, a, f = p.weights, p.bracket, p.f_k
+    c = w.fold[:, 0].tolist()
     gamma = -math.sqrt(2.0 / spec.length) * p.lam_k ** 3
     q0 = inv.q0.values.tolist()
 
-    base = p.phi_k[:, None] * p.weights.relax  # gains the far history
+    base = p.phi_k[:, None] * w.relax  # gains the history
     g = np.empty_like(base)  # f + (a - q) u, the integrand
     q = np.empty(spec.tgrid.n_steps + 1)
     denom = 1.0 - np.array(c)[:, None] * a  # D, a row per mode
@@ -268,22 +269,19 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
     def leaf(start: int, stop: int) -> None:
         nonlocal worst
         width = stop - start - 1
-        # crev[k][width - i:width] weighs the leaf's trapezoid averages
-        # g-bar_j, j = start-1..n-2, for node n = start + i
-        crev = col[:, width + 1:1:-1].tolist()
+        # crev[k][width - i:width] weighs the leaf's g_j, j = start..n-1,
+        # for node n = start + i
+        crev = w.fold[:, width:0:-1].tolist()
         near: list = [[] for _ in c]
         rows = zip(*(v[:, start:stop].T.tolist()
                      for v in (base, f, a, denom, weight)))
-        g_prev = g[:, start - 1].tolist()
-        g_new = []
         x = float(q[start - 1])
         for i, (h_n, f_n, a_n, D, w_n) in enumerate(rows):
             n = start + i
-            # H_k + c_k f_{k,n}: far history, near history, c_k g_{k,n-1}
-            num = [h + sum(map(operator.mul, cr[width - i:width], gb))
-                   + ck * (gp + fk)
-                   for h, cr, gb, ck, gp, fk in
-                   zip(h_n, crev, near, c, g_prev, f_n)]
+            # H_k + c_k f_{k,n}: far history, near history, c_k f_{k,n}
+            num = [h + sum(map(operator.mul, cr[width - i:width], gk))
+                   + ck * fk
+                   for h, cr, gk, ck, fk in zip(h_n, crev, near, c, f_n)]
             A = list(map(operator.mul, w_n, num))
             last = math.inf
             while True:
@@ -310,13 +308,11 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
             q[n] = x
             g_n = [fk + (ak - x) * v / (Dk + ck * x)
                    for fk, ak, v, Dk, ck in zip(f_n, a_n, num, D, c)]
-            for gb, gp, gn in zip(near, g_prev, g_n):
-                gb.append(0.5 * (gp + gn))
-            g_prev = g_n
-            g_new.append(g_n)
-        g[:, start:stop] = np.array(g_new).T
+            for gk, gn in zip(near, g_n):
+                gk.append(gn)
+        g[:, start:stop] = near
 
-    march(col, base, g, leaf, _LEAF)
+    march(w, base, g, leaf, _LEAF)
     return q, worst
 
 
@@ -367,8 +363,9 @@ def synthesize_data(spec: ProblemSpec, q_true: Profile,
     not); the generator is seeded, making the synthesized data bitwise
     reproducible.
     """
-    if noise_level < 0.0:
-        raise DomainError(f"noise level must be nonnegative, got {noise_level}")
+    if not (0.0 <= noise_level < math.inf):
+        raise DomainError(f"noise level must be finite and nonnegative, got "
+                          f"{noise_level}")
     if seed < 0:
         raise DomainError(f"noise seed must be nonnegative, got {seed}")
     check_window(spec, q_true)

@@ -70,15 +70,17 @@ class ModeProblem:
             raise GridMismatchError(
                 f"sources of shape {f_k.shape} do not match {k.size} modes "
                 f"on a grid with {self.grid.n_steps + 1} nodes")
-        if not np.all(np.isfinite(f_k)):
-            raise DomainError("mode sources must be finite")
+        if not (np.all(np.isfinite(f_k)) and np.all(np.isfinite(phi_k))):
+            raise DomainError("mode sources and initial values must be finite")
         for name, value in (("k", k), ("lam_k", lam_k), ("phi_k", phi_k),
                             ("f_k", f_k)):
             object.__setattr__(self, name, value)
         if np.any(k < 1):
             raise DomainError(f"mode index must be >= 1, got {k.min()}")
-        if np.any(lam_k <= 0.0):
-            raise DomainError(f"eigenvalue must be positive, got {lam_k.min()}")
+        bad = lam_k[~((lam_k > 0.0) & np.isfinite(lam_k))]
+        if bad.size:
+            raise DomainError(
+                f"eigenvalues must be positive and finite, got {bad[0]}")
         if not (0.0 < self.rho < 1.0):
             raise DomainError(f"order must lie in (0, 1), got {self.rho}")
         for name in ("sigma", "q"):
@@ -154,31 +156,33 @@ class ModeSolution:
     C_k_bound: np.ndarray
 
 
-def march(column: np.ndarray, base: np.ndarray, g: np.ndarray,
+def march(w: ConvolutionWeights, base: np.ndarray, g: np.ndarray,
           leaf: Callable[[int, int], None], leaf_nodes: int) -> None:
     """Drive a causal product-integration system over nodes 1..N by the
     divide-and-conquer split of Hairer, Lubich and Schlichte (SIAM J. Sci.
     Stat. Comput. 6 (1985) 532).
 
-    Node n of row k reads base[k, n] + sum_{j<n} column[k, n-j] g-bar_j,
-    g-bar_j = (g[k, j] + g[k, j+1]) / 2 with g the integrand, g[:, 0] given.
-    ``leaf(start, stop)`` fills ``g[:, start:stop]`` from ``g[:, start-1]``
-    and ``base[:, start:stop]``, which then hold every term with j <= start
-    - 2.  A longer stretch solves its first half, adds g-bar_j, j = start-1
-    ..mid-2, to the second half's base by one FFT product, and solves the
-    second half; each span's kernel spectrum is computed once per march.
+    Node n of row k reads base[k, n] + w.head[k, n] g[k, 0] + sum_{i=1..n}
+    w.fold[k, n-i] g[k, i], with g the integrand and g[:, 0] given; the
+    head term goes into ``base`` first.  ``leaf(start, stop)`` fills
+    ``g[:, start:stop]`` from ``base[:, start:stop]``, which then holds every
+    term with i <= start - 1.  A longer stretch solves its first half, adds
+    the terms of g_i, i = start..mid-1, to the second half's base by one FFT
+    product, and solves the second half; each span's fold spectrum is
+    computed once per march.
     """
+    base += w.head * g[:, :1]
     spectra: dict = {}
 
     def history(start: int, mid: int, stop: int) -> None:
-        # the averages meet the weights column[2..span]; a period of
+        # g_start..g_{mid-1} meet the weights fold[1..span-1]; a period of
         # span-1 keeps the wrap-around off the entries read
         span = stop - start
         size = 1 << (span - 2).bit_length()
         if span not in spectra:
-            spectra[span] = np.fft.rfft(column[:, 2:span + 1], size)
-        avg = 0.5 * (g[:, start - 1:mid - 1] + g[:, start:mid])
-        conv = np.fft.irfft(np.fft.rfft(avg, size) * spectra[span], size)
+            spectra[span] = np.fft.rfft(w.fold[:, 1:span], size)
+        conv = np.fft.irfft(np.fft.rfft(g[:, start:mid], size)
+                            * spectra[span], size)
         base[:, mid:stop] += conv[:, mid - start - 1:span - 1]
 
     def solve(start: int, stop: int) -> None:
@@ -191,29 +195,28 @@ def march(column: np.ndarray, base: np.ndarray, g: np.ndarray,
         solve(mid, stop)
 
     solve(1, base.shape[1])
+    del solve  # its self-reference would hold the arrays to the next GC
 
 
 def _march_rows(p: ModeProblem) -> np.ndarray:
     """The rows u_k of every mode of ``p``, by one march of forward leaves.
 
     On a leaf of L nodes from ``start``, with b the bracket, g = f + b u and
-    E the lower-triangular Toeplitz matrix of e_0 = column[1]/2 and e_d =
-    (column[d] + column[d+1])/2, the nodes solve (I - E diag(b)) u = base +
-    column[1..L]/2 g_{start-1} + E f, one batched solve over the modes; the
-    divisors 1 - e_0 b_n are all checked before the march starts.
+    E the lower-triangular Toeplitz matrix of fold[0..L-1], the nodes solve
+    (I - E diag(b)) u = base + E f, one batched solve over the modes; the
+    divisors 1 - fold_0 b_n are all checked before the march starts.
     """
-    col, b, f = p.weights.column, p.bracket, p.f_k
-    # column[0] is 0, so every e_0 below comes out as this column[1]/2
-    div = 1.0 - 0.5 * col[:, 1:2] * b[:, 1:]
+    w, b, f = p.weights, p.bracket, p.f_k
+    div = 1.0 - w.fold[:, :1] * b[:, 1:]
     bad = np.argwhere(~(np.isfinite(div) & (div != 0.0)).T)  # node order
     if bad.size:
         n, row = bad[0].tolist()
         raise SingularSystemError(
             f"mode {p.k[row]}: singular step at node {n + 1}, where "
-            f"1 - column[1]/2 b = {div[row, n]}", step=n + 1)
+            f"1 - fold_0 b = {div[row, n]}", step=n + 1)
     u = np.empty(f.shape)
     u[:, 0] = p.phi_k
-    base = p.phi_k[:, None] * p.weights.relax  # gains the far history
+    base = p.phi_k[:, None] * w.relax  # gains the history
     g = np.empty(f.shape)
     g[:, 0] = f[:, 0] + b[:, 0] * p.phi_k
     near: dict = {}  # E per leaf length, a (modes, L, L) stack
@@ -221,22 +224,19 @@ def _march_rows(p: ModeProblem) -> np.ndarray:
     def leaf(start: int, stop: int) -> None:
         L = stop - start
         if L not in near:
-            e = 0.5 * (col[:, :L] + col[:, 1:L + 1])
             lag = np.subtract.outer(np.arange(L), np.arange(L))
-            near[L] = np.where(lag >= 0, e[:, np.maximum(lag, 0)], 0.0)
+            near[L] = np.where(lag >= 0, w.fold[:, np.maximum(lag, 0)], 0.0)
         E = near[L]
         fs, bs = f[:, start:stop], b[:, start:stop]
         # E f as a sum along each row rather than a stacked product, whose
         # rounding varies with the row's place in memory: a mode's row is
         # then the same floats in any batch
-        rhs = (base[:, start:stop]
-               + 0.5 * col[:, 1:L + 1] * g[:, start - 1:start]
-               + (E * fs[:, None]).sum(axis=-1))
+        rhs = base[:, start:stop] + (E * fs[:, None]).sum(axis=-1)
         u[:, start:stop] = np.linalg.solve(np.eye(L) - E * bs[:, None],
                                            rhs[..., None])[..., 0]
         g[:, start:stop] = fs + bs * u[:, start:stop]
 
-    march(col, base, g, leaf, _LEAF)
+    march(w, base, g, leaf, _LEAF)
     return u
 
 

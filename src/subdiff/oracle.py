@@ -112,9 +112,14 @@ class FdWorkspace:
         # system still gives an exactly zero divisor
         lam = np.where(2 * j < M, 4.0 * np.sin(j * (math.pi / (2 * M))) ** 2,
                        2.0 - 2.0 * np.sin((M - 2 * j) * (math.pi / (2 * M))))
-        # i j is reduced mod 2M in integers so every sine argument is < 2 pi
-        V = math.sqrt(2.0 / M) * np.sin(np.outer(j, j) % (2 * M)
-                                        * (math.pi / M))
+        # i j is reduced mod 2M in integers so every sine argument is < 2 pi;
+        # a block of rows at a time, so the temporaries stay small
+        V = np.empty((M - 1, M - 1))
+        for r in range(0, M - 1, _TRANSFORM_ROWS):
+            rows = V[r:r + _TRANSFORM_ROWS]
+            np.sin(np.outer(j[r:r + _TRANSFORM_ROWS], j) % (2 * M)
+                   * (math.pi / M), out=rows)
+            rows *= math.sqrt(2.0 / M)
         mu = lam / spec.sgrid.h ** 2
         i = np.arange(min(_HISTORY_BLOCK, tg.n_steps))
         lag = i[:, None] - i - 1

@@ -178,7 +178,7 @@ def picard_ratio(p, u, rng, steps: int = 6, size: float = 1e-3) -> float:
 
 def zero_divisor_bracket(c: float) -> float:
     """A bracket value b next to 1/c with 1 - c b exactly 0, so that a step
-    of the forward march whose first weight is 2c is singular."""
+    of the forward march whose implicit weight fold_0 is c is singular."""
     b = 1.0 / c
     for x in b + np.spacing(b) * np.array([0, -1, 1, -2, 2, -3, 3]):
         if 1.0 - c * float(x) == 0.0:

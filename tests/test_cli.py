@@ -541,9 +541,9 @@ class TestExitCodes:
 
     def test_forward_singular_step_names_the_mode(self, tmp_path, capsys,
                                                   repo_root):
-        # sigma = 1 makes mode 2's bracket -q; q(t_3) = -1/c, c =
-        # column[1]/2 of its weights, to the ulp that makes the divisor
-        # 1 - c b at node 3 exactly 0
+        # sigma = 1 makes mode 2's bracket -q; q(t_3) = -1/c, c = fold_0 of
+        # its weights, to the ulp that makes the divisor 1 - c b at node 3
+        # exactly 0
         cfg = small_forward_cfg()
         cfg["sigma"] = {"kind": "constant", "value": 1.0}
         cfg["phi"]["terms"][0]["mode"] = 2
@@ -551,7 +551,7 @@ class TestExitCodes:
         spec = _build_spec(cfg, repo_root)
         p = forward.mode_problem(spec, _profile(cfg["q"], spec.tgrid, "q",
                                                 repo_root))
-        c = 0.5 * p.restrict(p.live).weights.column[0, 1]
+        c = p.restrict(p.live).weights.fold[0, 0]
         q = [0.1] * 33
         q[3] = -zero_divisor_bracket(c)
         lines = ["t,value"] + [f"{t:.17g},{v:.17g}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import subprocess
@@ -171,10 +172,11 @@ class TestBuildWeights:
         a = build_weights(TimeGrid(1.0, 32), 0.5, 2.0)
         b = build_weights(TimeGrid(1.0, 32), 0.5, 2.0)
         assert a is b
-        # the spectrum every convolve reuses cannot be changed through it
-        assert a.spectrum.shape == (64 // 2 + 1,)
-        with pytest.raises(ValueError):
-            a.spectrum[0] = 0.0
+        # the rule every consumer reads cannot be changed through it
+        assert a.head.shape == (33,) and a.fold.shape == (32,)
+        for arr in (a.head, a.fold):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_cold_builds_leave_scipy_integrate_unloaded(self):
         # the branch-cut band of these grids (rho 0.9 with the stiffnesses of
@@ -303,7 +305,8 @@ class TestBatchedWeights:
             one = build_weights(g, rho, lam)
             assert np.array_equal(batch.column[i], one.column)
             assert np.array_equal(batch.relax[i], one.relax)
-            assert np.array_equal(batch.spectrum[i], one.spectrum)
+            assert np.array_equal(batch.head[i], one.head)
+            assert np.array_equal(batch.fold[i], one.fold)
 
     @pytest.mark.parametrize("n", [8, 300, 4096])
     def test_batched_convolve_equals_per_row_calls(self, n):
@@ -323,3 +326,16 @@ class TestBatchedWeights:
             convolve(batch, np.zeros(9))
         with pytest.raises(DomainError):
             build_weights(TimeGrid(1.0, 8), 0.5, (1.0, 0.0))
+
+
+def test_only_frackernel_reads_the_kernel_masses():
+    # the product-integration rule is decided where the weights are built:
+    # every other module reads ``head`` and ``fold``, never the masses
+    # ``column`` they are made of, so a change of rule reaches them all
+    src = Path(subdiff.__file__).parent
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py") if path.name != "frackernel.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "column")
+    assert readers == []

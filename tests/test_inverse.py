@@ -438,10 +438,13 @@ class TestSynthesizeData:
         with pytest.warns(UserWarning, match="admissibility window"):
             synthesize_data(spec, constant(spec.tgrid, hi + 0.5))
 
-    def test_rejects_negative_noise(self):
+    # a NaN level once gave data bit-identical to noise 0
+    @pytest.mark.parametrize("level", [-0.1, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_rejects_negative_noise(self, level):
         spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
-        with pytest.raises(DomainError):
-            synthesize_data(spec, q, noise_level=-0.1)
+        with pytest.raises(DomainError, match="noise level"):
+            synthesize_data(spec, q, noise_level=level)
 
     def test_rejects_negative_seed(self):
         spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))

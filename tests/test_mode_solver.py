@@ -59,6 +59,23 @@ class TestModeProblem:
         with pytest.raises(DomainError, match=r"\(0, 1\)"):
             make_problem(GRID, rho=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["lam_k", "phi_k", "f_k"])
+    def test_rejects_data_that_are_not_finite(self, field, bad):
+        # a NaN initial value would march to NaN rows, and a NaN eigenvalue
+        # would surface as a stiffness the weight build refuses
+        p = make_problem(GRID)
+        value = getattr(p, field).copy()
+        value.flat[-1] = bad
+        with pytest.raises(DomainError, match="must be .*finite"):
+            replace(p, **{field: value})
+
+    @pytest.mark.parametrize("lam_k", [0.0, -1.0])
+    def test_rejects_nonpositive_eigenvalue(self, lam_k):
+        with pytest.raises(DomainError, match="eigenvalues must be positive"):
+            make_problem(GRID, lam_k=lam_k)
+
     def test_rejects_foreign_grid(self):
         with pytest.raises(GridMismatchError):
             make_problem(GRID, sigma=profiles.constant(TimeGrid(1.0, 32), 1.0))
@@ -199,9 +216,9 @@ class TestSolveMode:
                     <= 1e-13)
 
     def test_zero_divisor_is_a_singular_step(self):
-        # sigma constant makes the bracket -q; q_5 = -1/c with c =
-        # column[1]/2, to the ulp that makes 1 - c b_5 exactly 0
-        c = 0.5 * make_problem(GRID).weights.column[0, 1]
+        # sigma constant makes the bracket -q; q_5 = -1/c with c = fold_0,
+        # to the ulp that makes 1 - c b_5 exactly 0
+        c = make_problem(GRID).weights.fold[0, 0]
         q = np.zeros(65)
         q[5] = -zero_divisor_bracket(c)
         p = make_problem(GRID, q=profiles.Profile(GRID, q), k=3)
@@ -209,6 +226,43 @@ class TestSolveMode:
                            match="^mode 3: singular step at node 5") as exc:
             solve_mode(p)
         assert exc.value.step == 5
+
+class TestMarch:
+    """``march`` on its own: a leaf that records the base it is handed and
+    writes preset integrand values sees, at every node, exactly the terms
+    of the earlier nodes' integrand."""
+
+    @pytest.mark.parametrize("leaf_nodes", [1, 8, 64])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("lams", [(3.0,), (2.0, 40.0, 900.0)],
+                             ids=["1row", "3rows"])
+    def test_leaves_see_the_direct_sum(self, lams, n, leaf_nodes):
+        w = build_weights(TimeGrid(1.0, n), 0.6, lams)
+        rng = np.random.default_rng(n + leaf_nodes)
+        preset = rng.normal(size=(len(lams), n + 1))
+        base0 = rng.normal(size=preset.shape)
+        base, g = base0.copy(), np.full(preset.shape, np.nan)
+        g[:, 0] = preset[:, 0]
+        seen = []
+
+        def leaf(start, stop):
+            seen.append((start, stop, base[:, start:stop].copy()))
+            g[:, start:stop] = preset[:, start:stop]
+
+        mode_solver.march(w, base, g, leaf, leaf_nodes)
+        assert [s for s, _, _ in seen] == [1] + [e for _, e, _ in seen[:-1]]
+        assert seen[-1][1] == n + 1
+        for start, stop, got in seen:
+            for node in range(start, stop):
+                terms = np.concatenate(
+                    [w.head[:, node:node + 1] * preset[:, :1],
+                     w.fold[:, node - start + 1:node][:, ::-1]
+                     * preset[:, 1:start]], axis=1)
+                want = base0[:, node] + terms.sum(axis=1)
+                scale = np.abs(base0[:, node]) + np.abs(terms).sum(axis=1)
+                assert np.all(np.abs(got[:, node - start] - want)
+                              <= 1e-13 * scale)
+
 
 class TestDecompose:
     def test_zero_source_gives_zero_v(self):
@@ -302,12 +356,12 @@ class TestBatchedSolve:
                               solve_mode(batch.restrict([3])).u_k)
 
     def test_singular_step_names_first_singular_mode(self):
-        # q_7 = -1/c_3, c_k = column_k[1]/2, makes mode 3's divisor at node 7
+        # q_7 = -1/c_3, c_k = fold_k[0], makes mode 3's divisor at node 7
         # exactly 0 and every later mode's there nonzero; modes 1 and 2
         # carry no data and are not solved
         g = TimeGrid(1.0, 64)
         batch = make_batch(g, self.KS, data_from=3)
-        c = 0.5 * batch.restrict([2]).weights.column[0, 1]
+        c = batch.restrict([2]).weights.fold[0, 0]
         a = batch.bracket[2, 7] + batch.q.values[7]  # lam^2 (M - sigma_7)
         q = batch.q.values.copy()
         for q7 in (a - 1.0 / c, *np.nextafter(a - 1.0 / c, [-np.inf, np.inf])):

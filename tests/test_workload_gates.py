@@ -6,19 +6,24 @@ benchmark reads.  A change that fails them fails every benchmark operation,
 so each workload runs here once, at seed 1301, through the CLI entry point.
 The module is executed from its source text, so nothing is written under
 ``bench/``.  On the same configs, and on the shipped ones, the modes the
-forward solve marches are a fixed point of the paper's map to round-off.
+forward solve marches are a fixed point of the paper's map to round-off;
+on the shipped ones they stay so, and the recovery of q stays exact, when
+the product-integration rule is swapped for another.
 """
 
 import json
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subdiff import mode_solver
 from subdiff.cli import _build_spec, _profile, main
 from subdiff.forward import mode_problem
+from subdiff.inverse import recover_q, synthesize_data
 from subdiff.mode_solver import picard_step, solve_mode
 
 REPO = Path(__file__).resolve().parents[1]
@@ -63,10 +68,44 @@ def test_march_rows_are_a_fixed_point_of_the_map(name):
         cfg = json.loads((configs / name).read_text(encoding="utf-8"))
     else:
         cfg = workloads.make_config(workloads.WORKLOADS[name], 1301, configs)
-    spec = _build_spec(cfg, configs)
-    q_cfg = cfg["q"] if "q" in cfg else cfg["data"]["synthetic"]["q_true"]
-    p = mode_problem(spec, _profile(q_cfg, spec.tgrid, "q", configs))
+    spec, q = _spec_and_q(cfg, configs)
+    p = mode_problem(spec, q)
     u = solve_mode(p).u_k
     assert np.any(u != 0.0)
     assert (np.max(np.abs(picard_step(p, u) - u))
             <= 1e-13 * np.max(np.abs(u)))
+
+
+def _spec_and_q(cfg, configs):
+    spec = _build_spec(cfg, configs)
+    q_cfg = cfg["q"] if "q" in cfg else cfg["data"]["synthetic"]["q_true"]
+    return spec, _profile(q_cfg, spec.tgrid, "q", configs)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", SHIPPED)
+def test_every_consumer_follows_a_swapped_rule(monkeypatch, name):
+    # the weights decide the rule; the forward march, ``convolve`` (through
+    # ``picard_step``) and the recovery march all read it from them, so
+    # under another rule the march is still the map's fixed point and the
+    # recovery still the exact inverse of the synthesis.  The factors
+    # depend on the index alone: the solve rebuilds weights for its live rows
+    real = mode_solver.build_weights
+
+    def swapped(grid, rho, lam_eff):
+        w = real(grid, rho, lam_eff)
+        n = np.arange(grid.n_steps + 1)
+        return replace(w, head=w.head * (1.0 + 0.1 * np.cos(n)),
+                       fold=w.fold * (1.0 + 0.1 * np.sin(n[1:])))
+
+    monkeypatch.setattr(mode_solver, "build_weights", swapped)
+    configs = REPO / "configs"
+    spec, q = _spec_and_q(
+        json.loads((configs / name).read_text(encoding="utf-8")), configs)
+    p = mode_problem(spec, q)
+    u = solve_mode(p).u_k
+    assert not np.array_equal(p.weights.fold, real(
+        p.grid, p.rho, p.lam_eff).fold)
+    assert (np.max(np.abs(picard_step(p, u) - u))
+            <= 1e-13 * np.max(np.abs(u)))
+    assert recover_q(synthesize_data(spec, q)).iterates[0] <= 1e-12
