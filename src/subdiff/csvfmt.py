@@ -11,9 +11,11 @@ The text is made a block of values at a time with array arithmetic:
   that ``%g`` drops from the same four-digit chunks;
 * layout -- each value fills a fixed-width byte row (sign, ``0.`` and up to
   three zeros, the 17 digits with a point slot after each, ``e±XXX``,
-  separator) and one boolean compaction keeps the bytes ``%.17g`` prints.
-  The row's mask depends only on the sign, the exponent, the last digit kept
-  and the point's place, so it is read from a table too.
+  separator).  A byte mask, read from a table by the sign, the exponent,
+  the last digit kept and the point's place, turns every byte ``%.17g``
+  drops to NUL, and one ``bytes.translate`` pass deletes the NULs.  No
+  kept byte is NUL: the row's text is printable ASCII, and a value Python
+  formats has its row zeroed before its text goes in.
 
 The powers of ten come from exact integers by correctly rounded int/int
 division.  Values the arithmetic cannot settle exactly are formatted by
@@ -47,13 +49,12 @@ _SEP = 45     # the separator's byte
 _FORMS = 7    # x in 0..16, x = -1..-4, exponent of two or of three digits
 
 
-def _pow10(k: int) -> tuple[float, float, float]:
-    """(least double >= 10^k, nearest double hi, 10^k - hi rounded)."""
+def _pow10(k: int) -> tuple[float, float]:
+    """10^k as hi + lo: hi the nearest double, lo the rest rounded."""
     num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
     hi = num / den
-    n, m = hi.as_integer_ratio()
-    lo = (num * m - n * den) / (den * m)
-    return (hi if n * den >= num * m else math.nextafter(hi, math.inf)), hi, lo
+    n, m = hi.as_integer_ratio()  # m is a power of two
+    return hi, math.ldexp((num * m - n * den) / den, 1 - m.bit_length())
 
 
 def _words(rows: np.ndarray) -> np.ndarray:
@@ -74,16 +75,15 @@ def _tables() -> dict:
     ``form``, ``fixed``, ``point`` -- the layout of exponent x: its form's
     offset into ``mask``, its integer digits (x in ``%f`` form, else 0),
     and the digit the point follows (-1 for none);
-    ``mask`` -- the row's bytes to keep, by form, last digit kept, point
-    place and sign.
+    ``mask`` -- the row's bytes to keep (0xFF, else 0), by form, last digit
+    kept, point place and sign.
     """
-    pows = np.array([_pow10(k) for k in range(_EMIN, _EMAX + 17)])
+    hi, lo = np.array([_pow10(k) for k in range(_EMIN, _EMAX + 17)]).T
     x = np.arange(_EMIN, _EMAX + 1)
-    ceil = pows[:x.size, 0]
-    hi, lo = pows[16 - x - _EMIN, 1:].T.copy()
+    ceil = np.where(lo > 0, np.nextafter(hi, np.inf), hi)[:x.size]
+    hi, lo = hi[16 - x - _EMIN], lo[16 - x - _EMIN]
 
-    n = np.arange(10000, dtype=np.uint16)
-    dec = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    dec = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999
     chunk = np.full((10000, 8), ord("."), np.uint8)
     chunk[:, ::2] = dec + ord("0")
     lead = np.tile(np.frombuffer(b"-0.000..", np.uint8), (10, 1))
@@ -92,10 +92,10 @@ def _tables() -> dict:
     exp = np.zeros((x.size, 8), np.uint8)
     exp[:, 0] = ord("e")
     exp[:, 1] = np.where(x < 0, ord("-"), ord("+"))
-    exp[:, 2:5] = ax[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    tz = sum(n % 10 ** j == 0 for j in range(1, 5))
-    last = (4 * np.arange(4)[:, None] + 4 - tz).astype(np.uint8)
-    last[:, 0] = 0
+    exp[:, 2:5] = dec[ax, 1:] + ord("0")
+    # the place of the last nonzero digit, 0 for none
+    place = np.max((dec != 0) * np.arange(1, 5, dtype=np.uint8), axis=1)
+    last = (np.arange(0, 16, 4, dtype=np.uint8)[:, None] + place) * (place > 0)
 
     small = (x < 0) & (x >= -4)
     form = np.select([(x >= 0) & (x < 17), small, ax < 100], [0, -x, 5], 6)
@@ -123,7 +123,7 @@ def _tables() -> dict:
             "exp": _words(exp).ravel(), "last": last,
             "form": form * (17 * 17 * 2), "fixed": fixed,
             "point": first_point,
-            "mask": mask.reshape(-1, 8 * _WORDS).view("<u8")}
+            "mask": _words(mask * np.uint8(0xFF)).reshape(-1, _WORDS)}
 
 
 def _decimal(v: np.ndarray, tab: dict):
@@ -163,9 +163,9 @@ def _decimal(v: np.ndarray, tab: dict):
     return sig, e, fallback
 
 
-def _layout(v: np.ndarray, sep: np.ndarray, tab: dict):
-    """(byte rows, bytes to keep) of the values ``v``, each row ending in
-    its ``sep`` word (the separator byte in place)."""
+def _layout(v: np.ndarray, sep: np.ndarray, tab: dict) -> np.ndarray:
+    """Byte rows of the values ``v``, each row ending in its ``sep`` word
+    (the separator byte in place), with every byte ``%.17g`` drops NUL."""
     sig, e, fallback = _decimal(v, tab)
     upper = sig // 10 ** 8
     lower = sig - upper * 10 ** 8
@@ -176,7 +176,7 @@ def _layout(v: np.ndarray, sep: np.ndarray, tab: dict):
 
     buf = np.empty((v.size, _WORDS), "<u8")
     buf[:, 0] = tab["lead"].take(lead)
-    last = np.zeros(v.size, np.intp)
+    last = np.zeros(v.size, np.uint8)
     for i, c in enumerate(chunks):
         buf[:, 1 + i] = tab["chunk"].take(c)
         np.maximum(last, tab["last"][i].take(c), out=last)
@@ -186,14 +186,14 @@ def _layout(v: np.ndarray, sep: np.ndarray, tab: dict):
     point = tab["point"].take(e)
     point = np.where(keep > point, point, -1)
     code = tab["form"].take(e) + (keep * 17 + point + 1) * 2 + np.signbit(v)
-    mask = tab["mask"].take(code, axis=0)
+    buf &= tab["mask"].take(code, axis=0)
 
-    out, kept = buf.view(np.uint8), mask.view(bool)
+    out = buf.view(np.uint8)
     for i in np.flatnonzero(fallback):
         text = b"%.17g" % float(v[i])
+        out[i, :_SEP] = 0
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
-        kept[i, :_SEP] = np.arange(_SEP) < len(text)
-    return out, kept
+    return out
 
 
 def write_rows(fh, table: np.ndarray) -> None:
@@ -208,5 +208,5 @@ def write_rows(fh, table: np.ndarray) -> None:
            << 8 * (_SEP % 8))
     for start in range(0, n_rows, rows):
         block = table[start:start + rows].ravel()
-        out, kept = _layout(block, sep[:block.size], tab)
-        fh.write(np.compress(kept.ravel(), out.ravel()))
+        fh.write(_layout(block, sep[:block.size], tab).tobytes()
+                 .translate(None, b"\0"))

@@ -150,6 +150,7 @@ class InverseResult:
     condition_report: ConditionReport
     clamp_count: int
     flux_defect: float
+    flux_defect_rel: float  # flux_defect / max psi
     trace_sums: list  # the check's max_t sum_k lam^3 |u_k|, one entry
     trace_bound: float
     recovery_error: Optional[float] = None
@@ -327,8 +328,8 @@ def recover_q(inv: InverseSpec) -> InverseResult:
     as ``apply_L`` makes it, checks it: ``iterates`` holds its residual
     sup |clamp(L[q]) - q|, a round-off check, since that solve marches the
     same discrete system exactly, and ``trace_sums`` and ``flux_defect``
-    come from its coefficients.  Only the flux floor is enforced (by
-    ``inv``).
+    (also relative to max psi) come from its coefficients.  Only the flux
+    floor is enforced (by ``inv``).
     """
     report = validate_theorem43(inv)
     lo, hi = inv.spec.q_window
@@ -348,6 +349,7 @@ def recover_q(inv: InverseSpec) -> InverseResult:
         CT_bound=report.CT, condition_report=report,
         clamp_count=int(np.count_nonzero((values == lo) | (values == hi))),
         flux_defect=flux_defect,
+        flux_defect_rel=flux_defect / float(np.max(inv.psi.values)),
         trace_sums=[float(np.max(lam3 @ np.abs(coeffs)))],
         trace_bound=inv.trace_bound, recovery_error=err)
 

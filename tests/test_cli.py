@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from subdiff import forward, mode_solver
 from subdiff.cli import _build_spec, _profile, _write_csv, main
-from subdiff.csvfmt import BLOCK, write_rows
+from subdiff.csvfmt import _SEP, BLOCK, _decimal, _layout, _tables, write_rows
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid, caputo_l1
 from subdiff.inverse import ConditionReport, InverseResult
@@ -474,6 +474,35 @@ def kernel_rows(table) -> bytes:
     return fh.getvalue()
 
 
+def sweeps() -> dict:
+    """Deterministic sweeps over the doubles, by name."""
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{p}") for p in range(-320, 309)])
+    rng = np.random.default_rng(3)
+    odd = 2 * rng.integers(2 ** 39, 2 ** 52, 4000) + 1
+    bits = rng.integers(0, 2 ** 63, 10 ** 5, dtype=np.uint64)
+    return {
+        "2^k": twos,
+        "10^p": tens,
+        "10^p up": np.nextafter(tens, np.inf),
+        "10^p down": np.nextafter(tens, -np.inf),
+        "half-integers": np.arange(-5000, 5000) + 0.5,
+        "odd / 2^j": np.ldexp(odd.astype(float), -np.arange(4000) % 64),
+        "bit patterns": bits.view(np.float64),
+    }
+
+
+#: values of each kind the writer leaves to Python: non-finite, beyond
+#: [1e-200, 1e200] (subnormals too), and ties of the 17th digit: an odd
+#: multiple of 2^(e - 17) with decimal exponent e <= 0 is exactly one (here
+#: in the forms x = 0, x = -3 and e-form)
+TIE = 1.0 + 2.0 ** -17
+FALLBACK = [np.inf, -np.inf, np.nan, 3.5e250, -1.7976931348623157e308,
+            np.nextafter(1e200, np.inf), 1e-250, -np.nextafter(1e-200, 0.0),
+            5e-324, -2.5e-310, TIE, -TIE, 7 * TIE, 1049 / 2 ** 20,
+            -43 / 2 ** 22]
+
+
 class TestCsvKernel:
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64,
@@ -483,21 +512,7 @@ class TestCsvKernel:
         assert kernel_rows(table) == oracle_rows(table)
 
     def test_deterministic_sweeps(self):
-        twos = np.ldexp(1.0, np.arange(-1074, 1024))
-        tens = np.array([float(f"1e{p}") for p in range(-320, 309)])
-        rng = np.random.default_rng(3)
-        odd = 2 * rng.integers(2 ** 39, 2 ** 52, 4000) + 1
-        bits = rng.integers(0, 2 ** 63, 10 ** 5, dtype=np.uint64)
-        sweeps = {
-            "2^k": twos,
-            "10^p": tens,
-            "10^p up": np.nextafter(tens, np.inf),
-            "10^p down": np.nextafter(tens, -np.inf),
-            "half-integers": np.arange(-5000, 5000) + 0.5,
-            "odd / 2^j": np.ldexp(odd.astype(float), -np.arange(4000) % 64),
-            "bit patterns": bits.view(np.float64),
-        }
-        for name, values in sweeps.items():
+        for name, values in sweeps().items():
             for v in (values, -values):
                 for table in (v[:, None], v[None, :], v[:v.size // 7 * 7]
                               .reshape(-1, 7)):
@@ -510,6 +525,35 @@ class TestCsvKernel:
         rng = np.random.default_rng(sum(shape))
         table = (rng.normal(size=shape)
                  * 10.0 ** rng.integers(-12, 12, size=shape))
+        assert kernel_rows(table) == oracle_rows(table)
+
+    def test_kept_bytes_are_never_nul(self):
+        # the writer deletes every NUL of a row, so each row must hold
+        # exactly the bytes "%.17g" prints, and its separator, as non-NUL
+        # bytes: a kept byte left at 0 would silently shorten a value
+        tab = _tables()
+        for name, values in sweeps().items():
+            for v in (values, -values):
+                for start in range(0, v.size, BLOCK):
+                    block = v[start:start + BLOCK]
+                    sep = (np.full(block.size, ord(","), "<u8")
+                           << 8 * (_SEP % 8))
+                    rows = _layout(block, sep, tab)
+                    printed = [len(b"%.17g" % x) + 1 for x in block.tolist()]
+                    assert np.array_equal(np.count_nonzero(rows, axis=1),
+                                          printed), name
+
+    def test_fallback_rows_at_block_edges(self):
+        # Python's text replaces a row that is zeroed below its separator
+        # first: each kind in the first and last slot of full blocks, and a
+        # block made of nothing else
+        assert _decimal(np.array(FALLBACK), _tables())[2].all()
+        rng = np.random.default_rng(11)
+        for value in FALLBACK:
+            table = rng.normal(size=(2 * BLOCK // 8, 8))
+            table.flat[[0, BLOCK - 1, BLOCK, 2 * BLOCK - 1]] = value
+            assert kernel_rows(table) == oracle_rows(table), value
+        table = np.resize(FALLBACK, BLOCK).reshape(-1, 8)
         assert kernel_rows(table) == oracle_rows(table)
 
     def test_special_values_raise_no_warning(self):
@@ -735,8 +779,9 @@ class TestInverseCommand:
     def test_scaled_data_recover_as_the_unscaled(self, tmp_path, repo_root,
                                                  scale):
         # the problem is linear in (phi, f), so scaled data have the same q:
-        # each solve is exact up to round-off, and no tolerance is absolute
-        errors = {}
+        # each solve is exact up to round-off, and no tolerance is absolute;
+        # the relative flux defect does not move either
+        errors, defects = {}, {}
         for a in (1.0, scale):
             cfg = shipped("inverse", repo_root)
             for term in cfg["phi"]["terms"]:
@@ -751,7 +796,30 @@ class TestInverseCommand:
             rep = json.loads((out / "report.json").read_text())
             assert rep["iterates"][0] <= 1e-12
             errors[a] = rep["recovery_error"]
+            defects[a] = rep["flux_defect_rel"]
         assert errors[scale] <= 2.0 * errors[1.0]
+        assert defects[scale] == pytest.approx(defects[1.0], rel=1e-5)
+
+    @pytest.mark.parametrize("beta", [3.0, 0.1])
+    def test_estimate_ct_carries_a_length_dimension(self, tmp_path, repo_root,
+                                                    beta):
+        # l -> beta l with sigma -> beta^2 sigma maps solutions to solutions
+        # and leaves the recovered q as it is, but the paper's constant
+        # scales as beta^(3/2): 117.04 at l = 1, 608.1 at 3 and 3.701 at 0.1
+        cts, qs = {}, {}
+        for b in (1.0, beta):
+            cfg = shipped("inverse", repo_root)
+            cfg["problem"]["length"] *= b
+            for key in ("offset", "amplitude"):
+                cfg["sigma"][key] *= b ** 2
+            code, out = run(tmp_path, "inverse", cfg=cfg,
+                            out=tmp_path / f"out{b}")
+            assert code == 0
+            cts[b] = json.loads((out / "report.json").read_text())["CT_bound"]
+            rows = (out / "recovered_q.csv").read_text().splitlines()[1:]
+            qs[b] = np.array([float(r.split(",")[1]) for r in rows])
+        assert cts[beta] == pytest.approx(beta ** 1.5 * cts[1.0], rel=1e-13)
+        assert np.max(np.abs(qs[beta] - qs[1.0])) <= 1e-12
 
     @pytest.mark.parametrize("overrides", [
         {}, {"problem": {"n_steps": 4096, "n_cells": 32, "n_modes": 4},
