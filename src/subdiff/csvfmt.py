@@ -10,12 +10,15 @@ The text is made a block of values at a time with array arithmetic:
 * digits -- read four at a time from a lookup table, and the trailing zeros
   that ``%g`` drops from the same four-digit chunks;
 * layout -- each value fills a fixed-width byte row (sign, ``0.`` and up to
-  three zeros, the 17 digits with a point slot after each, ``e±XXX``,
-  separator).  A byte mask, read from a table by the sign, the exponent,
-  the last digit kept and the point's place, turns every byte ``%.17g``
-  drops to NUL, and one ``bytes.translate`` pass deletes the NULs.  No
-  kept byte is NUL: the row's text is printable ASCII, and a value Python
-  formats has its row zeroed before its text goes in.
+  three zeros, d0 and a point, d1..d16 packed, ``e±XXX``, separator).  A
+  byte mask, read from a table by the sign, the exponent, the last digit
+  kept and whether the point follows d0, turns every byte ``%.17g`` drops
+  to NUL.  Where the point follows a later digit (``%f`` form with
+  1 <= x <= 15 and a fraction digit kept) the digits after it shift one
+  byte right, into the ``e`` byte ``%f`` form never prints, and the point
+  goes in.  One ``bytes.translate`` pass deletes the NULs.  No kept byte
+  is NUL: the row's text is printable ASCII, and a value Python formats
+  has its row zeroed before its text goes in.
 
 The powers of ten come from exact integers by correctly rounded int/int
 division.  Values the arithmetic cannot settle exactly are formatted by
@@ -41,11 +44,13 @@ _EMIN, _EMAX = -202, 202
 #: Dekker's splitting factor 2^27 + 1
 _SPLIT = 134217729.0
 
-# A value's byte row, six little-endian words:
-#   - 0 . 0 0 0 d0 .  | d1 . d2 . d3 . d4 . | ... | d13 . ... d16 . |
-#   e ± X X X sep pad pad
-_WORDS = 6
-_SEP = 45     # the separator's byte
+# A value's byte row, four little-endian words:
+#   - 0 . 0 0 0 d0 .  | d1 d2 ... d8 | d9 ... d16 | e ± X X X sep pad pad
+# d_j, j >= 1, sits at byte 7 + j.  The one point slot follows d0; a point
+# after d_x, 1 <= x <= 15 (``%f`` form with a fraction digit kept), gets its
+# byte by moving bytes 8 + x .. 23 to 9 + x .. 24, the last one the ``e``.
+_WORDS = 4
+_SEP = 29     # the separator's byte
 _FORMS = 7    # x in 0..16, x = -1..-4, exponent of two or of three digits
 
 
@@ -69,14 +74,17 @@ def _tables() -> dict:
 
     ``ceil`` -- the least double >= 10^x;
     ``hi``, ``lo`` -- 10^(16 - x) as the double-double hi + lo;
-    ``lead``, ``chunk``, ``exp`` -- the row's words for the leading digit,
-    a four-digit chunk, and the exponent;
+    ``lead``, ``quad``, ``exp`` -- the row's words for the leading digit,
+    a four-digit chunk (its four bytes in the low half), and the exponent;
     ``last[i, c]`` -- the last nonzero digit's place if chunk i is c, else 0;
     ``form``, ``fixed``, ``point`` -- the layout of exponent x: its form's
     offset into ``mask``, its integer digits (x in ``%f`` form, else 0),
     and the digit the point follows (-1 for none);
     ``mask`` -- the row's bytes to keep (0xFF, else 0), by form, last digit
-    kept, point place and sign.
+    kept, whether the point follows d0, and sign;
+    ``tail``, ``dot`` -- by the digit x the point follows, the bytes that
+    move to make room for it (those of d_{x+1}..d16) and the point in its
+    byte, neither for x = 0.
     """
     hi, lo = np.array([_pow10(k) for k in range(_EMIN, _EMAX + 17)]).T
     x = np.arange(_EMIN, _EMAX + 1)
@@ -84,8 +92,7 @@ def _tables() -> dict:
     hi, lo = hi[16 - x - _EMIN], lo[16 - x - _EMIN]
 
     dec = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999
-    chunk = np.full((10000, 8), ord("."), np.uint8)
-    chunk[:, ::2] = dec + ord("0")
+    quad = np.ascontiguousarray(dec + ord("0")).view("<u4").astype("<u8")
     lead = np.tile(np.frombuffer(b"-0.000..", np.uint8), (10, 1))
     lead[:, 6] = np.arange(10) + ord("0")
     ax = np.abs(x)
@@ -102,28 +109,38 @@ def _tables() -> dict:
     fixed = np.where(form == 0, x, 0)
     first_point = np.where(small, -1, fixed)
 
-    # mask[form, keep, point + 1, sign, byte], each index on its own axis
+    # mask[form, keep, point after d0, sign, byte], each index on its own axis
     f = np.arange(_FORMS)[:, None, None, None, None]
     keep = np.arange(17)[:, None, None, None]
-    point = np.arange(-1, 16)[:, None, None]
+    at_d0 = np.arange(2)[:, None, None]
     sign = np.arange(2)[:, None]
-    digit = np.arange(17)
-    mask = np.zeros((_FORMS, 17, 17, 2, 8 * _WORDS), bool)
+    mask = np.zeros((_FORMS, 17, 2, 2, 8 * _WORDS), bool)
     mask[..., :1] = sign == 1
     mask[..., 1:3] = (f >= 1) & (f <= 4)
     mask[..., 3:6] = (f - 1 > np.arange(3)) & (f <= 4)
-    mask[..., 6:40:2] = digit <= keep
-    mask[..., 7:41:2] = digit == point
-    mask[..., 40:45] = f >= 5
-    mask[..., 42:43] &= f == 6
+    mask[..., 6] = True
+    mask[..., 7:8] = at_d0 == 1
+    mask[..., 8:24] = np.arange(1, 17) <= keep
+    mask[..., 24:29] = f >= 5
+    mask[..., 26:27] &= f == 6
     mask[..., _SEP] = True
 
+    # by x in 0..15: the bytes that move (8 + x .. 23) and the point's
+    # (8 + x), none for x = 0
+    after = np.arange(16) - np.arange(16)[:, None]
+    tail = np.zeros((16, 8 * _WORDS), bool)
+    tail[1:, 8:24] = after[1:] >= 0
+    dot = np.zeros((16, 8 * _WORDS), np.uint8)
+    dot[1:, 8:24] = (after[1:] == 0) * np.uint8(ord("."))
+
     return {"ceil": ceil, "hi": hi, "lo": lo,
-            "lead": _words(lead).ravel(), "chunk": _words(chunk).ravel(),
+            "lead": _words(lead).ravel(), "quad": quad.ravel(),
             "exp": _words(exp).ravel(), "last": last,
-            "form": form * (17 * 17 * 2), "fixed": fixed,
+            "form": form * (17 * 2 * 2), "fixed": fixed,
             "point": first_point,
-            "mask": _words(mask * np.uint8(0xFF)).reshape(-1, _WORDS)}
+            "mask": _words(mask * np.uint8(0xFF)).reshape(-1, _WORDS),
+            "tail": _words(tail * np.uint8(0xFF)).reshape(-1, _WORDS),
+            "dot": _words(dot).reshape(-1, _WORDS)}
 
 
 def _decimal(v: np.ndarray, tab: dict):
@@ -178,15 +195,30 @@ def _layout(v: np.ndarray, sep: np.ndarray, tab: dict) -> np.ndarray:
     buf[:, 0] = tab["lead"].take(lead)
     last = np.zeros(v.size, np.uint8)
     for i, c in enumerate(chunks):
-        buf[:, 1 + i] = tab["chunk"].take(c)
         np.maximum(last, tab["last"][i].take(c), out=last)
-    buf[:, 5] = tab["exp"].take(e) | sep
+    for word, (first, second) in enumerate((chunks[:2], chunks[2:]), 1):
+        high = tab["quad"].take(second)
+        high <<= 32
+        np.bitwise_or(tab["quad"].take(first), high, out=buf[:, word])
+    buf[:, 3] = tab["exp"].take(e) | sep
 
     keep = np.maximum(last, tab["fixed"].take(e))
     point = tab["point"].take(e)
     point = np.where(keep > point, point, -1)
-    code = tab["form"].take(e) + (keep * 17 + point + 1) * 2 + np.signbit(v)
-    buf &= tab["mask"].take(code, axis=0)
+    code = (tab["form"].take(e) + (keep * 2 + (point == 0)) * 2
+            + np.signbit(v))
+    kept = tab["mask"].take(code, axis=0)
+    buf &= kept
+
+    # a point after d_x, x >= 1: the bytes from 8 + x on move one right
+    # (mode "clip" reads point -1 as row 0, which moves nothing, and lets
+    # take write into ``out`` unbuffered)
+    if point.max() > 0:
+        tail = np.take(tab["tail"], point, axis=0, out=kept, mode="clip")
+        tail &= buf
+        buf ^= tail
+        buf.view(np.uint8).ravel()[1:] |= tail.view(np.uint8).ravel()[:-1]
+        buf |= np.take(tab["dot"], point, axis=0, out=tail, mode="clip")
 
     out = buf.view(np.uint8)
     for i in np.flatnonzero(fallback):

@@ -274,15 +274,17 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
         # for node n = start + i
         crev = w.fold[:, width:0:-1].tolist()
         near: list = [[] for _ in c]
+        modes = list(zip(crev, near, c))
         rows = zip(*(v[:, start:stop].T.tolist()
-                     for v in (base, f, a, denom, weight)))
+                     for v in (base, f, a, denom, weight)), q0[start:stop])
         x = float(q[start - 1])
-        for i, (h_n, f_n, a_n, D, w_n) in enumerate(rows):
-            n = start + i
+        top = worst
+        qs = []
+        for i, (h_n, f_n, a_n, D, w_n, q0_n) in enumerate(rows):
             # H_k + c_k f_{k,n}: far history, near history, c_k f_{k,n}
             num = [h + sum(map(operator.mul, cr[width - i:width], gk))
                    + ck * fk
-                   for h, cr, gk, ck, fk in zip(h_n, crev, near, c, f_n)]
+                   for (cr, gk, ck), h, fk in zip(modes, h_n, f_n)]
             A = list(map(operator.mul, w_n, num))
             last = math.inf
             while True:
@@ -295,7 +297,7 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
                     dG += t * cr
                     d2G += t * cr * cr
                 slope = 1.0 + dG
-                step = (x - q0[n] - G) / (slope if slope > 0.0 else 1.0)
+                step = (x - q0_n - G) / (slope if slope > 0.0 else 1.0)
                 nxt = min(max(x - step, lo), hi)
                 moved = abs(nxt - x)
                 if not moved < last:  # also ends a step that is not a number
@@ -305,13 +307,13 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
                     break
                 last = moved
             if lo < x < hi:
-                worst = max(worst, abs(dG))
-            q[n] = x
-            g_n = [fk + (ak - x) * v / (Dk + ck * x)
-                   for fk, ak, v, Dk, ck in zip(f_n, a_n, num, D, c)]
-            for gk, gn in zip(near, g_n):
-                gk.append(gn)
+                top = max(top, abs(dG))
+            qs.append(x)
+            for gk, fk, ak, v, Dk, ck in zip(near, f_n, a_n, num, D, c):
+                gk.append(fk + (ak - x) * v / (Dk + ck * x))
+        q[start:stop] = qs
         g[:, start:stop] = near
+        worst = top
 
     march(w, base, g, leaf, _LEAF)
     return q, worst

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifact contents, determinism."""
 
+import ast
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from subdiff import forward, mode_solver
+from subdiff import csvfmt, forward, mode_solver
 from subdiff.cli import _build_spec, _profile, _write_csv, main
-from subdiff.csvfmt import _SEP, BLOCK, _decimal, _layout, _tables, write_rows
+from subdiff.csvfmt import (_EMIN, _SEP, BLOCK, _decimal, _layout, _tables,
+                            write_rows)
 from subdiff.forward import AssumptionReport, solve_forward
 from subdiff.frackernel import TimeGrid, caputo_l1
 from subdiff.inverse import ConditionReport, InverseResult
@@ -474,6 +478,25 @@ def kernel_rows(table) -> bytes:
     return fh.getvalue()
 
 
+def point_sweep() -> np.ndarray:
+    """Values whose ``%.17g`` puts the point after d_x, x = 1..16: an
+    integer of x + 1 digits plus 2^-g, which prints exactly g fraction
+    digits, for every g the 17 digits leave room for, and the neighbours
+    of 10^x."""
+    rng = np.random.default_rng(17)
+    values = [10.0, 100.5, 123456789012345.6]
+    for x in range(1, 17):
+        for g in range(17 - x):
+            # N + 2^-g is exact while N 2^g + 1 < 2^53; for g = 0 any
+            # double will do, all are integers there
+            top = min(10 ** (x + 1), (2 ** 53 - 1) >> g if g else math.inf)
+            for n in (10 ** x, top - 1, int(rng.integers(10 ** x, top))):
+                values.append(math.ldexp((n << g) + (g > 0), -g))
+        values += [math.nextafter(10.0 ** x, -math.inf),
+                   math.nextafter(10.0 ** x, math.inf)]
+    return np.array(values)
+
+
 def sweeps() -> dict:
     """Deterministic sweeps over the doubles, by name."""
     twos = np.ldexp(1.0, np.arange(-1074, 1024))
@@ -489,6 +512,7 @@ def sweeps() -> dict:
         "half-integers": np.arange(-5000, 5000) + 0.5,
         "odd / 2^j": np.ldexp(odd.astype(float), -np.arange(4000) % 64),
         "bit patterns": bits.view(np.float64),
+        "point after d_x": point_sweep(),
     }
 
 
@@ -555,6 +579,26 @@ class TestCsvKernel:
             assert kernel_rows(table) == oracle_rows(table), value
         table = np.resize(FALLBACK, BLOCK).reshape(-1, 8)
         assert kernel_rows(table) == oracle_rows(table)
+
+    def test_tables_match_exact_arithmetic(self):
+        # hi: 10^(16 - x) correctly rounded, lo: the rest correctly
+        # rounded, ceil: the least double >= 10^x, for every exponent x
+        def nearest(d, exact):
+            err = abs(Fraction(d) - exact)
+            for side in (-math.inf, math.inf):
+                other = abs(Fraction(math.nextafter(d, side)) - exact)
+                # a tie goes to the even significand
+                assert err < other or (
+                    err == other and math.frexp(d)[0] * 2 ** 53 % 2 == 0)
+
+        tab = _tables()
+        for i, (hi, lo, ceil) in enumerate(zip(*(
+                tab[k].tolist() for k in ("hi", "lo", "ceil")))):
+            x = _EMIN + i
+            nearest(hi, Fraction(10) ** (16 - x))
+            nearest(lo, Fraction(10) ** (16 - x) - Fraction(hi))
+            assert (Fraction(math.nextafter(ceil, -math.inf))
+                    < Fraction(10) ** x <= Fraction(ceil))
 
     def test_special_values_raise_no_warning(self):
         table = np.array([[np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324]])
@@ -976,6 +1020,19 @@ class TestImports:
                               capture_output=True, text=True, timeout=300,
                               check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_csvfmt_imports_only_the_standard_library_and_numpy(self):
+        # the writer is a leaf module: it reads nothing of the package and
+        # needs nothing the package does not already depend on
+        tree = ast.parse(Path(csvfmt.__file__).read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        modules = [alias.name for node in nodes
+                   if isinstance(node, ast.Import) for alias in node.names]
+        modules += ["." * node.level + (node.module or "") for node in nodes
+                    if isinstance(node, ast.ImportFrom)]
+        allowed = sys.stdlib_module_names | {"numpy"}
+        assert modules and all(
+            name.split(".")[0] in allowed for name in modules), modules
 
 
 class TestSelftest:
