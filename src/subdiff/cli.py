@@ -309,7 +309,7 @@ def _run_inverse(cfg, out: Path, base: Path) -> int:
             noise_level=_num(syn, "noise_level", "data.synthetic",
                              default=0.0, lo=0.0),
             seed=_num(syn, "seed", "data.synthetic", default=0, lo=0,
-                      integer=True))
+                      hi=2 ** 64 - 1, integer=True))
     else:
         inv = InverseSpec(spec=spec, psi=Profile(
             spec.tgrid, _read_samples_csv(base, data["psi_csv"], spec.tgrid,

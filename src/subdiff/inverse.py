@@ -356,6 +356,26 @@ def recover_q(inv: InverseSpec) -> InverseResult:
         trace_bound=inv.trace_bound, recovery_error=err)
 
 
+def _uniform(seed: int, n: int) -> np.ndarray:
+    """Draws 1..n of the SplitMix64 stream from ``seed`` (Steele, Lea and
+    Flood, OOPSLA 2014), each mapped to (z >> 11) 2^-52 - 1 in [-1, 1).
+
+    State i is seed + i 0x9E3779B97F4A7C15 mod 2^64; the mix is two
+    xor-shift-multiply rounds and a final xor-shift.  The uint64 array
+    arithmetic wraps mod 2^64 without a warning, so the stream is fixed by
+    the seed alone, whatever the installed NumPy.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0 ** -52 - 1.0
+
+
 def synthesize_data(spec: ProblemSpec, q_true: Profile,
                     noise_level: float = 0.0, seed: int = 0) -> InverseSpec:
     """Solve the modes of ``spec`` at the known coefficient ``q_true`` and
@@ -364,17 +384,19 @@ def synthesize_data(spec: ProblemSpec, q_true: Profile,
 
     Noise is multiplicative uniform (level * U(-1,1) per node) so small
     levels keep the trace positive (``InverseSpec`` refuses one that is
-    not); the generator is seeded, making the synthesized data bitwise
-    reproducible.
+    not).  Node n draws the n-th value of the SplitMix64 stream of ``seed``
+    (``_uniform``), an integer in [0, 2^64), so the synthesized data are
+    bitwise reproducible and do not depend on the NumPy version.  Level 0
+    draws nothing.  The stream replaced NumPy's ``default_rng``, so data
+    synthesized with noise differ from those of earlier versions.
     """
     if not (0.0 <= noise_level < math.inf):
         raise DomainError(f"noise level must be finite and nonnegative, got "
                           f"{noise_level}")
-    if seed < 0:
-        raise DomainError(f"noise seed must be nonnegative, got {seed}")
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"noise seed must lie in [0, 2^64), got {seed}")
     check_window(spec, q_true)
     psi = flux_at_left(solve_mode_set(spec, q_true).u_k, spec.length)
     if noise_level > 0.0:
-        rng = np.random.default_rng(seed)
-        psi *= 1.0 + noise_level * rng.uniform(-1.0, 1.0, psi.shape)
+        psi *= 1.0 + noise_level * _uniform(seed, psi.size)
     return InverseSpec(spec=spec, psi=Profile(spec.tgrid, psi), q_true=q_true)

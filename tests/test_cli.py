@@ -264,6 +264,12 @@ class TestConfigErrors:
         assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
         assert "data.synthetic.seed" in capsys.readouterr().err
 
+    def test_noise_seed_beyond_64_bits(self, tmp_path, repo_root, capsys):
+        cfg = shipped("inverse", repo_root)
+        cfg["data"]["synthetic"].update(noise_level=1e-6, seed=2 ** 64)
+        assert run(tmp_path, "inverse", cfg=cfg)[0] == 2
+        assert "data.synthetic.seed" in capsys.readouterr().err
+
     def test_retired_inverse_solver_keys(self, tmp_path, repo_root, capsys):
         # the recovery runs at its fixed budget and its inner forward solves
         # at the Picard budget, so the whole solver block is retired
@@ -517,14 +523,32 @@ def sweeps() -> dict:
 
 
 #: values of each kind the writer leaves to Python: non-finite, beyond
-#: [1e-200, 1e200] (subnormals too), and ties of the 17th digit: an odd
-#: multiple of 2^(e - 17) with decimal exponent e <= 0 is exactly one (here
-#: in the forms x = 0, x = -3 and e-form)
-TIE = 1.0 + 2.0 ** -17
+#: [1e-200, 1e200] (subnormals too), and ties of the 17th digit at a
+#: negative decimal exponent e, where the product is not exact: an odd
+#: multiple of 2^(e - 17) is exactly one (here in the forms x = -1, x = -3
+#: and e-form)
+TIE = 26215 / 2 ** 18
 FALLBACK = [np.inf, -np.inf, np.nan, 3.5e250, -1.7976931348623157e308,
             np.nextafter(1e200, np.inf), 1e-250, -np.nextafter(1e-200, 0.0),
-            5e-324, -2.5e-310, TIE, -TIE, 7 * TIE, 1049 / 2 ** 20,
+            5e-324, -2.5e-310, TIE, -TIE, 26217 / 2 ** 18, 1049 / 2 ** 20,
             -43 / 2 ** 22]
+
+
+def exact_ties() -> dict:
+    """By decimal exponent x = 0..15, doubles whose 17-digit rounding is an
+    exact tie: an odd m times 2^(x - 17), which needs m < 2^53; at x = 16
+    every double is an integer, so there are none.  The ends of each range
+    and random m in it, both parities of the 17-digit truncation."""
+    rng = np.random.default_rng(35)
+    out = {}
+    for x in range(16):
+        shift = 17 - x
+        lo = (10 ** x << shift) + 1
+        hi = min(10 ** (x + 1) << shift, 2 ** 53) - 1
+        m = [lo, hi - (hi % 2 == 0)]
+        m += [int(v) | 1 for v in rng.integers(lo, hi, 64)]
+        out[x] = np.array([math.ldexp(v, -shift) for v in m])
+    return out
 
 
 class TestCsvKernel:
@@ -579,6 +603,20 @@ class TestCsvKernel:
             assert kernel_rows(table) == oracle_rows(table), value
         table = np.resize(FALLBACK, BLOCK).reshape(-1, 8)
         assert kernel_rows(table) == oracle_rows(table)
+
+    def test_exact_ties_settled_without_python(self):
+        # a tie at x = 0..16 rounds half to even in the array path, bytes
+        # equal to "%.17g", and no row falls back
+        tab = _tables()
+        for x, values in exact_ties().items():
+            for v in (values, -values):
+                sig, e, fallback = _decimal(v, tab)
+                assert not fallback.any(), x
+                assert np.all(e + _EMIN == x), x
+                assert kernel_rows(v[:, None]) == oracle_rows(v[:, None]), x
+            halves = [Fraction(float(v)) * 10 ** (16 - x) % 1
+                      for v in values]
+            assert set(halves) == {Fraction(1, 2)}, x
 
     def test_tables_match_exact_arithmetic(self):
         # hi: 10^(16 - x) correctly rounded, lo: the rest correctly
@@ -1020,6 +1058,57 @@ class TestImports:
                               capture_output=True, text=True, timeout=300,
                               check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_noisy_inverse_leaves_numpy_random_unloaded(self, tmp_path,
+                                                        repo_root):
+        # the flux noise comes from the package's own stream
+        cfg = shipped("inverse", repo_root)
+        cfg["problem"].update(n_steps=32, n_cells=16, n_modes=4)
+        cfg["data"]["synthetic"].update(noise_level=1e-6, seed=1301)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["inverse", "--config", str(path), "--out", str(tmp_path)]
+        code = ("import sys\n"
+                "from subdiff.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(code, 'numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True)
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+        assert (tmp_path / "recovered_q.csv").exists()
+
+    def test_numpy_random_only_in_selftests(self):
+        # the selftest suites draw their sample points from numpy.random;
+        # no other code of the package may reach it
+        allowed, found = [], []
+        for path in sorted(Path(csvfmt.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            selftest = {id(node) for fn in tree.body
+                        if path.stem == "cli"
+                        and isinstance(fn, ast.FunctionDef)
+                        and fn.name.startswith("_selftest_")
+                        for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    hit = (node.attr == "random"
+                           and isinstance(node.value, ast.Name)
+                           and node.value.id in ("np", "numpy"))
+                elif isinstance(node, ast.Import):
+                    hit = any(a.name.startswith("numpy.random")
+                              for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    module = node.module or ""
+                    hit = module.startswith("numpy.random") or (
+                        module == "numpy"
+                        and any(a.name == "random" for a in node.names))
+                else:
+                    continue
+                if hit:
+                    (allowed if id(node) in selftest else found).append(
+                        f"{path.name}:{node.lineno}")
+        assert allowed and not found, found
 
     def test_csvfmt_imports_only_the_standard_library_and_numpy(self):
         # the writer is a leaf module: it reads nothing of the package and

@@ -13,6 +13,7 @@ from subdiff.forward import ProblemSpec
 from subdiff.frackernel import TimeGrid
 from subdiff.inverse import (
     InverseSpec,
+    _uniform,
     apply_L,
     estimate_CT,
     recover_q,
@@ -21,6 +22,20 @@ from subdiff.inverse import (
 )
 from subdiff.profiles import Profile, constant
 from subdiff.spectral import SpaceGrid, eigenvalues, flux_at_left
+
+
+def splitmix64_reference(seed, n):
+    """Draws 1..n of SplitMix64 from ``seed`` in Python integers masked to
+    64 bits, each mapped to (z >> 11) 2^-52 - 1."""
+    mask = 2 ** 64 - 1
+    out = []
+    for i in range(1, n + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        out.append((z >> 11) * 2.0 ** -52 - 1.0)
+    return out
 
 
 def sine_shape(sgrid, k=1):
@@ -451,6 +466,22 @@ class TestSynthesizeData:
         with pytest.raises(DomainError, match="seed"):
             synthesize_data(spec, q, noise_level=1e-6, seed=-1)
 
+    def test_rejects_seed_beyond_64_bits(self):
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        with pytest.raises(DomainError, match="seed"):
+            synthesize_data(spec, q, noise_level=1e-6, seed=2 ** 64)
+        inv = synthesize_data(spec, q, noise_level=1e-6, seed=2 ** 64 - 1)
+        assert inv.psi0 > 0.0
+
+    def test_node_n_draws_the_nth_value_of_the_stream(self):
+        spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            clean = synthesize_data(spec, q).psi.values
+            noisy = synthesize_data(spec, q, 0.01, seed=7).psi.values
+        draws = np.array(splitmix64_reference(7, clean.size))
+        assert np.array_equal(noisy, clean * (1.0 + 0.01 * draws))
+
     def test_same_seed_bitwise_identical(self):
         spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with warnings.catch_warnings():
@@ -473,3 +504,17 @@ class TestSynthesizeData:
         spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
         with pytest.raises(AdmissibilityError, match="positive flux"):
             synthesize_data(spec, q, noise_level=2.0, seed=0)
+
+
+class TestNoiseStream:
+    @pytest.mark.parametrize("n", [1, 4097])
+    @pytest.mark.parametrize("seed", [0, 7, 1301, 2 ** 64 - 1])
+    def test_matches_python_reference(self, seed, n):
+        draws = _uniform(seed, n)
+        assert draws.dtype == np.float64 and draws.shape == (n,)
+        assert draws.tolist() == splitmix64_reference(seed, n)
+        assert np.all((draws >= -1.0) & (draws < 1.0))
+
+    def test_first_output_from_state_zero(self):
+        # SplitMix64's first output from seed 0 is 0xE220A8397B1DCDAF
+        assert _uniform(0, 1)[0] == (0xE220A8397B1DCDAF >> 11) * 2.0 ** -52 - 1
