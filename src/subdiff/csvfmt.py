@@ -23,9 +23,7 @@ The text is made a block of values at a time with array arithmetic:
 The powers of ten come from exact integers by correctly rounded int/int
 division.  Values the arithmetic cannot settle exactly are formatted by
 Python itself: non-finite ones, magnitudes outside [1e-200, 1e200], and
-those within 1e-6 of a rounding tie at a decimal exponent outside 0..16.
-At exponents 0..16 the product is exact and a tie rounds half to even, as
-``%`` does.
+those within 1e-6 of a rounding tie.
 """
 
 from __future__ import annotations
@@ -172,19 +170,9 @@ def _decimal(v: np.ndarray, tab: dict):
     r = pl + a * tab["lo"].take(e)
     r_floor = np.floor(r)
     frac = r - r_floor
-    fallback = ~(in_range | zero)
+    fallback = ~(in_range | zero) | (np.abs(frac - 0.5) < 1e-6)
 
     sig = ph.astype(np.int64) + r_floor.astype(np.int64) + (frac > 0.5)
-    # for x in 0..16, 10^(16-x) is an integer (lo = 0) and a >= 1 is a
-    # multiple of 2^-52, so r = pl and frac are exact: a tie is settled
-    # here, half to even; elsewhere a near-tie goes to Python
-    near = np.abs(frac - 0.5) < 1e-6
-    if near.any():
-        near = np.flatnonzero(near)
-        exact = (e[near] >= -_EMIN) & (e[near] <= 16 - _EMIN)
-        fallback[near[~exact]] = True
-        tie = near[exact & (frac[near] == 0.5)]
-        sig[tie] += sig[tie] & 1
     carry = sig >= 10 ** 17
     sig[carry] = 10 ** 16
     sig[zero] = 0

@@ -11,7 +11,7 @@ maps them back to physical space at the end.
 sigma and q depend on time only, so the eigenbasis columns do not couple,
 and a column without data stays 0: ``solve_fd`` steps only the columns its
 data excite (the cut and its bound are in its docstring), while the
-singular-step check covers every column.
+divisors and the singular-step check cover every column.
 
 The L1 memory sum is marched by the causal divide-and-conquer split of
 Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532).
@@ -67,21 +67,6 @@ _COLUMN_CUT = 64.0 * np.finfo(float).eps
 _TRANSFORM_ROWS = 256
 
 
-def _stencil_eigenvalues(M: int) -> np.ndarray:
-    """The eigenvalues 4 sin^2(j pi/2M), j = 1..M-1, of tridiag(-1, 2, -1)
-    on M - 1 interior nodes, ascending in j.
-
-    4 sin^2(j pi/2M) = 2 - 2 cos(j pi/M): the squared sine keeps the low
-    eigenvalues relatively accurate; the upper half takes the cosine, as a
-    sine of the integer M - 2j, which has no cancellation there and is
-    exactly 2 at j = M/2, so an exactly singular step system still gives an
-    exactly zero divisor.
-    """
-    j = np.arange(1, M)
-    return np.where(2 * j < M, 4.0 * np.sin(j * (math.pi / (2 * M))) ** 2,
-                    2.0 - 2.0 * np.sin((M - 2 * j) * (math.pi / (2 * M))))
-
-
 @dataclass(frozen=True)
 class FdWorkspace:
     """Precomputed pieces of the implicit L1 scheme.
@@ -120,6 +105,13 @@ class FdWorkspace:
         scaled_d = scale * d
         M = spec.sgrid.n_cells
         j = np.arange(1, M)
+        # 4 sin^2(j pi/2M) = 2 - 2 cos(j pi/M): the squared sine keeps the
+        # low eigenvalues relatively accurate; the upper half takes the
+        # cosine, as a sine of the integer M - 2j, which has no cancellation
+        # there and is exactly 2 at j = M/2, so an exactly singular step
+        # system still gives an exactly zero divisor
+        lam = np.where(2 * j < M, 4.0 * np.sin(j * (math.pi / (2 * M))) ** 2,
+                       2.0 - 2.0 * np.sin((M - 2 * j) * (math.pi / (2 * M))))
         # i j is reduced mod 2M in integers so every sine argument is < 2 pi;
         # a block of rows at a time, so the temporaries stay small
         V = np.empty((M - 1, M - 1))
@@ -128,7 +120,7 @@ class FdWorkspace:
             np.sin(np.outer(j[r:r + _TRANSFORM_ROWS], j) % (2 * M)
                    * (math.pi / M), out=rows)
             rows *= math.sqrt(2.0 / M)
-        mu = _stencil_eigenvalues(M) / spec.sgrid.h ** 2
+        mu = lam / spec.sgrid.h ** 2
         i = np.arange(min(_HISTORY_BLOCK, tg.n_steps))
         lag = i[:, None] - i - 1
         near = (np.where(lag >= 0, scaled_d[np.maximum(lag, 0)], 0.0)
@@ -212,14 +204,6 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
     # them; a row not yet stepped holds its source and accumulates its
     # right-hand side
     C, V = W[:, keep], ws.V[:, keep]
-    # each step's divisors scale a_0 + sigma_n mu + q_n ascend along the
-    # row, as sigma > 0, mu ascends and rounding is monotone: a step is
-    # clean when its finite end divisors do not bracket 0, and only the
-    # other steps have every column checked
-    a0, mu_keep = ws.scale * ws.a[0], ws.mu[keep]
-    ends = a0 + sig[:, None] * ws.mu[[0, -1]] + qv[:, None]
-    clean = (((ends[:, 0] > 0.0) | (ends[:, 1] < 0.0))
-             & np.isfinite(ends).all(axis=1))
     for b, s in enumerate(range(1, N + 1, _HISTORY_BLOCK)):
         if b:
             # far field: block b starts the right half of a dyadic pair
@@ -229,13 +213,10 @@ def solve_fd(spec: ProblemSpec, q: Profile) -> FieldSolution:
         stop = min(s + _HISTORY_BLOCK, N + 1)
         # the block's divisors in the eigenbasis: it steps up to its first
         # singular step, if any, and raises there before dividing by it
-        sg, qs = sig[s:stop, None], qv[s:stop, None]
-        div = a0 + sg * mu_keep + qs
-        bad = np.flatnonzero(~clean[s:stop])
-        if bad.size:
-            full = a0 + sg[bad] * ws.mu + qs[bad]
-            bad = bad[~np.all(np.isfinite(full) & (full != 0.0), axis=1)]
+        div = ws.scale * ws.a[0] + sig[s:stop, None] * ws.mu + qv[s:stop, None]
+        bad = np.flatnonzero(~np.all(np.isfinite(div) & (div != 0.0), axis=1))
         e = s + int(bad[0]) if bad.size else stop
+        div = div[:, keep]
         C[s:e] += ws.scale * ws.a[s - 1:e - 1, None] * C[0]
         for leaf, p in enumerate(range(s, e, _LEAF)):
             if leaf:

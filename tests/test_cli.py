@@ -523,14 +523,13 @@ def sweeps() -> dict:
 
 
 #: values of each kind the writer leaves to Python: non-finite, beyond
-#: [1e-200, 1e200] (subnormals too), and ties of the 17th digit at a
-#: negative decimal exponent e, where the product is not exact: an odd
-#: multiple of 2^(e - 17) is exactly one (here in the forms x = -1, x = -3
-#: and e-form)
-TIE = 26215 / 2 ** 18
+#: [1e-200, 1e200] (subnormals too), and ties of the 17th digit: an odd
+#: multiple of 2^(e - 17) with decimal exponent e <= 0 is exactly one (here
+#: in the forms x = 0, x = -3 and e-form)
+TIE = 1.0 + 2.0 ** -17
 FALLBACK = [np.inf, -np.inf, np.nan, 3.5e250, -1.7976931348623157e308,
             np.nextafter(1e200, np.inf), 1e-250, -np.nextafter(1e-200, 0.0),
-            5e-324, -2.5e-310, TIE, -TIE, 26217 / 2 ** 18, 1049 / 2 ** 20,
+            5e-324, -2.5e-310, TIE, -TIE, 7 * TIE, 1049 / 2 ** 20,
             -43 / 2 ** 22]
 
 
@@ -604,15 +603,11 @@ class TestCsvKernel:
         table = np.resize(FALLBACK, BLOCK).reshape(-1, 8)
         assert kernel_rows(table) == oracle_rows(table)
 
-    def test_exact_ties_settled_without_python(self):
-        # a tie at x = 0..16 rounds half to even in the array path, bytes
-        # equal to "%.17g", and no row falls back
-        tab = _tables()
+    def test_exact_ties_match_percent_g(self):
+        # a tie at every decimal exponent x = 0..15, both signs, gives the
+        # bytes of "%.17g"
         for x, values in exact_ties().items():
             for v in (values, -values):
-                sig, e, fallback = _decimal(v, tab)
-                assert not fallback.any(), x
-                assert np.all(e + _EMIN == x), x
                 assert kernel_rows(v[:, None]) == oracle_rows(v[:, None]), x
             halves = [Fraction(float(v)) * 10 ** (16 - x) % 1
                       for v in values]
@@ -1082,7 +1077,7 @@ class TestImports:
     def test_numpy_random_only_in_selftests(self):
         # the selftest suites draw their sample points from numpy.random;
         # no other code of the package may reach it
-        allowed, found = [], []
+        found = []
         for path in sorted(Path(csvfmt.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             selftest = {id(node) for fn in tree.body
@@ -1105,10 +1100,9 @@ class TestImports:
                         and any(a.name == "random" for a in node.names))
                 else:
                     continue
-                if hit:
-                    (allowed if id(node) in selftest else found).append(
-                        f"{path.name}:{node.lineno}")
-        assert allowed and not found, found
+                if hit and id(node) not in selftest:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert not found, found
 
     def test_csvfmt_imports_only_the_standard_library_and_numpy(self):
         # the writer is a leaf module: it reads nothing of the package and

@@ -96,17 +96,6 @@ class TestWorkspace:
         assert np.max(np.abs(np.abs(ws.V.T @ V) - np.eye(m - 1))) <= 1e-13
         assert np.max(np.abs(ws.V.T @ ws.V - np.eye(m - 1))) <= 1e-13
 
-    def test_eigenvalues_ascend(self):
-        # solve_fd settles a row of divisors scale a_0 + sigma_n mu + q_n by
-        # its two ends, which holds because sigma > 0, rounding is monotone
-        # and mu ascends in j
-        for m in range(2, 1025):
-            lam = oracle._stencil_eigenvalues(m)
-            assert np.all(lam[1:] >= lam[:-1]), m
-        for m in (2, 4, 64, 1024):
-            mu = FdWorkspace.from_spec(tiny_spec(n=4, m=m)).mu
-            assert np.all(mu[1:] >= mu[:-1]), m
-
     def test_first_step_history_is_initial_row(self):
         ws = FdWorkspace.from_spec(tiny_spec(n=4, m=4))
         interior = np.arange(20.0).reshape(5, 4)
@@ -184,8 +173,7 @@ class TestBlockedHistory:
         spec, q = varying_spec(n, m)
         ws = FdWorkspace.from_spec(spec)
         sig = spec.sigma.values[step]
-        # zeroes the divisor of the first, a middle or the last column: the
-        # row's ends then bracket 0 or touch it, so the row is checked whole
+        # zeroes the divisor of the first, a middle or the last column
         for col in (0, 1, m - 2):
             q_vals = q.values.copy()
             q_vals[step] = -(ws.scale * ws.a[0] + sig * ws.mu[col])
