@@ -30,7 +30,7 @@ from .inverse import (
     validate_theorem43,
 )
 from .mlf import mittag_leffler, relaxation, relaxation_curve
-from .mode_solver import ModeProblem, ModeSolution, solve_mode
+from .mode_solver import ModeProblem, solve_mode
 from .oracle import FdWorkspace, solve_fd
 from .profiles import (
     Profile,

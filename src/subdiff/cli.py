@@ -43,7 +43,7 @@ from .forward import (ProblemSpec, default_mode_count, residual_check,
                       solve_forward)
 from .frackernel import (MAX_WEIGHT_STEPS, TimeGrid, build_weights, caputo_l1,
                          convolve)
-from .inverse import InverseSpec, recover_q, synthesize_data
+from .inverse import InverseSpec, _uniform, recover_q, synthesize_data
 from .mlf import _mp_branch_cut, mittag_leffler, relaxation, relaxation_curve
 from .oracle import solve_fd
 from .profiles import _KINDS, Profile, named_profile
@@ -369,11 +369,11 @@ def _selftest_mlf():
     checks.append(("E_{1/2,1}(-x) = exp(x^2) erfc(x) on [0, 30] vs 40-digit "
                    "mpmath", worst <= 1e-12, f"max rel err {worst:.3e}"))
 
-    rng = np.random.default_rng(20250815)
     bad = 0
-    for _ in range(40):
-        rho = rng.uniform(0.05, 0.95)
-        z = rng.uniform(0.01, 50.0, 25) * rng.uniform(0.0, 3.0, 25) ** rho
+    # points of the noise stream, in [0, 1), mapped onto each range
+    for u in 0.5 * (_uniform(20250815, 40 * 51).reshape(40, 51) + 1.0):
+        rho = float(0.05 + 0.9 * u[0])
+        z = (0.01 + 49.99 * u[1:26]) * (3.0 * u[26:]) ** rho
         for beta in (1.0, rho):
             v = mittag_leffler(rho, beta, -z)
             ok = (-1e-15 <= v) & (v <= 1.0 / math.gamma(beta) + 1e-12)
@@ -438,7 +438,7 @@ def _selftest_frackernel():
     # FFT round-off is absolute: eps-sized against ||w||_1 ||g||_inf
     g3 = TimeGrid(1.0, 4096)
     w = build_weights(g3, rho, 20.0)
-    series = np.random.default_rng(20250815).normal(size=4097)
+    series = 3.0 * _uniform(20250815, 4097)
     direct = w.head[1:] * series[0] + np.convolve(w.fold, series[1:])[:4096]
     worst = float(np.max(np.abs(convolve(w, series)[1:] - direct)))
     bound = 1e-13 * float(np.sum(w.fold) * np.max(np.abs(series)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, GridMismatchError
 from .frackernel import TimeGrid, caputo_l1
-from .mode_solver import ModeProblem, ModeSolution, solve_mode
+from .mode_solver import ModeProblem, contraction_bound, solve_mode
 from .profiles import Profile
 from .spectral import (
     SpaceGrid,
@@ -256,9 +256,10 @@ def mode_problem(spec: ProblemSpec, q: Profile) -> ModeProblem:
                        grid=spec.tgrid)
 
 
-def solve_mode_set(spec: ProblemSpec, q: Profile) -> ModeSolution:
-    """Solve the spec's K mode problems at reaction coefficient ``q`` as one
-    batch, by one causal march (``solve_mode``); no field is assembled."""
+def solve_mode_set(spec: ProblemSpec, q: Profile) -> np.ndarray:
+    """The rows u_k of the spec's K mode problems at reaction coefficient
+    ``q``, a (K, N+1) array solved as one batch by one causal march
+    (``solve_mode``); no field is assembled."""
     return solve_mode(mode_problem(spec, q))
 
 
@@ -287,10 +288,12 @@ def _blowup_exponent(tgrid: TimeGrid, uxx_sup: np.ndarray) -> float:
 def solve_forward(spec: ProblemSpec, q: Profile) -> FieldSolution:
     """Solve the spec's problem at the reaction coefficient ``q``: the modes
     by one causal march (``solve_mode_set``), then the field and its
-    diagnostics.  A ``q`` outside the window is warned about, then solved."""
+    diagnostics.  A ``q`` outside the window is warned about, then solved,
+    and so is each mode whose bound C_k (``contraction_bound``) is at least
+    1, data or not."""
     report = check_window(spec, q)
-    solution = solve_mode_set(spec, q)
-    coeffs = solution.u_k
+    c_bound = contraction_bound(mode_problem(spec, q))
+    coeffs = solve_mode_set(spec, q)
     lam = eigenvalues(spec.K, spec.length)
     u = assemble_field(coeffs, spec.sgrid)
     u_xx = assemble_field(-(lam ** 2)[:, None] * coeffs, spec.sgrid)
@@ -306,7 +309,7 @@ def solve_forward(spec: ProblemSpec, q: Profile) -> FieldSolution:
 
     diagnostics = {
         "assumption1": report,
-        "contraction_bounds": solution.C_k_bound.tolist(),
+        "contraction_bounds": c_bound.tolist(),
         "tail_p2": tail2,
         "tail_p3": tail3,
         "q1_value": q1_value,

@@ -59,8 +59,11 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.t_final > 0.0) or not math.isfinite(self.t_final):
             raise DomainError(f"t_final must be positive, got {self.t_final!r}")
-        if self.n_steps < 1:
-            raise DomainError(f"n_steps must be >= 1, got {self.n_steps!r}")
+        # a float count fails only later, in ``nodes``; a bool one runs
+        if (isinstance(self.n_steps, bool) or not isinstance(self.n_steps, int)
+                or self.n_steps < 1):
+            raise DomainError(
+                f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
     @property
     def h(self) -> float:

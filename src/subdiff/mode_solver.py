@@ -148,14 +148,6 @@ def picard_step(p: ModeProblem, current: np.ndarray) -> np.ndarray:
     return p.phi_k[:, None] * p.weights.relax + convolve(p.weights, g)
 
 
-@dataclass(frozen=True, eq=False)
-class ModeSolution:
-    """Per mode: the trajectory (a row of ``u_k``) and its bound C_k."""
-
-    u_k: np.ndarray
-    C_k_bound: np.ndarray
-
-
 def march(w: ConvolutionWeights, base: np.ndarray, g: np.ndarray,
           leaf: Callable[[int, int], None], leaf_nodes: int) -> None:
     """Drive a causal product-integration system over nodes 1..N by the
@@ -240,27 +232,24 @@ def _march_rows(p: ModeProblem) -> np.ndarray:
     return u
 
 
-def solve_mode(p: ModeProblem) -> ModeSolution:
-    """Solve every mode's discrete equation by one causal march.
+def solve_mode(p: ModeProblem) -> np.ndarray:
+    """Every mode's row u_k, a (K, N+1) array, by one causal march.
 
     A mode without data (outside ``p.live``) is not solved: its row is
-    exactly 0, and only its bound C_k is computed (and warned about).  A
-    singular step raises ``SingularSystemError`` naming the first such
-    node, and the first mode singular there.
+    exactly 0.  A singular step raises ``SingularSystemError`` naming the
+    first such node, and the first mode singular there.
     """
-    c_bound = contraction_bound(p)
     u = np.zeros(p.f_k.shape)
     live = p.live
     if live.size:
         u[live] = _march_rows(p.restrict(live))
-    return ModeSolution(u_k=u, C_k_bound=c_bound)
+    return u
 
 
 def decompose_mode(p: ModeProblem) -> tuple[np.ndarray, np.ndarray]:
     """Split into the zero-initial-datum part V_k and the zero-source part W_k."""
-    v = solve_mode(replace(p, phi_k=np.zeros_like(p.phi_k)))
-    w = solve_mode(replace(p, f_k=np.zeros_like(p.f_k)))
-    return v.u_k, w.u_k
+    return (solve_mode(replace(p, phi_k=np.zeros_like(p.phi_k))),
+            solve_mode(replace(p, f_k=np.zeros_like(p.f_k))))
 
 
 def apriori_bounds(p: ModeProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -41,13 +41,11 @@ class Profile:
     def vmax(self) -> float:
         return float(self.values.max())
 
-    def clamped(self, lo: float, hi: float) -> tuple["Profile", int]:
-        """Clamp nodewise into [lo, hi]; returns (profile, #nodes touched)."""
+    def clamped(self, lo: float, hi: float) -> "Profile":
+        """The profile clamped nodewise into [lo, hi]."""
         if lo > hi:
             raise DomainError(f"empty clamp window [{lo}, {hi}]")
-        clipped = np.clip(self.values, lo, hi)
-        touched = int(np.count_nonzero(clipped != self.values))
-        return Profile(self.grid, clipped), touched
+        return Profile(self.grid, np.clip(self.values, lo, hi))
 
 
 def constant(grid: TimeGrid, value: float) -> Profile:

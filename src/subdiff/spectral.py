@@ -30,7 +30,9 @@ class SpaceGrid:
     def __post_init__(self) -> None:
         if not (self.length > 0.0) or not math.isfinite(self.length):
             raise DomainError(f"length must be positive, got {self.length!r}")
-        if self.n_cells < 2 or self.n_cells % 2:
+        # a float count fails only later, in ``nodes``; a bool is below 2
+        if (not isinstance(self.n_cells, int) or self.n_cells < 2
+                or self.n_cells % 2):
             raise DomainError(
                 f"n_cells must be a positive even integer, got {self.n_cells!r}")
 

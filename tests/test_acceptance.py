@@ -32,7 +32,8 @@ from subdiff import (
 from subdiff.cli import main
 from subdiff.frackernel import TimeGrid
 from subdiff.mlf import mittag_leffler, relaxation, relaxation_curve
-from subdiff.mode_solver import apriori_bounds, decompose_mode, solve_mode
+from subdiff.mode_solver import (apriori_bounds, contraction_bound,
+                                 decompose_mode, solve_mode)
 from subdiff.profiles import affine, constant, sinusoidal_offset
 from subdiff.spectral import SpaceGrid
 
@@ -131,11 +132,11 @@ class TestAcceptance:
                           sigma=constant(g, 2.0), q=constant(g, 0.0),
                           f_k=np.zeros(1025), phi_k=0.9, grid=g)
         relax = np.array([relaxation(0.5, lam_eff, t) for t in g.nodes])
-        hom_err = sup(solve_mode(hom).u_k, 0.9 * relax)
+        hom_err = sup(solve_mode(hom), 0.9 * relax)
 
         src = replace(hom, f_k=np.full(1025, 1.2), phi_k=0.5)
         want = 0.5 * relax + (1.2 / lam_eff) * (1.0 - relax)
-        src_err = sup(solve_mode(src).u_k, want)
+        src_err = sup(solve_mode(src), want)
         assert hom_err <= 1e-8 and src_err <= 1e-8
 
         # the solver marches instead of iterating, so the paper's map is
@@ -145,9 +146,8 @@ class TestAcceptance:
         worst_gap = -np.inf
         for _ in range(100):
             p = sample_mode_problem(rng)
-            sol = solve_mode(p)
-            worst_gap = max(worst_gap, picard_ratio(p, sol.u_k, rng)
-                            - float(sol.C_k_bound[0]))
+            worst_gap = max(worst_gap, picard_ratio(p, solve_mode(p), rng)
+                            - float(contraction_bound(p)[0]))
         assert worst_gap <= 0.05
 
         elapsed = time.monotonic() - t0
@@ -160,9 +160,9 @@ class TestAcceptance:
         rng = np.random.default_rng(1003)
         worst = 0.0
         for _ in range(100):
-            u = solve_mode(sample_mode_problem(rng, sign=+1)).u_k
+            u = solve_mode(sample_mode_problem(rng, sign=+1))
             worst = max(worst, -float(np.min(u)))
-            u = solve_mode(sample_mode_problem(rng, sign=-1)).u_k
+            u = solve_mode(sample_mode_problem(rng, sign=-1))
             worst = max(worst, float(np.max(u)))
         assert worst <= 1e-12
         print(f"criterion 3: PASS — worst sign violation {worst:.2e} <= 1e-12 "

@@ -18,11 +18,13 @@ from subdiff.forward import (
     FieldSolution,
     ProblemSpec,
     default_mode_count,
+    mode_problem,
     residual_check,
     solve_forward,
     validate_assumption1,
 )
 from subdiff.frackernel import TimeGrid, caputo_l1
+from subdiff.mode_solver import contraction_bound
 from subdiff.oracle import solve_fd
 from subdiff.profiles import Profile, constant
 from subdiff.spectral import (SpaceGrid, assemble_field, basis, eigenvalues,
@@ -325,6 +327,10 @@ class TestSolveForward:
         assert spec.K == 64
         with pytest.warns(UserWarning):  # constant sigma closes the q window
             sol = solve_forward(spec, q)
+        # solve_forward owns the bounds: one per mode of the full-K
+        # problem, bit for bit, the 63 modes without data included
+        assert sol.diagnostics["contraction_bounds"] == contraction_bound(
+            mode_problem(spec, q)).tolist()
         assert len(sol.diagnostics["contraction_bounds"]) == 64
         assert np.max(np.abs(sol.u - u_star)) <= max_gap
         assert np.max(np.abs(sol.u - solve_fd(spec, q).u)) <= max_gap

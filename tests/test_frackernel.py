@@ -36,7 +36,8 @@ class TestTimeGrid:
         assert g.h == 0.5
         np.testing.assert_allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
 
-    @pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0), (math.inf, 4)])
+    @pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0), (math.inf, 4),
+                                     (1.0, 4.0), (1.0, 4.5), (1.0, True)])
     def test_invalid(self, T, N):
         with pytest.raises(DomainError):
             TimeGrid(t_final=T, n_steps=N)

@@ -221,7 +221,10 @@ class TestEstimateCT:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # at or above 1 as well
             got = estimate_CT(inv)
+        assert got >= 1.0
         lam = eigenvalues(inv.spec.K, 1.0)
         s_phi = float(np.sum(lam ** 3 * np.abs(inv.spec.phi_k)))
         s_f = float(np.max((lam ** 3) @ np.abs(inv.spec.f_k)))
@@ -387,7 +390,7 @@ class TestRecoverQ:
             warnings.simplefilter("ignore")
             inv = synthesize_data(spec, q_true)
             res = recover_q(inv)
-            moved = apply_L(res.q, inv).clamped(*spec.q_window)[0].values
+            moved = apply_L(res.q, inv).clamped(*spec.q_window).values
         assert np.max(np.abs(moved - res.q.values)) <= 1e-12
         assert res.iterates[0] <= 1e-12
         assert 0.0 < res.measured_ratio < 1.0 and res.clamp_count == 0
@@ -467,9 +470,12 @@ class TestSynthesizeData:
             synthesize_data(spec, q, noise_level=1e-6, seed=-1)
 
     def test_rejects_seed_beyond_64_bits(self):
+        # a float or bool seed once ran as its integer part (7.9 as 7,
+        # True as 1)
         spec, q = const_mode_spec(64, lambda t: np.full_like(t, 0.3))
-        with pytest.raises(DomainError, match="seed"):
-            synthesize_data(spec, q, noise_level=1e-6, seed=2 ** 64)
+        for seed in (2 ** 64, 7.9, 7.0, True, False):
+            with pytest.raises(DomainError, match="seed"):
+                synthesize_data(spec, q, noise_level=1e-6, seed=seed)
         inv = synthesize_data(spec, q, noise_level=1e-6, seed=2 ** 64 - 1)
         assert inv.psi0 > 0.0
 

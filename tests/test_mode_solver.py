@@ -16,6 +16,7 @@ from subdiff.errors import (
     GridMismatchError,
     SingularSystemError,
 )
+from subdiff.forward import ProblemSpec, solve_forward
 from subdiff.frackernel import TimeGrid, build_weights
 from subdiff.mode_solver import (
     ModeProblem,
@@ -27,6 +28,7 @@ from subdiff.mode_solver import (
 )
 from subdiff import mode_solver, profiles
 from subdiff.mlf import relaxation, relaxation_curve
+from subdiff.spectral import SpaceGrid
 
 from conftest import picard_ratio, sample_mode_problem, zero_divisor_bracket
 
@@ -98,6 +100,10 @@ class TestContractionBound:
         with pytest.warns(UserWarning, match="contraction bound"):
             c = contraction_bound(p)
         assert c >= 1.0
+        # the solve does not read the bound, so it does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_mode(p)
 
 
 class TestPicardStep:
@@ -127,21 +133,21 @@ class TestPicardStep:
 class TestSolveMode:
     def test_homogeneous_constant_coefficients(self):
         p = make_problem(GRID, sigma=profiles.constant(GRID, 2.0), phi=0.9)
-        sol = solve_mode(p)
-        assert sol.u_k[0, 0] == 0.9
+        u = solve_mode(p)
+        assert u[0, 0] == 0.9
         w = build_weights(GRID, p.rho, p.lam_eff)
-        np.testing.assert_allclose(sol.u_k, 0.9 * w.relax, rtol=1e-14)
+        np.testing.assert_allclose(u, 0.9 * w.relax, rtol=1e-14)
 
     def test_constant_source_closed_form(self):
         g = TimeGrid(1.0, 1024)
         F, phi, Ms = 1.2, 0.5, 2.0
         p = make_problem(g, sigma=profiles.constant(g, Ms),
                          f=profiles.constant(g, F), phi=phi)
-        sol = solve_mode(p)
+        u = solve_mode(p)
         lam_eff = math.pi ** 2 * Ms
         relax = np.array([relaxation(0.5, lam_eff, t) for t in g.nodes])
         want = phi * relax + (F / lam_eff) * (1.0 - relax)
-        assert np.max(np.abs(sol.u_k - want)) < 1e-8
+        assert np.max(np.abs(u - want)) < 1e-8
 
     def test_half_order_closed_form_with_bracket(self):
         # sigma = 1 and q = 0.4 leave the bracket -q nonzero, so the
@@ -149,29 +155,27 @@ class TestSolveMode:
         g = TimeGrid(1.0, 1024)
         c = 0.4
         p = make_problem(g, rho=0.5, q=profiles.constant(g, c), phi=1.0)
-        sol = solve_mode(p)
+        u = solve_mode(p)
         want = relaxation_curve(0.5, math.pi ** 2 + c, g.nodes)
-        assert np.max(np.abs(sol.u_k - want)) < 5e-3
+        assert np.max(np.abs(u - want)) < 5e-3
 
     def test_initial_value_exact(self):
         p = make_problem(GRID, sigma=profiles.sinusoidal_offset(GRID, 2.0, 0.5),
                          f=profiles.affine(GRID, 1.0, -0.5), phi=-0.37)
-        sol = solve_mode(p)
-        assert sol.u_k[0, 0] == -0.37
+        assert solve_mode(p)[0, 0] == -0.37
 
     def test_sign_preserved(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             p = sample_mode_problem(rng, sign=+1)
-            assert np.min(solve_mode(p).u_k) >= -1e-12
+            assert np.min(solve_mode(p)) >= -1e-12
             p = sample_mode_problem(rng, sign=-1)
-            assert np.max(solve_mode(p).u_k) <= 1e-12
+            assert np.max(solve_mode(p)) <= 1e-12
 
     def test_zero_data_zero_solution(self):
         p = make_problem(GRID, phi=0.0,
                          q=profiles.sinusoidal_offset(GRID, 0.1, 0.05))
-        sol = solve_mode(p)
-        assert np.all(sol.u_k == 0.0)
+        assert np.all(solve_mode(p) == 0.0)
 
     def test_linearity(self):
         g = TimeGrid(1.2, 96)
@@ -182,7 +186,7 @@ class TestSolveMode:
             g, sigma=sig, f=profiles.Profile(g, 3.7 * f.values), phi=3.7 * 0.8)
         a = solve_mode(base)
         b = solve_mode(scaled)
-        np.testing.assert_allclose(b.u_k, 3.7 * a.u_k, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(b, 3.7 * a, rtol=1e-10, atol=1e-12)
 
     def test_contraction_ratios_within_bound(self):
         # the paper's map, iterated from a perturbed march solution: its
@@ -190,30 +194,45 @@ class TestSolveMode:
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = sample_mode_problem(rng)
-            sol = solve_mode(p)
-            ratio = picard_ratio(p, sol.u_k, rng)
-            assert ratio <= sol.C_k_bound[0] + 0.05
+            ratio = picard_ratio(p, solve_mode(p), rng)
+            assert ratio <= contraction_bound(p)[0] + 0.05
 
     def test_rows_are_a_fixed_point_of_the_map(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             p = sample_mode_problem(rng)
-            u = solve_mode(p).u_k
+            u = solve_mode(p)
             assert (np.max(np.abs(picard_step(p, u) - u))
                     <= 1e-13 * np.max(np.abs(u)))
 
     def test_benign_large_q_is_solved(self):
         # q far above the window only damps the solution: the bound C_k is
-        # far above 1, and the march solves it all the same
-        for c in (20.0, 200.0):
+        # far above 1, and the march solves it all the same, silently.
+        # ``solve_forward`` owns the bounds: it warns once for each mode at
+        # or above 1, the mode without data as well, and gives the same rows
+        sgrid = SpaceGrid(1.0, 8)
+        for c, warned in ((20.0, (1,)), (200.0, (1, 2))):
             p = make_problem(GRID, q=profiles.constant(GRID, c), phi=1.0)
-            with pytest.warns(UserWarning, match="contraction bound"):
-                sol = solve_mode(p)
-            u = sol.u_k[0]
-            assert sol.C_k_bound[0] > 1.0 and u[0] == 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u = solve_mode(p)
+            assert u[0, 0] == 1.0
             assert np.all(np.abs(u) <= 1.0)
-            assert (np.max(np.abs(picard_step(p, sol.u_k) - sol.u_k))
-                    <= 1e-13)
+            assert np.max(np.abs(picard_step(p, u) - u)) <= 1e-13
+            spec = ProblemSpec.from_modes(sgrid, GRID, p.rho, p.sigma,
+                                          [1.0, 0.0], np.zeros((2, 65)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sol = solve_forward(spec, p.q)
+            bounds = sol.diagnostics["contraction_bounds"]
+            assert bounds[0] > 1.0
+            assert [str(w.message) for w in caught
+                    if "contraction bound" in str(w.message)] == [
+                f"mode {k}: contraction bound {bounds[k - 1]:.4f} >= 1; the "
+                f"contraction argument for the solution's existence does "
+                f"not cover it" for k in warned]
+            assert np.array_equal(sol.u_k[0], u[0])
+            assert np.all(sol.u_k[1] == 0.0)
 
     def test_zero_divisor_is_a_singular_step(self):
         # sigma constant makes the bracket -q; q_5 = -1/c with c = fold_0,
@@ -269,7 +288,7 @@ class TestDecompose:
         p = make_problem(GRID, phi=1.3)
         v, w = decompose_mode(p)
         assert np.all(v == 0.0)
-        np.testing.assert_allclose(w, solve_mode(p).u_k, atol=1e-12)
+        np.testing.assert_allclose(w, solve_mode(p), atol=1e-12)
 
     def test_zero_datum_gives_zero_w(self):
         p = make_problem(GRID, phi=0.0, f=profiles.constant(GRID, 2.0))
@@ -281,7 +300,7 @@ class TestDecompose:
         for _ in range(5):
             p = sample_mode_problem(rng)
             v, w = decompose_mode(p)
-            u = solve_mode(p).u_k
+            u = solve_mode(p)
             assert np.max(np.abs(v + w - u)) <= 1e-13 * np.max(np.abs(u))
 
 
@@ -341,19 +360,17 @@ class TestBatchedSolve:
         # 200 steps make four leaves of 50 nodes and three history splits
         g = TimeGrid(1.0, 200)
         batch = make_batch(g, self.KS)
-        sol = solve_mode(batch)
+        u = solve_mode(batch)
         for i in range(len(self.KS)):
-            one = solve_mode(batch.restrict([i]))
-            assert np.array_equal(sol.u_k[i], one.u_k[0])
-            assert sol.C_k_bound[i] == one.C_k_bound[0]
+            assert np.array_equal(u[i], solve_mode(batch.restrict([i]))[0])
 
     def test_restrict_matches_a_fresh_one_mode_problem(self):
         g = TimeGrid(1.0, 64)
         batch = make_batch(g, self.KS)
         fresh = make_batch(g, self.KS[3:4])
         assert fresh.lam_eff == batch.restrict([3]).lam_eff
-        assert np.array_equal(solve_mode(fresh).u_k,
-                              solve_mode(batch.restrict([3])).u_k)
+        assert np.array_equal(solve_mode(fresh),
+                              solve_mode(batch.restrict([3])))
 
     def test_singular_step_names_first_singular_mode(self):
         # q_7 = -1/c_3, c_k = fold_k[0], makes mode 3's divisor at node 7
@@ -406,15 +423,12 @@ class TestBatchedSolve:
         build = mode_solver.build_weights
         monkeypatch.setattr(mode_solver, "build_weights",
                             lambda *a: built.append(a[2]) or build(*a))
-        sol = solve_mode(batch)
+        u = solve_mode(batch)
         # the live rows march on weights built for their own stiffnesses,
         # never on rows cut from a build for the whole batch
         assert built == [alone.lam_eff]
-        want = solve_mode(alone)
-        assert np.array_equal(sol.u_k[2:], want.u_k)
-        assert np.all(sol.u_k[:2] == 0.0)
-        # the bound is computed for every mode
-        assert np.array_equal(sol.C_k_bound, contraction_bound(batch))
+        assert np.array_equal(u[2:], solve_mode(alone))
+        assert np.all(u[:2] == 0.0)
 
     def test_batch_without_data_builds_no_weights(self, monkeypatch):
         g = TimeGrid(1.0, 64)
@@ -422,10 +436,9 @@ class TestBatchedSolve:
         built = []
         monkeypatch.setattr(mode_solver, "build_weights",
                             lambda *a: built.append(a))
-        sol = solve_mode(batch)
+        u = solve_mode(batch)
         assert built == []
-        assert np.all(sol.u_k == 0.0) and sol.u_k.shape == batch.f_k.shape
-        assert np.array_equal(sol.C_k_bound, contraction_bound(batch))
+        assert np.all(u == 0.0) and u.shape == batch.f_k.shape
 
     def test_rejects_mismatched_rows(self):
         g = TimeGrid(1.0, 16)

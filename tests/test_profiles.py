@@ -34,10 +34,11 @@ def test_nonfinite_rejected():
 
 def test_clamped():
     p = profiles.Profile(GRID, np.arange(9.0))
-    q, touched = p.clamped(2.0, 6.0)
-    assert touched == 4
-    assert q.values.min() == 2.0 and q.values.max() == 6.0
+    q = p.clamped(2.0, 6.0)
+    assert q.values.tolist() == [2.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.0, 6.0]
     assert p.values.max() == 8.0  # original untouched
+    with pytest.raises(DomainError, match="empty clamp window"):
+        p.clamped(6.0, 2.0)
 
 
 def test_constant():

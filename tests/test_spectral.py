@@ -27,7 +27,8 @@ class TestSpaceGrid:
         np.testing.assert_allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert g.h == 0.5
 
-    @pytest.mark.parametrize("l,M", [(0.0, 4), (1.0, 3), (1.0, 0), (-2.0, 8)])
+    @pytest.mark.parametrize("l,M", [(0.0, 4), (1.0, 3), (1.0, 0), (-2.0, 8),
+                                     (1.0, 4.0), (1.0, 4.5), (1.0, True)])
     def test_invalid(self, l, M):
         with pytest.raises(DomainError):
             SpaceGrid(l, M)
