@@ -224,18 +224,25 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
     f_{k,n}) / (D_k + c_k q_n), so the condition at t_n is x = G_n(x) =
     q0_n + sum_k A_k / (D_k + c_k x), A_k = (sigma_n/psi_n) gamma_k (H_k +
     c_k f_{k,n}), gamma_k = -sqrt(2/l) lam_k^3; as c_k < 1/(2 lam_k^2
-    M_sigma), each denominator exceeds 1/2 on the window.  Newton steps on
-    x - G_n(x) start at q_{n-1}, stay clamped to the window and stop once a
-    step, or the next one as the curvature predicts it, is at most 4 eps
-    times the window's width, or once a step fails to shrink; where
-    1 - G_n' is not positive they are plain steps x -> G_n(x).  G_n' is
-    read at the last iterate evaluated.  At t_0, u = phi.
+    M_sigma), each denominator exceeds 1/2 on the window.  Halley's method
+    solves F(x) = x - G_n(x) = 0 from q_{n-1}, one evaluation of G_n and its
+    first three derivatives per step: with s = F/F' Newton's step and
+    k = -F''/(2F'), the step is s/(1 + s k), and the next one is predicted
+    as |k^2 - F'''/(6F')| |step|^3.  Where |s k| >= 1/2 the quadratic model
+    is not to be trusted and Newton's step s is taken, with |k| s^2 as its
+    prediction; where F' = 1 - G_n' is not positive, a plain step
+    x -> G_n(x).  Steps stay clamped to the window and stop once a step, or
+    the next one as predicted, is at most 4 eps times the window's width,
+    or once a step fails to shrink.  On data that move q little from node to
+    node one step suffices.  |G_n'(q_n)| is read at q_n itself, after the
+    march, from the rows u_{k,n} in one array pass.  At t_0, u = phi.
 
     H comes from the divide-and-conquer split of ``mode_solver.march``,
     one FFT product per split over the modes with data, on the weights
     ``solve_mode`` builds for them; its leaves of ``_LEAF`` nodes or fewer
     step node by node on plain floats, each node adding the leaf's earlier
-    g_{k,j} under fold_k[n-j] to the history ``march`` hands it.
+    g_{k,j} under fold_k[n-j] to the history ``march`` hands it, which
+    gains c_k f_{k,n} once per leaf.
     """
     spec = inv.spec
     # plain floats: the leaves step on them
@@ -246,78 +253,96 @@ def _march(inv: InverseSpec) -> tuple[np.ndarray, float]:
     p = p.restrict(p.live)
     w, a, f = p.weights, p.bracket, p.f_k
     c = w.fold[:, 0].tolist()
+    # fold_k[1:_LEAF], against a leaf's g newest first
+    fold = w.fold[:, 1:_LEAF].tolist()
     gamma = -math.sqrt(2.0 / spec.length) * p.lam_k ** 3
     q0 = inv.q0.values.tolist()
 
     base = p.phi_k[:, None] * w.relax  # gains the history
     g = np.empty_like(base)  # f + (a - q) u, the integrand
+    top = np.empty_like(base)  # u_{k,n} (D_{k,n} + c_k q_n), the numerators
     q = np.empty(spec.tgrid.n_steps + 1)
-    denom = 1.0 - np.array(c)[:, None] * a  # D, a row per mode
+    c_col = w.fold[:, :1]
+    denom = 1.0 - c_col * a  # D, a row per mode
     weight = gamma[:, None] * (spec.sigma.values / inv.psi.values)
     q[0] = min(max(q0[0] + float(weight[:, 0] @ p.phi_k), lo), hi)
     g[:, 0] = f[:, 0] + (a[:, 0] - q[0]) * p.phi_k
-    worst = 0.0
 
     def leaf(start: int, stop: int) -> None:
-        nonlocal worst
-        width = stop - start - 1
-        # crev[k][width - i:width] weighs the leaf's g_j, j = start..n-1,
-        # for node n = start + i
-        crev = w.fold[:, width:0:-1].tolist()
-        near: list = [[] for _ in c]
-        modes = list(zip(crev, near, c))
-        rows = zip(*(v[:, start:stop].T.tolist()
-                     for v in (base, f, a, denom, weight)), q0[start:stop])
+        # H_k + c_k f_{k,n} but for the leaf's own g: far history and
+        # c_k f_{k,n} in one array operation
+        far = base[:, start:stop] + c_col * f[:, start:stop]
+        near: list = [[] for _ in c]  # the leaf's g_{k,j}, newest first
+        rows = zip(*(v.T.tolist() for v in (
+            far, f[:, start:stop], a[:, start:stop], denom[:, start:stop],
+            weight[:, start:stop])), q0[start:stop])
         x = float(q[start - 1])
-        top = worst
-        qs = []
-        for i, (h_n, f_n, a_n, D, w_n, q0_n) in enumerate(rows):
-            # H_k + c_k f_{k,n}: far history, near history, c_k f_{k,n}
-            num = [h + sum(map(operator.mul, cr[width - i:width], gk))
-                   + ck * fk
-                   for (cr, gk, ck), h, fk in zip(modes, h_n, f_n)]
+        qs, nums = [], []
+        for h_n, f_n, a_n, D, w_n, q0_n in rows:
+            num = [h + sum(map(operator.mul, fk, gk))
+                   for h, fk, gk in zip(h_n, fold, near)]
             A = list(map(operator.mul, w_n, num))
             last = math.inf
             while True:
-                G = dG = d2G = 0.0
+                G = dG = d2G = d3G = 0.0
                 for Ak, Dk, ck in zip(A, D, c):
                     r = 1.0 / (Dk + ck * x)
-                    t = Ak * r
                     cr = ck * r
+                    t = Ak * r
                     G += t
-                    dG += t * cr
-                    d2G += t * cr * cr
+                    t *= cr
+                    dG += t
+                    t *= cr
+                    d2G += t
+                    d3G += t * cr
                 slope = 1.0 + dG
-                step = (x - q0_n - G) / (slope if slope > 0.0 else 1.0)
+                if slope > 0.0:
+                    step = (x - q0_n - G) / slope
+                    k2 = d2G / slope
+                    bend = step * k2
+                    if abs(bend) < 0.5:  # Halley's step and its cubic error
+                        step /= 1.0 + bend
+                        err = abs(k2 * k2 - d3G / slope) * abs(step) ** 3
+                    else:  # Newton's step and its quadratic error
+                        err = abs(k2) * step * step
+                else:  # a plain step x -> G_n(x)
+                    step = x - q0_n - G
+                    err = math.inf
                 nxt = min(max(x - step, lo), hi)
                 moved = abs(nxt - x)
                 if not moved < last:  # also ends a step that is not a number
                     break
                 x = nxt
-                if moved <= tol or abs(d2G) * step * step <= tol * slope:
+                if moved <= tol or err <= tol:
                     break
                 last = moved
-            if lo < x < hi:
-                top = max(top, abs(dG))
             qs.append(x)
+            nums.append(num)
             for gk, fk, ak, v, Dk, ck in zip(near, f_n, a_n, num, D, c):
-                gk.append(fk + (ak - x) * v / (Dk + ck * x))
+                gk.insert(0, fk + (ak - x) * v / (Dk + ck * x))
         q[start:stop] = qs
-        g[:, start:stop] = near
-        worst = top
+        top[:, start:stop] = np.array(nums).T
+        g[:, start:stop] = [gk[::-1] for gk in near]
 
     march(w, base, g, leaf, _LEAF)
-    return q, worst
+    # |G_n'(q_n)| = |sum_k w_{k,n} c_k u_{k,n} / (D_{k,n} + c_k q_n)|
+    bottom = denom[:, 1:] + c_col * q[1:]
+    u = top[:, 1:] / bottom
+    ratio = np.abs(np.sum(weight[:, 1:] * c_col * u / bottom, axis=0))
+    inside = (lo < q[1:]) & (q[1:] < hi)
+    return q, float(ratio[inside].max(initial=0.0))
 
 
 def recover_q(inv: InverseSpec) -> InverseResult:
     """Find the fixed point of q -> clamp(L[q]) by one causal march.
 
-    Node n solves one scalar equation for q_n given q_0..q_{n-1}
-    (``_march``); a root outside the spec's q window is clamped to its end,
-    and ``clamp_count`` counts the nodes at either end.  ``measured_ratio``
-    is the largest |1 - F_n'(q_n)| over the other nodes, the local
-    contraction of each node's equation.  One forward solve at the result,
+    Node n solves one scalar equation for q_n given q_0..q_{n-1} by
+    Halley's method from q_{n-1} (``_march``), stopping once the step or its
+    predicted cubic successor is at round-off; a root outside the spec's q
+    window is clamped to its end, and ``clamp_count`` counts the nodes at
+    either end.  ``measured_ratio`` is the largest |1 - F_n'(q_n)| over the
+    other nodes t_1..t_N, the local contraction of each node's equation,
+    read at the recovered q_n itself.  One forward solve at the result,
     as ``apply_L`` makes it, checks it: ``iterates`` holds its residual
     sup |clamp(L[q]) - q|, a round-off check, since that solve marches the
     same discrete system exactly, and ``trace_sums`` and ``flux_defect``

@@ -365,6 +365,27 @@ class TestRecoverQ:
         assert res.clamp_count == spec.tgrid.n_steps + 1
         assert res.measured_ratio == 0.0  # no node inside the window
 
+    def test_truth_across_the_window_meets_every_kind_of_step(self):
+        # q_true swings to 1.5 times the window's width either side of its
+        # middle, so 14 of the 17 nodes clamp.  Besides Halley's steps the
+        # march meets nodes where 1 - G_n' <= 0 (plain steps) and nodes
+        # where Halley's step falls far short of Newton's (|s k| >= 1/2,
+        # Newton's step); taking Halley's step there too stops the march
+        # short of the root at node 9, with a residual of 8.3
+        n = 16
+        tg, sg = TimeGrid(0.5, n), SpaceGrid(1.0, 16)
+        spec = ProblemSpec.from_modes(sg, tg, 0.8,
+                                      Profile(tg, 2.0 + np.sin(tg.nodes)),
+                                      np.array([0.05]), np.zeros((1, n + 1)))
+        lo, hi = spec.q_window
+        q = Profile(tg, 0.5 * (lo + hi) + 1.5 * (hi - lo)
+                    * np.sin(4.0 * math.pi * tg.nodes / tg.t_final))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = recover_q(synthesize_data(spec, q))
+        assert res.iterates[0] <= 1e-12
+        assert res.clamp_count == 14
+
     def test_live_modes_apart_reach_the_clamped_fixed_point(self,
                                                             monkeypatch):
         # data on modes 1, 2 and 4 of K = 8, each at its own equilibrium;

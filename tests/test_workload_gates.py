@@ -8,7 +8,8 @@ The module is executed from its source text, so nothing is written under
 ``bench/``.  On the same configs, and on the shipped ones, the modes the
 forward solve marches are a fixed point of the paper's map to round-off;
 on the shipped ones they stay so, and the recovery of q stays exact, when
-the product-integration rule is swapped for another.
+the product-integration rule is swapped for another.  The recovery's
+``measured_ratio`` is read at the recovered q itself.
 """
 
 import json
@@ -23,8 +24,9 @@ import pytest
 from subdiff import mode_solver
 from subdiff.cli import _build_spec, _profile, main
 from subdiff.forward import mode_problem
-from subdiff.inverse import recover_q, synthesize_data
+from subdiff.inverse import _sweep, recover_q, synthesize_data
 from subdiff.mode_solver import picard_step, solve_mode
+from subdiff.spectral import eigenvalues
 
 REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = REPO / "bench" / "workloads.py"
@@ -63,17 +65,20 @@ SHIPPED = ("forward_manufactured.json", "inverse_synthetic.json")
 def test_march_rows_are_a_fixed_point_of_the_map(name):
     # the march solves the discrete system exactly, so one application of
     # the map moves its rows by round-off only (about 1e-15 relative)
-    configs = REPO / "configs"
-    if name in SHIPPED:
-        cfg = json.loads((configs / name).read_text(encoding="utf-8"))
-    else:
-        cfg = workloads.make_config(workloads.WORKLOADS[name], 1301, configs)
-    spec, q = _spec_and_q(cfg, configs)
+    spec, q = _spec_and_q(_config(name), REPO / "configs")
     p = mode_problem(spec, q)
     u = solve_mode(p)
     assert np.any(u != 0.0)
     assert (np.max(np.abs(picard_step(p, u) - u))
             <= 1e-13 * np.max(np.abs(u)))
+
+
+def _config(name):
+    """A shipped config, or a workload's at seed 1301."""
+    configs = REPO / "configs"
+    if name in SHIPPED:
+        return json.loads((configs / name).read_text(encoding="utf-8"))
+    return workloads.make_config(workloads.WORKLOADS[name], 1301, configs)
 
 
 def _spec_and_q(cfg, configs):
@@ -109,3 +114,30 @@ def test_every_consumer_follows_a_swapped_rule(monkeypatch, name):
     assert (np.max(np.abs(picard_step(p, u) - u))
             <= 1e-13 * np.max(np.abs(u)))
     assert recover_q(synthesize_data(spec, q)).iterates[0] <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["inverse_synthetic.json", "inverse-affine"])
+def test_measured_ratio_is_read_at_the_recovered_q(name):
+    # the largest |G_n'(q_n)| = |sum_k gamma_k (sigma_n/psi_n) c_k u_{k,n} /
+    # (D_{k,n} + c_k q_n)| over t_1..t_N strictly inside the window, with
+    # the rows u_k of the check solve and D_{k,n} + c_k q_n = 1 - c_k b_{k,n}
+    # its divisors.  Read at q_{n-1}, the last iterate a one-step node
+    # solve evaluates, it would miss by 1.3e-7 on inverse-affine, whose
+    # noisy data move q by about 1e-4 per node
+    cfg = _config(name)
+    spec, q_true = _spec_and_q(cfg, REPO / "configs")
+    syn = cfg["data"]["synthetic"]
+    inv = synthesize_data(spec, q_true, syn["noise_level"], syn["seed"])
+    res = recover_q(inv)
+    u = _sweep(inv, res.q)[1]
+    p = mode_problem(spec, res.q)
+    c = p.weights.fold[:, :1]
+    gamma = -np.sqrt(2.0 / spec.length) * eigenvalues(spec.K, spec.length) ** 3
+    weight = gamma[:, None] * spec.sigma.values / inv.psi.values
+    ratio = np.abs(np.sum(weight * c * u / (1.0 - c * p.bracket), axis=0))
+    lo, hi = spec.q_window
+    q = res.q.values
+    inside = (lo < q) & (q < hi)
+    inside[0] = False
+    assert res.measured_ratio == pytest.approx(ratio[inside].max(), rel=1e-12)
